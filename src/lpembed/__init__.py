@@ -13,7 +13,6 @@ from .lp_core import (
     PExponent,
     block_distance_p,
     block_norm_p,
-    direct_sum,
     distance_p,
     norm_p,
     normalize,
@@ -24,7 +23,6 @@ from .mazur import (
     mazur_bounds,
     mazur_map,
     sample_ratio_extremes,
-    transport_conditions,
 )
 from .metric_spaces import (
     FiniteMetricSpace,
@@ -73,14 +71,12 @@ __all__ = [
     "norm_p",
     "distance_p",
     "normalize",
-    "direct_sum",
     "block_norm_p",
     "block_distance_p",
     "MazurBounds",
     "RatioSample",
     "mazur_map",
     "mazur_bounds",
-    "transport_conditions",
     "sample_ratio_extremes",
     "FiniteMetricSpace",
     "MetricViolation",

@@ -9,7 +9,6 @@ flows through explicit --seed flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .coarse_embedder import (
 )
 from .distortion_report import empirical_profile, export
 from .kernel_sphere_maps import KERNEL_KINDS, CalibrationError, NotNegativeType
-from .metric_spaces import GENERATOR_KINDS, generate, load_space, save_space, validate
+from .metric_spaces import GENERATOR_KINDS, generate, load_space, load_space_lenient, save_space, validate
 
 RATIO_TOL = 1e-12
 
@@ -44,25 +43,6 @@ def _cmd_validate(args) -> int:
     for v in report.violations[:20]:
         print(f"  {v}", file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def load_space_lenient(path):
-    """Load a space file without rejecting metric violations (validate reports them)."""
-    from .metric_spaces import FiniteMetricSpace
-    import numpy as np
-
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        meta = dict(payload.get("meta", {}))
-        points = meta.pop("points", None)
-        return FiniteMetricSpace(
-            labels=tuple(payload["labels"]),
-            dist=np.asarray(payload["dist"], dtype=np.float64),
-            points=np.asarray(points, dtype=np.float64) if points is not None else None,
-            meta=meta,
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: malformed space file: {exc}") from exc
 
 
 def _cmd_embed(args) -> int:

@@ -69,8 +69,9 @@ class DistortionProfile:
     marginal_count: int
 
 
-def _scan_bounds(embedding: CoarseEmbedding, tol: float) -> tuple:
-    ii, jj, d, psums = pairwise_image_power_sums(embedding)
+def _scan_bounds(embedding: CoarseEmbedding, scan: tuple, tol: float) -> tuple:
+    """(violations, marginal count) of one pairwise_image_power_sums scan."""
+    ii, jj, d, psums = scan
     p = embedding.exponent.value
     labels = embedding.space.labels
 
@@ -104,7 +105,7 @@ def verify_bounds(embedding: CoarseEmbedding, tol: float = DEFAULT_TOL) -> list:
     Empty iff every pair satisfies
         image^p <= 2^p d^p + 1 + tol   and   image^p >= m(d) (delta/2)^p - tol.
     """
-    violations, _ = _scan_bounds(embedding, tol)
+    violations, _ = _scan_bounds(embedding, pairwise_image_power_sums(embedding), tol)
     return violations
 
 
@@ -117,7 +118,8 @@ def empirical_profile(
     bucket_count = int(bucket_count)
     if bucket_count < 1:
         raise ValueError(f"bucket count must be >= 1, got {bucket_count}")
-    ii, jj, d, psums = pairwise_image_power_sums(embedding)
+    scan = pairwise_image_power_sums(embedding)
+    _, _, d, psums = scan
     image_d = psums ** (1.0 / embedding.exponent.value)
     diameter = embedding.space.diameter()
     edges = np.linspace(0.0, diameter, bucket_count + 1)
@@ -142,7 +144,7 @@ def empirical_profile(
         for j in range(bucket_count)
     )
     rho1, rho2 = theoretical_bounds(embedding, edges)
-    violations, marginal = _scan_bounds(embedding, tol)
+    violations, marginal = _scan_bounds(embedding, scan, tol)
     return DistortionProfile(
         buckets=buckets,
         edges=tuple(float(e) for e in edges),

@@ -141,9 +141,7 @@ class SphereMapLevel:
 
     epsilon_n certifies sup{||phi(x)-phi(y)||_p : d(x,y) <= level_n} and
     delta_half certifies inf{...: d(x,y) >= s_n} (vacuous when saturated,
-    s_n = inf). The *_bound fields carry envelope-derived certificates when the
-    level was produced by Mazur transport; measured values live in the primary
-    fields either way.
+    s_n = inf). Both are measured on the images after Mazur transport.
     """
 
     level_n: int
@@ -154,8 +152,6 @@ class SphereMapLevel:
     delta_half: float
     bandwidth_t: float
     kernel_kind: str
-    epsilon_bound: Optional[float] = None
-    delta_half_bound: Optional[float] = None
 
     @property
     def saturated(self) -> bool:
@@ -363,13 +359,8 @@ def build_level_family(
     return SphereMapFamily(levels=tuple(levels), exponent=p, delta=delta, space=space)
 
 
-def verify_family(family: SphereMapFamily, *, require_dyadic: bool = True) -> list:
-    """Re-measure every certificate; returns human-readable violations.
-
-    require_dyadic additionally checks epsilon_n <= 2^-n, the contract of
-    directly calibrated families (transported families recertify at their
-    envelope-derived constants instead).
-    """
+def verify_family(family: SphereMapFamily) -> list:
+    """Re-measure every certificate and epsilon_n <= 2^-n; returns human-readable violations."""
     problems: list = []
     prev_s = 0.0
     for level in family.levels:
@@ -388,7 +379,7 @@ def verify_family(family: SphereMapFamily, *, require_dyadic: bool = True) -> li
             problems.append(
                 f"level {level.level_n}: measured inf {inf_far!r} below certificate {level.delta_half!r}"
             )
-        if require_dyadic and level.epsilon_n > 2.0 ** (-level.level_n):
+        if level.epsilon_n > 2.0 ** (-level.level_n):
             problems.append(
                 f"level {level.level_n}: epsilon {level.epsilon_n!r} above 2^-{level.level_n}"
             )

@@ -1,18 +1,18 @@
 """Dense lp vector arithmetic with strict numeric contracts.
 
-All norms go through a zero-guarded fractional power kernel and exact
-compensated summation (math.fsum), so that unit-sphere membership, triangle
-inequalities and scaling identities hold to 1e-12 even at dimension 10^4+.
-Batch helpers (row_pnorms, pairwise_pnorm) trade the exact accumulator for
-numpy's pairwise summation, which stays far below the tolerances used by any
-caller of the batch paths.
+All norms go through one zero-guarded power kernel and exact compensated
+summation (math.fsum), so that unit-sphere membership, triangle inequalities
+and scaling identities hold to 1e-12 even at dimension 10^4+. Batch helpers
+(row_pnorms, pairwise_pnorm_all) trade the exact accumulator for numpy's
+pairwise summation, which stays far below the tolerances used by any caller of
+the batch paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,12 +25,9 @@ __all__ = [
     "norm_p",
     "distance_p",
     "normalize",
-    "direct_sum",
     "block_norm_p",
     "block_distance_p",
     "row_pnorms",
-    "pairwise_pnorm",
-    "pairwise_power_sums",
     "pairwise_pnorm_all",
     "pairwise_power_sums_all",
 ]
@@ -140,28 +137,40 @@ class BlockVector:
 # power kernel
 # ---------------------------------------------------------------------------
 
-def abs_power(values: np.ndarray, p: float) -> np.ndarray:
-    """Elementwise |v|**p with an explicit zero guard.
+def _abs_power_inplace(buf: np.ndarray, p: float) -> np.ndarray:
+    """Overwrite buf with |buf|**p and return it; the one exponent ladder.
 
     Fractional exponents use exp(p*log|v|) on the nonzero entries only, so the
     behaviour of pow at 0 never enters. Integer and half-integer exponents take
     exact multiply/sqrt shortcuts.
     """
-    a = np.abs(np.asarray(values, dtype=np.float64))
+    np.abs(buf, out=buf)
     if p == 1.0:
-        return a
+        return buf
     if p == 2.0:
-        return a * a
+        return np.multiply(buf, buf, out=buf)
     if p == float(int(p)):
-        return a ** int(p)
+        buf **= int(p)
+        return buf
     if 2.0 * p == float(int(2.0 * p)):
         # p = k + 0.5: |v|^k * sqrt(|v|), exact up to rounding
         k = int(p - 0.5)
-        return (a ** k) * np.sqrt(a) if k else np.sqrt(a)
-    out = np.zeros_like(a)
-    nz = a > 0.0
-    out[nz] = np.exp(p * np.log(a[nz]))
-    return out
+        if not k:
+            return np.sqrt(buf, out=buf)
+        root = np.sqrt(buf)
+        buf **= k
+        return np.multiply(buf, root, out=buf)
+    nz = buf > 0.0
+    np.log(buf, out=buf, where=nz)
+    buf *= p
+    np.exp(buf, out=buf, where=nz)
+    buf[~nz] = 0.0
+    return buf
+
+
+def abs_power(values: np.ndarray, p: float) -> np.ndarray:
+    """Elementwise |v|**p with an explicit zero guard, on a float64 copy."""
+    return _abs_power_inplace(np.array(values, dtype=np.float64), p)
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +205,12 @@ def normalize(x: LpVector, p: ExponentLike) -> LpVector:
     return LpVector(x.coeffs / n)
 
 
-def direct_sum(blocks: Sequence[LpVector], p: ExponentLike) -> BlockVector:
-    """Assemble lp blocks into an element of the p-direct sum."""
-    as_exponent(p)  # validate the exponent the sum is taken against
-    return BlockVector(tuple(blocks))
-
-
 def block_norm_p(x: BlockVector, p: ExponentLike) -> float:
     """p-norm of a block vector: (sum_n ||block_n||_p^p)^(1/p).
 
-    Equals the p-norm of the concatenated coefficients; computed with the same
-    rescaled exact accumulation as norm_p.
+    Equals norm_p of the concatenated coefficients, which is how it is computed.
     """
-    pv = as_exponent(p).value
-    scale = max(float(np.abs(b.coeffs).max()) for b in x.blocks)
-    if scale == 0.0:
-        return 0.0
-    terms: list = []
-    for b in x.blocks:
-        terms.extend(abs_power(b.coeffs / scale, pv).tolist())
-    return scale * math.fsum(terms) ** (1.0 / pv)
+    return norm_p(LpVector(np.concatenate([b.coeffs for b in x.blocks])), p)
 
 
 def block_distance_p(x: BlockVector, y: BlockVector, p: ExponentLike) -> float:
@@ -235,68 +230,6 @@ def row_pnorms(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
     return sums ** (1.0 / pv)
 
 
-def pairwise_power_sums(
-    rows: np.ndarray,
-    p: ExponentLike,
-    idx_i: np.ndarray,
-    idx_j: np.ndarray,
-    chunk_elems: int = 1 << 23,
-) -> np.ndarray:
-    """sum_k |rows[i,k] - rows[j,k]|^p for each listed (i, j) pair, chunked."""
-    pv = as_exponent(p).value
-    idx_i = np.asarray(idx_i)
-    idx_j = np.asarray(idx_j)
-    n_pairs = idx_i.size
-    out = np.empty(n_pairs, dtype=np.float64)
-    step = max(1, chunk_elems // max(1, rows.shape[1]))
-    for start in range(0, n_pairs, step):
-        sl = slice(start, start + step)
-        diff = rows[idx_i[sl]] - rows[idx_j[sl]]
-        out[sl] = abs_power(diff, pv).sum(axis=1)
-    return out
-
-
-def pairwise_pnorm(
-    rows: np.ndarray,
-    p: ExponentLike,
-    idx_i: np.ndarray,
-    idx_j: np.ndarray,
-) -> np.ndarray:
-    """p-distance between the listed row pairs."""
-    pv = as_exponent(p).value
-    sums = pairwise_power_sums(rows, pv, idx_i, idx_j)
-    if pv == 1.0:
-        return sums
-    return sums ** (1.0 / pv)
-
-
-def _power_sums_inplace(buf: np.ndarray, p: float) -> np.ndarray:
-    """Row sums of |buf|**p, overwriting buf; the workhorse of the all-pairs scan."""
-    np.abs(buf, out=buf)
-    if p == 1.0:
-        return buf.sum(axis=1)
-    if p == 2.0:
-        np.multiply(buf, buf, out=buf)
-        return buf.sum(axis=1)
-    if p == float(int(p)):
-        buf **= int(p)
-        return buf.sum(axis=1)
-    if 2.0 * p == float(int(2.0 * p)):
-        k = int(p - 0.5)
-        root = np.sqrt(buf)
-        if k:
-            buf **= k
-            np.multiply(buf, root, out=buf)
-            return buf.sum(axis=1)
-        return root.sum(axis=1)
-    nz = buf > 0.0
-    np.log(buf, out=buf, where=nz)
-    buf *= p
-    np.exp(buf, out=buf, where=nz)
-    buf[~nz] = 0.0
-    return buf.sum(axis=1)
-
-
 def pairwise_power_sums_all(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
     """sum_k |rows[i,k] - rows[j,k]|^p over all pairs i < j, condensed order.
 
@@ -313,7 +246,7 @@ def pairwise_power_sums_all(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
         m = n - 1 - i
         b = buf[:m]
         np.subtract(rows[i + 1:], rows[i], out=b)
-        out[pos:pos + m] = _power_sums_inplace(b, pv)
+        out[pos:pos + m] = _abs_power_inplace(b, pv).sum(axis=1)
         pos += m
     return out
 

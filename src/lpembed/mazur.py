@@ -24,7 +24,6 @@ from .lp_core import (
     abs_power,
     as_exponent,
     norm_p,
-    pairwise_pnorm,
     row_pnorms,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "mazur_map_rows",
     "MazurBounds",
     "mazur_bounds",
-    "transport_conditions",
     "RatioSample",
     "sample_ratio_extremes",
 ]
@@ -121,52 +119,6 @@ def mazur_bounds(p: ExponentLike, q: ExponentLike) -> MazurBounds:
     return MazurBounds(p=pv, q=qv, constant_c=2.0 ** (1.0 - ratio))
 
 
-def transport_conditions(family, q: ExponentLike):
-    """Carry a certified sphere-map family from its exponent p to exponent q.
-
-    Every level map is composed with M_{p,q}. Each transported level stores
-    the envelope-derived certificates (epsilon via upper(), separation via
-    lower()) in the *_bound fields and the exactly re-measured sup/inf on the
-    finite space in the primary fields; downstream construction consumes the
-    measured ones.
-    """
-    from .kernel_sphere_maps import (  # deferred: kernel_sphere_maps imports us
-        SphereMapFamily,
-        SphereMapLevel,
-        measure_conditions,
-    )
-
-    qe = as_exponent(q)
-    pe = family.exponent
-    if qe.value == pe.value:
-        return family
-    bounds = mazur_bounds(pe, qe)
-    new_levels = []
-    for level in family.levels:
-        images = mazur_map_rows(level.images, pe, qe)
-        sup_close, inf_far = measure_conditions(images, family.space, level.level_n, level.s_n, qe)
-        new_levels.append(
-            SphereMapLevel(
-                level_n=level.level_n,
-                exponent=qe,
-                images=images,
-                epsilon_n=sup_close,
-                s_n=level.s_n,
-                delta_half=inf_far if math.isfinite(level.s_n) else bounds.lower(level.delta_half),
-                bandwidth_t=level.bandwidth_t,
-                kernel_kind=level.kernel_kind,
-                epsilon_bound=bounds.upper(level.epsilon_n),
-                delta_half_bound=bounds.lower(level.delta_half),
-            )
-        )
-    return SphereMapFamily(
-        levels=tuple(new_levels),
-        exponent=qe,
-        delta=2.0 * bounds.lower(family.delta / 2.0),
-        space=family.space,
-    )
-
-
 # ---------------------------------------------------------------------------
 # sampling oracle for the envelope constants
 # ---------------------------------------------------------------------------
@@ -214,10 +166,10 @@ def sample_ratio_extremes(
         m = min(batch, pairs - done)
         raw = rng.standard_normal((2 * m, dim))
         raw /= row_pnorms(raw, pe)[:, None]
-        first, second = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
-        d_src = pairwise_pnorm(raw, pe, first, second)
+        # pair k is rows (2k, 2k+1)
+        d_src = row_pnorms(raw[0::2] - raw[1::2], pe)
         mapped = mazur_map_rows(raw, pe, qe)
-        d_img = pairwise_pnorm(mapped, qe, first, second)
+        d_img = row_pnorms(mapped[0::2] - mapped[1::2], qe)
         nz = d_src > 0
         d_src, d_img = d_src[nz], d_img[nz]
         lower_excess = max(lower_excess, float((bounds.lower(d_src) - d_img).max()))

@@ -29,6 +29,7 @@ __all__ = [
     "space_from_json",
     "save_space",
     "load_space",
+    "load_space_lenient",
 ]
 
 # all downstream algorithms are O(n^2)-O(n^3); keep desk-scale
@@ -274,21 +275,22 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
     return payload
 
 
-def space_from_json(payload: dict) -> FiniteMetricSpace:
-    """Rebuild a space from its JSON form; metric axioms are revalidated."""
+def _parse_space(payload) -> FiniteMetricSpace:
+    """Rebuild a space from its JSON form, checking its structure only."""
     try:
-        labels = payload["labels"]
-        dist = np.asarray(payload["dist"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        meta = dict(payload.get("meta", {}))
+        points = meta.pop("points", None)
+        return FiniteMetricSpace(
+            labels=tuple(payload["labels"]),
+            dist=np.asarray(payload["dist"], dtype=np.float64),
+            points=np.asarray(points, dtype=np.float64) if points is not None else None,
+            meta=meta,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed space payload: {exc}") from exc
-    meta = dict(payload.get("meta", {}))
-    points = meta.pop("points", None)
-    space = FiniteMetricSpace(
-        labels=tuple(labels),
-        dist=dist,
-        points=np.asarray(points, dtype=np.float64) if points is not None else None,
-        meta=meta,
-    )
+
+
+def _require_metric(space: FiniteMetricSpace) -> FiniteMetricSpace:
     report = validate(space)
     if not report.ok:
         first = "; ".join(str(v) for v in report.violations[:3])
@@ -296,13 +298,24 @@ def space_from_json(payload: dict) -> FiniteMetricSpace:
     return space
 
 
+def space_from_json(payload: dict) -> FiniteMetricSpace:
+    """Rebuild a space from its JSON form; metric axioms are revalidated."""
+    return _require_metric(_parse_space(payload))
+
+
 def save_space(space: FiniteMetricSpace, path) -> None:
     Path(path).write_text(json.dumps(space_to_json(space)) + "\n", encoding="utf-8")
 
 
-def load_space(path) -> FiniteMetricSpace:
+def load_space_lenient(path) -> FiniteMetricSpace:
+    """Load a space file without rejecting metric violations (validate reports them)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return space_from_json(payload)
+    return _parse_space(payload)
+
+
+def load_space(path) -> FiniteMetricSpace:
+    """Load a space file; metric axioms are revalidated."""
+    return _require_metric(load_space_lenient(path))

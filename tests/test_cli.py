@@ -128,6 +128,31 @@ class TestEmbedReport:
         assert code == 2
 
 
+MALFORMED_SPACES = {
+    "labels_not_a_list": {"labels": 5, "dist": [[0]]},
+    "meta_not_a_dict": {"labels": ["a"], "dist": [[0]], "meta": 5},
+    "top_level_array": [["a"], [[0]]],
+    "top_level_string": "space",
+    "missing_dist": {"labels": ["a"]},
+    "ragged_dist": {"labels": ["a", "b"], "dist": [[0, 1], [1]]},
+}
+
+
+class TestMalformedSpaceFile:
+    @pytest.mark.parametrize("command", ["validate", "embed", "report"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPACES))
+    def test_usage_error_exit_2(self, command, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MALFORMED_SPACES[case]))
+        argv = {
+            "validate": ["validate", "--space", str(path)],
+            "embed": ["embed", "--space", str(path), "--p", "1", "--out", str(tmp_path / "e.json")],
+            "report": ["report", "--space", str(path), "--embedding", str(tmp_path / "e.json")],
+        }[command]
+        assert run(*argv) == 2
+        assert "malformed space payload" in capsys.readouterr().err
+
+
 class TestCheckMazur:
     def test_summary_and_exit_zero(self, capsys):
         assert run("check-mazur", "--p", "2", "--q", "1", "--dim", "64",

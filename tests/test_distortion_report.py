@@ -6,13 +6,20 @@ import io
 import numpy as np
 import pytest
 
-from lpembed.coarse_embedder import CoarseEmbedding, build_embedding, pairwise_image_distances
+from lpembed.coarse_embedder import (
+    CoarseEmbedding,
+    build_embedding,
+    pairwise_image_distances,
+    pairwise_image_power_sums,
+)
 from lpembed.distortion_report import (
+    DEFAULT_TOL,
     empirical_profile,
     export,
     profile_from_json,
     verify_bounds,
 )
+from lpembed.lp_core import abs_power
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
 
@@ -40,6 +47,37 @@ def tampered(E, idx, scale):
         image_matrix=mat,
         block_dims=E.block_dims,
         family=None,
+    )
+
+
+def lower_missed_by(E, excess):
+    """E with delta raised until its tightest lower-envelope pair misses by excess."""
+    _, _, d, psums = pairwise_image_power_sums(E)
+    m = np.searchsorted(E.separation_thresholds(), d, side="right")
+    k = int(np.argmin(np.where(m > 0, psums / np.maximum(m, 1), np.inf)))
+    delta = 2.0 * ((psums[k] + excess) / m[k]) ** (1.0 / E.exponent.value)
+    return CoarseEmbedding(
+        space=E.space,
+        exponent=E.exponent,
+        base_index=E.base_index,
+        delta=delta,
+        schedule=E.schedule,
+        image_matrix=E.image_matrix,
+        block_dims=E.block_dims,
+        family=None,
+    )
+
+
+def marginal_oracle(E, tol=DEFAULT_TOL):
+    """Pairs outside an envelope by at most tol, from a fresh all-pairs scan."""
+    _, _, d, psums = pairwise_image_power_sums(E)
+    p = E.exponent.value
+    upper = 2.0 ** p * abs_power(d, p) + 1.0
+    m = np.searchsorted(E.separation_thresholds(), d, side="right")
+    lower = m * (E.delta / 2.0) ** p
+    return sum(
+        int(np.count_nonzero((excess > 0.0) & (excess <= tol)))
+        for excess in (psums - upper, lower - psums)
     )
 
 
@@ -127,8 +165,25 @@ class TestVerifyBounds:
         assert all(v.measured < v.bound for v in violations)
 
     def test_violations_surface_in_profile(self, path40_p1):
-        profile = empirical_profile(tampered(path40_p1, 39, 10.0), 4)
+        bad = tampered(path40_p1, 39, 10.0)
+        profile = empirical_profile(bad, 4)
         assert profile.violations
+        assert profile.violations == tuple(verify_bounds(bad))
+
+    @pytest.mark.parametrize("case", ["hc5", "path40_scaled", "path40_zeroed", "path40_marginal"])
+    def test_profile_scan_agrees_with_verify_bounds(self, case, hc5_p1, path40_p1):
+        E = {
+            "hc5": hc5_p1,
+            "path40_scaled": tampered(path40_p1, 39, 10.0),
+            "path40_zeroed": tampered(path40_p1, 39, 0.0),
+            "path40_marginal": lower_missed_by(path40_p1, 0.5 * DEFAULT_TOL),
+        }[case]
+        if case == "path40_marginal":
+            assert marginal_oracle(E) > 0
+        for buckets in (1, 7):
+            profile = empirical_profile(E, buckets)
+            assert profile.violations == tuple(verify_bounds(E))
+            assert profile.marginal_count == marginal_oracle(E)
 
 
 class TestExport:

@@ -1,4 +1,4 @@
-"""lp_core contracts: norms, distances, normalization, direct sums."""
+"""lp_core contracts: the power kernel, norms, distances, normalization, direct sums."""
 
 import math
 
@@ -10,8 +10,8 @@ from lpembed.lp_core import (
     BlockVector,
     LpVector,
     PExponent,
+    abs_power,
     block_norm_p,
-    direct_sum,
     distance_p,
     norm_p,
     normalize,
@@ -39,6 +39,59 @@ class TestPExponent:
     @pytest.mark.parametrize("ok", [1, 1.0, 1.5, 2, 3.25, 100.0])
     def test_accepts_valid(self, ok):
         assert PExponent(ok).value == float(ok)
+
+
+KERNEL_EXPONENTS = [0.5, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0]
+
+
+def signed_rows_with_zeros(seed, shape):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-2, 3, size=shape)
+    rows.flat[::4] = 0.0
+    return rows
+
+
+class TestPowerKernel:
+    @pytest.mark.parametrize("p", KERNEL_EXPONENTS)
+    def test_matches_pow_and_keeps_zeros_exact(self, p):
+        v = signed_rows_with_zeros(int(p * 10), (300,))
+        out = abs_power(v, p)
+        expected = np.abs(v) ** p
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0.0)
+        zeros = v == 0.0
+        assert zeros.any() and (v < 0.0).any()
+        assert np.all(out[zeros] == 0.0) and not np.signbit(out[zeros]).any()
+        assert np.all(out[~zeros] > 0.0)
+        if p in (0.5, 1.0, 2.0):  # sqrt / abs / square shortcuts are exact
+            np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("p", KERNEL_EXPONENTS)
+    def test_input_left_untouched(self, p):
+        v = signed_rows_with_zeros(3, (40,))
+        before = v.copy()
+        abs_power(v, p)
+        np.testing.assert_array_equal(v, before)
+
+    @pytest.mark.parametrize("p", KERNEL_EXPONENTS)
+    @pytest.mark.parametrize("value", [-2.5, 0.0, 0.7, np.float64(-1.3)])
+    def test_zero_dimensional_input(self, p, value):
+        out = abs_power(value, p)
+        assert np.shape(out) == ()
+        assert float(out) == pytest.approx(abs(float(value)) ** p, rel=1e-14, abs=0.0)
+        # a scalar takes the same path as the equal one-element array
+        assert float(out) == abs_power(np.array([value]), p)[0]
+
+    @pytest.mark.parametrize("p", [p for p in KERNEL_EXPONENTS if p >= 1.0])
+    @pytest.mark.parametrize("width", [5, 37, 300])
+    def test_all_pairs_scan_sums_bitwise(self, p, width):
+        rows = signed_rows_with_zeros(width, (9, width))
+        rows[4] = rows[2]  # one pair whose difference is all zeros
+        sums = pairwise_power_sums_all(rows, p)
+        k = 0
+        for i in range(9):
+            for j in range(i + 1, 9):
+                assert sums[k] == abs_power(rows[i] - rows[j], p).sum()
+                k += 1
 
 
 class TestLpVector:
@@ -170,16 +223,16 @@ class TestNormalize:
 class TestDirectSum:
     def test_single_block(self):
         b = vec(0.3, -0.4, 0.5, 0.1)
-        bv = direct_sum([b], 1.5)
+        bv = BlockVector((b,))
         assert block_norm_p(bv, 1.5) == pytest.approx(norm_p(b, 1.5), abs=1e-15)
 
     def test_two_unit_blocks_pythagorean(self):
-        bv = direct_sum([vec(1, 0), vec(0, 1)], 2)
+        bv = BlockVector((vec(1, 0), vec(0, 1)))
         assert block_norm_p(bv, 2) == pytest.approx(math.sqrt(2), abs=1e-15)
 
     def test_three_blocks_p3(self):
         blocks = [vec(1, 0), vec(2, 0), vec(0, 2)]
-        bv = direct_sum(blocks, 3)
+        bv = BlockVector(blocks)
         assert block_norm_p(bv, 3) == pytest.approx(17.0 ** (1.0 / 3.0), abs=1e-14)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -187,7 +240,7 @@ class TestDirectSum:
         rng = np.random.default_rng(int(p * 31))
         for _ in range(50):
             blocks = [LpVector(rng.standard_normal(rng.integers(1, 9))) for _ in range(5)]
-            bv = direct_sum(blocks, p)
+            bv = BlockVector(blocks)
             expected = math.fsum(norm_p(b, p) ** p for b in blocks) ** (1.0 / p)
             assert block_norm_p(bv, p) == pytest.approx(expected, abs=1e-12)
 

@@ -1,4 +1,4 @@
-"""Mazur map: sphere preservation, inversion, distance envelopes, transport."""
+"""Mazur map: sphere preservation, inversion, distance envelopes."""
 
 import math
 
@@ -11,10 +11,7 @@ from lpembed.mazur import (
     mazur_map,
     mazur_map_rows,
     sample_ratio_extremes,
-    transport_conditions,
 )
-from lpembed.kernel_sphere_maps import build_level_family, measure_conditions
-from lpembed.metric_spaces import FiniteMetricSpace
 
 P_GRID = [1.0, 1.5, 2.0, 3.0]
 
@@ -114,52 +111,3 @@ class TestMazurBounds:
         assert sample.max_lower_excess <= 1e-12
         assert sample.max_upper_excess <= 1e-12
 
-
-def two_point_space(d=1.0):
-    return FiniteMetricSpace(
-        labels=("a", "b"),
-        dist=np.array([[0.0, d], [d, 0.0]]),
-        meta={"kind": "custom"},
-    )
-
-
-class TestTransport:
-    def test_identity_transport_returns_same_family(self):
-        fam = build_level_family(two_point_space(), 2, 2.0, 1.0, "laplacian")
-        assert transport_conditions(fam, 2.0) is fam
-
-    def test_two_point_measured_distance_matches_direct_evaluation(self):
-        fam = build_level_family(two_point_space(), 1, 2.0, 1.0, "laplacian")
-        moved = transport_conditions(fam, 1.0)
-        lvl = moved.levels[0]
-        a = LpVector(lvl.images[0])
-        b = LpVector(lvl.images[1])
-        # the single pair is both the close sup and (beyond S) the far inf
-        sup, _ = measure_conditions(lvl.images, fam.space, 1.0, math.inf, 1.0)
-        assert sup == pytest.approx(distance_p(a, b, 1), abs=1e-15)
-        src = LpVector(fam.levels[0].images[0]), LpVector(fam.levels[0].images[1])
-        expected = distance_p(mazur_map(src[0], 2, 1), mazur_map(src[1], 2, 1), 1)
-        assert sup == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
-    def test_transported_delta_positive(self, q):
-        fam = build_level_family(two_point_space(), 2, 2.0, 1.0, "laplacian")
-        moved = transport_conditions(fam, q)
-        assert moved.delta > 0
-        assert moved.exponent.value == q
-
-    def test_bound_and_measured_certificates_stored(self):
-        fam = build_level_family(two_point_space(), 2, 2.0, 1.0, "laplacian")
-        moved = transport_conditions(fam, 1.0)
-        b = mazur_bounds(2.0, 1.0)
-        for before, after in zip(fam.levels, moved.levels):
-            assert after.epsilon_bound == pytest.approx(b.upper(before.epsilon_n))
-            assert after.delta_half_bound == pytest.approx(b.lower(before.delta_half))
-            # measured certificate within the envelope of the source certificate
-            assert after.epsilon_n <= after.epsilon_bound + 1e-12
-
-    def test_transport_images_stay_on_sphere(self):
-        fam = build_level_family(two_point_space(0.7), 3, 2.0, 1.0, "laplacian")
-        moved = transport_conditions(fam, 1.5)
-        for lvl in moved.levels:
-            assert np.abs(row_pnorms(lvl.images, 1.5) - 1.0).max() <= 1e-12
