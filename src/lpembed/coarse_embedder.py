@@ -76,7 +76,10 @@ class CoarseEmbedding:
     image_matrix rows are the per-point concatenations of the level blocks
     (block boundaries in block_dims); evaluate() rebuilds the BlockVector view.
     family is None for embeddings reloaded from JSON, which carry enough state
-    for verification and reporting but not the raw level maps.
+    for verification and reporting but not the raw level maps. When a family is
+    given, its exponent must be the embedding's and every block must equal
+    level.images - level.images[base_index] bit for bit, because verification
+    reuses the family's measured pair distances in place of the image rows.
     """
 
     space: FiniteMetricSpace
@@ -100,6 +103,25 @@ class CoarseEmbedding:
         object.__setattr__(self, "image_matrix", mat)
         if not 0 <= self.base_index < self.space.n:
             raise ValueError(f"base index {self.base_index} out of range")
+        if self.family is not None:
+            self._check_family_images()
+
+    def _check_family_images(self) -> None:
+        levels = self.family.levels
+        if self.family.exponent != self.exponent:
+            raise ValueError(
+                f"family exponent {self.family.exponent.value} differs from "
+                f"embedding exponent {self.exponent.value}"
+            )
+        if len(levels) != len(self.block_dims):
+            raise ValueError(f"{len(levels)} family levels but {len(self.block_dims)} image blocks")
+        for level, sl in zip(levels, self.block_slices()):
+            expected = level.images - level.images[self.base_index]
+            if not np.array_equal(self.image_matrix[:, sl].view(np.uint64), expected.view(np.uint64)):
+                raise ValueError(
+                    f"image block of level {level.level_n} differs from the family's "
+                    f"base-offset images"
+                )
 
     @property
     def level_count(self) -> int:
@@ -227,10 +249,23 @@ def tail_bound(embedding: CoarseEmbedding) -> float:
 
 
 def pairwise_image_power_sums(embedding: CoarseEmbedding) -> tuple:
-    """(i_idx, j_idx, source_distance, image_distance^p) over all point pairs."""
+    """(i_idx, j_idx, source_distance, image_distance^p) over all point pairs.
+
+    The base-point offset cancels in every pair, so
+    ||Phi(x)-Phi(y)||_p^p = sum_n ||phi_n(x)-phi_n(y)||_p^p. An embedding that
+    carries its family sums, in level order, the p-th powers of the pair
+    distances calibration measured at each level: O(L n^2). One without (reloaded
+    from JSON) scans the stacked image rows: O(L n^3). The two agree to rounding.
+    """
     ii, jj = embedding.space.pair_indices()
     d = embedding.space.dist[ii, jj]
-    psums = pairwise_power_sums_all(embedding.image_matrix, embedding.exponent)
+    if embedding.family is None:
+        psums = pairwise_power_sums_all(embedding.image_matrix, embedding.exponent)
+    else:
+        p = embedding.exponent.value
+        psums = np.zeros(d.size)
+        for level in embedding.family.levels:
+            psums += abs_power(level.pair_distances, p)
     return ii, jj, d, psums
 
 
@@ -268,6 +303,28 @@ def embedding_to_json(embedding: CoarseEmbedding) -> dict:
     }
 
 
+def _image_blocks(blocks, label: str) -> list:
+    """One point's image blocks as float64 arrays; each must be a list of finite numbers."""
+    bad = ValueError(f"malformed embedding payload: images of {label!r} must be a list of number lists")
+    if not isinstance(blocks, list) or not blocks:
+        raise bad
+    arrays = []
+    for block in blocks:
+        if not isinstance(block, list):
+            raise bad
+        try:
+            arr = np.asarray(block)
+        except ValueError:  # ragged nesting
+            raise bad from None
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf"):
+            raise bad
+        arr = arr.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"malformed embedding payload: images of {label!r} are not all finite")
+        arrays.append(arr)
+    return arrays
+
+
 def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedding:
     """Reattach a serialized embedding to its space (family is not recoverable)."""
     try:
@@ -287,6 +344,8 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
         images = payload["images"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
+    if not isinstance(images, dict):
+        raise ValueError(f"malformed embedding payload: images must be an object, got {type(images).__name__}")
     missing = [l for l in space.labels if l not in images]
     if missing:
         raise ValueError(f"embedding payload missing images for {len(missing)} points, e.g. {missing[0]!r}")
@@ -295,13 +354,13 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
     rows = []
     block_dims = None
     for label in space.labels:
-        blocks = images[label]
-        dims = tuple(len(b) for b in blocks)
+        blocks = _image_blocks(images[label], label)
+        dims = tuple(b.size for b in blocks)
         if block_dims is None:
             block_dims = dims
         elif dims != block_dims:
             raise ValueError(f"inconsistent block shapes at point {label!r}")
-        rows.append(np.concatenate([np.asarray(b, dtype=np.float64) for b in blocks]))
+        rows.append(np.concatenate(blocks))
     if len(block_dims) != len(schedule):
         raise ValueError(
             f"{len(block_dims)} image blocks per point but {len(schedule)} schedule levels"

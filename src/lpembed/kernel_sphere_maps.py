@@ -142,11 +142,15 @@ class SphereMapLevel:
     epsilon_n certifies sup{||phi(x)-phi(y)||_p : d(x,y) <= level_n} and
     delta_half certifies inf{...: d(x,y) >= s_n} (vacuous when saturated,
     s_n = inf). Both are measured on the images after Mazur transport.
+    pair_distances is that measurement, kept read-only: ||phi(x_i)-phi(x_j)||_p
+    over all pairs i < j in condensed (np.triu_indices) order, which the
+    embedding's verification and profile reuse instead of rescanning.
     """
 
     level_n: int
     exponent: PExponent
     images: np.ndarray
+    pair_distances: np.ndarray
     epsilon_n: float
     s_n: float
     delta_half: float
@@ -319,10 +323,12 @@ def calibrate_level(
                 s_n = float(d_sorted[idx])
                 break
 
+    all_img.setflags(write=False)
     return SphereMapLevel(
         level_n=n,
         exponent=p,
         images=images,
+        pair_distances=all_img,
         epsilon_n=sup_best,
         s_n=s_n,
         delta_half=delta / 2.0,

@@ -164,7 +164,6 @@ def _abs_power_inplace(buf: np.ndarray, p: float) -> np.ndarray:
     np.log(buf, out=buf, where=nz)
     buf *= p
     np.exp(buf, out=buf, where=nz)
-    buf[~nz] = 0.0
     return buf
 
 

@@ -153,6 +153,49 @@ class TestMalformedSpaceFile:
         assert "malformed space payload" in capsys.readouterr().err
 
 
+# (key path under "images", value put there); the corrupted point keeps its block count
+MALFORMED_IMAGES = {
+    "images_not_an_object": ((), 5),
+    "images_a_list": ((), [[[0.0]]]),
+    "point_not_a_list": (("00",), 5),
+    "point_no_blocks": (("00",), []),
+    "block_not_a_list": (("00", 0), 5),
+    "block_nested": (("00", 0), [[0.0], [1.0]]),
+    "coeff_string": (("00", 0, 0), "a"),
+    "coeff_list": (("00", 0, 0), [1.0]),
+    "coeff_null": (("00", 0, 0), None),
+    "coeff_nan": (("00", 0, 0), float("nan")),
+    "coeff_inf": (("00", 0, 0), float("inf")),
+}
+
+
+class TestMalformedEmbeddingFile:
+    @pytest.fixture()
+    def hc2_embedding(self, tmp_path):
+        space = tmp_path / "s.json"
+        emb = tmp_path / "e.json"
+        assert run("gen", "--kind", "hypercube", "--param", "2", "--out", str(space)) == 0
+        assert run("embed", "--space", str(space), "--p", "1", "--out", str(emb)) == 0
+        return space, emb
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_IMAGES))
+    def test_report_usage_error_exit_2(self, case, hc2_embedding, capsys):
+        space, emb = hc2_embedding
+        payload = json.loads(emb.read_text())
+        path, value = MALFORMED_IMAGES[case]
+        if path:
+            target = payload["images"]
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            payload["images"] = value
+        emb.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
+        assert "malformed embedding payload" in capsys.readouterr().err
+
+
 class TestCheckMazur:
     def test_summary_and_exit_zero(self, capsys):
         assert run("check-mazur", "--p", "2", "--q", "1", "--dim", "64",

@@ -1,11 +1,14 @@
 """Embedding assembly, envelopes, truncation control, and JSON round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from lpembed import coarse_embedder
 from lpembed.coarse_embedder import (
+    CoarseEmbedding,
     build_embedding,
     default_level_count,
     embedding_from_json,
@@ -16,7 +19,14 @@ from lpembed.coarse_embedder import (
     tail_bound,
     theoretical_bounds,
 )
-from lpembed.lp_core import LpVector, block_distance_p, block_norm_p, distance_p
+from lpembed.lp_core import (
+    LpVector,
+    as_exponent,
+    block_distance_p,
+    block_norm_p,
+    distance_p,
+    pairwise_power_sums_all,
+)
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
 
@@ -156,6 +166,76 @@ class TestBaseInvariance:
         e3 = build_embedding(X, p=2.0, base_index=3, level_count=4)
         shift = e0.image_matrix - e3.image_matrix
         assert np.abs(shift - shift[0]).max() <= 1e-12
+
+
+class TestLevelReuse:
+    """Certification sums calibration's per-level pair distances when the family is present."""
+
+    def test_level_sums_match_stacked_scan(self, built_embedding):
+        E = built_embedding
+        _, _, _, psums = pairwise_image_power_sums(E)
+        scan = pairwise_power_sums_all(E.image_matrix, E.exponent)
+        np.testing.assert_allclose(psums, scan, rtol=1e-13, atol=0.0)
+
+    def test_path_follows_family_presence(self, built_embedding, monkeypatch):
+        E = built_embedding
+        back = embedding_from_json(embedding_to_json(E), E.space)
+        np.testing.assert_array_equal(
+            pairwise_image_power_sums(back)[3], pairwise_power_sums_all(back.image_matrix, back.exponent)
+        )
+
+        def no_scan(rows, p):
+            raise AssertionError("stacked-row scan")
+
+        monkeypatch.setattr(coarse_embedder, "pairwise_power_sums_all", no_scan)
+        pairwise_image_power_sums(E)
+        with pytest.raises(AssertionError, match="stacked-row scan"):
+            pairwise_image_power_sums(back)
+
+    def test_level_pair_distances_read_only(self, built_embedding):
+        n = built_embedding.space.n
+        for level in built_embedding.family.levels:
+            assert level.pair_distances.shape == (n * (n - 1) // 2,)
+            assert not level.pair_distances.flags.writeable
+
+    def test_rebuild_with_same_images_accepted(self, built_embedding):
+        E = built_embedding
+        again = dataclasses.replace(E, image_matrix=E.image_matrix.copy())
+        assert again.family is E.family
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_tampered_images_rejected(self, built_embedding, where):
+        E = built_embedding
+        mat = E.image_matrix.copy()
+        row, col = (1, 0) if where == "first" else (-1, -1)
+        mat[row, col] = np.nextafter(mat[row, col], np.inf)
+        with pytest.raises(ValueError, match="differs from the family"):
+            dataclasses.replace(E, image_matrix=mat)
+
+    def test_other_base_point_rejected(self, built_embedding):
+        # the family's images are offset by another point than the one stated
+        with pytest.raises(ValueError, match="differs from the family"):
+            dataclasses.replace(built_embedding, base_index=1)
+
+    def test_exponent_mismatch_rejected(self, built_embedding):
+        other = 2.0 if built_embedding.exponent.value != 2.0 else 1.0
+        with pytest.raises(ValueError, match="family exponent"):
+            dataclasses.replace(built_embedding, exponent=as_exponent(other))
+
+    def test_level_count_mismatch_rejected(self, built_embedding):
+        E = built_embedding
+        keep = E.block_slices()[-2].stop
+        with pytest.raises(ValueError, match="family levels"):
+            CoarseEmbedding(
+                space=E.space,
+                exponent=E.exponent,
+                base_index=E.base_index,
+                delta=E.delta,
+                schedule=E.schedule[:-1],
+                image_matrix=E.image_matrix[:, :keep],
+                block_dims=E.block_dims[:-1],
+                family=E.family,
+            )
 
 
 class TestTailBound:

@@ -1,6 +1,7 @@
 """Distortion profiles, envelope verification, and CSV/JSON export."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
     build_embedding,
+    embedding_from_json,
+    embedding_to_json,
     pairwise_image_distances,
     pairwise_image_power_sums,
 )
@@ -184,6 +187,34 @@ class TestVerifyBounds:
             profile = empirical_profile(E, buckets)
             assert profile.violations == tuple(verify_bounds(E))
             assert profile.marginal_count == marginal_oracle(E)
+
+
+class TestReloadedAgrees:
+    """An in-memory build (level reuse) and its JSON reload (row scan) certify alike."""
+
+    def test_verify_and_marginals_survive_round_trip(self, built_embedding):
+        E = built_embedding
+        back = embedding_from_json(embedding_to_json(E), E.space)
+        assert back.family is None
+        assert verify_bounds(E) == verify_bounds(back) == []
+        for buckets in (1, 7):
+            assert empirical_profile(E, buckets).marginal_count == empirical_profile(back, buckets).marginal_count
+
+    def test_marginal_pair_counted_on_both_paths(self, path40_p1):
+        reloaded = lower_missed_by(path40_p1, 0.5 * DEFAULT_TOL)
+        in_memory = dataclasses.replace(reloaded, family=path40_p1.family)
+        assert marginal_oracle(reloaded) > 0
+        assert verify_bounds(in_memory) == verify_bounds(reloaded) == []
+        assert empirical_profile(in_memory, 4).marginal_count == marginal_oracle(reloaded)
+
+    def test_lower_violation_found_on_both_paths(self, path40_p1):
+        reloaded = lower_missed_by(path40_p1, 10.0 * DEFAULT_TOL)
+        in_memory = dataclasses.replace(reloaded, family=path40_p1.family)
+        got, want = verify_bounds(in_memory), verify_bounds(reloaded)
+        assert len(got) == len(want) == 1
+        assert got[0].side == want[0].side == "lower"
+        assert got[0].pair == want[0].pair
+        assert got[0].measured == pytest.approx(want[0].measured, rel=1e-13)
 
 
 class TestExport:
