@@ -74,7 +74,8 @@ class CoarseEmbedding:
     """A finished embedding: per-point block images plus its level schedule.
 
     image_matrix rows are the per-point concatenations of the level blocks
-    (block boundaries in block_dims); evaluate() rebuilds the BlockVector view.
+    (block boundaries in block_dims), all finite; evaluate() rebuilds the
+    BlockVector view.
     family is None for embeddings reloaded from JSON, which carry enough state
     for verification and reporting but not the raw level maps. When a family is
     given, its exponent must be the embedding's and every block must equal
@@ -98,6 +99,9 @@ class CoarseEmbedding:
                 f"image matrix shape {mat.shape} inconsistent with "
                 f"{self.space.n} points and block dims {self.block_dims}"
             )
+        if not np.isfinite(mat).all():
+            # a NaN pair distance would pass every envelope comparison
+            raise ValueError("image matrix must be finite (no NaN/inf)")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "image_matrix", mat)

@@ -14,6 +14,20 @@ then scans the sorted distinct distances of the space for the smallest valid
 S_n. Levels whose separation target is out of reach on the bounded space are
 marked saturated (S_n = inf); they still contribute blocks downstream, just no
 certified separation.
+
+The bandwidth search needs only the sup over close pairs, and it finds that
+sup without summing most pairs at full width. `eigh` returns eigenvalues in
+ascending order, so the leading image columns carry little row mass, and for
+p >= 1
+
+    |a - b|^p <= 2^(p-1) (|a|^p + |b|^p)
+
+bounds what those light columns can add to any pair's p-th-power sum. A pair
+is summed at full width only where its heavy-column sum plus that bound
+reaches the largest exact sum among the close pairs of largest source
+distance. The others cannot hold the maximum, and the pairs that are summed
+go through the same kernel as the all-pairs scan, so the sup is that scan's,
+bit for bit. All pairs are scanned once per level, on the accepted images.
 """
 
 from __future__ import annotations
@@ -27,7 +41,9 @@ import numpy as np
 from .lp_core import (
     ExponentLike,
     PExponent,
+    abs_power,
     as_exponent,
+    pair_subset_power_sums,
     pairwise_pnorm_all,
     row_pnorms,
 )
@@ -57,6 +73,18 @@ EIG_REL_TOL = 1e-8
 T_CAP = 1e8
 
 UNIT_TOL = 1e-9
+
+# Split sup of the close pairs (see _split_close_sup). Below SPLIT_MIN_POINTS
+# points the bookkeeping costs more than the scan it saves; where the partial
+# sums would cover more than SPLIT_MAX_WORK_SHARE of the elements of a full
+# scan, the full scan runs instead, and its distances are kept.
+SPLIT_MIN_POINTS = 64
+SPLIT_MAX_WORK_SHARE = 0.5
+# the light columns may add at most this share of the lower bound to any pair
+SPLIT_LIGHT_SHARE = 1e-2
+# relative slack on both sides of the bound test; the rounding of the partial
+# sums, the cumulative row masses and the power kernel stays below 1e-12
+BOUND_SLACK = 1e-9
 
 
 class NotNegativeType(Exception):
@@ -194,6 +222,44 @@ def _transported_images(space: FiniteMetricSpace, t: float, kernel_kind: str, p:
     return mazur_map_rows(V, 2.0, p)
 
 
+def _split_close_sup(
+    images: np.ndarray, p: PExponent, ci: np.ndarray, cj: np.ndarray, top: int
+) -> Optional[float]:
+    """Exact max of ||images[i] - images[j]||_p over the pairs (ci, cj).
+
+    The pairs come in ascending source distance. The last `top` of them are
+    summed at full width, and their largest power sum is a lower bound L on
+    the sup. The columns come in ascending eigenvalue order, so row i's mass
+    c_i = sum_{k<k0} |a_ik|^p in the leading (light) columns is small; with
+    |a-b|^p <= 2^(p-1)(|a|^p + |b|^p) for p >= 1, a pair's power sum is at most
+    its sum over the heavy columns k >= k0 plus 2^(p-1)(c_i + c_j). Only pairs
+    whose bound reaches L are summed at full width, with the same kernel as
+    the all-pairs scan, so the max is that scan's max bit for bit. Returns
+    None where the split does not pay.
+    """
+    pv = p.value
+    n, width = images.shape
+    top_sums = pair_subset_power_sums(images, ci[-top:], cj[-top:], pv)
+    low = float(top_sums.max())
+    mass = np.cumsum(abs_power(images, pv), axis=1)
+    # k0 = the most leading columns that add at most SPLIT_LIGHT_SHARE * L to
+    # any pair, as 2^(p-1)(c_i + c_j) <= 2^p max_i c_i; that max grows with k
+    k0 = int(np.searchsorted(2.0 ** pv * mass.max(axis=0), SPLIT_LIGHT_SHARE * low, side="right"))
+    if (ci.size - top) * (width - k0) > SPLIT_MAX_WORK_SHARE * (n * (n - 1) // 2) * width:
+        return None
+    ri, rj = ci[:-top], cj[:-top]
+    sums = pair_subset_power_sums(images[:, k0:], ri, rj, pv)
+    if k0:
+        # partial sums: rescan at full width the pairs whose bound reaches L
+        light = 2.0 ** (pv - 1.0) * mass[:, k0 - 1]
+        bound = (sums + light[ri] + light[rj]) * (1.0 + BOUND_SLACK)
+        hit = np.nonzero(bound >= low * (1.0 - BOUND_SLACK))[0]
+        sums = pair_subset_power_sums(images, ri[hit], rj[hit], pv)
+    sums = np.concatenate([top_sums, sums])
+    # the conversion of pairwise_pnorm_all, so each distance has its bits
+    return float((sums if pv == 1.0 else sums ** (1.0 / pv)).max())
+
+
 def _feasible_start(
     eps: float, p: PExponent, d_max_close: float, kernel_kind: str
 ) -> float:
@@ -233,6 +299,17 @@ def calibrate_level(
     the envelope bound; t_hint (a known upper bracket, e.g. the previous
     level's bandwidth) and s_floor (exclusive lower bound on S_n, for strictly
     increasing schedules) are search accelerators for family construction.
+
+    Each bandwidth tried measures that sup exactly but, from SPLIT_MIN_POINTS
+    points on, sums only the close pairs that can hold it at full width (see
+    _split_close_sup): a pair's power sum exceeds its sum over the heavy
+    columns by at most 2^(p-1)(c_i + c_j), the light-column masses of its two
+    rows, so a pair whose bound stays under an exact lower bound L of the sup
+    cannot be the maximum. A relative slack of 1e-9 on both sides of that test
+    covers the rounding of the bound, which is far below it. The search path
+    is therefore the one an all-pairs scan per bandwidth gives, and all pairs
+    are scanned once, on the accepted images, for S_n and pair_distances. Where
+    the split cannot pay, the bandwidth's full scan is kept and reused.
     """
     p = as_exponent(p_target)
     _check_kernel_kind(kernel_kind)
@@ -251,9 +328,18 @@ def calibrate_level(
     ii, jj = space.pair_indices()
     d_pairs = space.dist[ii, jj]
     close = d_pairs <= n
+    # pairs in ascending source distance; the close pairs are a prefix
+    order = np.argsort(d_pairs, kind="stable")
+    close_order = order[: int(np.count_nonzero(close))]
+    ci, cj = ii[close_order], jj[close_order]
+    split = space.n >= SPLIT_MIN_POINTS and ci.size > 0
 
     def evaluate(t: float) -> tuple:
         images = _transported_images(space, t, kernel_kind, p)
+        if split:
+            sup = _split_close_sup(images, p, ci, cj, min(space.n, ci.size))
+            if sup is not None:
+                return sup, images, None
         pair_d = pairwise_pnorm_all(images, p) if d_pairs.size else np.empty(0)
         sup = float(pair_d[close].max()) if close.any() else 0.0
         return sup, images, pair_d
@@ -308,11 +394,14 @@ def calibrate_level(
                 else:
                     t_bad, sup_bad = t_try, sup_try
 
+    if all_img is None:
+        # the search measured only close-pair sups; one scan of the accepted images
+        all_img = pairwise_pnorm_all(images, p)
+
     # separation threshold: smallest distinct distance beyond which every pair
     # stays delta/2 apart (the suffix infimum is monotone in the threshold)
     s_n = math.inf
     if ii.size:
-        order = np.argsort(d_pairs, kind="stable")
         d_sorted = d_pairs[order]
         suffix_inf = np.minimum.accumulate(all_img[order][::-1])[::-1]
         starts = np.nonzero(np.r_[True, d_sorted[1:] != d_sorted[:-1]])[0]

@@ -30,6 +30,7 @@ __all__ = [
     "row_pnorms",
     "pairwise_pnorm_all",
     "pairwise_power_sums_all",
+    "pair_subset_power_sums",
 ]
 
 ExponentLike = Union["PExponent", float, int]
@@ -247,6 +248,37 @@ def pairwise_power_sums_all(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
         np.subtract(rows[i + 1:], rows[i], out=b)
         out[pos:pos + m] = _abs_power_inplace(b, pv).sum(axis=1)
         pos += m
+    return out
+
+
+# floats per gathered block of pair_subset_power_sums, whatever the row width
+PAIR_BLOCK_ELEMS = 1 << 16
+
+
+def pair_subset_power_sums(
+    rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, p: ExponentLike
+) -> np.ndarray:
+    """sum_k |rows[jj[m],k] - rows[ii[m],k]|^p for each listed pair m.
+
+    Pairs are gathered in blocks into a contiguous buffer as wide as the rows
+    and reduced as pairwise_power_sums_all reduces its row broadcasts, so each
+    sum equals that scan's entry for the pair (i, j), i < j, bit for bit.
+    """
+    pv = as_exponent(p).value
+    ii = np.asarray(ii, dtype=np.intp)
+    jj = np.asarray(jj, dtype=np.intp)
+    out = np.empty(ii.size, dtype=np.float64)
+    step = max(1, PAIR_BLOCK_ELEMS // max(rows.shape[1], 1))
+    buf = np.empty((min(step, ii.size), rows.shape[1]), dtype=np.float64)
+    lhs = np.empty_like(buf)
+    for start in range(0, ii.size, step):
+        stop = min(start + step, ii.size)
+        b = buf[:stop - start]
+        a = lhs[:stop - start]
+        np.take(rows, jj[start:stop], axis=0, out=b)
+        np.take(rows, ii[start:stop], axis=0, out=a)
+        np.subtract(b, a, out=b)
+        out[start:stop] = _abs_power_inplace(b, pv).sum(axis=1)
     return out
 
 

@@ -91,6 +91,16 @@ class TestBuild:
         with pytest.raises(ValueError, match="validation"):
             build_embedding(broken, p=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_image_matrix_rejected(self, bad):
+        # without the family, nothing else would look at the rows before
+        # verify_bounds compares their NaN distances (always False) and passes
+        E = build_embedding(generate("hypercube", 3), p=1.0)
+        mat = E.image_matrix.copy()
+        mat[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(E, image_matrix=mat, family=None)
+
     def test_unknown_point(self, hc4_p1):
         with pytest.raises(KeyError):
             evaluate(hc4_p1, "no-such-label")

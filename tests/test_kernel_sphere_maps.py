@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from lpembed import kernel_sphere_maps
+from lpembed.coarse_embedder import default_kernel_kind, default_level_count
 from lpembed.kernel_sphere_maps import (
     CalibrationError,
     NotNegativeType,
@@ -15,7 +17,7 @@ from lpembed.kernel_sphere_maps import (
     measure_conditions,
     verify_family,
 )
-from lpembed.lp_core import pairwise_pnorm_all, row_pnorms
+from lpembed.lp_core import as_exponent, pairwise_pnorm_all, row_pnorms
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
 # closed-form max bandwidth for a two-point space at distance 1 under the
@@ -197,3 +199,105 @@ class TestFamily:
         X = generate("gaussian", 40, seed=3)
         fam = build_level_family(X, 4, 1.5, 1.0, "gaussian")
         assert verify_family(fam) == []
+
+
+def full_scan_sup(images, p, ci, cj, top):
+    """The close-pair sup as one scan of all pairs measures it."""
+    n = images.shape[0]
+    condensed = ci * n - ci * (ci + 1) // 2 + (cj - ci - 1)
+    return float(pairwise_pnorm_all(images, p)[condensed].max())
+
+
+def split_sup(images, p, ci, cj, top=1):
+    return kernel_sphere_maps._split_close_sup(images, as_exponent(p), np.asarray(ci), np.asarray(cj), top)
+
+
+class TestSplitSup:
+    """The pruned sup on pairs built to sit on the edge of its bound.
+
+    Rows 0 and 1 form the pair X, rows 2 and 3 the top pair, whose power sum
+    is the lower bound L.
+    """
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 3.0])
+    def test_light_columns_decide_the_sup(self, p):
+        # X has opposite signs in its three light columns, the equality case
+        # of |a-b|^p <= 2^(p-1)(|a|^p + |b|^p): they add A = 2^p m to its sum,
+        # just under the 1e-2 L light budget, and lift it above L = 1
+        A = 0.009
+        rows = np.zeros((4, 4))
+        rows[0, :3] = (A / 2.0**p / 3.0) ** (1.0 / p)
+        rows[1, :3] = -rows[0, :3]
+        rows[0, 3] = (1.0 - 0.9 * A) ** (1.0 / p)
+        rows[2, 3] = 1.0
+        got = split_sup(rows, p, [0, 2], [1, 3])
+        assert got > 1.0
+        assert got == full_scan_sup(rows, p, np.array([0, 2]), np.array([1, 3]), 1)
+
+    def test_pair_one_ulp_above_the_lower_bound_found(self):
+        # the bound and the full sum round differently; with L one ulp under
+        # X's sum, X must still be rescanned
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            rows = np.zeros((4, 108))
+            rows[0, :8] = rng.uniform(0.0, 1e-5, 8)
+            rows[1, :8] = -rows[0, :8]
+            rows[0, 8:] = rng.uniform(0.0, 1.0, 100) * 10.0 ** rng.uniform(-2.0, 0.0, 100)
+            x_sum = float(pairwise_pnorm_all(rows[:2], 1.0)[0])
+            rows[2, -1] = np.nextafter(x_sum, 0.0)
+            assert split_sup(rows, 1.0, [0, 2], [1, 3]) == x_sum
+
+    def test_full_scan_where_split_cannot_pay(self):
+        # no light columns and every pair close: the partial sums would be a
+        # full scan, so the caller scans instead
+        rows = np.random.default_rng(3).standard_normal((6, 6))
+        ci, cj = np.triu_indices(6, 1)
+        assert split_sup(rows, 1.5, ci, cj, 6) is None
+
+
+SPLIT_CASES = [
+    (("gaussian", 80), 1.3),
+    (("gaussian", 80), 3.0),
+    (("hypercube", 6), 2.0),
+    (("cycle", 64), 1.0),
+    (("gaussian", 48), 1.3),  # below SPLIT_MIN_POINTS
+]
+
+
+class TestSplitEquivalence:
+    @pytest.mark.parametrize("case", SPLIT_CASES, ids=lambda c: f"{c[0][0]}{c[0][1]}-p{c[1]}")
+    def test_family_bits_match_full_scan_sup(self, case, monkeypatch):
+        (kind, param), p = case
+        X = generate(kind, param, seed=3) if kind == "gaussian" else generate(kind, param)
+        args = (X, default_level_count(X), p, 1.0, default_kernel_kind(X))
+
+        real_split = kernel_sphere_maps._split_close_sup
+        real_subset = kernel_sphere_maps.pair_subset_power_sums
+        ran = {"split": 0, "partial": 0}
+
+        def spy_split(images, *rest):
+            sup = real_split(images, *rest)
+            ran["split"] += sup is not None
+            return sup
+
+        def spy_subset(rows, ii, jj, pv):
+            ran["partial"] += rows.shape[1] < X.n
+            return real_subset(rows, ii, jj, pv)
+
+        monkeypatch.setattr(kernel_sphere_maps, "_split_close_sup", spy_split)
+        monkeypatch.setattr(kernel_sphere_maps, "pair_subset_power_sums", spy_subset)
+        pruned = build_level_family(*args)
+        monkeypatch.setattr(kernel_sphere_maps, "_split_close_sup", full_scan_sup)
+        reference = build_level_family(*args)
+
+        if X.n >= kernel_sphere_maps.SPLIT_MIN_POINTS:
+            assert ran["split"] > 0 and ran["partial"] > 0
+        else:
+            assert ran == {"split": 0, "partial": 0}
+        assert len(pruned.levels) == len(reference.levels)
+        for a, b in zip(pruned.levels, reference.levels):
+            assert a.bandwidth_t == b.bandwidth_t
+            assert a.epsilon_n == b.epsilon_n
+            assert a.s_n == b.s_n
+            assert np.array_equal(a.images.view(np.uint64), b.images.view(np.uint64))
+            assert np.array_equal(a.pair_distances.view(np.uint64), b.pair_distances.view(np.uint64))

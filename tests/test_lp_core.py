@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpembed import lp_core
 from lpembed.lp_core import (
     BlockVector,
     LpVector,
@@ -15,6 +16,7 @@ from lpembed.lp_core import (
     distance_p,
     norm_p,
     normalize,
+    pair_subset_power_sums,
     pairwise_pnorm_all,
     pairwise_power_sums_all,
     row_pnorms,
@@ -274,3 +276,60 @@ class TestBatchHelpers:
         rng = np.random.default_rng(77)
         rows = rng.standard_normal((9, 5))
         assert np.allclose(pairwise_power_sums_all(rows, 2.0) ** 0.5, pairwise_pnorm_all(rows, 2.0))
+
+
+def _subset_rows():
+    # eigh-like layout: all-zero leading columns, then growing magnitudes,
+    # with exact zeros and a repeated row (a zero-distance pair)
+    rng = np.random.default_rng(2024)
+    rows = rng.standard_normal((23, 40)) * np.logspace(-9, 0, 40)
+    rows[:, :5] = 0.0
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows[7] = rows[3]
+    return rows
+
+
+class TestPairSubset:
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0, 2.5, 3.0])
+    def test_bits_match_all_pairs_scan(self, p):
+        rows = _subset_rows()
+        ii, jj = np.triu_indices(rows.shape[0], 1)
+        order = np.random.default_rng(5).permutation(ii.size)
+        got = pair_subset_power_sums(rows, ii[order], jj[order], p)
+        want = pairwise_power_sums_all(rows, p)[order]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 3.0])
+    def test_blocks_smaller_than_the_subset(self, p, monkeypatch):
+        # several gathered blocks, the last one partial
+        monkeypatch.setattr(lp_core, "PAIR_BLOCK_ELEMS", 3 * 40)
+        rows = _subset_rows()
+        ii, jj = np.triu_indices(rows.shape[0], 1)
+        got = pair_subset_power_sums(rows, ii[:100], jj[:100], p)
+        want = pairwise_power_sums_all(rows, p)[:100]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_single_pair(self):
+        rows = _subset_rows()
+        ii, jj = np.triu_indices(rows.shape[0], 1)
+        k = int(np.nonzero((ii == 3) & (jj == 19))[0][0])
+        got = pair_subset_power_sums(rows, [3], [19], 1.3)
+        assert got.shape == (1,)
+        assert got.view(np.uint64)[0] == pairwise_power_sums_all(rows, 1.3).view(np.uint64)[k]
+
+    def test_identical_rows_sum_to_zero(self):
+        rows = _subset_rows()
+        assert pair_subset_power_sums(rows, [3], [7], 1.3)[0] == 0.0
+
+    def test_empty_subset(self):
+        got = pair_subset_power_sums(_subset_rows(), np.empty(0, int), np.empty(0, int), 1.5)
+        assert got.shape == (0,)
+        assert got.dtype == np.float64
+
+    def test_column_slice(self):
+        # a strided view of the heavy columns, as calibration passes it
+        rows = _subset_rows()
+        ii, jj = np.triu_indices(rows.shape[0], 1)
+        got = pair_subset_power_sums(rows[:, 30:], ii, jj, 1.3)
+        want = pairwise_power_sums_all(np.ascontiguousarray(rows[:, 30:]), 1.3)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
