@@ -46,7 +46,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    space = load_space(args.space)
+    # build_embedding validates the metric
+    space = load_space_lenient(args.space)
     embedding = build_embedding(
         space,
         p=args.p,

@@ -164,10 +164,7 @@ def build_embedding(
     kernel_kind: Optional[str] = None,
 ) -> CoarseEmbedding:
     """Calibrate levels 1..N and assemble the block images."""
-    report = validate(space)
-    if not report.ok:
-        first = "; ".join(str(v) for v in report.violations[:3])
-        raise ValueError(f"space fails metric validation: {first}")
+    validate(space).require_ok()
     pe = as_exponent(p)
     if kernel_kind is None:
         kernel_kind = default_kernel_kind(space)

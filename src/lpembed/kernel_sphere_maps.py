@@ -150,16 +150,17 @@ def measure_conditions(
         return 0.0, math.inf
     ii, jj = space.pair_indices()
     d = space.dist[ii, jj]
+    if not ((d <= R).any() or (d >= S).any()):
+        return 0.0, math.inf
+    return _conditions(pairwise_pnorm_all(images, pe), d, R, S)
+
+
+def _conditions(pair_d: np.ndarray, d: np.ndarray, R: float, S: float) -> tuple:
+    """measure_conditions on pair distances already scanned (condensed order)."""
     close = d <= R
     far = d >= S
-    sup_close = 0.0
-    inf_far = math.inf
-    if close.any() or far.any():
-        pair_d = pairwise_pnorm_all(images, pe)
-        if close.any():
-            sup_close = float(pair_d[close].max())
-        if far.any():
-            inf_far = float(pair_d[far].min())
+    sup_close = float(pair_d[close].max()) if close.any() else 0.0
+    inf_far = float(pair_d[far].min()) if far.any() else math.inf
     return sup_close, inf_far
 
 
@@ -283,6 +284,33 @@ def _feasible_start(
     return min(T_CAP, -math.log1p(-s_target * s_target / 2.0) / g)
 
 
+def _same_kernel(kernel: np.ndarray, earlier: np.ndarray) -> bool:
+    """Whether `kernel` equals `earlier` bit for bit.
+
+    A level's images are a function of its kernel matrix alone, so a kernel
+    equal to one already measured has that one's images, pair distances and
+    close-pair sup, bit for bit.
+    """
+    return np.array_equal(kernel.view(np.uint64), earlier.view(np.uint64))
+
+
+def _separation_threshold(
+    d_sorted: np.ndarray, pair_d_sorted: np.ndarray, delta_half: float, s_floor: float
+) -> float:
+    """Smallest distinct distance above s_floor beyond which every pair stays delta/2 apart.
+
+    Both arrays are in ascending source distance. The suffix infimum is
+    monotone in the threshold; +inf where no distance qualifies (saturated).
+    """
+    if not d_sorted.size:
+        return math.inf
+    suffix_inf = np.minimum.accumulate(pair_d_sorted[::-1])[::-1]
+    starts = np.nonzero(np.r_[True, d_sorted[1:] != d_sorted[:-1]])[0]
+    ok = (d_sorted[starts] > s_floor) & (suffix_inf[starts] >= delta_half)
+    first = int(np.argmax(ok))
+    return float(d_sorted[starts[first]]) if ok[first] else math.inf
+
+
 def calibrate_level(
     space: FiniteMetricSpace,
     n: int,
@@ -290,26 +318,39 @@ def calibrate_level(
     delta: float,
     kernel_kind: str,
     *,
-    t_hint: Optional[float] = None,
+    previous: Optional[SphereMapLevel] = None,
     s_floor: float = 0.0,
 ) -> SphereMapLevel:
     """Calibrate level n: largest bandwidth meeting sup_{d<=n} <= 2^-n, then S_n.
 
     The closeness certificate is the exactly measured post-transport sup, not
-    the envelope bound; t_hint (a known upper bracket, e.g. the previous
-    level's bandwidth) and s_floor (exclusive lower bound on S_n, for strictly
-    increasing schedules) are search accelerators for family construction.
+    the envelope bound. previous (level n-1 of this space, exponent and
+    kernel) and s_floor (exclusive lower bound on S_n, for strictly
+    increasing schedules) are search accelerators for family construction:
+    previous.bandwidth_t caps the search, since later levels have tighter
+    targets over larger radii.
 
-    Each bandwidth tried measures that sup exactly but, from SPLIT_MIN_POINTS
-    points on, sums only the close pairs that can hold it at full width (see
-    _split_close_sup): a pair's power sum exceeds its sum over the heavy
-    columns by at most 2^(p-1)(c_i + c_j), the light-column masses of its two
-    rows, so a pair whose bound stays under an exact lower bound L of the sup
-    cannot be the maximum. A relative slack of 1e-9 on both sides of that test
-    covers the rounding of the bound, which is far below it. The search path
-    is therefore the one an all-pairs scan per bandwidth gives, and all pairs
-    are scanned once, on the accepted images, for S_n and pair_distances. Where
-    the split cannot pay, the bandwidth's full scan is kept and reused.
+    No kernel is factored twice. Each bandwidth tried computes its kernel
+    matrix first; where that matrix equals, bit for bit, the previous level's
+    accepted kernel or the one this level factored last, the images, pair
+    distances and sup measured for it are reused (for the previous level's,
+    the sup is the max of its pair distances over this level's close pairs).
+    The images are a function of the kernel matrix alone, so the reused
+    results are those a new factorization would give, bit for bit. This is
+    common where t*d falls below float64 resolution and exp(-t d) is 1.0
+    everywhere, so that halving t leaves the kernel unchanged.
+
+    Each bandwidth that is factored measures that sup exactly but, from
+    SPLIT_MIN_POINTS points on, sums only the close pairs that can hold it at
+    full width (see _split_close_sup): a pair's power sum exceeds its sum
+    over the heavy columns by at most 2^(p-1)(c_i + c_j), the light-column
+    masses of its two rows, so a pair whose bound stays under an exact lower
+    bound L of the sup cannot be the maximum. A relative slack of 1e-9 on
+    both sides of that test covers the rounding of the bound, which is far
+    below it. The search path is therefore the one an all-pairs scan per
+    bandwidth gives, and all pairs are scanned at most once, on the accepted
+    images, for S_n and pair_distances. Where the split cannot pay, the
+    bandwidth's full scan is kept and reused.
     """
     p = as_exponent(p_target)
     _check_kernel_kind(kernel_kind)
@@ -317,6 +358,12 @@ def calibrate_level(
         raise ValueError(f"level index must be >= 1, got {n}")
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta!r}")
+    if previous is not None and (
+        previous.exponent.value != p.value
+        or previous.kernel_kind != kernel_kind
+        or previous.pair_distances.shape != (space.n * (space.n - 1) // 2,)
+    ):
+        raise ValueError("previous level must come from the same space, exponent and kernel")
     ceiling = _distance_ceiling(p)
     if delta / 2.0 > ceiling:
         raise CalibrationError(
@@ -334,17 +381,32 @@ def calibrate_level(
     ci, cj = ii[close_order], jj[close_order]
     split = space.n >= SPLIT_MIN_POINTS and ci.size > 0
 
+    # (kernel, (sup, images, pair distances or None)) already measured: the
+    # previous level's accepted kernel, then the one this level factored last
+    measured = []
+    if previous is not None:
+        prev_sup = float(previous.pair_distances[close].max()) if close.any() else 0.0
+        measured.append((
+            kernel_matrix(space, previous.bandwidth_t, kernel_kind),
+            (prev_sup, previous.images, previous.pair_distances),
+        ))
+    last = len(measured)
+
     def evaluate(t: float) -> tuple:
+        K = kernel_matrix(space, t, kernel_kind)
+        for kernel, result in measured:
+            if _same_kernel(K, kernel):
+                return result
         images = _transported_images(space, t, kernel_kind, p)
-        if split:
-            sup = _split_close_sup(images, p, ci, cj, min(space.n, ci.size))
-            if sup is not None:
-                return sup, images, None
-        pair_d = pairwise_pnorm_all(images, p) if d_pairs.size else np.empty(0)
-        sup = float(pair_d[close].max()) if close.any() else 0.0
+        pair_d = None
+        sup = _split_close_sup(images, p, ci, cj, min(space.n, ci.size)) if split else None
+        if sup is None:
+            pair_d = pairwise_pnorm_all(images, p) if d_pairs.size else np.empty(0)
+            sup = float(pair_d[close].max()) if close.any() else 0.0
+        measured[last:] = [(K, (sup, images, pair_d))]
         return sup, images, pair_d
 
-    t_cap = min(t_hint, T_CAP) if t_hint is not None else T_CAP
+    t_cap = min(previous.bandwidth_t, T_CAP) if previous is not None else T_CAP
 
     if not close.any():
         # no closeness constraint at this radius: max out the separation
@@ -398,19 +460,7 @@ def calibrate_level(
         # the search measured only close-pair sups; one scan of the accepted images
         all_img = pairwise_pnorm_all(images, p)
 
-    # separation threshold: smallest distinct distance beyond which every pair
-    # stays delta/2 apart (the suffix infimum is monotone in the threshold)
-    s_n = math.inf
-    if ii.size:
-        d_sorted = d_pairs[order]
-        suffix_inf = np.minimum.accumulate(all_img[order][::-1])[::-1]
-        starts = np.nonzero(np.r_[True, d_sorted[1:] != d_sorted[:-1]])[0]
-        for idx in starts:
-            if d_sorted[idx] <= s_floor:
-                continue
-            if suffix_inf[idx] >= delta / 2.0:
-                s_n = float(d_sorted[idx])
-                break
+    s_n = _separation_threshold(d_pairs[order], all_img[order], delta / 2.0, s_floor)
 
     all_img.setflags(write=False)
     return SphereMapLevel(
@@ -441,31 +491,35 @@ def build_level_family(
     """
     p = as_exponent(p_target)
     levels = []
-    t_hint: Optional[float] = None
     s_floor = 0.0
     for n in range(1, level_count + 1):
         level = calibrate_level(
-            space, n, p, delta, kernel_kind, t_hint=t_hint, s_floor=s_floor
+            space, n, p, delta, kernel_kind,
+            previous=levels[-1] if levels else None, s_floor=s_floor,
         )
         levels.append(level)
-        t_hint = level.bandwidth_t
         if not level.saturated:
             s_floor = level.s_n
     return SphereMapFamily(levels=tuple(levels), exponent=p, delta=delta, space=space)
 
 
 def verify_family(family: SphereMapFamily) -> list:
-    """Re-measure every certificate and epsilon_n <= 2^-n; returns human-readable violations."""
+    """Re-measure every certificate and epsilon_n <= 2^-n; returns human-readable violations.
+
+    Each level's pairs are scanned once; the sup, the inf and the largest
+    image distance all come from that scan.
+    """
     problems: list = []
     prev_s = 0.0
+    ii, jj = family.space.pair_indices()
+    d = family.space.dist[ii, jj]
     for level in family.levels:
         norms = row_pnorms(level.images, level.exponent)
         worst = float(np.abs(norms - 1.0).max())
         if worst > UNIT_TOL:
             problems.append(f"level {level.level_n}: image off unit sphere by {worst:.3e}")
-        sup_close, inf_far = measure_conditions(
-            level.images, family.space, level.level_n, level.s_n, level.exponent
-        )
+        pair_d = pairwise_pnorm_all(level.images, level.exponent)
+        sup_close, inf_far = _conditions(pair_d, d, level.level_n, level.s_n)
         if sup_close > level.epsilon_n:
             problems.append(
                 f"level {level.level_n}: measured sup {sup_close!r} exceeds certificate {level.epsilon_n!r}"
@@ -484,8 +538,8 @@ def verify_family(family: SphereMapFamily) -> list:
                     f"level {level.level_n}: S_n {level.s_n!r} not above previous {prev_s!r}"
                 )
             prev_s = level.s_n
-        if family.space.n > 1:
-            max_pair = float(pairwise_pnorm_all(level.images, level.exponent).max())
+        if pair_d.size:
+            max_pair = float(pair_d.max())
             if max_pair > 2.0 + 1e-9:
                 problems.append(f"level {level.level_n}: image distance {max_pair!r} above 2")
     return problems

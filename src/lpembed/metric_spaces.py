@@ -114,6 +114,12 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def require_ok(self) -> None:
+        """Raise ValueError naming the count and the first three violations, if any."""
+        if self.violations:
+            first = "; ".join(str(v) for v in self.violations[:3])
+            raise ValueError(f"space fails metric validation ({len(self.violations)} violations): {first}")
+
 
 def validate(space: FiniteMetricSpace, max_violations: int = 1000) -> ValidationReport:
     """Check all metric axioms; violations are returned, never raised."""
@@ -291,10 +297,7 @@ def _parse_space(payload) -> FiniteMetricSpace:
 
 
 def _require_metric(space: FiniteMetricSpace) -> FiniteMetricSpace:
-    report = validate(space)
-    if not report.ok:
-        first = "; ".join(str(v) for v in report.violations[:3])
-        raise ValueError(f"space fails metric validation ({len(report.violations)} violations): {first}")
+    validate(space).require_ok()
     return space
 
 

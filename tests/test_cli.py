@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from lpembed import cli, coarse_embedder, metric_spaces
 from lpembed.cli import main
-from lpembed.metric_spaces import FiniteMetricSpace, save_space
+from lpembed.metric_spaces import FiniteMetricSpace, load_space, save_space, validate
 
 
 def run(*argv):
@@ -126,6 +127,42 @@ class TestEmbedReport:
         code = run("embed", "--space", str(hc3_file), "--p", "1", "--base", "99",
                    "--out", str(tmp_path / "e.json"))
         assert code == 2
+
+    @staticmethod
+    def spy_validate(monkeypatch):
+        calls = []
+
+        def spy(space, *rest):
+            calls.append(space.n)
+            return validate(space, *rest)
+
+        for module in (cli, coarse_embedder, metric_spaces):
+            monkeypatch.setattr(module, "validate", spy)
+        return calls
+
+    def test_embed_validates_once(self, hc3_file, tmp_path, monkeypatch):
+        calls = self.spy_validate(monkeypatch)
+        assert run("embed", "--space", str(hc3_file), "--p", "1", "--out", str(tmp_path / "e.json")) == 0
+        assert calls == [8]
+
+    def test_metric_violation_validated_once_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({
+            "labels": ["a", "b", "c"],
+            "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+            "meta": {},
+        }))
+        with pytest.raises(ValueError) as loaded:
+            load_space(path)
+        calls = self.spy_validate(monkeypatch)
+        code = run("embed", "--space", str(path), "--p", "1", "--out", str(tmp_path / "e.json"))
+        assert code == 2
+        # the text of metric_spaces.load_space, not a second formatter's
+        err = capsys.readouterr().err
+        assert err == f"error: {loaded.value}\n"
+        assert err.startswith("error: space fails metric validation (1 violations): triangle(0, 1, 2): ")
+        assert calls == [3]
+        assert not (tmp_path / "e.json").exists()
 
 
 MALFORMED_SPACES = {

@@ -1,6 +1,7 @@
 """Kernel factorization, condition measurement, and level calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,48 @@ class TestFamily:
         fam = build_level_family(X, 4, 1.5, 1.0, "gaussian")
         assert verify_family(fam) == []
 
+    def test_tampered_family_problems_from_one_scan_per_level(self, monkeypatch):
+        X = generate("hypercube", 4)
+        fam = build_level_family(X, 6, 1.0, 1.0, "laplacian")
+        lv = list(fam.levels)
+        lv[0] = replace(lv[0], epsilon_n=lv[0].epsilon_n / 2.0)
+        lv[1] = replace(lv[1], delta_half=10.0)
+        lv[2] = replace(lv[2], images=lv[2].images * 3.0)
+        lv[3] = replace(lv[3], epsilon_n=1.0, s_n=0.5)
+        fam = replace(fam, levels=tuple(lv))
+
+        # the oracle: measure_conditions plus a separate scan for the largest distance
+        expected = []
+        prev_s = 0.0
+        for level in fam.levels:
+            n = level.level_n
+            worst = float(np.abs(row_pnorms(level.images, 1.0) - 1.0).max())
+            if worst > kernel_sphere_maps.UNIT_TOL:
+                expected.append(f"level {n}: image off unit sphere by {worst:.3e}")
+            sup, inf_far = measure_conditions(level.images, X, n, level.s_n, 1.0)
+            if sup > level.epsilon_n:
+                expected.append(f"level {n}: measured sup {sup!r} exceeds certificate {level.epsilon_n!r}")
+            if inf_far < level.delta_half:
+                expected.append(f"level {n}: measured inf {inf_far!r} below certificate {level.delta_half!r}")
+            if level.epsilon_n > 2.0 ** (-n):
+                expected.append(f"level {n}: epsilon {level.epsilon_n!r} above 2^-{n}")
+            if not level.saturated:
+                if level.s_n <= prev_s:
+                    expected.append(f"level {n}: S_n {level.s_n!r} not above previous {prev_s!r}")
+                prev_s = level.s_n
+            top = float(pairwise_pnorm_all(level.images, 1.0).max())
+            if top > 2.0 + 1e-9:
+                expected.append(f"level {n}: image distance {top!r} above 2")
+        assert len(expected) >= 6
+
+        scans = []
+        real = kernel_sphere_maps.pairwise_pnorm_all
+        monkeypatch.setattr(
+            kernel_sphere_maps, "pairwise_pnorm_all", lambda rows, p: scans.append(1) or real(rows, p)
+        )
+        assert verify_family(fam) == expected
+        assert len(scans) == len(fam.levels)
+
 
 def full_scan_sup(images, p, ci, cj, top):
     """The close-pair sup as one scan of all pairs measures it."""
@@ -294,10 +337,166 @@ class TestSplitEquivalence:
             assert ran["split"] > 0 and ran["partial"] > 0
         else:
             assert ran == {"split": 0, "partial": 0}
-        assert len(pruned.levels) == len(reference.levels)
-        for a, b in zip(pruned.levels, reference.levels):
-            assert a.bandwidth_t == b.bandwidth_t
-            assert a.epsilon_n == b.epsilon_n
-            assert a.s_n == b.s_n
-            assert np.array_equal(a.images.view(np.uint64), b.images.view(np.uint64))
-            assert np.array_equal(a.pair_distances.view(np.uint64), b.pair_distances.view(np.uint64))
+        assert_same_levels(pruned, reference)
+
+
+def assert_same_levels(family, reference):
+    assert len(family.levels) == len(reference.levels)
+    for a, b in zip(family.levels, reference.levels):
+        assert a.bandwidth_t == b.bandwidth_t
+        assert a.epsilon_n == b.epsilon_n
+        assert a.s_n == b.s_n
+        assert np.array_equal(a.images.view(np.uint64), b.images.view(np.uint64))
+        assert np.array_equal(a.pair_distances.view(np.uint64), b.pair_distances.view(np.uint64))
+
+
+def default_family_args(kind, param, p):
+    X = generate(kind, param, seed=3) if kind == "gaussian" else generate(kind, param)
+    return (X, default_level_count(X), p, 1.0, default_kernel_kind(X))
+
+
+def spy_factor(monkeypatch):
+    """Bandwidths that build_sphere_map factors, in call order."""
+    calls = []
+    real = kernel_sphere_maps.build_sphere_map
+
+    def spy(space, t, kind):
+        calls.append(t)
+        return real(space, t, kind)
+
+    monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", spy)
+    return calls
+
+
+def no_reuse(monkeypatch):
+    monkeypatch.setattr(kernel_sphere_maps, "_same_kernel", lambda kernel, earlier: False)
+
+
+REUSE_CASES = [
+    (("gaussian", 80), 1.3),
+    (("gaussian", 80), 3.0),
+    (("hypercube", 6), 2.0),
+    (("cycle", 64), 1.0),
+]
+# the default schedule runs into the float64 floor on these (ROADMAP item 2)
+REFUSAL_CASES = [
+    (("path", 30), 2.0),
+    (("cycle", 48), 2.0),
+    (("path", 48), 1.0),
+]
+
+
+class TestKernelReuse:
+    """A kernel bit-identical to one already measured is not factored again."""
+
+    @pytest.mark.parametrize("case", REUSE_CASES, ids=lambda c: f"{c[0][0]}{c[0][1]}-p{c[1]}")
+    def test_family_bits_match_without_reuse(self, case, monkeypatch):
+        (kind, param), p = case
+        args = default_family_args(kind, param, p)
+        calls = spy_factor(monkeypatch)
+        reused = build_level_family(*args)
+        factored = len(calls)
+        no_reuse(monkeypatch)
+        reference = build_level_family(*args)
+        assert factored <= len(calls) - factored
+        assert_same_levels(reused, reference)
+
+    def test_refusals_same_text_with_fewer_factorizations(self, monkeypatch):
+        calls = spy_factor(monkeypatch)
+        counts = []
+        for reuse in (True, False):
+            if not reuse:
+                no_reuse(monkeypatch)
+            messages = []
+            del calls[:]
+            for (kind, param), p in REFUSAL_CASES:
+                before = len(calls)
+                with pytest.raises(CalibrationError, match="closeness target") as info:
+                    build_level_family(*default_family_args(kind, param, p))
+                messages.append(str(info.value))
+                counts.append(len(calls) - before)
+            if reuse:
+                reused_messages = messages
+        assert messages == reused_messages
+        reused, reference = counts[:3], counts[3:]
+        assert all(a < b for a, b in zip(reused, reference))
+        # path(48) at p=1 alone stays near half: its 45 calibrated levels each
+        # factor distinct kernels; the refusing level factors once, not 200 times
+        assert 2 * sum(reused) < sum(reference)
+
+    def test_accepted_previous_bandwidth_shares_the_measurement(self, monkeypatch):
+        # no pair is within distance 4, so levels 1..4 all take the capped
+        # bandwidth, and levels 2..4 reuse level 1's kernel
+        calls = spy_factor(monkeypatch)
+        fam = build_level_family(two_point(5.0), 4, 1.5, 1.0, "laplacian")
+        assert calls == [kernel_sphere_maps.T_CAP]
+        first = fam.levels[0]
+        assert not first.pair_distances.flags.writeable
+        for level in fam.levels[1:]:
+            assert level.bandwidth_t == first.bandwidth_t
+            assert level.images is first.images
+            assert level.pair_distances is first.pair_distances
+        no_reuse(monkeypatch)
+        assert_same_levels(fam, build_level_family(two_point(5.0), 4, 1.5, 1.0, "laplacian"))
+
+    def test_previous_from_other_exponent_rejected(self):
+        X = generate("hypercube", 3)
+        level = calibrate_level(X, 1, 1.0, 1.0, "laplacian")
+        with pytest.raises(ValueError, match="previous level"):
+            calibrate_level(X, 2, 2.0, 1.0, "laplacian", previous=level)
+        with pytest.raises(ValueError, match="previous level"):
+            calibrate_level(generate("hypercube", 2), 2, 1.0, 1.0, "laplacian", previous=level)
+
+
+def loop_threshold(d_sorted, pair_d_sorted, delta_half, s_floor):
+    """S_n by walking the distinct distances in ascending order."""
+    suffix_inf = np.minimum.accumulate(pair_d_sorted[::-1])[::-1]
+    starts = np.nonzero(np.r_[True, d_sorted[1:] != d_sorted[:-1]])[0]
+    for idx in starts:
+        if d_sorted[idx] <= s_floor:
+            continue
+        if suffix_inf[idx] >= delta_half:
+            return float(d_sorted[idx])
+    return math.inf
+
+
+class TestSeparationThreshold:
+    @pytest.mark.parametrize(
+        "kind,param,p,delta,levels",
+        [
+            ("path", 30, 2.0, 0.4, 5),
+            ("hypercube", 4, 1.0, 1.0, None),
+            ("gaussian", 60, 1.3, 1.0, None),
+            ("cycle", 12, 1.5, 0.6, None),
+        ],
+    )
+    def test_mask_matches_loop(self, kind, param, p, delta, levels):
+        X = generate(kind, param, seed=5) if kind == "gaussian" else generate(kind, param)
+        fam = build_level_family(X, levels or default_level_count(X), p, delta, default_kernel_kind(X))
+        ii, jj = X.pair_indices()
+        d = X.dist[ii, jj]
+        order = np.argsort(d, kind="stable")
+        d_sorted = d[order]
+        distinct = np.unique(d)
+        floors = [0.0, float(distinct[0]), float(distinct[len(distinct) // 2]), float(distinct[-1])]
+        s_floor = 0.0
+        saturated = 0
+        for level in fam.levels:
+            pair_sorted = level.pair_distances[order]
+            # the built S_n is the loop's at the family's floor
+            assert level.s_n == loop_threshold(d_sorted, pair_sorted, level.delta_half, s_floor)
+            for floor in floors + [s_floor, level.s_n]:
+                for half in (level.delta_half, level.delta_half / 4.0):
+                    got = kernel_sphere_maps._separation_threshold(d_sorted, pair_sorted, half, floor)
+                    assert got == loop_threshold(d_sorted, pair_sorted, half, floor)
+            saturated += level.saturated
+            if not level.saturated:
+                s_floor = level.s_n
+        assert saturated > 0
+
+    def test_empty_and_single_distance(self):
+        empty = np.empty(0)
+        assert kernel_sphere_maps._separation_threshold(empty, empty, 0.5, 0.0) == math.inf
+        ones = np.ones(6)
+        assert kernel_sphere_maps._separation_threshold(ones, np.full(6, 0.7), 0.5, 0.0) == 1.0
+        assert kernel_sphere_maps._separation_threshold(ones, np.full(6, 0.7), 0.5, 1.0) == math.inf
