@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -71,16 +72,18 @@ class LevelSchedule:
 
 @dataclass(frozen=True, eq=False)
 class CoarseEmbedding:
-    """A finished embedding: per-point block images plus its level schedule.
+    """A finished embedding: its level schedule plus one source of block images.
 
-    image_matrix rows are the per-point concatenations of the level blocks
-    (block boundaries in block_dims), all finite; evaluate() rebuilds the
-    BlockVector view.
-    family is None for embeddings reloaded from JSON, which carry enough state
-    for verification and reporting but not the raw level maps. When a family is
-    given, its exponent must be the embedding's and every block must equal
-    level.images - level.images[base_index] bit for bit, because verification
-    reuses the family's measured pair distances in place of the image rows.
+    Exactly one source is given. An embedding built in memory holds its
+    calibrated family; block n of point x is then
+    level.images[x] - level.images[base_index], formed from the family on first
+    use. One reloaded from JSON cannot recover the level maps and holds the
+    blocks it read (loaded_blocks, one finite (points, width) array per level).
+    Either way image_matrix (the per-point concatenation of the blocks), blocks
+    (its per-level column views) and block_dims are formed once and read-only.
+    Verification of a family-backed embedding sums the family's measured pair
+    distances and never forms them, so the family's exponent and level count
+    must be the embedding's.
     """
 
     space: FiniteMetricSpace
@@ -88,61 +91,67 @@ class CoarseEmbedding:
     base_index: int
     delta: float
     schedule: tuple
-    image_matrix: np.ndarray
-    block_dims: tuple
     family: Optional[SphereMapFamily] = None
+    loaded_blocks: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.image_matrix, dtype=np.float64)
-        if mat.shape != (self.space.n, int(sum(self.block_dims))):
-            raise ValueError(
-                f"image matrix shape {mat.shape} inconsistent with "
-                f"{self.space.n} points and block dims {self.block_dims}"
-            )
-        if not np.isfinite(mat).all():
-            # a NaN pair distance would pass every envelope comparison
-            raise ValueError("image matrix must be finite (no NaN/inf)")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "image_matrix", mat)
+        if (self.family is None) == (self.loaded_blocks is None):
+            raise ValueError("an embedding holds exactly one of a level family or loaded image blocks")
         if not 0 <= self.base_index < self.space.n:
             raise ValueError(f"base index {self.base_index} out of range")
-        if self.family is not None:
-            self._check_family_images()
-
-    def _check_family_images(self) -> None:
-        levels = self.family.levels
-        if self.family.exponent != self.exponent:
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            # a vacuous lower envelope would certify any images
+            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
+        if self.family is None:
+            blocks = [np.asarray(b, dtype=np.float64) for b in self.loaded_blocks]
+            if not blocks or any(b.ndim != 2 or b.shape[0] != self.space.n for b in blocks):
+                raise ValueError(f"loaded image blocks must be (points, width) arrays with {self.space.n} rows")
+            mat = np.hstack(blocks)
+            if not np.isfinite(mat).all():
+                # a NaN pair distance would pass every envelope comparison
+                raise ValueError("image blocks must be finite (no NaN/inf)")
+            mat.setflags(write=False)
+            self.__dict__["block_dims"] = tuple(b.shape[1] for b in blocks)
+            self.__dict__["image_matrix"] = mat
+            # keep the read-only views of the one stacked copy, not the arrays passed in
+            object.__setattr__(self, "loaded_blocks", self.blocks)
+        elif self.family.exponent != self.exponent:
             raise ValueError(
                 f"family exponent {self.family.exponent.value} differs from "
                 f"embedding exponent {self.exponent.value}"
             )
-        if len(levels) != len(self.block_dims):
-            raise ValueError(f"{len(levels)} family levels but {len(self.block_dims)} image blocks")
-        for level, sl in zip(levels, self.block_slices()):
-            expected = level.images - level.images[self.base_index]
-            if not np.array_equal(self.image_matrix[:, sl].view(np.uint64), expected.view(np.uint64)):
-                raise ValueError(
-                    f"image block of level {level.level_n} differs from the family's "
-                    f"base-offset images"
-                )
+        if len(self.block_dims) != self.level_count:
+            raise ValueError(f"{len(self.block_dims)} image blocks but {self.level_count} schedule levels")
 
     @property
     def level_count(self) -> int:
         return len(self.schedule)
 
+    # Reloaded embeddings fill block_dims and image_matrix at construction, so
+    # these two bodies only run on a family.
+    @cached_property
+    def block_dims(self) -> tuple:
+        return tuple(level.images.shape[1] for level in self.family.levels)
+
+    @cached_property
+    def image_matrix(self) -> np.ndarray:
+        mat = np.empty((self.space.n, sum(self.block_dims)))
+        offset = 0
+        for level, width in zip(self.family.levels, self.block_dims):
+            np.subtract(level.images, level.images[self.base_index], out=mat[:, offset:offset + width])
+            offset += width
+        mat.setflags(write=False)
+        return mat
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """One (points, width) read-only view of image_matrix per level."""
+        return tuple(np.hsplit(self.image_matrix, np.cumsum(self.block_dims)[:-1]))
+
     def separation_thresholds(self) -> np.ndarray:
         """Sorted finite S_n over non-saturated levels."""
         finite = [s.s_n for s in self.schedule if math.isfinite(s.s_n)]
         return np.sort(np.asarray(finite, dtype=np.float64))
-
-    def block_slices(self) -> list:
-        out = []
-        offset = 0
-        for width in self.block_dims:
-            out.append(slice(offset, offset + width))
-            offset += width
-        return out
 
 
 def default_level_count(space: FiniteMetricSpace) -> int:
@@ -178,7 +187,6 @@ def build_embedding(
         raise ValueError(f"base index {base_index} out of range for {space.n} points")
 
     family = build_level_family(space, level_count, pe, delta, kernel_kind)
-    blocks = [lvl.images - lvl.images[base_index] for lvl in family.levels]
     schedule = tuple(
         LevelSchedule(
             n=lvl.level_n,
@@ -195,8 +203,6 @@ def build_embedding(
         base_index=base_index,
         delta=float(delta),
         schedule=schedule,
-        image_matrix=np.hstack(blocks),
-        block_dims=tuple(b.shape[1] for b in blocks),
         family=family,
     )
 
@@ -213,8 +219,7 @@ def _point_index(embedding: CoarseEmbedding, point: Union[int, str]) -> int:
 def evaluate(embedding: CoarseEmbedding, point: Union[int, str]) -> BlockVector:
     """The stored image of a point, as a block vector (deterministic lookup)."""
     idx = _point_index(embedding, point)
-    row = embedding.image_matrix[idx]
-    return BlockVector(tuple(LpVector(row[sl]) for sl in embedding.block_slices()))
+    return BlockVector(tuple(LpVector(block[idx]) for block in embedding.blocks))
 
 
 def theoretical_bounds(embedding: CoarseEmbedding, d) -> tuple:
@@ -281,11 +286,8 @@ def pairwise_image_distances(embedding: CoarseEmbedding) -> tuple:
 # ---------------------------------------------------------------------------
 
 def embedding_to_json(embedding: CoarseEmbedding) -> dict:
-    slices = embedding.block_slices()
-    images = {
-        label: [embedding.image_matrix[i, sl].tolist() for sl in slices]
-        for i, label in enumerate(embedding.space.labels)
-    }
+    blocks = embedding.blocks
+    images = {label: [b[i].tolist() for b in blocks] for i, label in enumerate(embedding.space.labels)}
     return {
         "p": embedding.exponent.value,
         "base": embedding.base_index,
@@ -330,7 +332,9 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
     """Reattach a serialized embedding to its space (family is not recoverable)."""
     try:
         pe = as_exponent(float(payload["p"]))
-        base = int(payload["base"])
+        base = payload["base"]
+        if isinstance(base, bool) or not isinstance(base, int):
+            raise ValueError(f"base must be an integer point index, got {base!r}")
         delta = float(payload["delta"])
         schedule = tuple(
             LevelSchedule(
@@ -350,9 +354,7 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
     missing = [l for l in space.labels if l not in images]
     if missing:
         raise ValueError(f"embedding payload missing images for {len(missing)} points, e.g. {missing[0]!r}")
-    if not schedule:
-        raise ValueError("embedding payload has an empty schedule")
-    rows = []
+    per_point = []
     block_dims = None
     for label in space.labels:
         blocks = _image_blocks(images[label], label)
@@ -361,20 +363,14 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
             block_dims = dims
         elif dims != block_dims:
             raise ValueError(f"inconsistent block shapes at point {label!r}")
-        rows.append(np.concatenate(blocks))
-    if len(block_dims) != len(schedule):
-        raise ValueError(
-            f"{len(block_dims)} image blocks per point but {len(schedule)} schedule levels"
-        )
+        per_point.append(blocks)
     return CoarseEmbedding(
         space=space,
         exponent=pe,
         base_index=base,
         delta=delta,
         schedule=schedule,
-        image_matrix=np.vstack(rows),
-        block_dims=block_dims,
-        family=None,
+        loaded_blocks=tuple(np.vstack(level) for level in zip(*per_point)),
     )
 
 

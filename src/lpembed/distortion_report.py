@@ -69,7 +69,7 @@ class DistortionProfile:
     marginal_count: int
 
 
-def _scan_bounds(embedding: CoarseEmbedding, scan: tuple, tol: float) -> tuple:
+def _scan_bounds(embedding: CoarseEmbedding, scan: tuple) -> tuple:
     """(violations, marginal count) of one pairwise_image_power_sums scan."""
     ii, jj, d, psums = scan
     p = embedding.exponent.value
@@ -85,8 +85,8 @@ def _scan_bounds(embedding: CoarseEmbedding, scan: tuple, tol: float) -> tuple:
         ("upper", psums - upper, upper),
         ("lower", lower - psums, lower),
     ):
-        bad = np.nonzero(excess > tol)[0]
-        marginal += int(np.count_nonzero((excess > 0.0) & (excess <= tol)))
+        bad = np.nonzero(excess > DEFAULT_TOL)[0]
+        marginal += int(np.count_nonzero((excess > 0.0) & (excess <= DEFAULT_TOL)))
         for k in bad:
             violations.append(
                 BoundViolation(
@@ -99,21 +99,17 @@ def _scan_bounds(embedding: CoarseEmbedding, scan: tuple, tol: float) -> tuple:
     return violations, marginal
 
 
-def verify_bounds(embedding: CoarseEmbedding, tol: float = DEFAULT_TOL) -> list:
-    """All envelope violations beyond tol, in the p-th-power domain.
+def verify_bounds(embedding: CoarseEmbedding) -> list:
+    """All envelope violations beyond DEFAULT_TOL, in the p-th-power domain.
 
-    Empty iff every pair satisfies
+    Empty iff every pair satisfies, with tol = DEFAULT_TOL,
         image^p <= 2^p d^p + 1 + tol   and   image^p >= m(d) (delta/2)^p - tol.
     """
-    violations, _ = _scan_bounds(embedding, pairwise_image_power_sums(embedding), tol)
+    violations, _ = _scan_bounds(embedding, pairwise_image_power_sums(embedding))
     return violations
 
 
-def empirical_profile(
-    embedding: CoarseEmbedding,
-    bucket_count: int,
-    tol: float = DEFAULT_TOL,
-) -> DistortionProfile:
+def empirical_profile(embedding: CoarseEmbedding, bucket_count: int) -> DistortionProfile:
     """Bucket all pairs by source distance over [0, diameter]."""
     bucket_count = int(bucket_count)
     if bucket_count < 1:
@@ -144,7 +140,7 @@ def empirical_profile(
         for j in range(bucket_count)
     )
     rho1, rho2 = theoretical_bounds(embedding, edges)
-    violations, marginal = _scan_bounds(embedding, scan, tol)
+    violations, marginal = _scan_bounds(embedding, scan)
     return DistortionProfile(
         buckets=buckets,
         edges=tuple(float(e) for e in edges),

@@ -42,6 +42,9 @@ __all__ = [
 # renormalized so upstream factorization error does not cascade into failures
 SPHERE_TOL = 1e-9
 
+# sample_ratio_extremes draws and maps this many pairs at a time
+SAMPLE_BATCH = 1 << 14
+
 
 def signed_power(values: np.ndarray, theta: float) -> np.ndarray:
     """Elementwise |v|**theta * sign(v), the coordinate map of M."""
@@ -150,7 +153,6 @@ def sample_ratio_extremes(
     dim: int,
     pairs: int,
     seed: int,
-    batch: int = 1 << 14,
 ) -> RatioSample:
     """Maximize the Mazur envelope ratios over seeded random sphere pairs."""
     pe, qe = as_exponent(p), as_exponent(q)
@@ -163,7 +165,7 @@ def sample_ratio_extremes(
     const_ratio = 0.0
     done = 0
     while done < pairs:
-        m = min(batch, pairs - done)
+        m = min(SAMPLE_BATCH, pairs - done)
         raw = rng.standard_normal((2 * m, dim))
         raw /= row_pnorms(raw, pe)[:, None]
         # pair k is rows (2k, 2k+1)

@@ -38,6 +38,7 @@ MAX_POINTS = 4096
 GENERATOR_KINDS = ("hypercube", "cycle", "gaussian", "path")
 
 TRIANGLE_TOL = 1e-9
+MAX_VIOLATIONS = 1000  # validate() reports at most this many
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,14 +122,14 @@ class ValidationReport:
             raise ValueError(f"space fails metric validation ({len(self.violations)} violations): {first}")
 
 
-def validate(space: FiniteMetricSpace, max_violations: int = 1000) -> ValidationReport:
+def validate(space: FiniteMetricSpace) -> ValidationReport:
     """Check all metric axioms; violations are returned, never raised."""
     d = space.dist
     n = space.n
     out: list = []
 
     def push(kind, idx, detail):
-        if len(out) < max_violations:
+        if len(out) < MAX_VIOLATIONS:
             out.append(MetricViolation(kind, idx, detail))
 
     bad = np.argwhere(~np.isfinite(d))
@@ -148,11 +149,14 @@ def validate(space: FiniteMetricSpace, max_violations: int = 1000) -> Validation
     for i, j in nonpos[nonpos[:, 0] < nonpos[:, 1]]:
         push("positivity", (int(i), int(j)), f"dist = {finite[i, j]!r}")
 
-    # triangle: d(i,k) <= d(i,j) + d(j,k), vectorized over one intermediate at a time
+    # triangle: d(i,k) <= d(i,j) + d(j,k), one intermediate j at a time in one buffer
+    slack = np.empty_like(finite)
     for j in range(n):
-        slack = finite - (finite[:, j:j + 1] + finite[j:j + 1, :])
-        viol = np.argwhere(slack > TRIANGLE_TOL)
-        for i, k in viol:
+        np.add(finite[:, j:j + 1], finite[j:j + 1, :], out=slack)
+        np.subtract(finite, slack, out=slack)
+        if slack.max() <= TRIANGLE_TOL:
+            continue
+        for i, k in np.argwhere(slack > TRIANGLE_TOL):
             if i < k:
                 push(
                     "triangle",

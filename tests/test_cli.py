@@ -1,10 +1,15 @@
-"""CLI subcommands, exit codes, and file round trips (in-process)."""
+"""CLI subcommands, exit codes, and file round trips (in-process, plus one console run)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpembed
 from lpembed import cli, coarse_embedder, metric_spaces
 from lpembed.cli import main
 from lpembed.metric_spaces import FiniteMetricSpace, load_space, save_space, validate
@@ -232,6 +237,25 @@ class TestMalformedEmbeddingFile:
         assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
         assert "malformed embedding payload" in capsys.readouterr().err
 
+    # each of these once made report certify the file (exit 0): a delta that is
+    # not finite and positive leaves the lower envelope vacuous, and a
+    # fractional base was truncated to another point
+    @pytest.mark.parametrize("key,value,message", [
+        ("delta", float("nan"), "delta must be finite and positive"),
+        ("delta", 0.0, "delta must be finite and positive"),
+        ("delta", -1.0, "delta must be finite and positive"),
+        ("base", 1.7, "base must be an integer"),
+        ("base", True, "base must be an integer"),
+    ])
+    def test_report_bad_parameter_exit_2(self, key, value, message, hc2_embedding, capsys):
+        space, emb = hc2_embedding
+        payload = json.loads(emb.read_text())
+        payload[key] = value
+        emb.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCheckMazur:
     def test_summary_and_exit_zero(self, capsys):
@@ -265,3 +289,25 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         assert run() == 2
         capsys.readouterr()
+
+
+def test_module_entrypoint_exit_codes(tmp_path):
+    """`python -m lpembed.cli` exits through entrypoint() with main()'s code."""
+    src = str(Path(lpembed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def console(*argv):
+        done = subprocess.run([sys.executable, "-m", "lpembed.cli", *argv], env=env, capture_output=True, text=True)
+        return done.returncode, done.stderr
+
+    space, emb = str(tmp_path / "s.json"), tmp_path / "e.json"
+    assert console("gen", "--kind", "path", "--param", "12", "--out", space)[0] == 0
+    assert console("embed", "--space", space, "--p", "1", "--levels", "5", "--out", str(emb))[0] == 0
+    assert console("report", "--space", space, "--embedding", str(emb))[0] == 0
+    payload = json.loads(emb.read_text())
+    payload["images"]["11"] = [[0.0 for _ in block] for block in payload["images"]["11"]]
+    emb.write_text(json.dumps(payload))
+    code, err = console("report", "--space", space, "--embedding", str(emb))
+    assert code == 1 and "lower: pair" in err
+    code, err = console("report", "--space", space, "--embedding", str(tmp_path / "missing.json"))
+    assert code == 2 and err.startswith("error: ")

@@ -1,6 +1,7 @@
 """Embedding assembly, envelopes, truncation control, and JSON round trips."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from lpembed import coarse_embedder
 from lpembed.coarse_embedder import (
-    CoarseEmbedding,
     build_embedding,
     default_level_count,
     embedding_from_json,
@@ -19,6 +19,7 @@ from lpembed.coarse_embedder import (
     tail_bound,
     theoretical_bounds,
 )
+from lpembed.distortion_report import verify_bounds
 from lpembed.lp_core import (
     LpVector,
     as_exponent,
@@ -96,10 +97,10 @@ class TestBuild:
         # without the family, nothing else would look at the rows before
         # verify_bounds compares their NaN distances (always False) and passes
         E = build_embedding(generate("hypercube", 3), p=1.0)
-        mat = E.image_matrix.copy()
-        mat[3] = bad
+        blocks = tuple(b.copy() for b in E.blocks)
+        blocks[-1][3] = bad
         with pytest.raises(ValueError, match="finite"):
-            dataclasses.replace(E, image_matrix=mat, family=None)
+            dataclasses.replace(E, family=None, loaded_blocks=blocks)
 
     def test_unknown_point(self, hc4_p1):
         with pytest.raises(KeyError):
@@ -208,44 +209,72 @@ class TestLevelReuse:
             assert level.pair_distances.shape == (n * (n - 1) // 2,)
             assert not level.pair_distances.flags.writeable
 
-    def test_rebuild_with_same_images_accepted(self, built_embedding):
-        E = built_embedding
-        again = dataclasses.replace(E, image_matrix=E.image_matrix.copy())
-        assert again.family is E.family
-
-    @pytest.mark.parametrize("where", ["first", "last"])
-    def test_tampered_images_rejected(self, built_embedding, where):
-        E = built_embedding
-        mat = E.image_matrix.copy()
-        row, col = (1, 0) if where == "first" else (-1, -1)
-        mat[row, col] = np.nextafter(mat[row, col], np.inf)
-        with pytest.raises(ValueError, match="differs from the family"):
-            dataclasses.replace(E, image_matrix=mat)
-
-    def test_other_base_point_rejected(self, built_embedding):
-        # the family's images are offset by another point than the one stated
-        with pytest.raises(ValueError, match="differs from the family"):
-            dataclasses.replace(built_embedding, base_index=1)
-
     def test_exponent_mismatch_rejected(self, built_embedding):
         other = 2.0 if built_embedding.exponent.value != 2.0 else 1.0
         with pytest.raises(ValueError, match="family exponent"):
             dataclasses.replace(built_embedding, exponent=as_exponent(other))
 
     def test_level_count_mismatch_rejected(self, built_embedding):
+        with pytest.raises(ValueError, match="image blocks but"):
+            dataclasses.replace(built_embedding, schedule=built_embedding.schedule[:-1])
+
+
+class TestSingleCopy:
+    """A built embedding derives its blocks from its family; a reloaded one keeps the blocks it read."""
+
+    def test_exactly_one_source(self, hc4_p1):
+        back = embedding_from_json(embedding_to_json(hc4_p1), hc4_p1.space)
+        with pytest.raises(ValueError, match="exactly one"):
+            dataclasses.replace(hc4_p1, loaded_blocks=back.blocks)
+        with pytest.raises(ValueError, match="exactly one"):
+            dataclasses.replace(hc4_p1, family=None)
+
+    def test_build_keeps_no_image_matrix(self):
+        E = build_embedding(generate("cycle", 12), p=1.5)
+        assert verify_bounds(E) == []
+        assert "image_matrix" not in vars(E) and "blocks" not in vars(E)
+
+    def test_every_base_point_rederives_blocks(self):
+        E = build_embedding(generate("cycle", 10), p=1.5, level_count=5)
+        for k in range(E.space.n):
+            moved = dataclasses.replace(E, base_index=k)
+            assert moved.family is E.family
+            for level, block in zip(E.family.levels, moved.blocks):
+                expected = level.images - level.images[k]
+                assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+            assert verify_bounds(moved) == []
+
+    def test_blocks_and_matrix_read_only(self, built_embedding):
+        back = embedding_from_json(embedding_to_json(built_embedding), built_embedding.space)
+        for E in (built_embedding, back):
+            assert not E.image_matrix.flags.writeable
+            assert all(not b.flags.writeable for b in E.blocks)
+            assert E.block_dims == tuple(b.shape[1] for b in E.blocks)
+        assert all(not b.flags.writeable for b in back.loaded_blocks)
+
+    def test_reloaded_keeps_one_stacked_copy(self, hc4_p1):
+        back = embedding_from_json(embedding_to_json(hc4_p1), hc4_p1.space)
+        assert all(np.shares_memory(b, back.image_matrix) for b in back.loaded_blocks)
+
+    def test_json_round_trip_byte_equal(self, built_embedding):
+        text = json.dumps(embedding_to_json(built_embedding))
+        back = embedding_from_json(json.loads(text), built_embedding.space)
+        assert json.dumps(embedding_to_json(back)) == text
+        assert np.array_equal(back.image_matrix.view(np.uint64), built_embedding.image_matrix.view(np.uint64))
+
+    def test_evaluate_same_bits_in_memory_and_reloaded(self, built_embedding):
         E = built_embedding
-        keep = E.block_slices()[-2].stop
-        with pytest.raises(ValueError, match="family levels"):
-            CoarseEmbedding(
-                space=E.space,
-                exponent=E.exponent,
-                base_index=E.base_index,
-                delta=E.delta,
-                schedule=E.schedule[:-1],
-                image_matrix=E.image_matrix[:, :keep],
-                block_dims=E.block_dims[:-1],
-                family=E.family,
-            )
+        back = embedding_from_json(json.loads(json.dumps(embedding_to_json(E))), E.space)
+        for idx in range(E.space.n):
+            mine, theirs = evaluate(E, idx), evaluate(back, idx)
+            assert len(mine) == len(theirs) == E.level_count
+            for a, b in zip(mine.blocks, theirs.blocks):
+                assert np.array_equal(a.coeffs.view(np.uint64), b.coeffs.view(np.uint64))
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+    def test_delta_must_be_finite_positive(self, hc4_p1, delta):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            dataclasses.replace(hc4_p1, delta=delta)
 
 
 class TestTailBound:

@@ -39,17 +39,16 @@ def path40_p1():
 
 
 def tampered(E, idx, scale):
-    mat = E.image_matrix.copy()
-    mat[idx] = mat[idx] * scale
+    blocks = tuple(b.copy() for b in E.blocks)
+    for b in blocks:
+        b[idx] = b[idx] * scale
     return CoarseEmbedding(
         space=E.space,
         exponent=E.exponent,
         base_index=E.base_index,
         delta=E.delta,
         schedule=E.schedule,
-        image_matrix=mat,
-        block_dims=E.block_dims,
-        family=None,
+        loaded_blocks=blocks,
     )
 
 
@@ -65,9 +64,7 @@ def lower_missed_by(E, excess):
         base_index=E.base_index,
         delta=delta,
         schedule=E.schedule,
-        image_matrix=E.image_matrix,
-        block_dims=E.block_dims,
-        family=None,
+        loaded_blocks=E.blocks,
     )
 
 
@@ -202,14 +199,14 @@ class TestReloadedAgrees:
 
     def test_marginal_pair_counted_on_both_paths(self, path40_p1):
         reloaded = lower_missed_by(path40_p1, 0.5 * DEFAULT_TOL)
-        in_memory = dataclasses.replace(reloaded, family=path40_p1.family)
+        in_memory = dataclasses.replace(path40_p1, delta=reloaded.delta)
         assert marginal_oracle(reloaded) > 0
         assert verify_bounds(in_memory) == verify_bounds(reloaded) == []
         assert empirical_profile(in_memory, 4).marginal_count == marginal_oracle(reloaded)
 
     def test_lower_violation_found_on_both_paths(self, path40_p1):
         reloaded = lower_missed_by(path40_p1, 10.0 * DEFAULT_TOL)
-        in_memory = dataclasses.replace(reloaded, family=path40_p1.family)
+        in_memory = dataclasses.replace(path40_p1, delta=reloaded.delta)
         got, want = verify_bounds(in_memory), verify_bounds(reloaded)
         assert len(got) == len(want) == 1
         assert got[0].side == want[0].side == "lower"

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from lpembed.metric_spaces import (
+    MAX_VIOLATIONS,
+    TRIANGLE_TOL,
     FiniteMetricSpace,
     generate,
     load_space,
@@ -109,6 +111,59 @@ class TestValidate:
         d = np.array([[0.0, math.inf], [math.inf, 0.0]])
         report = validate(FiniteMetricSpace(labels=("a", "b"), dist=d))
         assert any(v.kind == "finite" for v in report.violations)
+
+
+def triangle_reference(space):
+    """The triangle check as first written: three n x n temporaries per intermediate j."""
+    finite = np.where(np.isfinite(space.dist), space.dist, 0.0)
+    out = []
+    for j in range(space.n):
+        slack = finite - (finite[:, j:j + 1] + finite[j:j + 1, :])
+        for i, k in np.argwhere(slack > TRIANGLE_TOL):
+            if i < k:
+                out.append((
+                    (int(i), int(j), int(k)),
+                    f"d(i,k) = {finite[i, k]!r} > {finite[i, j] + finite[j, k]!r} via j",
+                ))
+    return out
+
+
+def broken_path(n):
+    d = generate("path", n).dist.copy()
+    d[0, n - 1] = d[n - 1, 0] = 2.0 * n
+    return FiniteMetricSpace(labels=tuple(map(str, range(n))), dist=d)
+
+
+def random_dissimilarity(n, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.1, 3.0, (n, n))
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    return FiniteMetricSpace(labels=tuple(map(str, range(n))), dist=d)
+
+
+REFERENCE_SPACES = {
+    # name: (space factory, violation count; None for "some, under the cap")
+    "gaussian60": (lambda: generate("gaussian", 60, seed=3), 0),
+    "hypercube5": (lambda: generate("hypercube", 5), 0),
+    "path50_one_broken_entry": (lambda: broken_path(50), 48),
+    "random12": (lambda: random_dissimilarity(12, 1), None),
+    "random40_capped": (lambda: random_dissimilarity(40, 2), MAX_VIOLATIONS),
+}
+
+
+class TestTriangleAgainstReference:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_SPACES))
+    def test_same_violations_same_order(self, case):
+        make, expected = REFERENCE_SPACES[case]
+        space = make()
+        report = validate(space)
+        assert {v.kind for v in report.violations} <= {"triangle"}
+        got = [(v.indices, v.detail) for v in report.violations]
+        assert got == triangle_reference(space)[:MAX_VIOLATIONS]
+        if expected is None:
+            assert 0 < len(got) < MAX_VIOLATIONS
+        else:
+            assert len(got) == expected
 
 
 class TestConstruction:
