@@ -57,7 +57,7 @@ def _cmd_embed(args) -> int:
         kernel_kind=args.kernel,
     )
     save_embedding(embedding, args.out)
-    saturated = sum(1 for s in embedding.schedule if s.s_n == float("inf"))
+    saturated = sum(1 for level in embedding.schedule if level.saturated)
     print(
         f"wrote {args.out}: p={embedding.exponent.value:g}, "
         f"{embedding.level_count} levels ({saturated} saturated), "

@@ -36,12 +36,11 @@ from .lp_core import (
     as_exponent,
     pairwise_power_sums_all,
 )
-from .kernel_sphere_maps import SphereMapFamily, build_level_family
+from .kernel_sphere_maps import SphereMapFamily, SphereMapLevel, build_level_family
 from .metric_spaces import FiniteMetricSpace, validate
 
 __all__ = [
     "MAX_LEVELS",
-    "LevelSchedule",
     "CoarseEmbedding",
     "default_level_count",
     "build_embedding",
@@ -59,50 +58,33 @@ __all__ = [
 MAX_LEVELS = 64
 
 
-@dataclass(frozen=True)
-class LevelSchedule:
-    """Reporting view of one level: (n, epsilon_n, S_n, t_n, kernel)."""
-
-    n: int
-    epsilon: float
-    s_n: float
-    bandwidth_t: float
-    kernel_kind: str
-
-
 @dataclass(frozen=True, eq=False)
 class CoarseEmbedding:
-    """A finished embedding: its level schedule plus one source of block images.
+    """A finished embedding: its level family, base point and one source of block images.
 
-    Exactly one source is given. An embedding built in memory holds its
-    calibrated family; block n of point x is then
-    level.images[x] - level.images[base_index], formed from the family on first
-    use. One reloaded from JSON cannot recover the level maps and holds the
-    blocks it read (loaded_blocks, one finite (points, width) array per level).
-    Either way image_matrix (the per-point concatenation of the blocks), blocks
-    (its per-level column views) and block_dims are formed once and read-only.
-    Verification of a family-backed embedding sums the family's measured pair
-    distances and never forms them, so the family's exponent and level count
-    must be the embedding's.
+    The family is the one record of the space, p, delta and the level schedule;
+    the embedding reads them from it. Exactly one source of images is given.
+    An embedding built in memory holds a calibrated family whose levels carry
+    their images; block n of point x is then level.images[x] -
+    level.images[base_index], formed on first use, and verification sums the
+    levels' measured pair distances. One reloaded from JSON holds a family of
+    image-less levels and the blocks it read (loaded_blocks, one finite
+    (points, width) array per level). Either way image_matrix (the per-point
+    concatenation of the blocks), blocks (its per-level column views) and
+    block_dims are formed once and read-only.
     """
 
-    space: FiniteMetricSpace
-    exponent: PExponent
+    family: SphereMapFamily
     base_index: int
-    delta: float
-    schedule: tuple
-    family: Optional[SphereMapFamily] = None
     loaded_blocks: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        if (self.family is None) == (self.loaded_blocks is None):
-            raise ValueError("an embedding holds exactly one of a level family or loaded image blocks")
+        with_images = [level.images is not None for level in self.family.levels]
+        if not (all(with_images) if self.loaded_blocks is None else not any(with_images)):
+            raise ValueError("an embedding's images come from exactly one source: its levels or loaded image blocks")
         if not 0 <= self.base_index < self.space.n:
             raise ValueError(f"base index {self.base_index} out of range")
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            # a vacuous lower envelope would certify any images
-            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
-        if self.family is None:
+        if self.loaded_blocks is not None:
             blocks = [np.asarray(b, dtype=np.float64) for b in self.loaded_blocks]
             if not blocks or any(b.ndim != 2 or b.shape[0] != self.space.n for b in blocks):
                 raise ValueError(f"loaded image blocks must be (points, width) arrays with {self.space.n} rows")
@@ -115,20 +97,32 @@ class CoarseEmbedding:
             self.__dict__["image_matrix"] = mat
             # keep the read-only views of the one stacked copy, not the arrays passed in
             object.__setattr__(self, "loaded_blocks", self.blocks)
-        elif self.family.exponent != self.exponent:
-            raise ValueError(
-                f"family exponent {self.family.exponent.value} differs from "
-                f"embedding exponent {self.exponent.value}"
-            )
-        if len(self.block_dims) != self.level_count:
-            raise ValueError(f"{len(self.block_dims)} image blocks but {self.level_count} schedule levels")
+            if len(blocks) != self.level_count:
+                raise ValueError(f"{len(blocks)} image blocks but {self.level_count} schedule levels")
+
+    @property
+    def space(self) -> FiniteMetricSpace:
+        return self.family.space
+
+    @property
+    def exponent(self) -> PExponent:
+        return self.family.exponent
+
+    @property
+    def delta(self) -> float:
+        return self.family.delta
+
+    @property
+    def schedule(self) -> tuple:
+        """The family's levels, in order."""
+        return self.family.levels
 
     @property
     def level_count(self) -> int:
-        return len(self.schedule)
+        return len(self.family.levels)
 
     # Reloaded embeddings fill block_dims and image_matrix at construction, so
-    # these two bodies only run on a family.
+    # these two bodies only run on levels that carry their images.
     @cached_property
     def block_dims(self) -> tuple:
         return tuple(level.images.shape[1] for level in self.family.levels)
@@ -150,7 +144,7 @@ class CoarseEmbedding:
 
     def separation_thresholds(self) -> np.ndarray:
         """Sorted finite S_n over non-saturated levels."""
-        finite = [s.s_n for s in self.schedule if math.isfinite(s.s_n)]
+        finite = [level.s_n for level in self.schedule if not level.saturated]
         return np.sort(np.asarray(finite, dtype=np.float64))
 
 
@@ -186,24 +180,9 @@ def build_embedding(
     if not 0 <= base_index < space.n:
         raise ValueError(f"base index {base_index} out of range for {space.n} points")
 
-    family = build_level_family(space, level_count, pe, delta, kernel_kind)
-    schedule = tuple(
-        LevelSchedule(
-            n=lvl.level_n,
-            epsilon=lvl.epsilon_n,
-            s_n=lvl.s_n,
-            bandwidth_t=lvl.bandwidth_t,
-            kernel_kind=lvl.kernel_kind,
-        )
-        for lvl in family.levels
-    )
     return CoarseEmbedding(
-        space=space,
-        exponent=pe,
+        family=build_level_family(space, level_count, pe, float(delta), kernel_kind),
         base_index=base_index,
-        delta=float(delta),
-        schedule=schedule,
-        family=family,
     )
 
 
@@ -260,12 +239,12 @@ def pairwise_image_power_sums(embedding: CoarseEmbedding) -> tuple:
     The base-point offset cancels in every pair, so
     ||Phi(x)-Phi(y)||_p^p = sum_n ||phi_n(x)-phi_n(y)||_p^p. An embedding that
     carries its family sums, in level order, the p-th powers of the pair
-    distances calibration measured at each level: O(L n^2). One without (reloaded
-    from JSON) scans the stacked image rows: O(L n^3). The two agree to rounding.
+    distances calibration measured at each level: O(L n^2). One reloaded from
+    JSON scans the stacked image rows: O(L n^3). The two agree to rounding.
     """
     ii, jj = embedding.space.pair_indices()
     d = embedding.space.dist[ii, jj]
-    if embedding.family is None:
+    if embedding.loaded_blocks is not None:
         psums = pairwise_power_sums_all(embedding.image_matrix, embedding.exponent)
     else:
         p = embedding.exponent.value
@@ -294,13 +273,13 @@ def embedding_to_json(embedding: CoarseEmbedding) -> dict:
         "delta": embedding.delta,
         "schedule": [
             {
-                "n": s.n,
-                "eps": s.epsilon,
-                "S": s.s_n if math.isfinite(s.s_n) else None,
-                "t": s.bandwidth_t,
-                "kernel": s.kernel_kind,
+                "n": level.level_n,
+                "eps": level.epsilon_n,
+                "S": None if level.saturated else level.s_n,
+                "t": level.bandwidth_t,
+                "kernel": level.kernel_kind,
             }
-            for s in embedding.schedule
+            for level in embedding.schedule
         ],
         "images": images,
     }
@@ -328,19 +307,28 @@ def _image_blocks(blocks, label: str) -> list:
     return arrays
 
 
+def _threshold(value) -> float:
+    """A schedule entry's S: null for a saturated level, else a finite positive number."""
+    s_n = math.inf if value is None else float(value)
+    if value is not None and not 0 < s_n < math.inf:
+        raise ValueError(f"schedule S must be null or a finite positive number, got {value!r}")
+    return s_n
+
+
 def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedding:
-    """Reattach a serialized embedding to its space (family is not recoverable)."""
+    """Reattach a serialized embedding to its space: image-less levels plus the blocks read."""
     try:
         pe = as_exponent(float(payload["p"]))
         base = payload["base"]
         if isinstance(base, bool) or not isinstance(base, int):
             raise ValueError(f"base must be an integer point index, got {base!r}")
         delta = float(payload["delta"])
-        schedule = tuple(
-            LevelSchedule(
-                n=int(s["n"]),
-                epsilon=float(s["eps"]),
-                s_n=float(s["S"]) if s["S"] is not None else math.inf,
+        levels = tuple(
+            SphereMapLevel(
+                level_n=int(s["n"]),
+                exponent=pe,
+                epsilon_n=float(s["eps"]),
+                s_n=_threshold(s["S"]),
                 bandwidth_t=float(s["t"]),
                 kernel_kind=str(s["kernel"]),
             )
@@ -365,11 +353,8 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
             raise ValueError(f"inconsistent block shapes at point {label!r}")
         per_point.append(blocks)
     return CoarseEmbedding(
-        space=space,
-        exponent=pe,
+        family=SphereMapFamily(levels=levels, exponent=pe, delta=delta, space=space),
         base_index=base,
-        delta=delta,
-        schedule=schedule,
         loaded_blocks=tuple(np.vstack(level) for level in zip(*per_point)),
     )
 

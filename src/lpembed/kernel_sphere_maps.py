@@ -33,7 +33,7 @@ bit for bit. All pairs are scanned once per level, on the accepted images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -74,11 +74,9 @@ T_CAP = 1e8
 
 UNIT_TOL = 1e-9
 
-# Split sup of the close pairs (see _split_close_sup). Below SPLIT_MIN_POINTS
-# points the bookkeeping costs more than the scan it saves; where the partial
-# sums would cover more than SPLIT_MAX_WORK_SHARE of the elements of a full
-# scan, the full scan runs instead, and its distances are kept.
-SPLIT_MIN_POINTS = 64
+# Split sup of the close pairs (see _split_close_sup). Where the partial sums
+# would cover more than SPLIT_MAX_WORK_SHARE of the elements of a full scan,
+# the full scan runs instead, and its distances are kept.
 SPLIT_MAX_WORK_SHARE = 0.5
 # the light columns may add at most this share of the lower bound to any pair
 SPLIT_LIGHT_SHARE = 1e-2
@@ -168,23 +166,23 @@ def _conditions(pair_d: np.ndarray, d: np.ndarray, R: float, S: float) -> tuple:
 class SphereMapLevel:
     """One calibrated map into S(l_p) with its certified parameters.
 
-    epsilon_n certifies sup{||phi(x)-phi(y)||_p : d(x,y) <= level_n} and
-    delta_half certifies inf{...: d(x,y) >= s_n} (vacuous when saturated,
-    s_n = inf). Both are measured on the images after Mazur transport.
-    pair_distances is that measurement, kept read-only: ||phi(x_i)-phi(x_j)||_p
-    over all pairs i < j in condensed (np.triu_indices) order, which the
-    embedding's verification and profile reuse instead of rescanning.
+    epsilon_n certifies sup{||phi(x)-phi(y)||_p : d(x,y) <= level_n} and s_n
+    the threshold from which pairs stay the family's delta/2 apart (vacuous
+    when saturated, s_n = inf), both measured on the images after Mazur
+    transport. pair_distances is that measurement, kept read-only, over all
+    pairs i < j in condensed (np.triu_indices) order; the embedding's
+    verification and profile reuse it instead of rescanning. A level read
+    back from JSON carries neither array, and neither enters the repr.
     """
 
     level_n: int
     exponent: PExponent
-    images: np.ndarray
-    pair_distances: np.ndarray
     epsilon_n: float
     s_n: float
-    delta_half: float
     bandwidth_t: float
     kernel_kind: str
+    images: Optional[np.ndarray] = field(default=None, repr=False)
+    pair_distances: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def saturated(self) -> bool:
@@ -193,12 +191,17 @@ class SphereMapLevel:
 
 @dataclass(frozen=True, eq=False)
 class SphereMapFamily:
-    """The level sequence phi_1, phi_2, ... over one space at one exponent."""
+    """The level sequence phi_1, phi_2, ... over one space at one exponent and delta."""
 
     levels: tuple
     exponent: PExponent
     delta: float
     space: FiniteMetricSpace
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            # a vacuous lower envelope would certify any images
+            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +343,9 @@ def calibrate_level(
     common where t*d falls below float64 resolution and exp(-t d) is 1.0
     everywhere, so that halving t leaves the kernel unchanged.
 
-    Each bandwidth that is factored measures that sup exactly but, from
-    SPLIT_MIN_POINTS points on, sums only the close pairs that can hold it at
-    full width (see _split_close_sup): a pair's power sum exceeds its sum
+    Each bandwidth that is factored measures that sup exactly but sums only
+    the close pairs that can hold it at full width (see _split_close_sup): a
+    pair's power sum exceeds its sum
     over the heavy columns by at most 2^(p-1)(c_i + c_j), the light-column
     masses of its two rows, so a pair whose bound stays under an exact lower
     bound L of the sup cannot be the maximum. A relative slack of 1e-9 on
@@ -359,11 +362,12 @@ def calibrate_level(
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta!r}")
     if previous is not None and (
-        previous.exponent.value != p.value
+        previous.pair_distances is None
+        or previous.exponent.value != p.value
         or previous.kernel_kind != kernel_kind
         or previous.pair_distances.shape != (space.n * (space.n - 1) // 2,)
     ):
-        raise ValueError("previous level must come from the same space, exponent and kernel")
+        raise ValueError("previous level must carry its images and come from the same space, exponent and kernel")
     ceiling = _distance_ceiling(p)
     if delta / 2.0 > ceiling:
         raise CalibrationError(
@@ -379,7 +383,7 @@ def calibrate_level(
     order = np.argsort(d_pairs, kind="stable")
     close_order = order[: int(np.count_nonzero(close))]
     ci, cj = ii[close_order], jj[close_order]
-    split = space.n >= SPLIT_MIN_POINTS and ci.size > 0
+    split = ci.size > 0
 
     # (kernel, (sup, images, pair distances or None)) already measured: the
     # previous level's accepted kernel, then the one this level factored last
@@ -466,13 +470,12 @@ def calibrate_level(
     return SphereMapLevel(
         level_n=n,
         exponent=p,
-        images=images,
-        pair_distances=all_img,
         epsilon_n=sup_best,
         s_n=s_n,
-        delta_half=delta / 2.0,
         bandwidth_t=t_best,
         kernel_kind=kernel_kind,
+        images=images,
+        pair_distances=all_img,
     )
 
 
@@ -507,8 +510,12 @@ def verify_family(family: SphereMapFamily) -> list:
     """Re-measure every certificate and epsilon_n <= 2^-n; returns human-readable violations.
 
     Each level's pairs are scanned once; the sup, the inf and the largest
-    image distance all come from that scan.
+    image distance all come from that scan. A family read back from JSON has
+    no images to measure: ValueError.
     """
+    if any(level.images is None for level in family.levels):
+        raise ValueError("family levels carry no images to verify (read back from JSON?)")
+    delta_half = family.delta / 2.0
     problems: list = []
     prev_s = 0.0
     ii, jj = family.space.pair_indices()
@@ -524,9 +531,9 @@ def verify_family(family: SphereMapFamily) -> list:
             problems.append(
                 f"level {level.level_n}: measured sup {sup_close!r} exceeds certificate {level.epsilon_n!r}"
             )
-        if inf_far < level.delta_half:
+        if inf_far < delta_half:
             problems.append(
-                f"level {level.level_n}: measured inf {inf_far!r} below certificate {level.delta_half!r}"
+                f"level {level.level_n}: measured inf {inf_far!r} below certificate {delta_half!r}"
             )
         if level.epsilon_n > 2.0 ** (-level.level_n):
             problems.append(

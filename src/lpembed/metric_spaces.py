@@ -39,6 +39,7 @@ GENERATOR_KINDS = ("hypercube", "cycle", "gaussian", "path")
 
 TRIANGLE_TOL = 1e-9
 MAX_VIOLATIONS = 1000  # validate() reports at most this many
+GAUSSIAN_CHUNK_ELEMS = 1 << 20  # coordinate differences held at once by _gaussian
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +233,12 @@ def _gaussian(n: int, seed: int, dim: int) -> FiniteMetricSpace:
         raise ValueError(f"ambient dimension must be positive, got {dim}")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, dim))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    # row chunks, not one n*n*dim array; each row's sum is the same reduction
+    dist = np.empty((n, n))
+    rows = max(1, GAUSSIAN_CHUNK_ELEMS // (n * dim))
+    for start in range(0, n, rows):
+        diff = pts[start:start + rows, None, :] - pts[None, :, :]
+        np.sqrt((diff * diff).sum(axis=-1), out=dist[start:start + rows])
     return FiniteMetricSpace(
         labels=tuple(f"g{i}" for i in range(n)),
         dist=dist,

@@ -238,19 +238,26 @@ class TestMalformedEmbeddingFile:
         assert "malformed embedding payload" in capsys.readouterr().err
 
     # each of these once made report certify the file (exit 0): a delta that is
-    # not finite and positive leaves the lower envelope vacuous, and a
-    # fractional base was truncated to another point
+    # not finite and positive leaves the lower envelope vacuous, a fractional
+    # base was truncated to another point, and a NaN threshold S dropped its
+    # level from rho1
     @pytest.mark.parametrize("key,value,message", [
         ("delta", float("nan"), "delta must be finite and positive"),
         ("delta", 0.0, "delta must be finite and positive"),
         ("delta", -1.0, "delta must be finite and positive"),
         ("base", 1.7, "base must be an integer"),
         ("base", True, "base must be an integer"),
+        ("S", float("nan"), "schedule S must be null or a finite positive number"),
+        ("S", float("inf"), "schedule S must be null or a finite positive number"),
+        ("S", 0.0, "schedule S must be null or a finite positive number"),
+        ("S", -1.0, "schedule S must be null or a finite positive number"),
     ])
     def test_report_bad_parameter_exit_2(self, key, value, message, hc2_embedding, capsys):
         space, emb = hc2_embedding
         payload = json.loads(emb.read_text())
-        payload[key] = value
+        # "S" is the first level's threshold, the others are top-level keys
+        target = payload["schedule"][0] if key == "S" else payload
+        target[key] = value
         emb.write_text(json.dumps(payload))
         capsys.readouterr()
         assert run("report", "--space", str(space), "--embedding", str(emb)) == 2

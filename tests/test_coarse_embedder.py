@@ -9,6 +9,7 @@ import pytest
 
 from lpembed import coarse_embedder
 from lpembed.coarse_embedder import (
+    CoarseEmbedding,
     build_embedding,
     default_level_count,
     embedding_from_json,
@@ -22,7 +23,6 @@ from lpembed.coarse_embedder import (
 from lpembed.distortion_report import verify_bounds
 from lpembed.lp_core import (
     LpVector,
-    as_exponent,
     block_distance_p,
     block_norm_p,
     distance_p,
@@ -97,10 +97,11 @@ class TestBuild:
         # without the family, nothing else would look at the rows before
         # verify_bounds compares their NaN distances (always False) and passes
         E = build_embedding(generate("hypercube", 3), p=1.0)
+        back = embedding_from_json(embedding_to_json(E), E.space)
         blocks = tuple(b.copy() for b in E.blocks)
         blocks[-1][3] = bad
         with pytest.raises(ValueError, match="finite"):
-            dataclasses.replace(E, family=None, loaded_blocks=blocks)
+            dataclasses.replace(back, loaded_blocks=blocks)
 
     def test_unknown_point(self, hc4_p1):
         with pytest.raises(KeyError):
@@ -209,14 +210,11 @@ class TestLevelReuse:
             assert level.pair_distances.shape == (n * (n - 1) // 2,)
             assert not level.pair_distances.flags.writeable
 
-    def test_exponent_mismatch_rejected(self, built_embedding):
-        other = 2.0 if built_embedding.exponent.value != 2.0 else 1.0
-        with pytest.raises(ValueError, match="family exponent"):
-            dataclasses.replace(built_embedding, exponent=as_exponent(other))
-
     def test_level_count_mismatch_rejected(self, built_embedding):
+        back = embedding_from_json(embedding_to_json(built_embedding), built_embedding.space)
+        short = dataclasses.replace(back.family, levels=back.schedule[:-1])
         with pytest.raises(ValueError, match="image blocks but"):
-            dataclasses.replace(built_embedding, schedule=built_embedding.schedule[:-1])
+            dataclasses.replace(back, family=short)
 
 
 class TestSingleCopy:
@@ -227,7 +225,11 @@ class TestSingleCopy:
         with pytest.raises(ValueError, match="exactly one"):
             dataclasses.replace(hc4_p1, loaded_blocks=back.blocks)
         with pytest.raises(ValueError, match="exactly one"):
-            dataclasses.replace(hc4_p1, family=None)
+            dataclasses.replace(back, loaded_blocks=None)
+        mixed = dataclasses.replace(back.family, levels=hc4_p1.schedule[:1] + back.schedule[1:])
+        for blocks in (None, back.blocks):
+            with pytest.raises(ValueError, match="exactly one"):
+                CoarseEmbedding(family=mixed, base_index=0, loaded_blocks=blocks)
 
     def test_build_keeps_no_image_matrix(self):
         E = build_embedding(generate("cycle", 12), p=1.5)
@@ -274,7 +276,38 @@ class TestSingleCopy:
     @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
     def test_delta_must_be_finite_positive(self, hc4_p1, delta):
         with pytest.raises(ValueError, match="delta must be finite and positive"):
-            dataclasses.replace(hc4_p1, delta=delta)
+            dataclasses.replace(hc4_p1.family, delta=delta)
+
+
+class TestOneLevelRecord:
+    """The family is the one record of space, p, delta and levels; the embedding reads them from it."""
+
+    def test_fields_are_family_base_and_blocks(self, hc4_p1):
+        assert [f.name for f in dataclasses.fields(CoarseEmbedding)] == ["family", "base_index", "loaded_blocks"]
+        # a second copy of delta (or space, p, schedule) cannot be set apart from the family's
+        with pytest.raises(TypeError):
+            dataclasses.replace(hc4_p1, delta=3.0)
+
+    def test_parameters_read_from_family(self, built_embedding):
+        E = built_embedding
+        assert E.schedule is E.family.levels
+        assert E.space is E.family.space
+        assert E.exponent is E.family.exponent
+        assert E.delta == E.family.delta and isinstance(E.delta, float)
+        assert E.level_count == len(E.family.levels)
+
+    def test_reloaded_levels_hold_no_images(self, built_embedding):
+        back = embedding_from_json(embedding_to_json(built_embedding), built_embedding.space)
+        assert back.loaded_blocks is not None
+        assert back.space is built_embedding.space
+        for level, built in zip(back.schedule, built_embedding.schedule):
+            assert level.images is None and level.pair_distances is None
+            assert repr(level) == repr(built)
+
+    def test_schedule_repr_holds_no_arrays(self, hc4_p1):
+        text = repr(hc4_p1.schedule)
+        assert "array" not in text and "images" not in text and "pair_distances" not in text
+        assert len(text) < 400 * hc4_p1.level_count
 
 
 class TestTailBound:
@@ -301,7 +334,7 @@ class TestJson:
         assert back.base_index == hc4_p1.base_index
         assert back.exponent.value == hc4_p1.exponent.value
         assert [s.s_n for s in back.schedule] == [s.s_n for s in hc4_p1.schedule]
-        assert back.family is None
+        assert all(level.images is None for level in back.schedule)
 
     def test_saturated_levels_serialize_as_null(self, hc4_p1):
         payload = embedding_to_json(hc4_p1)

@@ -38,18 +38,18 @@ def path40_p1():
     return build_embedding(generate("path", 40), p=1.0, level_count=5)
 
 
+def reloaded_form(E, blocks, **family_changes):
+    """E as reloaded from JSON: its levels without images, `blocks` as its images."""
+    levels = tuple(dataclasses.replace(level, images=None, pair_distances=None) for level in E.schedule)
+    family = dataclasses.replace(E.family, levels=levels, **family_changes)
+    return CoarseEmbedding(family=family, base_index=E.base_index, loaded_blocks=blocks)
+
+
 def tampered(E, idx, scale):
     blocks = tuple(b.copy() for b in E.blocks)
     for b in blocks:
         b[idx] = b[idx] * scale
-    return CoarseEmbedding(
-        space=E.space,
-        exponent=E.exponent,
-        base_index=E.base_index,
-        delta=E.delta,
-        schedule=E.schedule,
-        loaded_blocks=blocks,
-    )
+    return reloaded_form(E, blocks)
 
 
 def lower_missed_by(E, excess):
@@ -58,14 +58,7 @@ def lower_missed_by(E, excess):
     m = np.searchsorted(E.separation_thresholds(), d, side="right")
     k = int(np.argmin(np.where(m > 0, psums / np.maximum(m, 1), np.inf)))
     delta = 2.0 * ((psums[k] + excess) / m[k]) ** (1.0 / E.exponent.value)
-    return CoarseEmbedding(
-        space=E.space,
-        exponent=E.exponent,
-        base_index=E.base_index,
-        delta=delta,
-        schedule=E.schedule,
-        loaded_blocks=E.blocks,
-    )
+    return reloaded_form(E, E.blocks, delta=delta)
 
 
 def marginal_oracle(E, tol=DEFAULT_TOL):
@@ -192,21 +185,21 @@ class TestReloadedAgrees:
     def test_verify_and_marginals_survive_round_trip(self, built_embedding):
         E = built_embedding
         back = embedding_from_json(embedding_to_json(E), E.space)
-        assert back.family is None
+        assert back.loaded_blocks is not None
         assert verify_bounds(E) == verify_bounds(back) == []
         for buckets in (1, 7):
             assert empirical_profile(E, buckets).marginal_count == empirical_profile(back, buckets).marginal_count
 
     def test_marginal_pair_counted_on_both_paths(self, path40_p1):
         reloaded = lower_missed_by(path40_p1, 0.5 * DEFAULT_TOL)
-        in_memory = dataclasses.replace(path40_p1, delta=reloaded.delta)
+        in_memory = dataclasses.replace(path40_p1, family=dataclasses.replace(path40_p1.family, delta=reloaded.delta))
         assert marginal_oracle(reloaded) > 0
         assert verify_bounds(in_memory) == verify_bounds(reloaded) == []
         assert empirical_profile(in_memory, 4).marginal_count == marginal_oracle(reloaded)
 
     def test_lower_violation_found_on_both_paths(self, path40_p1):
         reloaded = lower_missed_by(path40_p1, 10.0 * DEFAULT_TOL)
-        in_memory = dataclasses.replace(path40_p1, delta=reloaded.delta)
+        in_memory = dataclasses.replace(path40_p1, family=dataclasses.replace(path40_p1.family, delta=reloaded.delta))
         got, want = verify_bounds(in_memory), verify_bounds(reloaded)
         assert len(got) == len(want) == 1
         assert got[0].side == want[0].side == "lower"

@@ -143,7 +143,7 @@ class TestCalibrateLevel:
         sup, inf_far = measure_conditions(lvl.images, X, lvl.level_n, lvl.s_n, p)
         assert sup == lvl.epsilon_n
         assert sup <= 0.25
-        assert inf_far >= lvl.delta_half
+        assert inf_far >= 0.5
 
     def test_level_beyond_diameter_bounds_all_pairs(self):
         X = generate("hypercube", 3)
@@ -174,6 +174,13 @@ class TestCalibrateLevel:
         with pytest.raises(ValueError):
             calibrate_level(two_point(), 0, 2.0, 1.0, "laplacian")
 
+    def test_previous_without_pair_distances_rejected(self):
+        X = generate("cycle", 8)
+        first = calibrate_level(X, 1, 1.5, 1.0, "laplacian")
+        bare = replace(first, images=None, pair_distances=None)
+        with pytest.raises(ValueError, match="must carry its images"):
+            calibrate_level(X, 2, 1.5, 1.0, "laplacian", previous=bare)
+
 
 class TestFamily:
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -196,6 +203,12 @@ class TestFamily:
         for lvl in fam.levels:
             assert lvl.epsilon_n <= 2.0 ** (-lvl.level_n)
 
+    def test_family_without_images_rejected(self):
+        fam = build_level_family(generate("cycle", 8), 4, 1.0, 1.0, "laplacian")
+        bare = replace(fam, levels=tuple(replace(level, images=None, pair_distances=None) for level in fam.levels))
+        with pytest.raises(ValueError, match="no images to verify"):
+            verify_family(bare)
+
     def test_gaussian_space_with_gaussian_kernel(self):
         X = generate("gaussian", 40, seed=3)
         fam = build_level_family(X, 4, 1.5, 1.0, "gaussian")
@@ -206,7 +219,7 @@ class TestFamily:
         fam = build_level_family(X, 6, 1.0, 1.0, "laplacian")
         lv = list(fam.levels)
         lv[0] = replace(lv[0], epsilon_n=lv[0].epsilon_n / 2.0)
-        lv[1] = replace(lv[1], delta_half=10.0)
+        lv[1] = replace(lv[1], s_n=1.0)
         lv[2] = replace(lv[2], images=lv[2].images * 3.0)
         lv[3] = replace(lv[3], epsilon_n=1.0, s_n=0.5)
         fam = replace(fam, levels=tuple(lv))
@@ -222,8 +235,8 @@ class TestFamily:
             sup, inf_far = measure_conditions(level.images, X, n, level.s_n, 1.0)
             if sup > level.epsilon_n:
                 expected.append(f"level {n}: measured sup {sup!r} exceeds certificate {level.epsilon_n!r}")
-            if inf_far < level.delta_half:
-                expected.append(f"level {n}: measured inf {inf_far!r} below certificate {level.delta_half!r}")
+            if inf_far < fam.delta / 2.0:
+                expected.append(f"level {n}: measured inf {inf_far!r} below certificate {fam.delta / 2.0!r}")
             if level.epsilon_n > 2.0 ** (-n):
                 expected.append(f"level {n}: epsilon {level.epsilon_n!r} above 2^-{n}")
             if not level.saturated:
@@ -303,7 +316,10 @@ SPLIT_CASES = [
     (("gaussian", 80), 3.0),
     (("hypercube", 6), 2.0),
     (("cycle", 64), 1.0),
-    (("gaussian", 48), 1.3),  # below SPLIT_MIN_POINTS
+    (("gaussian", 48), 1.3),
+    (("cycle", 8), 1.5),
+    (("path", 6), 1.0),
+    (("hypercube", 3), 2.0),
 ]
 
 
@@ -333,10 +349,9 @@ class TestSplitEquivalence:
         monkeypatch.setattr(kernel_sphere_maps, "_split_close_sup", full_scan_sup)
         reference = build_level_family(*args)
 
-        if X.n >= kernel_sphere_maps.SPLIT_MIN_POINTS:
-            assert ran["split"] > 0 and ran["partial"] > 0
-        else:
-            assert ran == {"split": 0, "partial": 0}
+        assert ran["split"] > 0
+        # on the short path no leading column is light enough to leave out
+        assert ran["partial"] > 0 or kind == "path"
         assert_same_levels(pruned, reference)
 
 
@@ -484,9 +499,9 @@ class TestSeparationThreshold:
         for level in fam.levels:
             pair_sorted = level.pair_distances[order]
             # the built S_n is the loop's at the family's floor
-            assert level.s_n == loop_threshold(d_sorted, pair_sorted, level.delta_half, s_floor)
+            assert level.s_n == loop_threshold(d_sorted, pair_sorted, delta / 2.0, s_floor)
             for floor in floors + [s_floor, level.s_n]:
-                for half in (level.delta_half, level.delta_half / 4.0):
+                for half in (delta / 2.0, delta / 8.0):
                     got = kernel_sphere_maps._separation_threshold(d_sorted, pair_sorted, half, floor)
                     assert got == loop_threshold(d_sorted, pair_sorted, half, floor)
             saturated += level.saturated

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lpembed import metric_spaces
 from lpembed.metric_spaces import (
     MAX_VIOLATIONS,
     TRIANGLE_TOL,
@@ -63,6 +64,18 @@ class TestGenerators:
         diff = X.points[:, None, :] - X.points[None, :, :]
         recomputed = np.sqrt((diff * diff).sum(axis=-1))
         assert np.abs(X.dist - recomputed).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,dim,budget", [(160, 8, None), (97, 3, 1000), (120, 8, 5000), (50, 40, 7)])
+    def test_gaussian_row_chunks_bit_equal_broadcast(self, n, dim, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(metric_spaces, "GAUSSIAN_CHUNK_ELEMS", budget)
+        else:
+            # the benchmark's cloud size stays one chunk at the default budget
+            assert n * n * dim <= metric_spaces.GAUSSIAN_CHUNK_ELEMS
+        X = generate("gaussian", n, seed=11, dim=dim)
+        diff = X.points[:, None, :] - X.points[None, :, :]
+        broadcast = np.sqrt((diff * diff).sum(axis=-1))
+        assert np.array_equal(X.dist.view(np.uint64), broadcast.view(np.uint64))
 
     def test_gaussian_dim_override(self):
         X = generate("gaussian", 10, seed=1, dim=3)
