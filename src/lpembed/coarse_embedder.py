@@ -210,7 +210,8 @@ def theoretical_bounds(embedding: CoarseEmbedding, d) -> tuple:
     """
     p = embedding.exponent.value
     arr = np.asarray(d, dtype=np.float64)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
+        # NaN fails this test too; inf is allowed
         raise ValueError("distances must be nonnegative")
     thresholds = embedding.separation_thresholds()
     m = np.searchsorted(thresholds, arr, side="right").astype(np.float64)

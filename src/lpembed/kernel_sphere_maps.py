@@ -27,7 +27,8 @@ is summed at full width only where its heavy-column sum plus that bound
 reaches the largest exact sum among the close pairs of largest source
 distance. The others cannot hold the maximum, and the pairs that are summed
 go through the same kernel as the all-pairs scan, so the sup is that scan's,
-bit for bit. All pairs are scanned once per level, on the accepted images.
+bit for bit. All pairs are scanned once per level, on the accepted images,
+and not at all where a level accepts the previous level's images.
 """
 
 from __future__ import annotations
@@ -74,11 +75,8 @@ T_CAP = 1e8
 
 UNIT_TOL = 1e-9
 
-# Split sup of the close pairs (see _split_close_sup). Where the partial sums
-# would cover more than SPLIT_MAX_WORK_SHARE of the elements of a full scan,
-# the full scan runs instead, and its distances are kept.
-SPLIT_MAX_WORK_SHARE = 0.5
-# the light columns may add at most this share of the lower bound to any pair
+# Split sup of the close pairs (see _split_close_sup): the light columns may
+# add at most this share of the lower bound to any pair
 SPLIT_LIGHT_SHARE = 1e-2
 # relative slack on both sides of the bound test; the rounding of the partial
 # sums, the cumulative row masses and the power kernel stays below 1e-12
@@ -202,6 +200,9 @@ class SphereMapFamily:
         if not (math.isfinite(self.delta) and self.delta > 0):
             # a vacuous lower envelope would certify any images
             raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
+        if any(level.exponent.value != self.exponent.value for level in self.levels):
+            # the family's exponent is the one its pair distances are summed at
+            raise ValueError(f"every level must be calibrated at the family's p = {self.exponent.value:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +215,6 @@ def _distance_ceiling(p: PExponent) -> float:
     l_2 factor distances approach sqrt(2) as the kernel decays; transporting
     through the Mazur lower envelope rescales that ceiling.
     """
-    if p.value == 2.0:
-        return math.sqrt(2.0)
     return float(mazur_bounds(2.0, p).lower(math.sqrt(2.0)))
 
 
@@ -228,7 +227,7 @@ def _transported_images(space: FiniteMetricSpace, t: float, kernel_kind: str, p:
 
 def _split_close_sup(
     images: np.ndarray, p: PExponent, ci: np.ndarray, cj: np.ndarray, top: int
-) -> Optional[float]:
+) -> float:
     """Exact max of ||images[i] - images[j]||_p over the pairs (ci, cj).
 
     The pairs come in ascending source distance. The last `top` of them are
@@ -238,19 +237,15 @@ def _split_close_sup(
     |a-b|^p <= 2^(p-1)(|a|^p + |b|^p) for p >= 1, a pair's power sum is at most
     its sum over the heavy columns k >= k0 plus 2^(p-1)(c_i + c_j). Only pairs
     whose bound reaches L are summed at full width, with the same kernel as
-    the all-pairs scan, so the max is that scan's max bit for bit. Returns
-    None where the split does not pay.
+    the all-pairs scan, so the max is that scan's max bit for bit.
     """
     pv = p.value
-    n, width = images.shape
     top_sums = pair_subset_power_sums(images, ci[-top:], cj[-top:], pv)
     low = float(top_sums.max())
     mass = np.cumsum(abs_power(images, pv), axis=1)
     # k0 = the most leading columns that add at most SPLIT_LIGHT_SHARE * L to
     # any pair, as 2^(p-1)(c_i + c_j) <= 2^p max_i c_i; that max grows with k
     k0 = int(np.searchsorted(2.0 ** pv * mass.max(axis=0), SPLIT_LIGHT_SHARE * low, side="right"))
-    if (ci.size - top) * (width - k0) > SPLIT_MAX_WORK_SHARE * (n * (n - 1) // 2) * width:
-        return None
     ri, rj = ci[:-top], cj[:-top]
     sums = pair_subset_power_sums(images[:, k0:], ri, rj, pv)
     if k0:
@@ -274,9 +269,7 @@ def _feasible_start(
     through the Mazur upper envelope and solving for t gives a start point that
     cannot overshoot; the search then only has to grow t.
     """
-    if p.value == 2.0:
-        s_target = eps
-    elif p.value > 2.0:
+    if p.value > 2.0:
         b = mazur_bounds(2.0, p)
         s_target = (eps / b.constant_c) ** (p.value / 2.0)
     else:
@@ -335,9 +328,9 @@ def calibrate_level(
 
     No kernel is factored twice. Each bandwidth tried computes its kernel
     matrix first; where that matrix equals, bit for bit, the previous level's
-    accepted kernel or the one this level factored last, the images, pair
-    distances and sup measured for it are reused (for the previous level's,
-    the sup is the max of its pair distances over this level's close pairs).
+    accepted kernel or the one this level factored last, the images and sup
+    measured for it are reused (for the previous level's, the sup is the max
+    of its pair distances over this level's close pairs).
     The images are a function of the kernel matrix alone, so the reused
     results are those a new factorization would give, bit for bit. This is
     common where t*d falls below float64 resolution and exp(-t d) is 1.0
@@ -345,15 +338,14 @@ def calibrate_level(
 
     Each bandwidth that is factored measures that sup exactly but sums only
     the close pairs that can hold it at full width (see _split_close_sup): a
-    pair's power sum exceeds its sum
-    over the heavy columns by at most 2^(p-1)(c_i + c_j), the light-column
-    masses of its two rows, so a pair whose bound stays under an exact lower
-    bound L of the sup cannot be the maximum. A relative slack of 1e-9 on
-    both sides of that test covers the rounding of the bound, which is far
-    below it. The search path is therefore the one an all-pairs scan per
-    bandwidth gives, and all pairs are scanned at most once, on the accepted
-    images, for S_n and pair_distances. Where the split cannot pay, the
-    bandwidth's full scan is kept and reused.
+    pair's power sum exceeds its sum over the heavy columns by at most
+    2^(p-1)(c_i + c_j), the light-column masses of its two rows, so a pair
+    whose bound stays under an exact lower bound L of the sup cannot be the
+    maximum. A relative slack of 1e-9 on both sides of that test covers the
+    rounding of the bound, which is far below it. The search path is
+    therefore the one an all-pairs scan per bandwidth gives. All pairs are
+    scanned once, on the accepted images, for S_n and pair_distances; a level
+    that accepts the previous level's images takes its pair distances.
     """
     p = as_exponent(p_target)
     _check_kernel_kind(kernel_kind)
@@ -383,16 +375,15 @@ def calibrate_level(
     order = np.argsort(d_pairs, kind="stable")
     close_order = order[: int(np.count_nonzero(close))]
     ci, cj = ii[close_order], jj[close_order]
-    split = ci.size > 0
 
-    # (kernel, (sup, images, pair distances or None)) already measured: the
-    # previous level's accepted kernel, then the one this level factored last
+    # (kernel, (sup, images)) already measured: the previous level's accepted
+    # kernel, then the one this level factored last
     measured = []
     if previous is not None:
-        prev_sup = float(previous.pair_distances[close].max()) if close.any() else 0.0
+        prev_sup = float(previous.pair_distances[close].max()) if ci.size else 0.0
         measured.append((
             kernel_matrix(space, previous.bandwidth_t, kernel_kind),
-            (prev_sup, previous.images, previous.pair_distances),
+            (prev_sup, previous.images),
         ))
     last = len(measured)
 
@@ -402,68 +393,63 @@ def calibrate_level(
             if _same_kernel(K, kernel):
                 return result
         images = _transported_images(space, t, kernel_kind, p)
-        pair_d = None
-        sup = _split_close_sup(images, p, ci, cj, min(space.n, ci.size)) if split else None
-        if sup is None:
-            pair_d = pairwise_pnorm_all(images, p) if d_pairs.size else np.empty(0)
-            sup = float(pair_d[close].max()) if close.any() else 0.0
-        measured[last:] = [(K, (sup, images, pair_d))]
-        return sup, images, pair_d
+        sup = _split_close_sup(images, p, ci, cj, min(space.n, ci.size)) if ci.size else 0.0
+        measured[last:] = [(K, (sup, images))]
+        return sup, images
 
     t_cap = min(previous.bandwidth_t, T_CAP) if previous is not None else T_CAP
-
-    if not close.any():
-        # no closeness constraint at this radius: max out the separation
-        t_best = t_cap
-        sup_best, images, all_img = evaluate(t_best)
-    else:
+    # with no close pair there is no closeness constraint at this radius: the
+    # cap maxes out the separation, and the loops below leave it in place
+    t_best = t_cap
+    if ci.size:
         t_best = min(_feasible_start(eps, p, float(d_pairs[close].max()), kernel_kind), t_cap)
-        sup_best, images, all_img = evaluate(t_best)
-        shrinks = 0
-        while sup_best > eps:
-            # the envelope start is feasible in exact arithmetic; retreat covers
-            # the pathological remainder
-            t_best /= 2.0
-            shrinks += 1
-            if shrinks > 200:
-                raise CalibrationError(
-                    f"cannot meet the 2^-{n} closeness target at any bandwidth "
-                    f"(space min distance {float(d_pairs.min()):g})"
-                )
-            sup_best, images, all_img = evaluate(t_best)
+    sup_best, images = evaluate(t_best)
+    shrinks = 0
+    while sup_best > eps:
+        # the envelope start is feasible in exact arithmetic; retreat covers
+        # the pathological remainder
+        t_best /= 2.0
+        shrinks += 1
+        if shrinks > 200:
+            raise CalibrationError(
+                f"cannot meet the 2^-{n} closeness target at any bandwidth "
+                f"(space min distance {float(d_pairs.min()):g})"
+            )
+        sup_best, images = evaluate(t_best)
 
-        # grow toward the largest feasible bandwidth, then sharpen by log-log
-        # interpolation on sup(t); every accepted t is exactly verified
-        t_bad = None
-        sup_bad = None
-        while t_bad is None and t_best < t_cap:
-            t_try = min(t_best * 8.0, t_cap)
-            sup_try, img_try, pd_try = evaluate(t_try)
+    # grow toward the largest feasible bandwidth, then sharpen by log-log
+    # interpolation on sup(t); every accepted t is exactly verified
+    t_bad = None
+    sup_bad = None
+    while t_bad is None and t_best < t_cap:
+        t_try = min(t_best * 8.0, t_cap)
+        sup_try, img_try = evaluate(t_try)
+        if sup_try <= eps:
+            t_best, sup_best, images = t_try, sup_try, img_try
+        else:
+            t_bad, sup_bad = t_try, sup_try
+    if t_bad is not None:
+        for _ in range(12):
+            if sup_best >= 0.9 * eps or t_bad / t_best <= 1.01:
+                break
+            if sup_best > 0.0:
+                frac = (math.log(0.999 * eps) - math.log(sup_best)) / (
+                    math.log(sup_bad) - math.log(sup_best)
+                )
+                t_try = t_best * (t_bad / t_best) ** min(max(frac, 0.05), 0.95)
+            else:
+                t_try = math.sqrt(t_best * t_bad)
+            sup_try, img_try = evaluate(t_try)
             if sup_try <= eps:
-                t_best, sup_best, images, all_img = t_try, sup_try, img_try, pd_try
+                t_best, sup_best, images = t_try, sup_try, img_try
             else:
                 t_bad, sup_bad = t_try, sup_try
-        if t_bad is not None:
-            for _ in range(12):
-                if sup_best >= 0.9 * eps or t_bad / t_best <= 1.01:
-                    break
-                if sup_best > 0.0:
-                    frac = (math.log(0.999 * eps) - math.log(sup_best)) / (
-                        math.log(sup_bad) - math.log(sup_best)
-                    )
-                    t_try = t_best * (t_bad / t_best) ** min(max(frac, 0.05), 0.95)
-                else:
-                    t_try = math.sqrt(t_best * t_bad)
-                sup_try, img_try, pd_try = evaluate(t_try)
-                if sup_try <= eps:
-                    t_best, sup_best, images, all_img = t_try, sup_try, img_try, pd_try
-                else:
-                    t_bad, sup_bad = t_try, sup_try
 
-    if all_img is None:
+    if previous is not None and images is previous.images:
+        all_img = previous.pair_distances
+    else:
         # the search measured only close-pair sups; one scan of the accepted images
         all_img = pairwise_pnorm_all(images, p)
-
     s_n = _separation_threshold(d_pairs[order], all_img[order], delta / 2.0, s_floor)
 
     all_img.setflags(write=False)

@@ -23,6 +23,7 @@ from lpembed.coarse_embedder import (
 from lpembed.distortion_report import verify_bounds
 from lpembed.lp_core import (
     LpVector,
+    as_exponent,
     block_distance_p,
     block_norm_p,
     distance_p,
@@ -136,6 +137,15 @@ class TestEnvelopes:
     def test_negative_distance_rejected(self, hc4_p1):
         with pytest.raises(ValueError):
             theoretical_bounds(hc4_p1, -0.1)
+
+    def test_nan_distance_rejected_inf_allowed(self):
+        E = build_embedding(generate("path", 12), p=1.0)
+        for d in (math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                theoretical_bounds(E, d)
+        rho1, rho2 = theoretical_bounds(E, math.inf)
+        assert rho1 == theoretical_bounds(E, E.space.diameter())[0]
+        assert rho2 == math.inf
 
     def test_hc6_sandwich_via_exhaustive_scan(self, hc6_p1):
         # independent route: rebuild every pairwise distance from the block
@@ -277,6 +287,12 @@ class TestSingleCopy:
     def test_delta_must_be_finite_positive(self, hc4_p1, delta):
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             dataclasses.replace(hc4_p1.family, delta=delta)
+
+    def test_levels_at_another_exponent_rejected(self):
+        # p = 2 levels under a p = 1 family would be summed to the first power
+        E = build_embedding(generate("cycle", 16), p=2.0)
+        with pytest.raises(ValueError, match="family's p = 1"):
+            CoarseEmbedding(family=dataclasses.replace(E.family, exponent=as_exponent(1.0)), base_index=0)
 
 
 class TestOneLevelRecord:

@@ -303,12 +303,11 @@ class TestSplitSup:
             rows[2, -1] = np.nextafter(x_sum, 0.0)
             assert split_sup(rows, 1.0, [0, 2], [1, 3]) == x_sum
 
-    def test_full_scan_where_split_cannot_pay(self):
-        # no light columns and every pair close: the partial sums would be a
-        # full scan, so the caller scans instead
+    def test_every_pair_close_no_light_column(self):
+        # the partial sums cover every pair at full width; still the scan's sup
         rows = np.random.default_rng(3).standard_normal((6, 6))
         ci, cj = np.triu_indices(6, 1)
-        assert split_sup(rows, 1.5, ci, cj, 6) is None
+        assert split_sup(rows, 1.5, ci, cj, 6) == full_scan_sup(rows, 1.5, ci, cj, 6)
 
 
 SPLIT_CASES = [
@@ -335,9 +334,8 @@ class TestSplitEquivalence:
         ran = {"split": 0, "partial": 0}
 
         def spy_split(images, *rest):
-            sup = real_split(images, *rest)
-            ran["split"] += sup is not None
-            return sup
+            ran["split"] += 1
+            return real_split(images, *rest)
 
         def spy_subset(rows, ii, jj, pv):
             ran["partial"] += rows.shape[1] < X.n
@@ -381,6 +379,19 @@ def spy_factor(monkeypatch):
 
     monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", spy)
     return calls
+
+
+def spy_scans(monkeypatch):
+    """Row counts of the all-pairs scans that calibration makes, in call order."""
+    scans = []
+    real = kernel_sphere_maps.pairwise_pnorm_all
+
+    def spy(rows, p):
+        scans.append(rows.shape[0])
+        return real(rows, p)
+
+    monkeypatch.setattr(kernel_sphere_maps, "pairwise_pnorm_all", spy)
+    return scans
 
 
 def no_reuse(monkeypatch):
@@ -441,10 +452,12 @@ class TestKernelReuse:
 
     def test_accepted_previous_bandwidth_shares_the_measurement(self, monkeypatch):
         # no pair is within distance 4, so levels 1..4 all take the capped
-        # bandwidth, and levels 2..4 reuse level 1's kernel
+        # bandwidth, and levels 2..4 reuse level 1's kernel and pair distances
         calls = spy_factor(monkeypatch)
+        scans = spy_scans(monkeypatch)
         fam = build_level_family(two_point(5.0), 4, 1.5, 1.0, "laplacian")
         assert calls == [kernel_sphere_maps.T_CAP]
+        assert scans == [2]
         first = fam.levels[0]
         assert not first.pair_distances.flags.writeable
         for level in fam.levels[1:]:
@@ -453,6 +466,14 @@ class TestKernelReuse:
             assert level.pair_distances is first.pair_distances
         no_reuse(monkeypatch)
         assert_same_levels(fam, build_level_family(two_point(5.0), 4, 1.5, 1.0, "laplacian"))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_one_all_pairs_scan_per_level(self, p, monkeypatch):
+        # every bandwidth tried measures only its close-pair sup
+        scans = spy_scans(monkeypatch)
+        fam = build_level_family(*default_family_args("path", 12, p))
+        assert len(fam.levels) == 13
+        assert scans == [12] * 13
 
     def test_previous_from_other_exponent_rejected(self):
         X = generate("hypercube", 3)
