@@ -15,6 +15,16 @@ S_n. Levels whose separation target is out of reach on the bounded space are
 marked saturated (S_n = inf); they still contribute blocks downstream, just no
 certified separation.
 
+Each level's search starts from what the previous level measured: the max of
+its pair distances over this level's close pairs is the sup at the previous
+bandwidth, which caps the search. A cap that meets 2^-n is accepted with no
+factorization; otherwise the first try scales the cap by (0.95 2^-n / sup)^p,
+from the model sup ~ t^(1/p) (the l_2 sup grows like sqrt(t d) at small t,
+and the Mazur map raises it to the power 2/p). Level n then usually accepts
+its first or second try. The search stops, as at level 1, once the accepted
+sup is at least 0.9 2^-n, the bracket is within a factor 1.01, or t is the
+cap; each accepted t is measured exactly.
+
 The bandwidth search needs only the sup over close pairs, and it finds that
 sup without summing most pairs at full width. `eigh` returns eigenvalues in
 ascending order, so the leading image columns carry little row mass, and for
@@ -280,6 +290,16 @@ def _feasible_start(
     return min(T_CAP, -math.log1p(-s_target * s_target / 2.0) / g)
 
 
+def _model_step(t: float, sup: float, eps: float, p: PExponent) -> float:
+    """Bandwidth where sup(t) would reach 0.95 eps, from one infeasible measurement.
+
+    The model is sup ~ t^(1/p): at small t the l_2 sup grows like sqrt(t d),
+    and the Mazur map raises it to the power 2/p. It only aims the next try;
+    that try is measured exactly.
+    """
+    return t * (0.95 * eps / sup) ** p.value
+
+
 def _same_kernel(kernel: np.ndarray, earlier: np.ndarray) -> bool:
     """Whether `kernel` equals `earlier` bit for bit.
 
@@ -326,6 +346,23 @@ def calibrate_level(
     previous.bandwidth_t caps the search, since later levels have tighter
     targets over larger radii.
 
+    With previous, the search starts warm. The max of previous.pair_distances
+    over this level's close pairs is the sup at the cap, measured without a
+    factorization. If it meets 2^-n, the cap is accepted at once, with the
+    previous level's images. Otherwise the cap is the bracket's upper end,
+    and the first try is the model step t_cap (0.95 * 2^-n / sup)^p, never
+    below the envelope start (_feasible_start). The model is sup ~ t^(1/p):
+    at small t the l_2 sup grows like sqrt(t d), and the Mazur map raises it
+    to the power 2/p. Every infeasible try becomes the bracket's new upper
+    end; the first shrink takes the model step and every later one at least
+    halves t, so 200 shrinks still span at least 2^199 before the level is
+    refused. Without previous (level 1), the search starts at the envelope
+    start and grows by factors of 8 until a try misses the target. Either
+    way the bracket is then narrowed by log-log interpolation, and the
+    search stops once the accepted sup is at least 0.9 * 2^-n, the bracket
+    is within a factor 1.01, or t is the cap. No t exceeds the cap, and
+    every accepted t is measured exactly.
+
     No kernel is factored twice. Each bandwidth tried computes its kernel
     matrix first; where that matrix equals, bit for bit, the previous level's
     accepted kernel or the one this level factored last, the images and sup
@@ -334,7 +371,7 @@ def calibrate_level(
     The images are a function of the kernel matrix alone, so the reused
     results are those a new factorization would give, bit for bit. This is
     common where t*d falls below float64 resolution and exp(-t d) is 1.0
-    everywhere, so that halving t leaves the kernel unchanged.
+    everywhere, so that shrinking t leaves the kernel unchanged.
 
     Each bandwidth that is factored measures that sup exactly but sums only
     the close pairs that can hold it at full width (see _split_close_sup): a
@@ -400,27 +437,40 @@ def calibrate_level(
     t_cap = min(previous.bandwidth_t, T_CAP) if previous is not None else T_CAP
     # with no close pair there is no closeness constraint at this radius: the
     # cap maxes out the separation, and the loops below leave it in place
-    t_best = t_cap
+    start = t_cap
     if ci.size:
-        t_best = min(_feasible_start(eps, p, float(d_pairs[close].max()), kernel_kind), t_cap)
+        start = min(_feasible_start(eps, p, float(d_pairs[close].max()), kernel_kind), t_cap)
+    t_bad = None
+    sup_bad = None
+    t_best = start
+    if previous is not None:
+        # warm start: the previous level's sup over these close pairs is the
+        # measurement at the cap, free. Where it misses the target, the cap
+        # is the bracket's upper end and the first try is the model step,
+        # never below the envelope start
+        t_best = t_cap
+        if prev_sup > eps:
+            t_bad, sup_bad = t_cap, prev_sup
+            t_best = max(_model_step(t_cap, prev_sup, eps, p), start)
     sup_best, images = evaluate(t_best)
     shrinks = 0
     while sup_best > eps:
-        # the envelope start is feasible in exact arithmetic; retreat covers
-        # the pathological remainder
-        t_best /= 2.0
+        # every infeasible try is the bracket's new upper end; the first
+        # shrink takes the model step, every later one at least halves t
+        t_bad, sup_bad = t_best, sup_best
+        step = _model_step(t_best, sup_best, eps, p)
+        t_best = min(step, t_best / 2.0) if shrinks else step
         shrinks += 1
-        if shrinks > 200:
+        if shrinks > 200 or not t_best > 0.0:
             raise CalibrationError(
                 f"cannot meet the 2^-{n} closeness target at any bandwidth "
                 f"(space min distance {float(d_pairs.min()):g})"
             )
         sup_best, images = evaluate(t_best)
 
-    # grow toward the largest feasible bandwidth, then sharpen by log-log
-    # interpolation on sup(t); every accepted t is exactly verified
-    t_bad = None
-    sup_bad = None
+    # with no bracket yet (no previous level) grow toward the largest
+    # feasible bandwidth; then sharpen by log-log interpolation on sup(t).
+    # Every accepted t is exactly verified
     while t_bad is None and t_best < t_cap:
         t_try = min(t_best * 8.0, t_cap)
         sup_try, img_try = evaluate(t_try)

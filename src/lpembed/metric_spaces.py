@@ -293,10 +293,14 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 def _parse_space(payload) -> FiniteMetricSpace:
     """Rebuild a space from its JSON form, checking its structure only."""
     try:
+        labels = payload["labels"]
+        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+            # a string would pass as its characters, a number as its str()
+            raise TypeError("labels must be an array of strings")
         meta = dict(payload.get("meta", {}))
         points = meta.pop("points", None)
         return FiniteMetricSpace(
-            labels=tuple(payload["labels"]),
+            labels=tuple(labels),
             dist=np.asarray(payload["dist"], dtype=np.float64),
             points=np.asarray(points, dtype=np.float64) if points is not None else None,
             meta=meta,

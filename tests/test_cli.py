@@ -172,6 +172,8 @@ class TestEmbedReport:
 
 MALFORMED_SPACES = {
     "labels_not_a_list": {"labels": 5, "dist": [[0]]},
+    "labels_a_string": {"labels": "ab", "dist": [[0, 1], [1, 0]]},
+    "labels_numbers": {"labels": [0, 1], "dist": [[0, 1], [1, 0]]},
     "meta_not_a_dict": {"labels": ["a"], "dist": [[0]], "meta": 5},
     "top_level_array": [["a"], [[0]]],
     "top_level_string": "space",

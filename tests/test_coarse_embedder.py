@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpembed import coarse_embedder
 from lpembed.coarse_embedder import (
@@ -21,6 +22,7 @@ from lpembed.coarse_embedder import (
     theoretical_bounds,
 )
 from lpembed.distortion_report import verify_bounds
+from lpembed.kernel_sphere_maps import CalibrationError, NotNegativeType, verify_family
 from lpembed.lp_core import (
     LpVector,
     as_exponent,
@@ -370,3 +372,58 @@ class TestJson:
         payload["images"]["0001"] = payload["images"]["0001"][:-1]
         with pytest.raises(ValueError):
             embedding_from_json(payload, hc4_p1.space)
+
+
+PROPERTY_EXPONENTS = [1.0, 1.3, 2.0, 3.0]
+
+
+@st.composite
+def graph_metrics(draw):
+    """Shortest-path metric of a random connected graph with edge weights 1..4."""
+    n = draw(st.integers(2, 14))
+    w = np.full((n, n), np.inf)
+    np.fill_diagonal(w, 0.0)
+    # a random spanning tree keeps the graph connected; extra edges close cycles
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    for i, j in edges:
+        if i != j:
+            w[i, j] = w[j, i] = draw(st.integers(1, 4))
+    for k in range(n):
+        w = np.minimum(w, w[:, k:k + 1] + w[k:k + 1, :])
+    return FiniteMetricSpace(labels=tuple(map(str, range(n))), dist=w)
+
+
+@st.composite
+def euclidean_clouds(draw):
+    """A random cloud of 1..12 points, scaled by 10^k for k in -3..3."""
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 4))
+    pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, dim))
+    pts *= 10.0 ** draw(st.integers(-3, 3))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    return FiniteMetricSpace(labels=tuple(map(str, range(n))), dist=dist, points=pts)
+
+
+def certify_or_refuse(space, p, kernel_kind):
+    try:
+        embedding = build_embedding(space, p=p, kernel_kind=kernel_kind)
+    except (CalibrationError, NotNegativeType):
+        return
+    assert verify_bounds(embedding) == []
+    assert verify_family(embedding.family) == []
+
+
+class TestCertifyOrRefuse:
+    """Every build either verifies cleanly or raises one of the two documented errors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(space=graph_metrics(), p=st.sampled_from(PROPERTY_EXPONENTS))
+    def test_graph_metrics(self, space, p):
+        certify_or_refuse(space, p, "laplacian")
+
+    @settings(max_examples=40, deadline=None)
+    @given(space=euclidean_clouds(), p=st.sampled_from(PROPERTY_EXPONENTS))
+    def test_euclidean_clouds(self, space, p):
+        certify_or_refuse(space, p, "gaussian")

@@ -484,6 +484,106 @@ class TestKernelReuse:
             calibrate_level(generate("hypercube", 2), 2, 1.0, 1.0, "laplacian", previous=level)
 
 
+WARM_CASES = REUSE_CASES + [(("path", 48), 1.0)]
+# the most factorizations each build may take; a search that restarts every
+# level at the envelope start factors the count in the comment
+FACTOR_CEILINGS = {
+    "gaussian80-p1.3": 21,  # 43
+    # 23; level 1 has no previous level and keeps its 5 tries, while
+    # levels 2-10 each accept their first try, so half is out of reach
+    "gaussian80-p3.0": 14,
+    "hypercube6-p2.0": 16,  # 33
+    "cycle64-p1.0": 139,  # 278
+    "path48-p1.0": 177,  # 354; refuses at level 47
+}
+
+
+def case_id(case):
+    (kind, param), p = case
+    return f"{kind}{param}-p{p}"
+
+
+def trace_levels(monkeypatch):
+    """(level, bandwidths tried for it) per calibrated level, in order.
+
+    The bandwidths are those whose kernel matrix calibration computed,
+    whether factored or reused, the cap included.
+    """
+    levels, tried = [], []
+    real_level, real_kernel = kernel_sphere_maps.calibrate_level, kernel_sphere_maps.kernel_matrix
+
+    def spy_level(*args, **kwargs):
+        tried.append([])
+        level = real_level(*args, **kwargs)
+        levels.append(level)
+        return level
+
+    def spy_kernel(space, t, kind):
+        if tried:
+            tried[-1].append(t)
+        return real_kernel(space, t, kind)
+
+    monkeypatch.setattr(kernel_sphere_maps, "calibrate_level", spy_level)
+    monkeypatch.setattr(kernel_sphere_maps, "kernel_matrix", spy_kernel)
+    return levels, tried
+
+
+def build_or_refuse(case):
+    args = default_family_args(case[0][0], case[0][1], case[1])
+    if case in REFUSAL_CASES:
+        with pytest.raises(CalibrationError, match="closeness target"):
+            build_level_family(*args)
+    else:
+        build_level_family(*args)
+    return args
+
+
+class TestWarmStart:
+    """Each level's search starts from what the previous level measured."""
+
+    @pytest.mark.parametrize("case", WARM_CASES, ids=case_id)
+    def test_factorization_ceiling(self, case, monkeypatch):
+        calls = spy_factor(monkeypatch)
+        build_or_refuse(case)
+        assert len(calls) <= FACTOR_CEILINGS[case_id(case)]
+
+    @pytest.mark.parametrize("case", WARM_CASES, ids=case_id)
+    def test_every_level_keeps_the_stopping_rule(self, case, monkeypatch):
+        levels, tried = trace_levels(monkeypatch)
+        X, _, p, _, kernel_kind = build_or_refuse(case)
+        assert len(levels) >= 8
+        cap = kernel_sphere_maps.T_CAP
+        for level, ts in zip(levels, tried):
+            eps = 2.0 ** -level.level_n
+            assert max(ts) <= cap
+            assert level.bandwidth_t <= cap
+            assert level.epsilon_n <= eps
+            if level.epsilon_n < 0.9 * eps and level.bandwidth_t != cap:
+                # stopped on the bracket: the smallest bandwidth tried above
+                # the accepted one is within 1% of it and misses the target
+                top = min(t for t in ts if t > level.bandwidth_t)
+                assert top <= 1.01 * level.bandwidth_t
+                images = kernel_sphere_maps._transported_images(X, top, kernel_kind, as_exponent(p))
+                assert measure_conditions(images, X, level.level_n, math.inf, p)[0] > eps
+            cap = level.bandwidth_t
+
+    def test_cap_meeting_the_target_factors_no_kernel(self, monkeypatch):
+        # level 3's bandwidth keeps pairs within 3 under 2^-3, so it already
+        # meets level 2's target on the pairs within 2
+        X = generate("cycle", 16)
+        third = calibrate_level(X, 3, 1.0, 1.0, "laplacian")
+        calls = spy_factor(monkeypatch)
+        scans = spy_scans(monkeypatch)
+        second = calibrate_level(X, 2, 1.0, 1.0, "laplacian", previous=third)
+        assert calls == []
+        assert scans == []
+        assert second.bandwidth_t == third.bandwidth_t
+        assert second.images is third.images
+        assert second.pair_distances is third.pair_distances
+        assert second.epsilon_n == measure_conditions(third.images, X, 2, math.inf, 1.0)[0]
+        assert second.epsilon_n <= 0.25
+
+
 def loop_threshold(d_sorted, pair_d_sorted, delta_half, s_floor):
     """S_n by walking the distinct distances in ascending order."""
     suffix_inf = np.minimum.accumulate(pair_d_sorted[::-1])[::-1]
