@@ -6,6 +6,13 @@ v_x = row_x(U sqrt(w)) with <v_x, v_y> = K(x,y), hence
 
     ||v_x - v_y||_2 = sqrt(2 (1 - K(x,y))).
 
+Only the r eigenpairs above eigh's backward error n * eps * lambda_max are
+kept, so each level's images are (n, r), r the kernel's numerical rank, and
+the Mazur map, the pair scans and the JSON blocks all work at that width.
+Where t * d falls below float64 resolution, K is all-ones plus noise and
+factors to one column: the constant map, which meets any closeness target
+exactly.
+
 Level n wants a sphere map into l_p whose image distances are at most 2^-n on
 pairs with d <= n, while staying at least delta/2 apart beyond some threshold
 S_n. `calibrate_level` finds the largest bandwidth t meeting the closeness
@@ -117,12 +124,19 @@ def kernel_matrix(space: FiniteMetricSpace, t: float, kernel_kind: str) -> np.nd
 
 
 def build_sphere_map(space: FiniteMetricSpace, t: float, kernel_kind: str) -> np.ndarray:
-    """Factor the kernel into per-point unit vectors of l_2^{|X|}.
+    """Factor the kernel into per-point unit vectors of l_2^r, r its numerical rank.
 
-    Returns an (n, n) array whose rows are the images. Eigenvalues in
-    [-EIG_REL_TOL * lambda_max, 0) are clipped to zero; anything more negative
-    raises NotNegativeType. Rows are renormalized to exact unit length after
-    clipping, so the Gram matrix is reproduced entrywise to 1e-8.
+    Returns an (n, r) array whose rows are the images: one column per
+    eigenvalue above the floor n * eps * lambda_max (eps the float64 machine
+    epsilon), which is the backward error of `eigh`, so the eigenvalues at or
+    below it carry no information about K. An eigenvalue below
+    -EIG_REL_TOL * lambda_max raises NotNegativeType. The dropped eigenpairs
+    together move each Gram entry by at most the largest dropped
+    |eigenvalue|, at most max(n * eps, EIG_REL_TOL) * lambda_max; with the
+    rows renormalized to exact unit length, the Gram matrix is reproduced
+    entrywise to 1e-8. A kernel below the floor everywhere but its top
+    eigenvalue (t * d under float64 resolution, exp(-t d) = 1.0) factors to
+    one column and the constant map.
     """
     K = kernel_matrix(space, t, kernel_kind)
     w, U = np.linalg.eigh(K)
@@ -134,7 +148,9 @@ def build_sphere_map(space: FiniteMetricSpace, t: float, kernel_kind: str) -> np
             f"{kernel_kind} kernel at t={t:g} is not of negative type on this space: "
             f"eigenvalue {lam_min:.6e} < {floor:.3e}"
         )
-    V = U * np.sqrt(np.clip(w, 0.0, None))
+    # eigh returns w ascending, so the kept eigenpairs are its last r
+    first = int(np.searchsorted(w, space.n * np.finfo(np.float64).eps * lam_max, side="right"))
+    V = U[:, first:] * np.sqrt(w[first:])
     V /= row_pnorms(V, 2.0)[:, None]
     return V
 
@@ -278,7 +294,16 @@ def _feasible_start(
     at the largest close source distance d (the kernel is monotone). Pushing s
     through the Mazur upper envelope and solving for t gives a start point that
     cannot overshoot; the search then only has to grow t.
+
+    At p = 2 the envelope is the identity and that t is the exact optimum, so
+    the measured sup lands on the target up to the factorization's rounding
+    and can round above it (cycle(8), level 1: 0.5000000000000006). The
+    images reproduce K to within a few n * eps * lambda_max (see
+    build_sphere_map), a relative error of about 1e-15 on the sup of a
+    small space and below 1e-10 at 256 points; the start aims 1e-9 under
+    the target, which clears that and moves t by about 2e-9.
     """
+    eps = eps * (1.0 - 1e-9)
     if p.value > 2.0:
         b = mazur_bounds(2.0, p)
         s_target = (eps / b.constant_c) ** (p.value / 2.0)
