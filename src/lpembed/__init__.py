@@ -7,21 +7,11 @@ threshold S_n), and stack the base-point-offset levels into a block embedding
 whose compression/expansion envelopes are certified pair by pair.
 """
 
-from .lp_core import (
-    BlockVector,
-    LpVector,
-    PExponent,
-    block_distance_p,
-    block_norm_p,
-    distance_p,
-    norm_p,
-    normalize,
-)
+from .lp_core import PExponent
 from .mazur import (
     MazurBounds,
     RatioSample,
     mazur_bounds,
-    mazur_map,
     sample_ratio_extremes,
 )
 from .metric_spaces import (
@@ -66,16 +56,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PExponent",
-    "LpVector",
-    "BlockVector",
-    "norm_p",
-    "distance_p",
-    "normalize",
-    "block_norm_p",
-    "block_distance_p",
     "MazurBounds",
     "RatioSample",
-    "mazur_map",
     "mazur_bounds",
     "sample_ratio_extremes",
     "FiniteMetricSpace",

@@ -28,9 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .lp_core import (
-    BlockVector,
     ExponentLike,
-    LpVector,
     PExponent,
     abs_power,
     as_exponent,
@@ -82,8 +80,8 @@ class CoarseEmbedding:
         with_images = [level.images is not None for level in self.family.levels]
         if not (all(with_images) if self.loaded_blocks is None else not any(with_images)):
             raise ValueError("an embedding's images come from exactly one source: its levels or loaded image blocks")
-        if not 0 <= self.base_index < self.space.n:
-            raise ValueError(f"base index {self.base_index} out of range")
+        if not (_is_index(self.base_index) and 0 <= self.base_index < self.space.n):
+            raise ValueError(f"base index must be an integer point index in 0..{self.space.n - 1}, got {self.base_index!r}")
         if self.loaded_blocks is not None:
             blocks = [np.asarray(b, dtype=np.float64) for b in self.loaded_blocks]
             if not blocks or any(b.ndim != 2 or b.shape[0] != self.space.n for b in blocks):
@@ -158,6 +156,11 @@ def default_kernel_kind(space: FiniteMetricSpace) -> str:
     return "gaussian" if space.meta.get("kind") == "gaussian" else "laplacian"
 
 
+def _is_index(value) -> bool:
+    """An integer point index: an int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def build_embedding(
     space: FiniteMetricSpace,
     p: ExponentLike,
@@ -176,18 +179,17 @@ def build_embedding(
     level_count = int(level_count)
     if not 1 <= level_count <= MAX_LEVELS:
         raise ValueError(f"level count must be in 1..{MAX_LEVELS}, got {level_count}")
-    base_index = int(base_index)
-    if not 0 <= base_index < space.n:
-        raise ValueError(f"base index {base_index} out of range for {space.n} points")
+    if not (_is_index(base_index) and 0 <= base_index < space.n):
+        raise ValueError(f"base index must be an integer point index in 0..{space.n - 1}, got {base_index!r}")
 
     return CoarseEmbedding(
         family=build_level_family(space, level_count, pe, float(delta), kernel_kind),
-        base_index=base_index,
+        base_index=int(base_index),
     )
 
 
 def _point_index(embedding: CoarseEmbedding, point: Union[int, str]) -> int:
-    if isinstance(point, (int, np.integer)):
+    if _is_index(point):
         idx = int(point)
         if not 0 <= idx < embedding.space.n:
             raise KeyError(f"point index {idx} out of range")
@@ -195,10 +197,14 @@ def _point_index(embedding: CoarseEmbedding, point: Union[int, str]) -> int:
     return embedding.space.index_of(point)
 
 
-def evaluate(embedding: CoarseEmbedding, point: Union[int, str]) -> BlockVector:
-    """The stored image of a point, as a block vector (deterministic lookup)."""
+def evaluate(embedding: CoarseEmbedding, point: Union[int, str]) -> tuple:
+    """The stored image of a point: one read-only row per level, in level order.
+
+    The rows are views of the embedding's blocks, not copies. A point is a
+    label or an integer index (a bool is neither).
+    """
     idx = _point_index(embedding, point)
-    return BlockVector(tuple(LpVector(block[idx]) for block in embedding.blocks))
+    return tuple(block[idx] for block in embedding.blocks)
 
 
 def theoretical_bounds(embedding: CoarseEmbedding, d) -> tuple:
@@ -321,7 +327,7 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
     try:
         pe = as_exponent(float(payload["p"]))
         base = payload["base"]
-        if isinstance(base, bool) or not isinstance(base, int):
+        if not _is_index(base):
             raise ValueError(f"base must be an integer point index, got {base!r}")
         delta = float(payload["delta"])
         levels = tuple(

@@ -196,7 +196,8 @@ class SphereMapLevel:
     transport. pair_distances is that measurement, kept read-only, over all
     pairs i < j in condensed (np.triu_indices) order; the embedding's
     verification and profile reuse it instead of rescanning. A level read
-    back from JSON carries neither array, and neither enters the repr.
+    back from JSON carries neither array, and neither enters the repr. Both
+    arrays, when given, must be finite.
     """
 
     level_n: int
@@ -207,6 +208,13 @@ class SphereMapLevel:
     kernel_kind: str
     images: Optional[np.ndarray] = field(default=None, repr=False)
     pair_distances: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("images", "pair_distances"):
+            arr = getattr(self, name)
+            if arr is not None and not np.isfinite(arr).all():
+                # a NaN distance would pass every certificate comparison
+                raise ValueError(f"level {self.level_n}: {name} must be finite (no NaN/inf)")
 
     @property
     def saturated(self) -> bool:

@@ -1,11 +1,12 @@
-"""Dense lp vector arithmetic with strict numeric contracts.
+"""lp norms of float64 arrays: one power kernel and the row and pair scans built on it.
 
-All norms go through one zero-guarded power kernel and exact compensated
-summation (math.fsum), so that unit-sphere membership, triangle inequalities
-and scaling identities hold to 1e-12 even at dimension 10^4+. Batch helpers
-(row_pnorms, pairwise_pnorm_all) trade the exact accumulator for numpy's
-pairwise summation, which stays far below the tolerances used by any caller of
-the batch paths.
+Every norm lpembed computes is the p-norm of a row or of a row difference.
+All go through one zero-guarded power kernel (_abs_power_inplace) and numpy's
+pairwise summation: row_pnorms for rows, pairwise_power_sums_all and
+pairwise_pnorm_all for all row pairs, pair_subset_power_sums for listed pairs.
+No max-rescaling is applied: the rows lpembed passes hold entries of order
+one (unit-sphere images, their differences and stacks, Gaussian samples),
+far from float64 underflow and overflow.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ import numpy as np
 
 __all__ = [
     "PExponent",
-    "LpVector",
-    "BlockVector",
     "as_exponent",
     "abs_power",
-    "norm_p",
-    "distance_p",
-    "normalize",
-    "block_norm_p",
-    "block_distance_p",
     "row_pnorms",
     "pairwise_pnorm_all",
     "pairwise_power_sums_all",
@@ -57,81 +51,6 @@ def as_exponent(p: ExponentLike) -> PExponent:
     if isinstance(p, PExponent):
         return p
     return PExponent(float(p))
-
-
-def _as_coeff_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"coefficients must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("coefficient sequence must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coefficients must all be finite (no NaN/inf)")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class LpVector:
-    """Finite real coefficient sequence; the concrete stand-in for a point of lp.
-
-    The zero vector is representable; unit-sphere membership is checked by the
-    operations that require it, not by the type.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _as_coeff_array(self.coeffs).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __len__(self) -> int:
-        return self.coeffs.size
-
-    def __sub__(self, other: "LpVector") -> "LpVector":
-        if not isinstance(other, LpVector):
-            return NotImplemented
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return LpVector(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "LpVector":
-        return LpVector(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0.0))
-
-
-@dataclass(frozen=True, eq=False)
-class BlockVector:
-    """Element of a p-direct sum: an ordered list of lp blocks.
-
-    The p-norm of the whole is (sum_n ||block_n||_p^p)^(1/p); block boundaries
-    are preserved so per-level contributions stay inspectable.
-    """
-
-    blocks: tuple
-
-    def __post_init__(self) -> None:
-        blocks = tuple(self.blocks)
-        if not blocks:
-            raise ValueError("a block vector needs at least one block")
-        for b in blocks:
-            if not isinstance(b, LpVector):
-                raise TypeError(f"blocks must be LpVector, got {type(b).__name__}")
-        object.__setattr__(self, "blocks", blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __sub__(self, other: "BlockVector") -> "BlockVector":
-        if not isinstance(other, BlockVector):
-            return NotImplemented
-        if len(self) != len(other):
-            raise ValueError(f"block count mismatch: {len(self)} vs {len(other)}")
-        return BlockVector(tuple(a - b for a, b in zip(self.blocks, other.blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,51 +93,7 @@ def abs_power(values: np.ndarray, p: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# contract operations (exact accumulation)
-# ---------------------------------------------------------------------------
-
-def norm_p(x: LpVector, p: ExponentLike) -> float:
-    """(sum_i |x_i|^p)^(1/p); zero exactly on the zero vector.
-
-    The sum is taken over coefficients rescaled by max|x_i|, so the result
-    neither underflows to zero on a nonzero input nor overflows on a finite
-    one: the largest coordinate always contributes exactly 1.
-    """
-    pv = as_exponent(p).value
-    scale = float(np.abs(x.coeffs).max())
-    if scale == 0.0:
-        return 0.0
-    total = math.fsum(abs_power(x.coeffs / scale, pv).tolist())
-    return scale * total ** (1.0 / pv)
-
-
-def distance_p(x: LpVector, y: LpVector, p: ExponentLike) -> float:
-    """p-norm of x - y; raises on length mismatch."""
-    return norm_p(x - y, p)
-
-
-def normalize(x: LpVector, p: ExponentLike) -> LpVector:
-    """Project onto the unit sphere of lp; the zero vector has no direction."""
-    n = norm_p(x, p)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return LpVector(x.coeffs / n)
-
-
-def block_norm_p(x: BlockVector, p: ExponentLike) -> float:
-    """p-norm of a block vector: (sum_n ||block_n||_p^p)^(1/p).
-
-    Equals norm_p of the concatenated coefficients, which is how it is computed.
-    """
-    return norm_p(LpVector(np.concatenate([b.coeffs for b in x.blocks])), p)
-
-
-def block_distance_p(x: BlockVector, y: BlockVector, p: ExponentLike) -> float:
-    return block_norm_p(x - y, p)
-
-
-# ---------------------------------------------------------------------------
-# batch helpers (numpy pairwise summation)
+# row and pair scans (numpy pairwise summation)
 # ---------------------------------------------------------------------------
 
 def row_pnorms(rows: np.ndarray, p: ExponentLike) -> np.ndarray:

@@ -18,19 +18,11 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .lp_core import (
-    ExponentLike,
-    LpVector,
-    abs_power,
-    as_exponent,
-    norm_p,
-    row_pnorms,
-)
+from .lp_core import ExponentLike, abs_power, as_exponent, row_pnorms
 
 __all__ = [
     "SPHERE_TOL",
     "signed_power",
-    "mazur_map",
     "mazur_map_rows",
     "MazurBounds",
     "mazur_bounds",
@@ -51,28 +43,18 @@ def signed_power(values: np.ndarray, theta: float) -> np.ndarray:
     return abs_power(values, theta) * np.sign(values)
 
 
-def mazur_map(x: LpVector, p: ExponentLike, q: ExponentLike) -> LpVector:
-    """Map a unit vector of lp onto the unit sphere of lq.
+def mazur_map_rows(rows: np.ndarray, p: ExponentLike, q: ExponentLike) -> np.ndarray:
+    """Map each row, a unit vector of lp, onto the unit sphere of lq.
 
-    Requires ||x||_p = 1 within SPHERE_TOL; the input is renormalized before
-    the coordinate powers are applied, so the image lands on S(lq) to 1e-12.
+    Every row must have ||x||_p = 1 within SPHERE_TOL (a NaN norm fails too);
+    rows are renormalized before the coordinate powers are applied, so the
+    images land on S(lq) to 1e-12.
     """
     pe, qe = as_exponent(p), as_exponent(q)
-    n = norm_p(x, pe)
-    if abs(n - 1.0) > SPHERE_TOL:
-        raise ValueError(f"input is off the unit sphere of l_{pe.value:g}: ||x||_p = {n!r}")
-    coeffs = x.coeffs / n
-    if pe.value == qe.value:
-        return LpVector(coeffs)
-    return LpVector(signed_power(coeffs, pe.value / qe.value))
-
-
-def mazur_map_rows(rows: np.ndarray, p: ExponentLike, q: ExponentLike) -> np.ndarray:
-    """Vectorized mazur_map over the rows of a matrix of unit p-vectors."""
-    pe, qe = as_exponent(p), as_exponent(q)
     norms = row_pnorms(rows, pe)
-    if np.any(np.abs(norms - 1.0) > SPHERE_TOL):
-        worst = float(np.abs(norms - 1.0).max())
+    off = np.abs(norms - 1.0)
+    if not np.all(off <= SPHERE_TOL):
+        worst = float(off.max())  # nan when a row's norm is nan
         raise ValueError(f"rows are off the unit sphere of l_{pe.value:g} by up to {worst:.3e}")
     unit = rows / norms[:, None]
     if pe.value == qe.value:

@@ -1,9 +1,19 @@
-"""Embeddings shared by the test modules that compare certification paths."""
+"""Shared test helpers: the extended-precision l_p oracle and the embeddings
+that the certification-path comparisons share."""
 
+import mpmath
 import pytest
 
 from lpembed.coarse_embedder import build_embedding
 from lpembed.metric_spaces import generate
+
+
+def mp_pnorm(row, p) -> float:
+    """(sum_i |x_i|^p)^(1/p) of a float row, summed with mpmath.fsum at 50 digits."""
+    with mpmath.workdps(50):
+        total = mpmath.fsum(abs(mpmath.mpf(float(x))) ** p for x in row)
+        return float(total ** (1 / mpmath.mpf(p)))
+
 
 BUILDS = {
     "hc4_p1": (("hypercube", 4), 1.0, {}),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import mp_pnorm
 from lpembed import coarse_embedder
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
@@ -23,14 +24,7 @@ from lpembed.coarse_embedder import (
 )
 from lpembed.distortion_report import empirical_profile, verify_bounds
 from lpembed.kernel_sphere_maps import NotNegativeType, verify_family
-from lpembed.lp_core import (
-    LpVector,
-    as_exponent,
-    block_distance_p,
-    block_norm_p,
-    distance_p,
-    pairwise_power_sums_all,
-)
+from lpembed.lp_core import as_exponent, pairwise_power_sums_all
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
 
@@ -51,27 +45,29 @@ def two_point(d=1.0):
 class TestBuild:
     def test_base_image_is_zero(self, hc4_p1):
         base = evaluate(hc4_p1, hc4_p1.base_index)
-        assert block_norm_p(base, 1.0) == 0.0
+        assert all(not row.any() for row in base)
 
     def test_block_count_equals_level_count(self, hc4_p1):
         img = evaluate(hc4_p1, 5)
         assert len(img) == hc4_p1.level_count
+        assert tuple(row.shape for row in img) == tuple((w,) for w in hc4_p1.block_dims)
+        assert all(not row.flags.writeable for row in img)
 
     def test_single_level_two_point_distance_is_level_distance(self):
         E = build_embedding(two_point(), p=2.0, level_count=1)
-        img_a, img_b = evaluate(E, "a"), evaluate(E, "b")
-        got = block_distance_p(img_a, img_b, 2.0)
+        (img_a,), (img_b,) = evaluate(E, "a"), evaluate(E, "b")
+        got = mp_pnorm(img_a - img_b, 2.0)
         lvl = E.family.levels[0]
-        expected = distance_p(LpVector(lvl.images[0]), LpVector(lvl.images[1]), 2.0)
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert got == pytest.approx(lvl.pair_distances[0], abs=1e-12)
+        assert got == pytest.approx(mp_pnorm(lvl.images[0] - lvl.images[1], 2.0), abs=1e-12)
 
     def test_blocks_reproduce_family_offsets(self, hc4_p1):
         rng = np.random.default_rng(0)
         for idx in rng.integers(0, 16, size=5):
             img = evaluate(hc4_p1, int(idx))
-            for lvl, block in zip(hc4_p1.family.levels, img.blocks):
+            for lvl, row in zip(hc4_p1.family.levels, img):
                 expected = lvl.images[idx] - lvl.images[hc4_p1.base_index]
-                assert np.abs(block.coeffs - expected).max() <= 1e-12
+                assert np.abs(row - expected).max() <= 1e-12
 
     def test_default_level_count(self):
         assert default_level_count(generate("hypercube", 4)) == 6
@@ -86,6 +82,14 @@ class TestBuild:
     def test_base_index_range(self):
         with pytest.raises(ValueError):
             build_embedding(two_point(), p=1.0, base_index=2)
+        # only integers are point indices, though int() would take each of these
+        for bad in (True, np.True_, 1.7, 1.0, np.float64(0.5)):
+            with pytest.raises(ValueError, match="integer point index"):
+                build_embedding(two_point(), p=1.0, base_index=bad)
+        E = build_embedding(two_point(), p=1.0)
+        for bad in (True, 1.0, 2):
+            with pytest.raises(ValueError, match="integer point index"):
+                dataclasses.replace(E, base_index=bad)
 
     def test_invalid_space_rejected(self):
         broken = FiniteMetricSpace(
@@ -111,6 +115,9 @@ class TestBuild:
             evaluate(hc4_p1, "no-such-label")
         with pytest.raises(KeyError):
             evaluate(hc4_p1, 99)
+        for bad in (True, np.True_, False):
+            with pytest.raises(KeyError):
+                evaluate(hc4_p1, bad)
 
 
 class TestEnvelopes:
@@ -150,15 +157,15 @@ class TestEnvelopes:
         assert rho2 == math.inf
 
     def test_hc6_sandwich_via_exhaustive_scan(self, hc6_p1):
-        # independent route: rebuild every pairwise distance from the block
-        # vectors via the exact contract arithmetic, then check the envelopes
+        # independent route: rebuild pairwise distances from the evaluated
+        # per-level rows with the 50-digit oracle, then check the envelopes
         E = hc6_p1
         n = E.space.n
-        images = [evaluate(E, i) for i in range(n)]
+        images = [np.concatenate(evaluate(E, i)) for i in range(n)]
         ii, jj, d_src, engine = pairwise_image_distances(E)
         for k in range(0, ii.size, 97):  # stride keeps the exact route cheap
             i, j = int(ii[k]), int(jj[k])
-            exact = block_distance_p(images[i], images[j], 1.0)
+            exact = mp_pnorm(images[i] - images[j], 1.0)
             assert engine[k] == pytest.approx(exact, rel=1e-10, abs=1e-12)
         rho1, rho2 = theoretical_bounds(E, d_src)
         assert np.all(engine <= rho2 + 1e-9)
@@ -282,8 +289,8 @@ class TestSingleCopy:
         for idx in range(E.space.n):
             mine, theirs = evaluate(E, idx), evaluate(back, idx)
             assert len(mine) == len(theirs) == E.level_count
-            for a, b in zip(mine.blocks, theirs.blocks):
-                assert np.array_equal(a.coeffs.view(np.uint64), b.coeffs.view(np.uint64))
+            for a, b in zip(mine, theirs):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
     def test_delta_must_be_finite_positive(self, hc4_p1, delta):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lpembed import kernel_sphere_maps
-from lpembed.coarse_embedder import default_kernel_kind, default_level_count
+from lpembed.coarse_embedder import build_embedding, default_kernel_kind, default_level_count
 from lpembed.kernel_sphere_maps import (
     CalibrationError,
     NotNegativeType,
@@ -208,6 +208,22 @@ class TestFamily:
         bare = replace(fam, levels=tuple(replace(level, images=None, pair_distances=None) for level in fam.levels))
         with pytest.raises(ValueError, match="no images to verify"):
             verify_family(bare)
+
+    def test_nan_images_rejected(self):
+        # every comparison verify_family makes is False on a NaN row, so it would report nothing
+        E = build_embedding(generate("cycle", 8), p=1.0)
+        level = E.family.levels[0]
+        images = level.images.copy()
+        images[3] = math.nan
+        with pytest.raises(ValueError, match="level 1: images must be finite"):
+            replace(level, images=images)
+
+    def test_nan_pair_distances_rejected(self):
+        # verify_bounds sums these into every pair's image distance; NaN passes both envelopes
+        E = build_embedding(generate("cycle", 8), p=1.0)
+        level = E.family.levels[0]
+        with pytest.raises(ValueError, match="level 1: pair_distances must be finite"):
+            replace(level, pair_distances=np.full_like(level.pair_distances, math.nan))
 
     def test_gaussian_space_with_gaussian_kernel(self):
         X = generate("gaussian", 40, seed=3)

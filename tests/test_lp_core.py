@@ -1,4 +1,4 @@
-"""lp_core contracts: the power kernel, norms, distances, normalization, direct sums."""
+"""lp_core: the power kernel, row norms, pair distances, normalization, direct sums."""
 
 import math
 
@@ -6,30 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import mp_pnorm
 from lpembed import lp_core
+from lpembed.coarse_embedder import build_embedding, embedding_from_json, embedding_to_json
 from lpembed.lp_core import (
-    BlockVector,
-    LpVector,
     PExponent,
     abs_power,
-    block_norm_p,
-    distance_p,
-    norm_p,
-    normalize,
     pair_subset_power_sums,
     pairwise_pnorm_all,
     pairwise_power_sums_all,
     row_pnorms,
 )
+from lpembed.mazur import mazur_map_rows
+from lpembed.metric_spaces import generate
 
 # extended-precision oracle values (mpmath, 50 digits):
 #   sum |x_i|^1.5 for x = (0.3, -0.4, 0.5, 0.1) and its 1/1.5 root
 NORM_15_POWER_SUM = 0.80247514725997773611741353489161
 NORM_15 = 0.86355047505875975647512620754155
-
-
-def vec(*coords):
-    return LpVector(np.array(coords, dtype=float))
 
 
 class TestPExponent:
@@ -96,169 +90,142 @@ class TestPowerKernel:
                 k += 1
 
 
-class TestLpVector:
-    def test_rejects_nan_inf_empty(self):
-        with pytest.raises(ValueError):
-            LpVector(np.array([1.0, math.nan]))
-        with pytest.raises(ValueError):
-            LpVector(np.array([math.inf]))
-        with pytest.raises(ValueError):
-            LpVector(np.array([]))
-
-    def test_zero_vector_representable(self):
-        z = vec(0.0, 0.0)
-        assert z.is_zero()
-        assert norm_p(z, 2) == 0.0
-
-    def test_immutable(self):
-        x = vec(1.0, 2.0)
-        with pytest.raises(ValueError):
-            x.coeffs[0] = 5.0
-
-    def test_subtraction_length_mismatch(self):
-        with pytest.raises(ValueError):
-            vec(1.0, 2.0) - vec(1.0, 2.0, 3.0)
-
-
 class TestNorm:
     def test_unit_coordinate(self):
-        assert norm_p(vec(1, 0, 0), 2) == 1.0
+        assert row_pnorms(np.array([[1.0, 0.0, 0.0]]), 2)[0] == 1.0
 
     def test_l1_sum(self):
-        assert norm_p(vec(1, 1), 1) == 2.0
+        assert row_pnorms(np.array([[1.0, 1.0]]), 1)[0] == 2.0
 
     def test_fractional_exponent_matches_oracle(self):
-        x = vec(0.3, -0.4, 0.5, 0.1)
-        assert norm_p(x, 1.5) == pytest.approx(NORM_15, abs=1e-15)
-        assert math.fsum(abs(c) ** 1.5 for c in x.coeffs) == pytest.approx(
-            NORM_15_POWER_SUM, abs=1e-15
-        )
+        x = np.array([0.3, -0.4, 0.5, 0.1])
+        assert row_pnorms(x[None], 1.5)[0] == pytest.approx(NORM_15, abs=1e-15)
+        assert abs_power(x, 1.5).sum() == pytest.approx(NORM_15_POWER_SUM, abs=1e-15)
+        assert mp_pnorm(x, 1.5) == pytest.approx(NORM_15, abs=1e-15)
 
     def test_zero_iff_zero_vector(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            x = LpVector(rng.standard_normal(5))
-            assert (norm_p(x, 1.5) == 0.0) == x.is_zero()
-
-    def test_extreme_magnitudes_no_underflow_or_overflow(self):
-        tiny = vec(1e-300, 0.0)
-        assert norm_p(tiny, 1.5) == pytest.approx(1e-300, rel=1e-12)
-        huge = vec(1e300, -1e300)
-        assert norm_p(huge, 2) == pytest.approx(math.sqrt(2) * 1e300, rel=1e-12)
-        assert math.isfinite(norm_p(huge, 3))
+        rows = np.random.default_rng(3).standard_normal((50, 5))
+        rows[::7] = 0.0
+        zero_rows = np.all(rows == 0.0, axis=1)
+        np.testing.assert_array_equal(row_pnorms(rows, 1.5) == 0.0, zero_rows)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.5, 3.0])
     def test_homogeneity(self, p, alpha):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            x = LpVector(rng.standard_normal(24))
-            assert norm_p(alpha * x, p) == pytest.approx(abs(alpha) * norm_p(x, p), abs=1e-12)
+        rows = np.random.default_rng(11).standard_normal((40, 24))
+        np.testing.assert_allclose(row_pnorms(alpha * rows, p), abs(alpha) * row_pnorms(rows, p), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_triangle_inequality_1000_triples(self, p):
         rng = np.random.default_rng(int(p * 17))
         for _ in range(1000):
-            a, b, c = (LpVector(rng.uniform(-1, 1, 12)) for _ in range(3))
-            assert distance_p(a, c, p) <= distance_p(a, b, p) + distance_p(b, c, p) + 1e-12
+            # condensed order: d(a,b), d(a,c), d(b,c)
+            ab, ac, bc = pairwise_pnorm_all(rng.uniform(-1, 1, (3, 12)), p)
+            assert ac <= ab + bc + 1e-12
 
     def test_monotone_in_p_on_unit_cube(self):
-        rng = np.random.default_rng(5)
+        rows = np.random.default_rng(5).uniform(-1, 1, (100, 16))
         grid = [1.0, 1.3, 1.5, 2.0, 2.5, 3.0, 4.0]
-        for _ in range(100):
-            x = LpVector(rng.uniform(-1, 1, 16))
-            norms = [norm_p(x, p) for p in grid]
-            for lo, hi in zip(norms, norms[1:]):
-                assert hi <= lo + 1e-12
+        norms = [row_pnorms(rows, p) for p in grid]
+        for lo, hi in zip(norms, norms[1:]):
+            assert np.all(hi <= lo + 1e-12)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32))
     @settings(max_examples=200, deadline=None)
     def test_norm_nonnegative_and_bounded_by_l1(self, coords):
-        x = LpVector(np.array(coords, dtype=float))
-        n2 = norm_p(x, 2)
+        x = np.array([coords], dtype=float)
+        n1, n2 = row_pnorms(x, 1)[0], row_pnorms(x, 2)[0]
         assert n2 >= 0.0
-        assert n2 <= norm_p(x, 1) + 1e-9 * max(1.0, norm_p(x, 1))
+        assert n2 <= n1 + 1e-9 * max(1.0, n1)
 
 
 class TestDistance:
     def test_identity(self):
-        x = vec(0.2, -0.7, 1.0)
-        assert distance_p(x, x, 2) == 0.0
+        x = np.array([0.2, -0.7, 1.0])
+        assert pairwise_pnorm_all(np.stack([x, x]), 2)[0] == 0.0
 
     def test_orthonormal_pair(self):
-        assert distance_p(vec(1, 0), vec(0, 1), 2) == pytest.approx(math.sqrt(2), abs=1e-15)
+        assert pairwise_pnorm_all(np.eye(2), 2)[0] == pytest.approx(math.sqrt(2), abs=1e-15)
 
     def test_matches_coordinate_oracle_l1(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            x = normalize(LpVector(rng.standard_normal(40)), 1)
-            y = normalize(LpVector(rng.standard_normal(40)), 1)
-            oracle = math.fsum(abs(a - b) for a, b in zip(x.coeffs, y.coeffs))
-            assert distance_p(x, y, 1) == pytest.approx(oracle, abs=1e-14)
+            rows = rng.standard_normal((2, 40))
+            rows /= row_pnorms(rows, 1)[:, None]
+            oracle = math.fsum(np.abs(rows[0] - rows[1]).tolist())
+            assert pairwise_pnorm_all(rows, 1)[0] == pytest.approx(oracle, abs=1e-14)
 
     def test_symmetry(self):
-        x, y = vec(1.0, 2.5, -3.0), vec(0.0, 1.0, 4.0)
-        assert distance_p(x, y, 1.5) == distance_p(y, x, 1.5)
+        x, y = [1.0, 2.5, -3.0], [0.0, 1.0, 4.0]
+        assert pairwise_pnorm_all(np.array([x, y]), 1.5)[0] == pairwise_pnorm_all(np.array([y, x]), 1.5)[0]
 
 
 class TestNormalize:
+    """Rows divided by their row_pnorms lie on the unit sphere; a zero row has no direction."""
+
     @pytest.mark.parametrize(
         "coords,p,expected",
         [((2, 0), 2, (1, 0)), ((1, 1), 1, (0.5, 0.5)), ((3, 4), 2, (0.6, 0.8))],
     )
     def test_examples(self, coords, p, expected):
-        out = normalize(vec(*coords), p)
-        np.testing.assert_allclose(out.coeffs, expected, atol=1e-15)
+        rows = np.array([coords], dtype=float)
+        np.testing.assert_allclose(rows / row_pnorms(rows, p)[:, None], [expected], atol=1e-15)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(vec(0, 0, 0), 2)
+        with pytest.raises(ValueError, match="off the unit sphere"):
+            mazur_map_rows(np.zeros((1, 3)), 2, 2)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_unit_norm_within_tolerance(self, p):
         rng = np.random.default_rng(23)
-        for _ in range(100):
-            x = LpVector(rng.standard_normal(200) * 10.0 ** rng.integers(-3, 4))
-            assert norm_p(normalize(x, p), p) == pytest.approx(1.0, abs=1e-12)
+        rows = rng.standard_normal((100, 200)) * 10.0 ** rng.integers(-3, 4, size=(100, 1))
+        unit = rows / row_pnorms(rows, p)[:, None]
+        assert np.abs(row_pnorms(unit, p) - 1.0).max() <= 1e-12
 
 
 class TestDirectSum:
+    """The p-norm of concatenated blocks, to the p-th power, is the sum of the blocks' norms^p."""
+
     def test_single_block(self):
-        b = vec(0.3, -0.4, 0.5, 0.1)
-        bv = BlockVector((b,))
-        assert block_norm_p(bv, 1.5) == pytest.approx(norm_p(b, 1.5), abs=1e-15)
+        b = np.array([0.3, -0.4, 0.5, 0.1])
+        assert row_pnorms(np.concatenate([b])[None], 1.5)[0] == pytest.approx(mp_pnorm(b, 1.5), abs=1e-15)
 
     def test_two_unit_blocks_pythagorean(self):
-        bv = BlockVector((vec(1, 0), vec(0, 1)))
-        assert block_norm_p(bv, 2) == pytest.approx(math.sqrt(2), abs=1e-15)
+        row = np.concatenate([[1.0, 0.0], [0.0, 1.0]])
+        assert row_pnorms(row[None], 2)[0] == pytest.approx(math.sqrt(2), abs=1e-15)
 
     def test_three_blocks_p3(self):
-        blocks = [vec(1, 0), vec(2, 0), vec(0, 2)]
-        bv = BlockVector(blocks)
-        assert block_norm_p(bv, 3) == pytest.approx(17.0 ** (1.0 / 3.0), abs=1e-14)
+        row = np.concatenate([[1.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        assert row_pnorms(row[None], 3)[0] == pytest.approx(17.0 ** (1.0 / 3.0), abs=1e-14)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_norm_identity_on_random_blocks(self, p):
         rng = np.random.default_rng(int(p * 31))
         for _ in range(50):
-            blocks = [LpVector(rng.standard_normal(rng.integers(1, 9))) for _ in range(5)]
-            bv = BlockVector(blocks)
-            expected = math.fsum(norm_p(b, p) ** p for b in blocks) ** (1.0 / p)
-            assert block_norm_p(bv, p) == pytest.approx(expected, abs=1e-12)
+            blocks = [rng.standard_normal(rng.integers(1, 9)) for _ in range(5)]
+            expected = math.fsum(row_pnorms(b[None], p)[0] ** p for b in blocks) ** (1.0 / p)
+            assert row_pnorms(np.concatenate(blocks)[None], p)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            BlockVector(())
+        # an embedding is the direct sum of its level blocks; one with none is refused
+        E = build_embedding(generate("path", 2), p=1.0, level_count=1)
+        payload = embedding_to_json(E)
+        payload["schedule"] = []
+        payload["images"] = {label: [] for label in payload["images"]}
+        with pytest.raises(ValueError, match="must be a list of number lists"):
+            embedding_from_json(payload, E.space)
 
 
 class TestBatchHelpers:
+    """The array kernels against the 50-digit mpmath oracle."""
+
     @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0])
     def test_row_pnorms_match_contract(self, p):
         rng = np.random.default_rng(int(p * 100))
         rows = rng.standard_normal((20, 30))
         batch = row_pnorms(rows, p)
         for i in range(20):
-            assert batch[i] == pytest.approx(norm_p(LpVector(rows[i]), p), rel=1e-13)
+            assert batch[i] == pytest.approx(mp_pnorm(rows[i], p), rel=1e-13)
 
     @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 2.5, 3.0])
     def test_all_pairs_scan_matches_contract(self, p):
@@ -268,7 +235,7 @@ class TestBatchHelpers:
         k = 0
         for i in range(12):
             for j in range(i + 1, 12):
-                expected = distance_p(LpVector(rows[i]), LpVector(rows[j]), p)
+                expected = mp_pnorm(rows[i] - rows[j], p)
                 assert cond[k] == pytest.approx(expected, rel=1e-12, abs=1e-13)
                 k += 1
 

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from lpembed.lp_core import LpVector, norm_p, normalize, distance_p, row_pnorms
+from lpembed.lp_core import pairwise_pnorm_all, row_pnorms
 from lpembed.mazur import (
     mazur_bounds,
-    mazur_map,
     mazur_map_rows,
     sample_ratio_extremes,
 )
@@ -16,35 +15,30 @@ from lpembed.mazur import (
 P_GRID = [1.0, 1.5, 2.0, 3.0]
 
 
-def unit(coords, p):
-    return normalize(LpVector(np.asarray(coords, dtype=float)), p)
-
-
 class TestMazurMap:
     @pytest.mark.parametrize("p,q", [(1, 2), (2, 1), (1.5, 3), (2, 2)])
     def test_fixed_point_basis_vector(self, p, q):
-        e1 = LpVector(np.array([1.0, 0.0, 0.0]))
-        out = mazur_map(e1, p, q)
-        np.testing.assert_allclose(out.coeffs, e1.coeffs, atol=0)
+        e1 = np.array([[1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(mazur_map_rows(e1, p, q), e1)
 
     def test_two_coordinate_example_p2_q1(self):
-        x = LpVector(np.array([math.sqrt(0.5), math.sqrt(0.5)]))
-        out = mazur_map(x, 2, 1)
-        np.testing.assert_allclose(out.coeffs, [0.5, 0.5], atol=1e-15)
+        out = mazur_map_rows(np.array([[math.sqrt(0.5), math.sqrt(0.5)]]), 2, 1)
+        np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_sign_preservation_p1_q2(self):
-        x = LpVector(np.array([0.5, -0.5]))
-        out = mazur_map(x, 1, 2)
-        np.testing.assert_allclose(out.coeffs, [math.sqrt(0.5), -math.sqrt(0.5)], atol=1e-15)
+        out = mazur_map_rows(np.array([[0.5, -0.5]]), 1, 2)
+        np.testing.assert_allclose(out, [[math.sqrt(0.5), -math.sqrt(0.5)]], atol=1e-15)
 
     def test_off_sphere_rejected(self):
-        with pytest.raises(ValueError):
-            mazur_map(LpVector(np.array([1.0, 1.0])), 2, 1)
+        with pytest.raises(ValueError, match="off the unit sphere"):
+            mazur_map_rows(np.array([[1.0, 1.0]]), 2, 1)
+        # a NaN norm is not within SPHERE_TOL of 1 either
+        with pytest.raises(ValueError, match="off the unit sphere"):
+            mazur_map_rows(np.array([[math.nan, 0.0], [1.0, 0.0]]), 2, 1.5)
 
     def test_near_sphere_renormalized(self):
-        x = LpVector(np.array([1.0 + 5e-10, 0.0]))
-        out = mazur_map(x, 2, 1)
-        assert norm_p(out, 1) == pytest.approx(1.0, abs=1e-12)
+        out = mazur_map_rows(np.array([[1.0 + 5e-10, 0.0]]), 2, 1)
+        assert row_pnorms(out, 1)[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", P_GRID)
     @pytest.mark.parametrize("q", P_GRID)
@@ -99,10 +93,9 @@ class TestMazurBounds:
         sample = sample_ratio_extremes(1, 2, dim=32, pairs=100_000, seed=1)
         assert sample.max_constant_ratio < sample.constant_c
         # single-coordinate antipodal pairs attain the constant exactly
-        x = LpVector(np.array([1.0, 0.0]))
-        y = LpVector(np.array([-1.0, 0.0]))
-        num = distance_p(mazur_map(x, 1, 2), mazur_map(y, 1, 2), 2)
-        den = distance_p(x, y, 1) ** 0.5
+        pair = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        num = pairwise_pnorm_all(mazur_map_rows(pair, 1, 2), 2)[0]
+        den = pairwise_pnorm_all(pair, 1)[0] ** 0.5
         assert num / den == pytest.approx(sample.constant_c, abs=1e-14)
 
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 1.5)])
