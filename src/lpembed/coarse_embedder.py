@@ -157,7 +157,7 @@ def default_kernel_kind(space: FiniteMetricSpace) -> str:
 
 
 def _is_index(value) -> bool:
-    """An integer point index: an int or numpy integer, and not a bool."""
+    """An int or numpy integer, and not a bool: a point index or a level count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
@@ -176,14 +176,13 @@ def build_embedding(
         kernel_kind = default_kernel_kind(space)
     if level_count is None:
         level_count = default_level_count(space)
-    level_count = int(level_count)
-    if not 1 <= level_count <= MAX_LEVELS:
-        raise ValueError(f"level count must be in 1..{MAX_LEVELS}, got {level_count}")
+    if not (_is_index(level_count) and 1 <= level_count <= MAX_LEVELS):
+        raise ValueError(f"level count must be an integer in 1..{MAX_LEVELS}, got {level_count!r}")
     if not (_is_index(base_index) and 0 <= base_index < space.n):
         raise ValueError(f"base index must be an integer point index in 0..{space.n - 1}, got {base_index!r}")
 
     return CoarseEmbedding(
-        family=build_level_family(space, level_count, pe, float(delta), kernel_kind),
+        family=build_level_family(space, int(level_count), pe, float(delta), kernel_kind),
         base_index=int(base_index),
     )
 

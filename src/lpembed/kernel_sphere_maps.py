@@ -22,15 +22,17 @@ S_n. Levels whose separation target is out of reach on the bounded space are
 marked saturated (S_n = inf); they still contribute blocks downstream, just no
 certified separation.
 
-Each level's search starts from what the previous level measured: the max of
-its pair distances over this level's close pairs is the sup at the previous
-bandwidth, which caps the search. A cap that meets 2^-n is accepted with no
-factorization; otherwise the first try scales the cap by (0.95 2^-n / sup)^p,
-from the model sup ~ t^(1/p) (the l_2 sup grows like sqrt(t d) at small t,
-and the Mazur map raises it to the power 2/p). Level n then usually accepts
-its first or second try. The search stops, as at level 1, once the accepted
-sup is at least 0.9 2^-n, the bracket is within a factor 1.01, or t is the
-cap; each accepted t is measured exactly.
+Every level runs one bandwidth search over one bracket: the largest feasible
+bandwidth measured and the smallest infeasible one. The previous level's
+bandwidth caps it, and the max of its pair distances over this level's close
+pairs is the sup there, free: a cap that meets 2^-n is accepted with no
+factorization, and one that misses is the bracket's upper end. Each next try
+takes the model step t (0.95 2^-n / sup)^p while a side of the bracket is
+missing (the model is sup ~ t^(1/p): the l_2 sup grows like sqrt(t d) at
+small t, and the Mazur map raises it to the power 2/p), and log-log
+interpolation once both are known. The search stops once the accepted sup is
+at least 0.9 2^-n, t is the cap, or the bracket is within a factor 1.01;
+each accepted t is measured exactly.
 
 The bandwidth search needs only the sup over close pairs, and it finds that
 sup without summing most pairs at full width. `eigh` returns eigenvalues in
@@ -301,7 +303,7 @@ def _feasible_start(
     At l_2 the largest close-pair image distance is s(t) = sqrt(2(1 - K(t, d)))
     at the largest close source distance d (the kernel is monotone). Pushing s
     through the Mazur upper envelope and solving for t gives a start point that
-    cannot overshoot; the search then only has to grow t.
+    cannot overshoot.
 
     At p = 2 the envelope is the identity and that t is the exact optimum, so
     the measured sup lands on the target up to the factorization's rounding
@@ -331,16 +333,6 @@ def _model_step(t: float, sup: float, eps: float, p: PExponent) -> float:
     that try is measured exactly.
     """
     return t * (0.95 * eps / sup) ** p.value
-
-
-def _same_kernel(kernel: np.ndarray, earlier: np.ndarray) -> bool:
-    """Whether `kernel` equals `earlier` bit for bit.
-
-    A level's images are a function of its kernel matrix alone, so a kernel
-    equal to one already measured has that one's images, pair distances and
-    close-pair sup, bit for bit.
-    """
-    return np.array_equal(kernel.view(np.uint64), earlier.view(np.uint64))
 
 
 def _separation_threshold(
@@ -374,48 +366,29 @@ def calibrate_level(
 
     The closeness certificate is the exactly measured post-transport sup, not
     the envelope bound. previous (level n-1 of this space, exponent and
-    kernel) and s_floor (exclusive lower bound on S_n, for strictly
-    increasing schedules) are search accelerators for family construction:
-    previous.bandwidth_t caps the search, since later levels have tighter
-    targets over larger radii.
+    kernel) caps the search at its bandwidth, since later levels have
+    tighter targets over larger radii; level 1's cap is T_CAP. s_floor is an
+    exclusive lower bound on S_n, for strictly increasing schedules.
 
-    With previous, the search starts warm. The max of previous.pair_distances
-    over this level's close pairs is the sup at the cap, measured without a
-    factorization. If it meets 2^-n, the cap is accepted at once, with the
-    previous level's images. Otherwise the cap is the bracket's upper end,
-    and the first try is the model step t_cap (0.95 * 2^-n / sup)^p, never
-    below the envelope start (_feasible_start). The model is sup ~ t^(1/p):
-    at small t the l_2 sup grows like sqrt(t d), and the Mazur map raises it
-    to the power 2/p. Every infeasible try becomes the bracket's new upper
-    end; the first shrink takes the model step and every later one at least
-    halves t, so 200 shrinks still span at least 2^199 before the level is
-    refused. Without previous (level 1), the search starts at the envelope
-    start and grows by factors of 8 until a try misses the target. Either
-    way the bracket is then narrowed by log-log interpolation, and the
-    search stops once the accepted sup is at least 0.9 * 2^-n, the bracket
-    is within a factor 1.01, or t is the cap. No t exceeds the cap, and
-    every accepted t is measured exactly.
+    One loop serves every level. good is the largest feasible bandwidth
+    measured, as (t, sup, images), and bad the smallest infeasible one, as
+    (t, sup). previous's pair distances give the sup at the cap without a
+    factorization; a cap that meets 2^-n is taken with previous's images and
+    pair distances, and one that misses is bad. Before each try the loop
+    stops once good's sup is at least 0.9 * 2^-n, good's t is the cap,
+    bad.t / good.t <= 1.01, or 12 tries have followed the first feasible
+    one. Without good, the next t is the model step from bad (the envelope
+    start where nothing is measured): on the first try never below the
+    envelope start, and from the third on at most bad.t / 2, so 200 tries
+    span at least 2^199 before the level is refused. Without bad, it is the
+    model step from good, up to the cap. With both, it is log-log
+    interpolation on sup(t), aimed at 0.999 * 2^-n.
 
-    No kernel is factored twice. Each bandwidth tried computes its kernel
-    matrix first; where that matrix equals, bit for bit, the previous level's
-    accepted kernel or the one this level factored last, the images and sup
-    measured for it are reused (for the previous level's, the sup is the max
-    of its pair distances over this level's close pairs).
-    The images are a function of the kernel matrix alone, so the reused
-    results are those a new factorization would give, bit for bit. This is
-    common where t*d falls below float64 resolution and exp(-t d) is 1.0
-    everywhere, so that shrinking t leaves the kernel unchanged.
-
-    Each bandwidth that is factored measures that sup exactly but sums only
-    the close pairs that can hold it at full width (see _split_close_sup): a
-    pair's power sum exceeds its sum over the heavy columns by at most
-    2^(p-1)(c_i + c_j), the light-column masses of its two rows, so a pair
-    whose bound stays under an exact lower bound L of the sup cannot be the
-    maximum. A relative slack of 1e-9 on both sides of that test covers the
-    rounding of the bound, which is far below it. The search path is
-    therefore the one an all-pairs scan per bandwidth gives. All pairs are
-    scanned once, on the accepted images, for S_n and pair_distances; a level
-    that accepts the previous level's images takes its pair distances.
+    Each try builds its kernel once and measures the close-pair sup exactly,
+    summing at full width only the pairs whose light-column bound can reach
+    it (see _split_close_sup), so the search path is the one an all-pairs
+    scan per try gives. All pairs are scanned once, on the accepted images,
+    for S_n and pair_distances.
     """
     p = as_exponent(p_target)
     _check_kernel_kind(kernel_kind)
@@ -446,87 +419,64 @@ def calibrate_level(
     close_order = order[: int(np.count_nonzero(close))]
     ci, cj = ii[close_order], jj[close_order]
 
-    # (kernel, (sup, images)) already measured: the previous level's accepted
-    # kernel, then the one this level factored last
-    measured = []
-    if previous is not None:
-        prev_sup = float(previous.pair_distances[close].max()) if ci.size else 0.0
-        measured.append((
-            kernel_matrix(space, previous.bandwidth_t, kernel_kind),
-            (prev_sup, previous.images),
-        ))
-    last = len(measured)
-
-    def evaluate(t: float) -> tuple:
-        K = kernel_matrix(space, t, kernel_kind)
-        for kernel, result in measured:
-            if _same_kernel(K, kernel):
-                return result
-        images = _transported_images(space, t, kernel_kind, p)
-        sup = _split_close_sup(images, p, ci, cj, min(space.n, ci.size)) if ci.size else 0.0
-        measured[last:] = [(K, (sup, images))]
-        return sup, images
-
-    t_cap = min(previous.bandwidth_t, T_CAP) if previous is not None else T_CAP
-    # with no close pair there is no closeness constraint at this radius: the
-    # cap maxes out the separation, and the loops below leave it in place
+    t_cap = T_CAP if previous is None else previous.bandwidth_t
+    # with no close pair there is no closeness constraint at this radius, and
+    # the cap maxes out the separation
     start = t_cap
     if ci.size:
         start = min(_feasible_start(eps, p, float(d_pairs[close].max()), kernel_kind), t_cap)
-    t_bad = None
-    sup_bad = None
-    t_best = start
+    # good: the largest feasible bandwidth measured, (t, sup, images);
+    # bad: the smallest infeasible one, (t, sup)
+    good = bad = None
     if previous is not None:
-        # warm start: the previous level's sup over these close pairs is the
-        # measurement at the cap, free. Where it misses the target, the cap
-        # is the bracket's upper end and the first try is the model step,
-        # never below the envelope start
-        t_best = t_cap
-        if prev_sup > eps:
-            t_bad, sup_bad = t_cap, prev_sup
-            t_best = max(_model_step(t_cap, prev_sup, eps, p), start)
-    sup_best, images = evaluate(t_best)
-    shrinks = 0
-    while sup_best > eps:
-        # every infeasible try is the bracket's new upper end; the first
-        # shrink takes the model step, every later one at least halves t
-        t_bad, sup_bad = t_best, sup_best
-        step = _model_step(t_best, sup_best, eps, p)
-        t_best = min(step, t_best / 2.0) if shrinks else step
-        shrinks += 1
-        if shrinks > 200 or not t_best > 0.0:
-            raise CalibrationError(
-                f"cannot meet the 2^-{n} closeness target at any bandwidth "
-                f"(space min distance {float(d_pairs.min()):g})"
-            )
-        sup_best, images = evaluate(t_best)
-
-    # with no bracket yet (no previous level) grow toward the largest
-    # feasible bandwidth; then sharpen by log-log interpolation on sup(t).
-    # Every accepted t is exactly verified
-    while t_bad is None and t_best < t_cap:
-        t_try = min(t_best * 8.0, t_cap)
-        sup_try, img_try = evaluate(t_try)
-        if sup_try <= eps:
-            t_best, sup_best, images = t_try, sup_try, img_try
+        # the previous level's sup over these close pairs is the measurement
+        # at the cap, free
+        prev_sup = float(previous.pair_distances[close].max()) if ci.size else 0.0
+        if prev_sup <= eps:
+            good = (t_cap, prev_sup, previous.images)
         else:
-            t_bad, sup_bad = t_try, sup_try
-    if t_bad is not None:
-        for _ in range(12):
-            if sup_best >= 0.9 * eps or t_bad / t_best <= 1.01:
-                break
-            if sup_best > 0.0:
-                frac = (math.log(0.999 * eps) - math.log(sup_best)) / (
-                    math.log(sup_bad) - math.log(sup_best)
+            bad = (t_cap, prev_sup)
+    tries = 0
+    found_at = 0
+    while good is None or not (
+        good[1] >= 0.9 * eps
+        or good[0] == t_cap
+        or (bad is not None and bad[0] / good[0] <= 1.01)
+        or tries - found_at >= 12
+    ):
+        if good is None:
+            t = start
+            if bad is not None:
+                # the first two shrinks take the model step, the first never
+                # below the envelope start; every later one at least halves t
+                t = _model_step(*bad, eps, p)
+                if tries == 0:
+                    t = max(t, start)
+                elif tries > 1:
+                    t = min(t, bad[0] / 2.0)
+            if tries > 200 or not t > 0.0:
+                raise CalibrationError(
+                    f"cannot meet the 2^-{n} closeness target at any bandwidth "
+                    f"(space min distance {float(d_pairs.min()):g})"
                 )
-                t_try = t_best * (t_bad / t_best) ** min(max(frac, 0.05), 0.95)
-            else:
-                t_try = math.sqrt(t_best * t_bad)
-            sup_try, img_try = evaluate(t_try)
-            if sup_try <= eps:
-                t_best, sup_best, images = t_try, sup_try, img_try
-            else:
-                t_bad, sup_bad = t_try, sup_try
+        elif bad is None:
+            t = t_cap if good[1] == 0.0 else min(t_cap, _model_step(*good[:2], eps, p))
+        elif good[1] > 0.0:
+            # log-log interpolation on sup(t), aimed just under the target
+            frac = (math.log(0.999 * eps) - math.log(good[1])) / (math.log(bad[1]) - math.log(good[1]))
+            t = good[0] * (bad[0] / good[0]) ** min(max(frac, 0.05), 0.95)
+        else:
+            t = math.sqrt(good[0] * bad[0])
+        images = _transported_images(space, t, kernel_kind, p)
+        sup = _split_close_sup(images, p, ci, cj, min(space.n, ci.size)) if ci.size else 0.0
+        tries += 1
+        if sup > eps:
+            bad = (t, sup)
+        else:
+            if good is None:
+                found_at = tries
+            good = (t, sup, images)
+    t_best, sup_best, images = good
 
     if previous is not None and images is previous.images:
         all_img = previous.pair_distances

@@ -35,7 +35,7 @@ __all__ = [
 SPHERE_TOL = 1e-9
 
 # sample_ratio_extremes draws and maps this many pairs at a time
-SAMPLE_BATCH = 1 << 14
+SAMPLE_BATCH = 1 << 12
 
 
 def signed_power(values: np.ndarray, theta: float) -> np.ndarray:

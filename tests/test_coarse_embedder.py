@@ -78,6 +78,10 @@ class TestBuild:
             build_embedding(two_point(), p=1.0, level_count=0)
         with pytest.raises(ValueError):
             build_embedding(two_point(), p=1.0, level_count=65)
+        # int() would truncate these to 2 and 1 levels
+        for bad in (2.7, True):
+            with pytest.raises(ValueError, match="level count must be an integer"):
+                build_embedding(generate("cycle", 8), p=1.0, level_count=bad)
 
     def test_base_index_range(self):
         with pytest.raises(ValueError):

@@ -413,10 +413,6 @@ def spy_scans(monkeypatch):
     return scans
 
 
-def no_reuse(monkeypatch):
-    monkeypatch.setattr(kernel_sphere_maps, "_same_kernel", lambda kernel, earlier: False)
-
-
 REUSE_CASES = [
     (("gaussian", 80), 1.3),
     (("gaussian", 80), 3.0),
@@ -424,50 +420,29 @@ REUSE_CASES = [
     (("cycle", 64), 1.0),
 ]
 # the default schedule refused these at the float64 floor while the factor
-# kept eigh's noise-level eigenvalues (ROADMAP item 2); they build now
-FLOOR_CASES = [
-    (("path", 30), 2.0),
-    (("cycle", 48), 2.0),
-    (("path", 48), 1.0),
-]
+# kept eigh's noise-level eigenvalues (ROADMAP item 2); they build now, with
+# at most this many factorizations
+FLOOR_CASES = {
+    (("path", 30), 2.0): 40,
+    (("cycle", 48), 2.0): 39,
+    (("path", 48), 1.0): 63,
+}
 
 
 class TestKernelReuse:
-    """A kernel bit-identical to one already measured is not factored again."""
-
-    @pytest.mark.parametrize("case", REUSE_CASES, ids=lambda c: f"{c[0][0]}{c[0][1]}-p{c[1]}")
-    def test_family_bits_match_without_reuse(self, case, monkeypatch):
-        (kind, param), p = case
-        args = default_family_args(kind, param, p)
-        calls = spy_factor(monkeypatch)
-        reused = build_level_family(*args)
-        factored = len(calls)
-        no_reuse(monkeypatch)
-        reference = build_level_family(*args)
-        assert factored <= len(calls) - factored
-        assert_same_levels(reused, reference)
+    """A level reuses the previous level's measurement instead of repeating it."""
 
     def test_former_refusals_same_bits_with_fewer_factorizations(self, monkeypatch):
-        # near the floor shrinking t often leaves the kernel unchanged, and
-        # each build reuses some of its measurements: (41, 49), (40, 44) and
-        # (63, 67) factorizations with and without reuse
         calls = spy_factor(monkeypatch)
-        families, counts = [], []
-        for reuse in (True, False):
-            if not reuse:
-                no_reuse(monkeypatch)
-            for (kind, param), p in FLOOR_CASES:
-                del calls[:]
-                families.append(build_level_family(*default_family_args(kind, param, p)))
-                counts.append(len(calls))
-        for family, reference in zip(families[:3], families[3:]):
+        for ((kind, param), p), ceiling in FLOOR_CASES.items():
+            del calls[:]
+            family = build_level_family(*default_family_args(kind, param, p))
             assert verify_family(family) == []
-            assert_same_levels(family, reference)
-        assert all(a < b for a, b in zip(counts[:3], counts[3:]))
+            assert len(calls) <= ceiling
 
     def test_accepted_previous_bandwidth_shares_the_measurement(self, monkeypatch):
         # no pair is within distance 4, so levels 1..4 all take the capped
-        # bandwidth, and levels 2..4 reuse level 1's kernel and pair distances
+        # bandwidth, and levels 2..4 take level 1's images and pair distances
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
         fam = build_level_family(two_point(5.0), 4, 1.5, 1.0, "laplacian")
@@ -479,8 +454,6 @@ class TestKernelReuse:
             assert level.bandwidth_t == first.bandwidth_t
             assert level.images is first.images
             assert level.pair_distances is first.pair_distances
-        no_reuse(monkeypatch)
-        assert_same_levels(fam, build_level_family(two_point(5.0), 4, 1.5, 1.0, "laplacian"))
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_one_all_pairs_scan_per_level(self, p, monkeypatch):
@@ -503,12 +476,12 @@ WARM_CASES = REUSE_CASES + [(("path", 48), 1.0)]
 # the most factorizations each build may take; a search that restarts every
 # level at the envelope start factors the count in the comment
 FACTOR_CEILINGS = {
-    "gaussian80-p1.3": 21,  # 43
-    # 23; level 1 has no previous level and keeps its 5 tries, while
-    # levels 2-10 each accept their first try, so half is out of reach
-    "gaussian80-p3.0": 14,
-    "hypercube6-p2.0": 16,  # 33
-    "cycle64-p1.0": 139,  # 278
+    "gaussian80-p1.3": 13,  # 43
+    # 23; level 1 has no previous level and takes 2 tries, while levels
+    # 2-10 each accept their first try
+    "gaussian80-p3.0": 11,
+    "hypercube6-p2.0": 9,  # 33
+    "cycle64-p1.0": 42,  # 278
     # 63 to build all 49 levels; while the factor kept eigh's noise-level
     # eigenvalues it factored 77 (354 cold) and refused at level 47
     "path48-p1.0": 63,
@@ -523,12 +496,12 @@ def case_id(case):
 def trace_levels(monkeypatch):
     """(level, bandwidths tried for it) per calibrated level, in order.
 
-    The bandwidths are those whose kernel matrix calibration computed,
-    whether factored or reused, the cap included; kernels computed outside
-    calibrate_level are not recorded.
+    The bandwidths are those calibration factored; the previous level's
+    bandwidth, measured for free, is not among them, and neither are
+    factorizations made outside calibrate_level.
     """
     levels, tried, calibrating = [], [], []
-    real_level, real_kernel = kernel_sphere_maps.calibrate_level, kernel_sphere_maps.kernel_matrix
+    real_level, real_factor = kernel_sphere_maps.calibrate_level, kernel_sphere_maps.build_sphere_map
 
     def spy_level(*args, **kwargs):
         tried.append([])
@@ -540,13 +513,13 @@ def trace_levels(monkeypatch):
         levels.append(level)
         return level
 
-    def spy_kernel(space, t, kind):
+    def spy_factor(space, t, kind):
         if calibrating:
             tried[-1].append(t)
-        return real_kernel(space, t, kind)
+        return real_factor(space, t, kind)
 
     monkeypatch.setattr(kernel_sphere_maps, "calibrate_level", spy_level)
-    monkeypatch.setattr(kernel_sphere_maps, "kernel_matrix", spy_kernel)
+    monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", spy_factor)
     return levels, tried
 
 
@@ -573,17 +546,36 @@ class TestWarmStart:
         cap = kernel_sphere_maps.T_CAP
         for level, ts in zip(levels, tried):
             eps = 2.0 ** -level.level_n
-            assert max(ts) <= cap
+            if not ts:
+                # a level that factors nothing accepts the previous bandwidth
+                assert level.level_n > 1
+                assert level.bandwidth_t == cap
+            assert max(ts, default=cap) <= cap
             assert level.bandwidth_t <= cap
             assert level.epsilon_n <= eps
             if level.epsilon_n < 0.9 * eps and level.bandwidth_t != cap:
-                # stopped on the bracket: the smallest bandwidth tried above
-                # the accepted one is within 1% of it and misses the target
-                top = min(t for t in ts if t > level.bandwidth_t)
+                # stopped on the bracket: the smallest bandwidth measured
+                # above the accepted one, the previous level's included, is
+                # within 1% of it and misses the target
+                top = min(t for t in ts + [cap] if t > level.bandwidth_t)
                 assert top <= 1.01 * level.bandwidth_t
                 images = kernel_sphere_maps._transported_images(X, top, kernel_kind, as_exponent(p))
                 assert measure_conditions(images, X, level.level_n, math.inf, p)[0] > eps
             cap = level.bandwidth_t
+
+    @pytest.mark.parametrize("case", WARM_CASES, ids=case_id)
+    def test_one_kernel_per_factorization(self, case, monkeypatch):
+        factored = spy_factor(monkeypatch)
+        kernels = []
+        real = kernel_sphere_maps.kernel_matrix
+
+        def spy_kernel(space, t, kind):
+            kernels.append(t)
+            return real(space, t, kind)
+
+        monkeypatch.setattr(kernel_sphere_maps, "kernel_matrix", spy_kernel)
+        build_case(case)
+        assert kernels == factored
 
     def test_cap_meeting_the_target_factors_no_kernel(self, monkeypatch):
         # level 3's bandwidth keeps pairs within 3 under 2^-3, so it already
@@ -625,13 +617,16 @@ class TestRankAwareImages:
             assert not level.pair_distances.any()
 
     @pytest.mark.parametrize("kind,param", [("cycle", 8), ("hypercube", 8), ("path", 30)])
-    def test_p2_level_one_keeps_its_envelope_start(self, kind, param):
-        # the start aims 1e-9 under 1/2, so the sup measured there stays under it
+    def test_p2_level_one_keeps_its_envelope_start(self, kind, param, monkeypatch):
+        # the start aims 1e-9 under 1/2, so the sup measured there stays
+        # under it, above 0.9 * 1/2, and the search stops at its first try
         X = generate(kind, param)
         p = as_exponent(2.0)
         start = kernel_sphere_maps._feasible_start(0.5, p, 1.0, "laplacian")
+        calls = spy_factor(monkeypatch)
         level = calibrate_level(X, 1, p, 1.0, "laplacian")
-        assert level.bandwidth_t >= start
+        assert calls == [start]
+        assert level.bandwidth_t == start
         assert 0.9 * 0.5 <= level.epsilon_n <= 0.5
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lpembed import mazur
 from lpembed.lp_core import pairwise_pnorm_all, row_pnorms
 from lpembed.mazur import (
     mazur_bounds,
@@ -104,3 +105,10 @@ class TestMazurBounds:
         assert sample.max_lower_excess <= 1e-12
         assert sample.max_upper_excess <= 1e-12
 
+    def test_sample_does_not_depend_on_the_batch_size(self, monkeypatch):
+        # standard_normal fills rows in sequence and every batch has an even
+        # row count, so the pairs drawn are the same in any batching; 1000 is
+        # not a multiple of 16, so the last batch is a short one
+        default = sample_ratio_extremes(1.5, 3, dim=8, pairs=1000, seed=4)
+        monkeypatch.setattr(mazur, "SAMPLE_BATCH", 16)
+        assert sample_ratio_extremes(1.5, 3, dim=8, pairs=1000, seed=4) == default
