@@ -35,7 +35,7 @@ from .lp_core import (
     pairwise_power_sums_all,
 )
 from .kernel_sphere_maps import SphereMapFamily, SphereMapLevel, build_level_family
-from .metric_spaces import FiniteMetricSpace, validate
+from .metric_spaces import FiniteMetricSpace, _numbers, validate
 
 __all__ = [
     "MAX_LEVELS",
@@ -296,26 +296,27 @@ def _image_blocks(blocks, label: str) -> list:
     bad = ValueError(f"malformed embedding payload: images of {label!r} must be a list of number lists")
     if not isinstance(blocks, list) or not blocks:
         raise bad
-    arrays = []
-    for block in blocks:
-        if not isinstance(block, list):
-            raise bad
-        try:
-            arr = np.asarray(block)
-        except ValueError:  # ragged nesting
-            raise bad from None
-        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf"):
-            raise bad
-        arr = arr.astype(np.float64, copy=False)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"malformed embedding payload: images of {label!r} are not all finite")
-        arrays.append(arr)
+    try:
+        arrays = [_numbers(block, "block") for block in blocks]
+    except (TypeError, ValueError):  # not numbers, or ragged nesting
+        raise bad from None
+    if any(arr.ndim != 1 for arr in arrays):
+        raise bad
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise ValueError(f"malformed embedding payload: images of {label!r} are not all finite")
     return arrays
+
+
+def _number(value, name: str, integer: bool = False):
+    """A JSON number as float (int if integer); float() and int() also read bools and strings."""
+    if not (_is_index(value) or (not integer and isinstance(value, (float, np.floating)))):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _threshold(value) -> float:
     """A schedule entry's S: null for a saturated level, else a finite positive number."""
-    s_n = math.inf if value is None else float(value)
+    s_n = math.inf if value is None else _number(value, "schedule S")
     if value is not None and not 0 < s_n < math.inf:
         raise ValueError(f"schedule S must be null or a finite positive number, got {value!r}")
     return s_n
@@ -324,18 +325,16 @@ def _threshold(value) -> float:
 def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedding:
     """Reattach a serialized embedding to its space: image-less levels plus the blocks read."""
     try:
-        pe = as_exponent(float(payload["p"]))
-        base = payload["base"]
-        if not _is_index(base):
-            raise ValueError(f"base must be an integer point index, got {base!r}")
-        delta = float(payload["delta"])
+        pe = as_exponent(_number(payload["p"], "p"))
+        base = _number(payload["base"], "base", integer=True)
+        delta = _number(payload["delta"], "delta")
         levels = tuple(
             SphereMapLevel(
-                level_n=int(s["n"]),
+                level_n=_number(s["n"], "schedule n", integer=True),
                 exponent=pe,
-                epsilon_n=float(s["eps"]),
+                epsilon_n=_number(s["eps"], "schedule eps"),
                 s_n=_threshold(s["S"]),
-                bandwidth_t=float(s["t"]),
+                bandwidth_t=_number(s["t"], "schedule t"),
                 kernel_kind=str(s["kernel"]),
             )
             for s in payload["schedule"]

@@ -16,9 +16,9 @@ exactly.
 Level n wants a sphere map into l_p whose image distances are at most 2^-n on
 pairs with d <= n, while staying at least delta/2 apart beyond some threshold
 S_n. `calibrate_level` finds the largest bandwidth t meeting the closeness
-target (measured exactly after Mazur transport of the l_2 factors to l_p) and
-then scans the sorted distinct distances of the space for the smallest valid
-S_n. Levels whose separation target is out of reach on the bounded space are
+target (measured exactly after Mazur transport of the l_2 factors to l_p);
+S_n is then the smallest source distance above s_floor and above every pair
+the images leave closer than delta/2. Levels with no such distance are
 marked saturated (S_n = inf); they still contribute blocks downstream, just no
 certified separation.
 
@@ -169,23 +169,15 @@ def measure_conditions(
     Conventions: sup over an empty pair set is 0, inf over an empty set is
     +inf. The diagonal contributes nothing either way.
     """
-    pe = as_exponent(p)
-    if space.n < 2:
-        return 0.0, math.inf
     ii, jj = space.pair_indices()
-    d = space.dist[ii, jj]
-    if not ((d <= R).any() or (d >= S).any()):
-        return 0.0, math.inf
-    return _conditions(pairwise_pnorm_all(images, pe), d, R, S)
+    return _conditions(pairwise_pnorm_all(images, p), space.dist[ii, jj], R, S)
 
 
 def _conditions(pair_d: np.ndarray, d: np.ndarray, R: float, S: float) -> tuple:
     """measure_conditions on pair distances already scanned (condensed order)."""
-    close = d <= R
-    far = d >= S
-    sup_close = float(pair_d[close].max()) if close.any() else 0.0
-    inf_far = float(pair_d[far].min()) if far.any() else math.inf
-    return sup_close, inf_far
+    # empty sets give 0 and +inf; distances are >= 0, so initial=0 moves no max
+    sup_close = float(pair_d.max(where=d <= R, initial=0.0))
+    return sup_close, float(pair_d.min(where=d >= S, initial=math.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +258,7 @@ def _split_close_sup(
 ) -> float:
     """Exact max of ||images[i] - images[j]||_p over the pairs (ci, cj).
 
-    The pairs come in ascending source distance. The last `top` of them are
+    The last `top` pairs are those of largest source distance. They are
     summed at full width, and their largest power sum is a lower bound L on
     the sup. The columns come in ascending eigenvalue order, so row i's mass
     c_i = sum_{k<k0} |a_ik|^p in the leading (light) columns is small; with
@@ -336,20 +328,16 @@ def _model_step(t: float, sup: float, eps: float, p: PExponent) -> float:
 
 
 def _separation_threshold(
-    d_sorted: np.ndarray, pair_d_sorted: np.ndarray, delta_half: float, s_floor: float
+    d_pairs: np.ndarray, pair_d: np.ndarray, delta_half: float, s_floor: float
 ) -> float:
-    """Smallest distinct distance above s_floor beyond which every pair stays delta/2 apart.
+    """Smallest source distance above s_floor beyond which every pair stays delta/2 apart.
 
-    Both arrays are in ascending source distance. The suffix infimum is
-    monotone in the threshold; +inf where no distance qualifies (saturated).
+    The arrays hold each pair's source and image distance, in any one order.
+    S_n is the smallest distance above s_floor and above every pair left
+    closer than delta/2; +inf where there is none (saturated).
     """
-    if not d_sorted.size:
-        return math.inf
-    suffix_inf = np.minimum.accumulate(pair_d_sorted[::-1])[::-1]
-    starts = np.nonzero(np.r_[True, d_sorted[1:] != d_sorted[:-1]])[0]
-    ok = (d_sorted[starts] > s_floor) & (suffix_inf[starts] >= delta_half)
-    first = int(np.argmax(ok))
-    return float(d_sorted[starts[first]]) if ok[first] else math.inf
+    floor = d_pairs.max(where=pair_d < delta_half, initial=s_floor)
+    return float(d_pairs.min(where=d_pairs > floor, initial=math.inf))
 
 
 def calibrate_level(
@@ -388,7 +376,9 @@ def calibrate_level(
     summing at full width only the pairs whose light-column bound can reach
     it (see _split_close_sup), so the search path is the one an all-pairs
     scan per try gives. All pairs are scanned once, on the accepted images,
-    for S_n and pair_distances.
+    for pair_distances, and S_n is the smallest source distance above
+    s_floor and above every pair they leave closer than delta/2 (+inf, a
+    saturated level, where there is none).
     """
     p = as_exponent(p_target)
     _check_kernel_kind(kernel_kind)
@@ -414,10 +404,12 @@ def calibrate_level(
     ii, jj = space.pair_indices()
     d_pairs = space.dist[ii, jj]
     close = d_pairs <= n
-    # pairs in ascending source distance; the close pairs are a prefix
-    order = np.argsort(d_pairs, kind="stable")
-    close_order = order[: int(np.count_nonzero(close))]
-    ci, cj = ii[close_order], jj[close_order]
+    ci, cj = ii[close], jj[close]
+    top = min(space.n, ci.size)
+    if top < ci.size:
+        # largest-distance close pairs last, where _split_close_sup takes its lower bound
+        last = np.argpartition(d_pairs[close], ci.size - top)
+        ci, cj = ci[last], cj[last]
 
     t_cap = T_CAP if previous is None else previous.bandwidth_t
     # with no close pair there is no closeness constraint at this radius, and
@@ -468,7 +460,7 @@ def calibrate_level(
         else:
             t = math.sqrt(good[0] * bad[0])
         images = _transported_images(space, t, kernel_kind, p)
-        sup = _split_close_sup(images, p, ci, cj, min(space.n, ci.size)) if ci.size else 0.0
+        sup = _split_close_sup(images, p, ci, cj, top) if ci.size else 0.0
         tries += 1
         if sup > eps:
             bad = (t, sup)
@@ -483,7 +475,7 @@ def calibrate_level(
     else:
         # the search measured only close-pair sups; one scan of the accepted images
         all_img = pairwise_pnorm_all(images, p)
-    s_n = _separation_threshold(d_pairs[order], all_img[order], delta / 2.0, s_floor)
+    s_n = _separation_threshold(d_pairs, all_img, delta / 2.0, s_floor)
 
     all_img.setflags(write=False)
     return SphereMapLevel(

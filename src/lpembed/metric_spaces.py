@@ -290,6 +290,14 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
     return payload
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """A JSON array of numbers as float64; strings, nulls and bool-only arrays are refused, not cast."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must hold numbers only")
+    return arr.astype(np.float64, copy=False)
+
+
 def _parse_space(payload) -> FiniteMetricSpace:
     """Rebuild a space from its JSON form, checking its structure only."""
     try:
@@ -301,8 +309,8 @@ def _parse_space(payload) -> FiniteMetricSpace:
         points = meta.pop("points", None)
         return FiniteMetricSpace(
             labels=tuple(labels),
-            dist=np.asarray(payload["dist"], dtype=np.float64),
-            points=np.asarray(points, dtype=np.float64) if points is not None else None,
+            dist=_numbers(payload["dist"], "dist"),
+            points=_numbers(points, "meta.points") if points is not None else None,
             meta=meta,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -179,6 +179,11 @@ MALFORMED_SPACES = {
     "top_level_string": "space",
     "missing_dist": {"labels": ["a"]},
     "ragged_dist": {"labels": ["a", "b"], "dist": [[0, 1], [1]]},
+    # a float cast would read these as numbers
+    "dist_strings": {"labels": ["a", "b", "c"], "dist": [["0", "1", "2"], [True, 0, 1], [2, 1, 0]]},
+    "dist_bools": {"labels": ["a", "b"], "dist": [[False, True], [True, False]]},
+    "dist_null": {"labels": ["a", "b"], "dist": [[0, None], [None, 0]]},
+    "points_strings": {"labels": ["a", "b"], "dist": [[0, 1], [1, 0]], "meta": {"points": [["0"], ["1"]]}},
 }
 
 
@@ -253,12 +258,21 @@ class TestMalformedEmbeddingFile:
         ("S", float("inf"), "schedule S must be null or a finite positive number"),
         ("S", 0.0, "schedule S must be null or a finite positive number"),
         ("S", -1.0, "schedule S must be null or a finite positive number"),
+        # float() and int() would read a bool, a numeric string or a fraction
+        ("p", True, "malformed embedding payload: p must be a number"),
+        ("p", "2", "malformed embedding payload: p must be a number"),
+        ("delta", "1.0", "malformed embedding payload: delta must be a number"),
+        ("S", True, "malformed embedding payload: schedule S must be a number"),
+        ("eps", "0.5", "malformed embedding payload: schedule eps must be a number"),
+        ("t", True, "malformed embedding payload: schedule t must be a number"),
+        ("n", 1.9, "malformed embedding payload: schedule n must be an integer"),
+        ("n", True, "malformed embedding payload: schedule n must be an integer"),
     ])
     def test_report_bad_parameter_exit_2(self, key, value, message, hc2_embedding, capsys):
         space, emb = hc2_embedding
         payload = json.loads(emb.read_text())
-        # "S" is the first level's threshold, the others are top-level keys
-        target = payload["schedule"][0] if key == "S" else payload
+        # schedule keys are set in the first level, the others at the top level
+        target = payload["schedule"][0] if key in ("S", "eps", "t", "n") else payload
         target[key] = value
         emb.write_text(json.dumps(payload))
         capsys.readouterr()

@@ -23,7 +23,7 @@ from lpembed.coarse_embedder import (
     theoretical_bounds,
 )
 from lpembed.distortion_report import empirical_profile, verify_bounds
-from lpembed.kernel_sphere_maps import NotNegativeType, verify_family
+from lpembed.kernel_sphere_maps import KERNEL_KINDS, NotNegativeType, verify_family
 from lpembed.lp_core import as_exponent, pairwise_power_sums_all
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
@@ -458,14 +458,32 @@ def graph_metrics(draw):
 
 @st.composite
 def euclidean_clouds(draw):
-    """A random cloud of 1..12 points, scaled by 10^k for k in -3..3."""
+    """A random cloud of 1..12 points, scaled by 10^k for k in -6..6."""
     n = draw(st.integers(1, 12))
     dim = draw(st.integers(1, 4))
     pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, dim))
-    pts *= 10.0 ** draw(st.integers(-3, 3))
+    pts *= 10.0 ** draw(st.integers(-6, 6))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
     return FiniteMetricSpace(labels=tuple(map(str, range(n))), dist=dist, points=pts)
+
+
+@st.composite
+def ultrametrics(draw):
+    """d(i, j) = the largest merge height between positions i and j of a random order.
+
+    Each of the n - 1 heights is one of four values times a common 2^k, so
+    many pairs share a distance and the S_n searches meet ties.
+    """
+    n = draw(st.integers(2, 14))
+    heights = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 3.0]), min_size=n - 1, max_size=n - 1)))
+    heights *= 2.0 ** draw(st.integers(-4, 3))
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = heights[i:j].max()
+    perm = np.array(draw(st.permutations(range(n))))
+    return FiniteMetricSpace(labels=tuple(map(str, range(n))), dist=dist[np.ix_(perm, perm)])
 
 
 def certify(space, p, kernel_kind):
@@ -479,8 +497,9 @@ class TestCertifyOrRefuse:
 
     The factor keeps only the eigenvalues above eigh's noise floor, so no
     level runs into the float64 floor of its closeness target: clouds under
-    the gaussian kernel (PSD at every bandwidth) always certify, and graph
-    metrics refuse only with NotNegativeType.
+    the gaussian kernel (PSD at every bandwidth) and ultrametrics under
+    either kernel always certify, and graph metrics refuse only with
+    NotNegativeType.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -495,3 +514,14 @@ class TestCertifyOrRefuse:
     @given(space=euclidean_clouds(), p=st.sampled_from(PROPERTY_EXPONENTS))
     def test_euclidean_clouds(self, space, p):
         certify(space, p, "gaussian")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        space=ultrametrics(),
+        p=st.sampled_from(PROPERTY_EXPONENTS),
+        kernel_kind=st.sampled_from(KERNEL_KINDS),
+    )
+    def test_ultrametrics(self, space, p, kernel_kind):
+        # an ultrametric embeds isometrically in l_2, so both kernels are PSD
+        # at every bandwidth and no build may refuse
+        certify(space, p, kernel_kind)

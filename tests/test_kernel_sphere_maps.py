@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpembed import kernel_sphere_maps
 from lpembed.coarse_embedder import build_embedding, default_kernel_kind, default_level_count
@@ -669,12 +670,31 @@ class TestSeparationThreshold:
             assert level.s_n == loop_threshold(d_sorted, pair_sorted, delta / 2.0, s_floor)
             for floor in floors + [s_floor, level.s_n]:
                 for half in (delta / 2.0, delta / 8.0):
-                    got = kernel_sphere_maps._separation_threshold(d_sorted, pair_sorted, half, floor)
+                    # condensed order in, the loop's sorted walk as the reference
+                    got = kernel_sphere_maps._separation_threshold(d, level.pair_distances, half, floor)
                     assert got == loop_threshold(d_sorted, pair_sorted, half, floor)
             saturated += level.saturated
             if not level.saturated:
                 s_floor = level.s_n
         assert saturated > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+            min_size=1,
+            max_size=30,
+        ),
+        half=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_any_order_matches_loop(self, pairs, half):
+        # few values, so source distances tie and image distances sit on delta/2
+        d = np.array([a for a, _ in pairs], dtype=float)
+        pair_d = np.array([b for _, b in pairs], dtype=float)
+        order = np.argsort(d, kind="stable")
+        for floor in [0.0, 0.75, *np.unique(d)]:
+            got = kernel_sphere_maps._separation_threshold(d, pair_d, half, float(floor))
+            assert got == loop_threshold(d[order], pair_d[order], half, float(floor))
 
     def test_empty_and_single_distance(self):
         empty = np.empty(0)
