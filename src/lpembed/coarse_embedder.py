@@ -335,7 +335,7 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
                 epsilon_n=_number(s["eps"], "schedule eps"),
                 s_n=_threshold(s["S"]),
                 bandwidth_t=_number(s["t"], "schedule t"),
-                kernel_kind=str(s["kernel"]),
+                kernel_kind=s["kernel"],
             )
             for s in payload["schedule"]
         )

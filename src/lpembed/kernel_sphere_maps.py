@@ -204,6 +204,7 @@ class SphereMapLevel:
     pair_distances: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        _check_kernel_kind(self.kernel_kind)
         for name in ("images", "pair_distances"):
             arr = getattr(self, name)
             if arr is not None and not np.isfinite(arr).all():
@@ -231,6 +232,10 @@ class SphereMapFamily:
         if any(level.exponent.value != self.exponent.value for level in self.levels):
             # the family's exponent is the one its pair distances are summed at
             raise ValueError(f"every level must be calibrated at the family's p = {self.exponent.value:g}")
+        kinds = {level.kernel_kind for level in self.levels}
+        if len(kinds) > 1:
+            # a build calibrates every level with one kernel, each from the last
+            raise ValueError(f"every level must use one kernel kind, got {sorted(kinds)}")
 
 
 # ---------------------------------------------------------------------------

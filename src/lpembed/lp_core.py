@@ -1,9 +1,11 @@
 """lp norms of float64 arrays: one power kernel and the row and pair scans built on it.
 
 Every norm lpembed computes is the p-norm of a row or of a row difference.
-All go through one zero-guarded power kernel (_abs_power_inplace) and numpy's
-pairwise summation: row_pnorms for rows, pairwise_power_sums_all and
-pairwise_pnorm_all for all row pairs, pair_subset_power_sums for listed pairs.
+All go through one power kernel (_abs_power_inplace), whose fractional
+exponents run log and exp over the whole buffer with 0 mapped to +0.0 exactly,
+and numpy's pairwise summation of each contiguous row: row_pnorms for rows,
+pairwise_power_sums_all and pairwise_pnorm_all for all row pairs in blocks of
+consecutive rows, pair_subset_power_sums for listed pairs.
 No max-rescaling is applied: the rows lpembed passes hold entries of order
 one (unit-sphere images, their differences and stacks, Gaussian samples),
 far from float64 underflow and overflow.
@@ -11,6 +13,7 @@ far from float64 underflow and overflow.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -60,9 +63,10 @@ def as_exponent(p: ExponentLike) -> PExponent:
 def _abs_power_inplace(buf: np.ndarray, p: float) -> np.ndarray:
     """Overwrite buf with |buf|**p and return it; the one exponent ladder.
 
-    Fractional exponents use exp(p*log|v|) on the nonzero entries only, so the
-    behaviour of pow at 0 never enters. Integer and half-integer exponents take
-    exact multiply/sqrt shortcuts.
+    Fractional exponents use exp(p*log|v|) over the whole buffer: log 0 = -inf
+    and exp(-inf) = +0.0 exactly, so zeros need no mask (a masked where= call
+    leaves numpy's SIMD loops), and the behaviour of pow at 0 never enters.
+    Integer and half-integer exponents take exact multiply/sqrt shortcuts.
     """
     np.abs(buf, out=buf)
     if p == 1.0:
@@ -80,15 +84,14 @@ def _abs_power_inplace(buf: np.ndarray, p: float) -> np.ndarray:
         root = np.sqrt(buf)
         buf **= k
         return np.multiply(buf, root, out=buf)
-    nz = buf > 0.0
-    np.log(buf, out=buf, where=nz)
+    with np.errstate(divide="ignore"):
+        np.log(buf, out=buf)
     buf *= p
-    np.exp(buf, out=buf, where=nz)
-    return buf
+    return np.exp(buf, out=buf)
 
 
 def abs_power(values: np.ndarray, p: float) -> np.ndarray:
-    """Elementwise |v|**p with an explicit zero guard, on a float64 copy."""
+    """Elementwise |v|**p on a float64 copy; |0|**p is +0.0."""
     return _abs_power_inplace(np.array(values, dtype=np.float64), p)
 
 
@@ -105,29 +108,38 @@ def row_pnorms(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
     return sums ** (1.0 / pv)
 
 
+# floats per pair block of pairwise_power_sums_all and pair_subset_power_sums,
+# whatever the row width
+PAIR_BLOCK_ELEMS = 1 << 16
+
+
 def pairwise_power_sums_all(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
     """sum_k |rows[i,k] - rows[j,k]|^p over all pairs i < j, condensed order.
 
     The output matches np.triu_indices(n, 1): (0,1), (0,2), ..., (1,2), ...
-    A row-at-a-time broadcast keeps this an order of magnitude faster than
-    fancy-indexed gathers at desk scale.
+    Consecutive rows i broadcast their differences rows[i+1:] - rows[i] into
+    one contiguous buffer of at most PAIR_BLOCK_ELEMS floats (or one row i's,
+    if wider), which takes one power call and one row sum per block. Each pair
+    is still reduced as one contiguous row, so its sum has the bits of a
+    row-at-a-time scan and of pair_subset_power_sums.
     """
     pv = as_exponent(p).value
-    n = rows.shape[0]
+    n, width = rows.shape
+    # starts[i]: condensed offset of row i's pairs; starts[n - 1] is the total
+    starts = [i * (2 * n - 1 - i) // 2 for i in range(n)]
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    buf = np.empty((max(n - 1, 1), rows.shape[1]), dtype=np.float64)
-    pos = 0
-    for i in range(n - 1):
-        m = n - 1 - i
-        b = buf[:m]
-        np.subtract(rows[i + 1:], rows[i], out=b)
-        out[pos:pos + m] = _abs_power_inplace(b, pv).sum(axis=1)
-        pos += m
+    cap = max(PAIR_BLOCK_ELEMS // max(width, 1), 1)
+    buf = np.empty((min(max(cap, n - 1), out.size), width), dtype=np.float64)
+    i = 0
+    while i < n - 1:
+        stop = max(bisect.bisect_right(starts, starts[i] + cap) - 1, i + 1)
+        lo = starts[i]
+        block = buf[:starts[stop] - lo]
+        for k in range(i, stop):
+            np.subtract(rows[k + 1:], rows[k], out=block[starts[k] - lo:starts[k + 1] - lo])
+        out[lo:starts[stop]] = _abs_power_inplace(block, pv).sum(axis=1)
+        i = stop
     return out
-
-
-# floats per gathered block of pair_subset_power_sums, whatever the row width
-PAIR_BLOCK_ELEMS = 1 << 16
 
 
 def pair_subset_power_sums(

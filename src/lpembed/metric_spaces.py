@@ -291,9 +291,14 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 
 
 def _numbers(value, name: str) -> np.ndarray:
-    """A JSON array of numbers as float64; strings, nulls and bool-only arrays are refused, not cast."""
+    """A JSON array of numbers as float64; strings, nulls and booleans are refused, not cast."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
+    # numpy promotes a bool among numbers to a number, so the parsed lists are
+    # checked entry by entry: rows holds the innermost lists
+    rows = [value] if arr.ndim else []
+    for _ in range(arr.ndim - 1):
+        rows = [row for outer in rows for row in outer]
+    if arr.dtype.kind not in "iuf" or any(bool in map(type, row) for row in rows):
         raise TypeError(f"{name} must hold numbers only")
     return arr.astype(np.float64, copy=False)
 

@@ -182,6 +182,9 @@ MALFORMED_SPACES = {
     # a float cast would read these as numbers
     "dist_strings": {"labels": ["a", "b", "c"], "dist": [["0", "1", "2"], [True, 0, 1], [2, 1, 0]]},
     "dist_bools": {"labels": ["a", "b"], "dist": [[False, True], [True, False]]},
+    # numpy would promote these booleans among numbers to 1 and 0
+    "dist_bool_among_numbers": {"labels": ["a", "b"], "dist": [[0, True], [True, 0]]},
+    "points_bool_among_numbers": {"labels": ["a", "b"], "dist": [[0, 1], [1, 0]], "meta": {"points": [[0.0], [True]]}},
     "dist_null": {"labels": ["a", "b"], "dist": [[0, None], [None, 0]]},
     "points_strings": {"labels": ["a", "b"], "dist": [[0, 1], [1, 0]], "meta": {"points": [["0"], ["1"]]}},
 }
@@ -213,6 +216,7 @@ MALFORMED_IMAGES = {
     "coeff_string": (("00", 0, 0), "a"),
     "coeff_list": (("00", 0, 0), [1.0]),
     "coeff_null": (("00", 0, 0), None),
+    "coeff_bool": (("00", 0, 0), True),
     "coeff_nan": (("00", 0, 0), float("nan")),
     "coeff_inf": (("00", 0, 0), float("inf")),
 }
@@ -274,6 +278,23 @@ class TestMalformedEmbeddingFile:
         # schedule keys are set in the first level, the others at the top level
         target = payload["schedule"][0] if key in ("S", "eps", "t", "n") else payload
         target[key] = value
+        emb.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
+        assert message in capsys.readouterr().err
+
+
+    # a kind outside KERNEL_KINDS, or levels of two kinds, once passed report with exit 0
+    @pytest.mark.parametrize("first,rest,message", [
+        (5, 5, "kernel_kind must be one of"),
+        ("gaussian", "laplacian", "every level must use one kernel kind"),
+    ])
+    def test_report_bad_kernel_kind_exit_2(self, first, rest, message, hc2_embedding, capsys):
+        space, emb = hc2_embedding
+        payload = json.loads(emb.read_text())
+        assert len(payload["schedule"]) > 1
+        for k, level in enumerate(payload["schedule"]):
+            level["kernel"] = rest if k else first
         emb.write_text(json.dumps(payload))
         capsys.readouterr()
         assert run("report", "--space", str(space), "--embedding", str(emb)) == 2

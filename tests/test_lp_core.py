@@ -300,3 +300,95 @@ class TestPairSubset:
         got = pair_subset_power_sums(rows[:, 30:], ii, jj, 1.3)
         want = pairwise_power_sums_all(np.ascontiguousarray(rows[:, 30:]), 1.3)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _masked_abs_power(values, p):
+    """The power kernel with the zero mask of its fractional branch: log and
+    exp on the nonzero entries only, zeros left as they are."""
+    buf = np.abs(np.array(values, dtype=np.float64))
+    if p == 1.0:
+        return buf
+    if p == 2.0:
+        return buf * buf
+    if p == float(int(p)):
+        return buf ** int(p)
+    if 2.0 * p == float(int(2.0 * p)):
+        k = int(p - 0.5)
+        return np.sqrt(buf) if not k else buf ** k * np.sqrt(buf)
+    nz = buf > 0.0
+    np.log(buf, out=buf, where=nz)
+    buf *= p
+    np.exp(buf, out=buf, where=nz)
+    return buf
+
+
+def _row_at_a_time_scan(rows, p):
+    """The all-pairs scan one row i at a time, through the masked kernel."""
+    n = rows.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        m = n - 1 - i
+        out[pos:pos + m] = _masked_abs_power(rows[i + 1:] - rows[i], p).sum(axis=1)
+        pos += m
+    return out
+
+
+SCAN_EXPONENTS = [1.0, 1.3, 1.5, 2.0, 2.5, 3.0]
+
+
+class TestBlockedScan:
+    """pairwise_power_sums_all against the row-at-a-time masked scan, bit for bit.
+
+    _subset_rows has 23 rows, so row i has 22 - i pairs: blocks capped at 1
+    pair hold one row each, at 50 pairs rows 0-1 then more rows, and at 63
+    pairs the first block is exactly full and the last (rows 17-21) partial.
+    """
+
+    @pytest.mark.parametrize("p", SCAN_EXPONENTS)
+    @pytest.mark.parametrize("width", [1, 40])
+    @pytest.mark.parametrize("cap_pairs", [None, 1, 50, 63])
+    def test_bits_match_row_reference(self, p, width, cap_pairs, monkeypatch):
+        if cap_pairs is not None:
+            monkeypatch.setattr(lp_core, "PAIR_BLOCK_ELEMS", cap_pairs * width)
+        rows = np.ascontiguousarray(_subset_rows()[:, 40 - width:])
+        got = pairwise_power_sums_all(rows, p)
+        want = _row_at_a_time_scan(rows, p)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "cap_pairs,blocks",
+        [(None, [253]), (1, list(range(22, 0, -1))), (50, [43, 39, 35, 45, 46, 45]), (63, [63, 54, 58, 63, 15])],
+    )
+    def test_block_boundaries(self, cap_pairs, blocks, monkeypatch):
+        if cap_pairs is not None:
+            monkeypatch.setattr(lp_core, "PAIR_BLOCK_ELEMS", cap_pairs * 40)
+        seen = []
+        kernel = lp_core._abs_power_inplace
+
+        def spy(buf, p):
+            seen.append(buf.shape[0])
+            return kernel(buf, p)
+
+        monkeypatch.setattr(lp_core, "_abs_power_inplace", spy)
+        pairwise_power_sums_all(_subset_rows(), 1.3)
+        assert seen == blocks
+
+    @pytest.mark.parametrize("p", SCAN_EXPONENTS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_few_rows(self, p, n):
+        rows = _subset_rows()[[3, 7, 12][:n]]  # rows 3 and 7 are equal
+        got = pairwise_power_sums_all(rows, p)
+        assert got.shape == (n * (n - 1) // 2,)
+        assert np.array_equal(got.view(np.uint64), _row_at_a_time_scan(rows, p).view(np.uint64))
+
+    @pytest.mark.parametrize("p", [1.3, 2.7])
+    def test_fractional_zeros_are_positive_zero(self, p):
+        out = abs_power(np.array([0.0, -0.0, 1.0]), p)
+        assert list(out.view(np.uint64)[:2]) == [0, 0]
+
+    @pytest.mark.parametrize("p", [1.3, 2.7])
+    def test_fractional_inf_and_nan_keep_masked_bits(self, p):
+        v = np.array([np.inf, -np.inf, np.nan, -np.nan])
+        got = abs_power(v, p)
+        assert np.array_equal(got.view(np.uint64), _masked_abs_power(v, p).view(np.uint64))
