@@ -28,6 +28,7 @@ from .lp_core import abs_power
 
 __all__ = [
     "DEFAULT_TOL",
+    "MAX_BUCKETS",
     "DistortionBucket",
     "BoundViolation",
     "DistortionProfile",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+# input bound on the bucket count: a profile and its CSV and JSON exports take
+# about 0.9 KB per bucket, so about 0.9 GB at this bound
+MAX_BUCKETS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,8 @@ def verify_bounds(embedding: CoarseEmbedding) -> list:
 def empirical_profile(embedding: CoarseEmbedding, bucket_count: int) -> DistortionProfile:
     """Bucket all pairs by source distance over [0, diameter]."""
     bucket_count = int(bucket_count)
-    if bucket_count < 1:
-        raise ValueError(f"bucket count must be >= 1, got {bucket_count}")
+    if not 1 <= bucket_count <= MAX_BUCKETS:
+        raise ValueError(f"bucket count must be in 1..{MAX_BUCKETS}, got {bucket_count}")
     scan = pairwise_image_power_sums(embedding)
     _, _, d, psums = scan
     image_d = psums ** (1.0 / embedding.exponent.value)

@@ -34,20 +34,30 @@ interpolation once both are known. The search stops once the accepted sup is
 at least 0.9 2^-n, t is the cap, or the bracket is within a factor 1.01;
 each accepted t is measured exactly.
 
-The bandwidth search needs only the sup over close pairs, and it finds that
-sup without summing most pairs at full width. `eigh` returns eigenvalues in
-ascending order, so the leading image columns carry little row mass, and for
-p >= 1
+The bandwidth search needs only the sup over close pairs (d <= n), a set
+that grows with n until it holds every pair, so each try is measured in one
+of two ways, chosen once per level from the source distances:
 
-    |a - b|^p <= 2^(p-1) (|a|^p + |b|^p)
+- At least half of all pairs close: one all-pairs scan, and the sup is its
+  max over the close pairs. The split sup below would gather two image rows
+  per close pair where the scan reads one per pair, so it moves at least as
+  many floats, and a try that is accepted keeps its scan as the level's pair
+  distances.
+- Fewer close pairs: the split sup, which finds the sup without summing most
+  pairs at full width. `eigh` returns eigenvalues in ascending order, so the
+  leading image columns carry little row mass, and for p >= 1
 
-bounds what those light columns can add to any pair's p-th-power sum. A pair
-is summed at full width only where its heavy-column sum plus that bound
-reaches the largest exact sum among the close pairs of largest source
-distance. The others cannot hold the maximum, and the pairs that are summed
-go through the same kernel as the all-pairs scan, so the sup is that scan's,
-bit for bit. All pairs are scanned once per level, on the accepted images,
-and not at all where a level accepts the previous level's images.
+      |a - b|^p <= 2^(p-1) (|a|^p + |b|^p)
+
+  bounds what those light columns can add to any pair's p-th-power sum. A
+  pair is summed at full width only where its heavy-column sum plus that
+  bound reaches the largest exact sum among the close pairs of largest
+  source distance. The others cannot hold the maximum. The accepted images
+  are then scanned once for the level's pair distances.
+
+The pairs that are summed go through the same kernel as the all-pairs scan,
+so both ways give that scan's sup, bit for bit. A level that accepts the
+previous level's images scans nothing.
 """
 
 from __future__ import annotations
@@ -345,6 +355,23 @@ def _separation_threshold(
     return float(d_pairs.min(where=d_pairs > floor, initial=math.inf))
 
 
+def _pair_layout(space: FiniteMetricSpace) -> tuple:
+    """(ii, jj, d): every pair i < j in condensed order, with its source distance."""
+    ii, jj = space.pair_indices()
+    return ii, jj, space.dist[ii, jj]
+
+
+def _scans_every_try(close_count: int, pair_count: int) -> bool:
+    """Whether a level measures each try by one all-pairs scan.
+
+    The split sup gathers two image rows per close pair, and the scan reads
+    one row per pair; from half the pairs close on, the split moves at least
+    as many floats, and the scan of an accepted try is the level's pair
+    distances besides.
+    """
+    return 2 * close_count >= pair_count
+
+
 def calibrate_level(
     space: FiniteMetricSpace,
     n: int,
@@ -354,6 +381,7 @@ def calibrate_level(
     *,
     previous: Optional[SphereMapLevel] = None,
     s_floor: float = 0.0,
+    _pairs: Optional[tuple] = None,
 ) -> SphereMapLevel:
     """Calibrate level n: largest bandwidth meeting sup_{d<=n} <= 2^-n, then S_n.
 
@@ -364,26 +392,34 @@ def calibrate_level(
     exclusive lower bound on S_n, for strictly increasing schedules.
 
     One loop serves every level. good is the largest feasible bandwidth
-    measured, as (t, sup, images), and bad the smallest infeasible one, as
-    (t, sup). previous's pair distances give the sup at the cap without a
-    factorization; a cap that meets 2^-n is taken with previous's images and
-    pair distances, and one that misses is bad. Before each try the loop
-    stops once good's sup is at least 0.9 * 2^-n, good's t is the cap,
-    bad.t / good.t <= 1.01, or 12 tries have followed the first feasible
-    one. Without good, the next t is the model step from bad (the envelope
-    start where nothing is measured): on the first try never below the
-    envelope start, and from the third on at most bad.t / 2, so 200 tries
-    span at least 2^199 before the level is refused. Without bad, it is the
-    model step from good, up to the cap. With both, it is log-log
-    interpolation on sup(t), aimed at 0.999 * 2^-n.
+    measured, as (t, sup, images, pair distances or None), and bad the
+    smallest infeasible one, as (t, sup). previous's pair distances give the
+    sup at the cap without a factorization; a cap that meets 2^-n is taken
+    with previous's images and pair distances, and one that misses is bad.
+    Before each try the loop stops once good's sup is at least 0.9 * 2^-n,
+    good's t is the cap, bad.t / good.t <= 1.01, or 12 tries have followed
+    the first feasible one. Without good, the next t is the model step from
+    bad (the envelope start where nothing is measured): on the first try
+    never below the envelope start, and from the third on at most bad.t / 2,
+    so 200 tries span at least 2^199 before the level is refused. Without
+    bad, it is the model step from good, up to the cap. With both, it is
+    log-log interpolation on sup(t), aimed at 0.999 * 2^-n.
 
     Each try builds its kernel once and measures the close-pair sup exactly,
-    summing at full width only the pairs whose light-column bound can reach
-    it (see _split_close_sup), so the search path is the one an all-pairs
-    scan per try gives. All pairs are scanned once, on the accepted images,
-    for pair_distances, and S_n is the smallest source distance above
-    s_floor and above every pair they leave closer than delta/2 (+inf, a
-    saturated level, where there is none).
+    so the search path is the one an all-pairs scan per try gives. Where at
+    least half of all pairs are close, the try is that scan, and good keeps
+    it as pair_distances. Otherwise the split sup sums at full width only
+    the pairs whose light-column bound can reach the sup (see
+    _split_close_sup), and the accepted images are scanned once at the end.
+    So no images are scanned twice. A kept scan is held while later tries
+    run: besides previous's pair distances, good's and the current try's,
+    two arrays of n(n-1)/2 floats (about 67 MB each at n = 4096), where a
+    split try holds none. S_n is the smallest source distance above s_floor
+    and above every pair the accepted images leave closer than delta/2
+    (+inf, a saturated level, where there is none).
+
+    _pairs is internal: build_level_family lays out the pairs and their
+    source distances once and passes them to every level.
     """
     p = as_exponent(p_target)
     _check_kernel_kind(kernel_kind)
@@ -406,31 +442,33 @@ def calibrate_level(
         )
 
     eps = 2.0 ** (-n)
-    ii, jj = space.pair_indices()
-    d_pairs = space.dist[ii, jj]
+    ii, jj, d_pairs = _pair_layout(space) if _pairs is None else _pairs
     close = d_pairs <= n
-    ci, cj = ii[close], jj[close]
-    top = min(space.n, ci.size)
-    if top < ci.size:
-        # largest-distance close pairs last, where _split_close_sup takes its lower bound
-        last = np.argpartition(d_pairs[close], ci.size - top)
-        ci, cj = ci[last], cj[last]
+    close_count = int(np.count_nonzero(close))
+    scan_tries = _scans_every_try(close_count, d_pairs.size)
+    if not scan_tries:
+        ci, cj = ii[close], jj[close]
+        top = min(space.n, close_count)
+        if top < close_count:
+            # largest-distance close pairs last, where _split_close_sup takes its lower bound
+            last = np.argpartition(d_pairs[close], close_count - top)
+            ci, cj = ci[last], cj[last]
 
     t_cap = T_CAP if previous is None else previous.bandwidth_t
     # with no close pair there is no closeness constraint at this radius, and
     # the cap maxes out the separation
     start = t_cap
-    if ci.size:
+    if close_count:
         start = min(_feasible_start(eps, p, float(d_pairs[close].max()), kernel_kind), t_cap)
-    # good: the largest feasible bandwidth measured, (t, sup, images);
-    # bad: the smallest infeasible one, (t, sup)
+    # good: the largest feasible bandwidth measured, (t, sup, images, its
+    # all-pairs scan or None); bad: the smallest infeasible one, (t, sup)
     good = bad = None
     if previous is not None:
         # the previous level's sup over these close pairs is the measurement
         # at the cap, free
-        prev_sup = float(previous.pair_distances[close].max()) if ci.size else 0.0
+        prev_sup = float(previous.pair_distances[close].max()) if close_count else 0.0
         if prev_sup <= eps:
-            good = (t_cap, prev_sup, previous.images)
+            good = (t_cap, prev_sup, previous.images, previous.pair_distances)
         else:
             bad = (t_cap, prev_sup)
     tries = 0
@@ -465,19 +503,23 @@ def calibrate_level(
         else:
             t = math.sqrt(good[0] * bad[0])
         images = _transported_images(space, t, kernel_kind, p)
-        sup = _split_close_sup(images, p, ci, cj, top) if ci.size else 0.0
+        scan = None
+        if scan_tries:
+            scan = pairwise_pnorm_all(images, p)
+            # distances are >= 0, so initial=0 moves no max
+            sup = float(scan.max(where=close, initial=0.0))
+        else:
+            sup = _split_close_sup(images, p, ci, cj, top) if close_count else 0.0
         tries += 1
         if sup > eps:
             bad = (t, sup)
         else:
             if good is None:
                 found_at = tries
-            good = (t, sup, images)
-    t_best, sup_best, images = good
+            good = (t, sup, images, scan)
+    t_best, sup_best, images, all_img = good
 
-    if previous is not None and images is previous.images:
-        all_img = previous.pair_distances
-    else:
+    if all_img is None:
         # the search measured only close-pair sups; one scan of the accepted images
         all_img = pairwise_pnorm_all(images, p)
     s_n = _separation_threshold(d_pairs, all_img, delta / 2.0, s_floor)
@@ -506,15 +548,17 @@ def build_level_family(
 
     Later levels have tighter closeness targets over larger radii, so each
     level's bandwidth brackets the next one's search; saturated levels keep
-    their blocks but add no separation threshold.
+    their blocks but add no separation threshold. The pairs and their source
+    distances are laid out once, for every level of this build.
     """
     p = as_exponent(p_target)
+    pairs = _pair_layout(space)
     levels = []
     s_floor = 0.0
     for n in range(1, level_count + 1):
         level = calibrate_level(
             space, n, p, delta, kernel_kind,
-            previous=levels[-1] if levels else None, s_floor=s_floor,
+            previous=levels[-1] if levels else None, s_floor=s_floor, _pairs=pairs,
         )
         levels.append(level)
         if not level.saturated:

@@ -22,6 +22,7 @@ from .lp_core import ExponentLike, abs_power, as_exponent, row_pnorms
 
 __all__ = [
     "SPHERE_TOL",
+    "MAX_SAMPLE_DIM",
     "signed_power",
     "mazur_map_rows",
     "MazurBounds",
@@ -36,6 +37,10 @@ SPHERE_TOL = 1e-9
 
 # sample_ratio_extremes draws and maps this many pairs at a time
 SAMPLE_BATCH = 1 << 12
+# input bound on the sample dimension: each batch holds a few arrays of
+# 2 * SAMPLE_BATCH * dim floats, 64 MiB each at this bound (about 290 MB max
+# RSS for check-mazur, against 52 MB at dim 64)
+MAX_SAMPLE_DIM = 1024
 
 
 def signed_power(values: np.ndarray, theta: float) -> np.ndarray:
@@ -140,6 +145,8 @@ def sample_ratio_extremes(
     pe, qe = as_exponent(p), as_exponent(q)
     if dim < 1 or pairs < 1:
         raise ValueError("dim and pairs must be positive")
+    if dim > MAX_SAMPLE_DIM:
+        raise ValueError(f"dim must be at most {MAX_SAMPLE_DIM}, got {dim}")
     bounds = mazur_bounds(pe, qe)
     rng = np.random.default_rng(seed)
     lower_excess = -math.inf

@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "MAX_POINTS",
+    "MAX_GAUSSIAN_DIM",
     "FiniteMetricSpace",
     "MetricViolation",
     "ValidationReport",
@@ -34,6 +35,10 @@ __all__ = [
 
 # all downstream algorithms are O(n^2)-O(n^3); keep desk-scale
 MAX_POINTS = 4096
+# input bound on a gaussian cloud's ambient dimension: its points take
+# n * dim floats, 32 MiB at MAX_POINTS, and the distance loop's row blocks of
+# coordinate differences at most as many
+MAX_GAUSSIAN_DIM = 1024
 
 GENERATOR_KINDS = ("hypercube", "cycle", "gaussian", "path")
 
@@ -229,8 +234,8 @@ def _gaussian(n: int, seed: int, dim: int) -> FiniteMetricSpace:
         raise ValueError(f"gaussian cloud needs at least 2 points, got {n}")
     if n > MAX_POINTS:
         raise ValueError(f"gaussian parameter exceeds {MAX_POINTS}")
-    if dim < 1:
-        raise ValueError(f"ambient dimension must be positive, got {dim}")
+    if not 1 <= dim <= MAX_GAUSSIAN_DIM:
+        raise ValueError(f"ambient dimension dim must be in 1..{MAX_GAUSSIAN_DIM}, got {dim}")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, dim))
     # row chunks, not one n*n*dim array; each row's sum is the same reduction

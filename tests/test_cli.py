@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lpembed
-from lpembed import cli, coarse_embedder, metric_spaces
+from lpembed import cli, coarse_embedder, distortion_report, mazur, metric_spaces
 from lpembed.cli import main
 from lpembed.metric_spaces import FiniteMetricSpace, load_space, save_space, validate
 
@@ -319,6 +319,48 @@ class TestCheckMazur:
         first = capsys.readouterr().out
         run("check-mazur", "--p", "1", "--q", "2", "--dim", "8", "--samples", "100", "--seed", "5")
         assert capsys.readouterr().out == first
+
+
+class TestSizeBounds:
+    """Size arguments past their input bound exit 2 before their arrays are allocated."""
+
+    HUGE = str(10**13)
+
+    @pytest.mark.parametrize("dim", [metric_spaces.MAX_GAUSSIAN_DIM + 1, HUGE])
+    def test_gen_gaussian_dim(self, dim, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        code = run("gen", "--kind", "gaussian", "--param", "10", "--seed", "1", "--dim", str(dim), "--out", str(out))
+        assert code == 2
+        assert f"dim must be in 1..{metric_spaces.MAX_GAUSSIAN_DIM}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_gaussian_dim_at_bound(self, tmp_path):
+        out = tmp_path / "g.json"
+        dim = str(metric_spaces.MAX_GAUSSIAN_DIM)
+        assert run("gen", "--kind", "gaussian", "--param", "3", "--seed", "1", "--dim", dim, "--out", str(out)) == 0
+
+    @pytest.mark.parametrize("dim", [mazur.MAX_SAMPLE_DIM + 1, HUGE])
+    def test_check_mazur_dim(self, dim, capsys):
+        assert run("check-mazur", "--p", "1", "--q", "2", "--dim", str(dim), "--samples", "10") == 2
+        assert f"dim must be at most {mazur.MAX_SAMPLE_DIM}" in capsys.readouterr().err
+
+    def test_check_mazur_dim_at_bound(self, capsys):
+        dim = str(mazur.MAX_SAMPLE_DIM)
+        assert run("check-mazur", "--p", "1", "--q", "2", "--dim", dim, "--samples", "10") == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("buckets", [distortion_report.MAX_BUCKETS + 1, HUGE])
+    def test_report_buckets(self, buckets, hc3_file, tmp_path, capsys):
+        emb = tmp_path / "e.json"
+        assert run("embed", "--space", str(hc3_file), "--p", "1", "--levels", "3", "--out", str(emb)) == 0
+        csv_out = tmp_path / "prof.csv"
+        code = run(
+            "report", "--space", str(hc3_file), "--embedding", str(emb),
+            "--buckets", str(buckets), "--csv", str(csv_out),
+        )
+        assert code == 2
+        assert f"bucket count must be in 1..{distortion_report.MAX_BUCKETS}" in capsys.readouterr().err
+        assert not csv_out.exists()
 
 
 class TestUsage:

@@ -525,3 +525,16 @@ class TestCertifyOrRefuse:
         # an ultrametric embeds isometrically in l_2, so both kernels are PSD
         # at every bandwidth and no build may refuse
         certify(space, p, kernel_kind)
+
+    # one point has no pair and two points one, where calibration's choice of
+    # close-pair measurement meets its edge (2 * close >= pairs)
+    @pytest.mark.parametrize("kernel_kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("p", PROPERTY_EXPONENTS)
+    def test_one_point(self, p, kernel_kind):
+        certify(FiniteMetricSpace(labels=("a",), dist=np.zeros((1, 1))), p, kernel_kind)
+
+    @pytest.mark.parametrize("kernel_kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("p", PROPERTY_EXPONENTS)
+    @pytest.mark.parametrize("d", [1e-7, 1.0, 3.5])
+    def test_two_points(self, d, p, kernel_kind):
+        certify(FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, d], [d, 0.0]])), p, kernel_kind)

@@ -12,6 +12,7 @@ from lpembed.coarse_embedder import build_embedding, default_kernel_kind, defaul
 from lpembed.kernel_sphere_maps import (
     CalibrationError,
     NotNegativeType,
+    SphereMapFamily,
     build_level_family,
     build_sphere_map,
     calibrate_level,
@@ -339,16 +340,31 @@ SPLIT_CASES = [
 ]
 
 
+# the split levels of these families find no leading column light enough to
+# leave out: the short path's, and cycle(8)'s only split level, level 1
+NO_PARTIAL_SUMS = {"path6-p1.0", "cycle8-p1.5"}
+
+
+def case_id(case):
+    (kind, param), p = case
+    return f"{kind}{param}-p{p}"
+
+
 class TestSplitEquivalence:
-    @pytest.mark.parametrize("case", SPLIT_CASES, ids=lambda c: f"{c[0][0]}{c[0][1]}-p{c[1]}")
+    @pytest.mark.parametrize("case", SPLIT_CASES, ids=case_id)
     def test_family_bits_match_full_scan_sup(self, case, monkeypatch):
+        # every family takes the split sup on its first levels and the
+        # all-pairs scan once half its pairs are close; the reference measures
+        # every try by a full scan and scans the accepted images again
         (kind, param), p = case
         X = generate(kind, param, seed=3) if kind == "gaussian" else generate(kind, param)
         args = (X, default_level_count(X), p, 1.0, default_kernel_kind(X))
 
         real_split = kernel_sphere_maps._split_close_sup
         real_subset = kernel_sphere_maps.pair_subset_power_sums
-        ran = {"split": 0, "partial": 0, "width": None}
+        real_rule = kernel_sphere_maps._scans_every_try
+        real_factor = kernel_sphere_maps.build_sphere_map
+        ran = {"split": 0, "partial": 0, "width": None, "scan_tries": 0, "scan_level": None}
 
         def spy_split(images, *rest):
             ran["split"] += 1
@@ -361,16 +377,73 @@ class TestSplitEquivalence:
             ran["partial"] += rows.shape[1] < ran["width"]
             return real_subset(rows, ii, jj, pv)
 
+        def spy_rule(close_count, pair_count):
+            # called once per level, before its first try
+            ran["scan_level"] = real_rule(close_count, pair_count)
+            return ran["scan_level"]
+
+        def spy_factor(space, t, kind):
+            ran["scan_tries"] += ran["scan_level"]
+            return real_factor(space, t, kind)
+
         monkeypatch.setattr(kernel_sphere_maps, "_split_close_sup", spy_split)
         monkeypatch.setattr(kernel_sphere_maps, "pair_subset_power_sums", spy_subset)
+        monkeypatch.setattr(kernel_sphere_maps, "_scans_every_try", spy_rule)
+        monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", spy_factor)
         pruned = build_level_family(*args)
+        monkeypatch.undo()
         monkeypatch.setattr(kernel_sphere_maps, "_split_close_sup", full_scan_sup)
+        monkeypatch.setattr(kernel_sphere_maps, "_scans_every_try", lambda close_count, pair_count: False)
         reference = build_level_family(*args)
 
         assert ran["split"] > 0
-        # on the short path no leading column is light enough to leave out
-        assert ran["partial"] > 0 or kind == "path"
+        assert ran["scan_tries"] > 0
+        assert ran["partial"] > 0 or case_id(case) in NO_PARTIAL_SUMS
         assert_same_levels(pruned, reference)
+
+
+def half_close_space(close_pairs):
+    """Four points on a line, 3 of whose 6 pairs are within distance 1, or 2."""
+    xs = [0.0, 1.0, 2.0, 3.0] if close_pairs == 3 else [0.0, 1.0, 2.5, 3.5]
+    d = np.abs(np.subtract.outer(xs, xs))
+    return FiniteMetricSpace(labels=("a", "b", "c", "d"), dist=d)
+
+
+class TestScanRule:
+    """A level with at least half its pairs close measures each try by one all-pairs scan."""
+
+    @pytest.mark.parametrize("close_pairs, scans_tries", [(3, True), (2, False)])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["laplacian", "gaussian"])
+    def test_path_at_half_the_pairs_and_other_path_bits(self, close_pairs, scans_tries, p, kind, monkeypatch):
+        X = half_close_space(close_pairs)
+        ii, jj = X.pair_indices()
+        assert int(np.count_nonzero(X.dist[ii, jj] <= 1.0)) == close_pairs
+        real_split = kernel_sphere_maps._split_close_sup
+        real_rule = kernel_sphere_maps._scans_every_try
+        splits = []
+        monkeypatch.setattr(
+            kernel_sphere_maps, "_split_close_sup", lambda *args: splits.append(1) or real_split(*args)
+        )
+        calls = spy_factor(monkeypatch)
+        scans = spy_scans(monkeypatch)
+        level = calibrate_level(X, 1, p, 1.0, kind)
+        tries = len(calls)
+        if scans_tries:
+            assert splits == [] and len(scans) == tries
+        else:
+            assert len(splits) == tries and len(scans) == 1
+
+        # the other path gives the same bits
+        monkeypatch.setattr(
+            kernel_sphere_maps, "_scans_every_try", lambda close_count, pair_count: not real_rule(close_count, pair_count)
+        )
+        del splits[:], scans[:]
+        other = calibrate_level(X, 1, p, 1.0, kind)
+        assert bool(splits) == scans_tries
+        assert_same_levels(
+            SphereMapFamily((level,), level.exponent, 1.0, X), SphereMapFamily((other,), other.exponent, 1.0, X)
+        )
 
 
 def assert_same_levels(family, reference):
@@ -458,11 +531,25 @@ class TestKernelReuse:
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_one_all_pairs_scan_per_level(self, p, monkeypatch):
-        # every bandwidth tried measures only its close-pair sup
-        scans = spy_scans(monkeypatch)
+        # a try with fewer than half its pairs close measures only its
+        # close-pair sup, and the accepted one is scanned once; from half on,
+        # each try is one scan, kept by the level that accepts it
+        calls = spy_factor(monkeypatch)
+        scanned = []
+        real = kernel_sphere_maps.pairwise_pnorm_all
+        monkeypatch.setattr(
+            kernel_sphere_maps, "pairwise_pnorm_all", lambda rows, q: scanned.append(rows) or real(rows, q)
+        )
         fam = build_level_family(*default_family_args("path", 12, p))
         assert len(fam.levels) == 13
-        assert scans == [12] * 13
+        # scanned holds every array, so no id is reused
+        assert len({id(rows) for rows in scanned}) == len(scanned)
+        assert len(scanned) <= len(calls) + len(fam.levels)
+        for level in fam.levels:
+            assert np.array_equal(level.pair_distances.view(np.uint64), real(level.images, p).view(np.uint64))
+        if p == 1.0:
+            # every scanned try of this family is accepted
+            assert [rows.shape[0] for rows in scanned] == [12] * 13
 
     def test_previous_from_other_exponent_rejected(self):
         X = generate("hypercube", 3)
@@ -487,11 +574,6 @@ FACTOR_CEILINGS = {
     # eigenvalues it factored 77 (354 cold) and refused at level 47
     "path48-p1.0": 63,
 }
-
-
-def case_id(case):
-    (kind, param), p = case
-    return f"{kind}{param}-p{p}"
 
 
 def trace_levels(monkeypatch):
