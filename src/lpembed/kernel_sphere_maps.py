@@ -13,6 +13,15 @@ Where t * d falls below float64 resolution, K is all-ones plus noise and
 factors to one column: the constant map, which meets any closeness target
 exactly.
 
+Calibration keeps within float64's resolution by one bound: the factor
+reproduces each Gram entry to within 2 n^2 eps (eigh's backward error and
+the dropped eigenpairs, lambda_max <= n), against 1 - K ~ t g at a close pair
+(g = d, or d^2 for the gaussian kernel). Below that floor at every close
+pair, a level takes the constant map with no factorization; the envelope
+start aims under the target by the same error relative to 1 - K; and a try
+whose kernel entry at the largest close pair is below 2^-53 is known
+infeasible without a factorization (the identity end).
+
 Level n wants a sphere map into l_p whose image distances are at most 2^-n on
 pairs with d <= n, while staying at least delta/2 apart beyond some threshold
 S_n. `calibrate_level` finds the largest bandwidth t meeting the closeness
@@ -31,8 +40,8 @@ takes the model step t (0.95 2^-n / sup)^p while a side of the bracket is
 missing (the model is sup ~ t^(1/p): the l_2 sup grows like sqrt(t d) at
 small t, and the Mazur map raises it to the power 2/p), and log-log
 interpolation once both are known. The search stops once the accepted sup is
-at least 0.9 2^-n, t is the cap, or the bracket is within a factor 1.01;
-each accepted t is measured exactly.
+at least 0.9 2^-n, t is the cap, the bracket is within a factor 1.01, or a
+try falls below the floor; each accepted t is measured exactly.
 
 The bandwidth search needs only the sup over close pairs (d <= n), a set
 that grows with n until it holds every pair, so each try is measured in one
@@ -102,6 +111,15 @@ EIG_REL_TOL = 1e-8
 # bandwidth cap; exp(-t d) underflows to an identity-like kernel long before
 T_CAP = 1e8
 
+# float64 machine epsilon, the unit of every resolution bound below
+EPS64 = float(np.finfo(np.float64).eps)
+# exp(-x) < 2^-53 beyond this: a kernel entry below float64 resolution beside
+# the diagonal's 1.0, as from an identity kernel
+IDENTITY_EXPONENT = 53.0 * math.log(2.0)
+# exp(-x) is 1.0 in float64 up to x = 2^-55, a quarter of the ulp below 1.0,
+# which leaves room for the rounding of t * g and of exp
+ALL_ONES_EXPONENT = 2.0 ** -55
+
 UNIT_TOL = 1e-9
 
 # Split sup of the close pairs (see _split_close_sup): the light columns may
@@ -161,7 +179,7 @@ def build_sphere_map(space: FiniteMetricSpace, t: float, kernel_kind: str) -> np
             f"eigenvalue {lam_min:.6e} < {floor:.3e}"
         )
     # eigh returns w ascending, so the kept eigenpairs are its last r
-    first = int(np.searchsorted(w, space.n * np.finfo(np.float64).eps * lam_max, side="right"))
+    first = int(np.searchsorted(w, space.n * EPS64 * lam_max, side="right"))
     V = U[:, first:] * np.sqrt(w[first:])
     V /= row_pnorms(V, 2.0)[:, None]
     return V
@@ -261,6 +279,25 @@ def _distance_ceiling(p: PExponent) -> float:
     return float(mazur_bounds(2.0, p).lower(math.sqrt(2.0)))
 
 
+def _gram_error(n_points: int) -> float:
+    """Bound on |(V V^T - K)_xy| for build_sphere_map's factor V of an n-point kernel.
+
+    eigh's backward error n * eps * lambda_max, and as much again for the
+    eigenpairs dropped at or below it (they move an entry by at most the
+    largest dropped |eigenvalue|), with lambda_max <= trace K = n. A kernel
+    with an eigenvalue between -EIG_REL_TOL * lambda_max and
+    -n * eps * lambda_max, which build_sphere_map admits, can exceed it;
+    calibration uses the bound only to aim and to cut short its search,
+    and measures every level it accepts.
+    """
+    return 2.0 * n_points * n_points * EPS64
+
+
+def _kernel_g(d: float, kernel_kind: str) -> float:
+    """The g of K = exp(-t g) at source distance d: d, or d^2 for the gaussian kernel."""
+    return d * d if kernel_kind == "gaussian" else d
+
+
 def _transported_images(space: FiniteMetricSpace, t: float, kernel_kind: str, p: PExponent) -> np.ndarray:
     V = build_sphere_map(space, t, kernel_kind)
     if p.value == 2.0:
@@ -302,34 +339,41 @@ def _split_close_sup(
     return float((sums if pv == 1.0 else sums ** (1.0 / pv)).max())
 
 
-def _feasible_start(
-    eps: float, p: PExponent, d_max_close: float, kernel_kind: str
-) -> float:
+def _l2_target(eps: float, p: PExponent) -> float:
+    """The l_2 image distance whose Mazur upper envelope at p is eps."""
+    if p.value > 2.0:
+        return (eps / mazur_bounds(2.0, p).constant_c) ** (p.value / 2.0)
+    return p.value * eps / 2.0
+
+
+def _feasible_start(eps: float, p: PExponent, g_close: float, gram_error: float) -> float:
     """Bandwidth guaranteed to meet the closeness target via the envelopes.
 
-    At l_2 the largest close-pair image distance is s(t) = sqrt(2(1 - K(t, d)))
-    at the largest close source distance d (the kernel is monotone). Pushing s
-    through the Mazur upper envelope and solving for t gives a start point that
-    cannot overshoot.
+    At l_2 the largest close-pair image distance is s(t) = sqrt(2(1 - K)) at
+    the largest close g (d, or d^2 for the gaussian kernel), where the kernel
+    is smallest. Pushing s through the Mazur upper envelope and solving for t
+    gives a start point that cannot overshoot.
 
     At p = 2 the envelope is the identity and that t is the exact optimum, so
-    the measured sup lands on the target up to the factorization's rounding
-    and can round above it (cycle(8), level 1: 0.5000000000000006). The
-    images reproduce K to within a few n * eps * lambda_max (see
-    build_sphere_map), a relative error of about 1e-15 on the sup of a
-    small space and below 1e-10 at 256 points; the start aims 1e-9 under
-    the target, which clears that and moves t by about 2e-9.
+    the measured sup lands on the target up to the factorization's error and
+    can round above it (cycle(8), level 1: 0.5000000000000006). The images
+    reproduce each Gram entry to within gram_error (see _gram_error), against
+    1 - K = s^2 / 2 at that pair: the squared sup is off by at most that
+    ratio relative, and the sup by half of it. So the start aims
+    max(1e-9, gram_error / (1 - K)) under the target: 1e-9 at level 1 of a
+    small space, but 1.4e-4 at path(48)'s level 13 at p = 2, where
+    1 - K = 7.5e-9. Where that ratio reaches 1, the start is 0, below the
+    floor.
     """
-    eps = eps * (1.0 - 1e-9)
-    if p.value > 2.0:
-        b = mazur_bounds(2.0, p)
-        s_target = (eps / b.constant_c) ** (p.value / 2.0)
-    else:
-        s_target = p.value * eps / 2.0
-    if s_target * s_target >= 2.0:
+    s = _l2_target(eps, p)
+    margin = max(1e-9, 2.0 * gram_error / (s * s))
+    if margin >= 1.0:
+        # the target is within the Gram error: no factor resolves it
+        return 0.0
+    s = _l2_target(eps * (1.0 - margin), p)
+    if s * s >= 2.0:
         return T_CAP
-    g = d_max_close * d_max_close if kernel_kind == "gaussian" else d_max_close
-    return min(T_CAP, -math.log1p(-s_target * s_target / 2.0) / g)
+    return min(T_CAP, -math.log1p(-s * s / 2.0) / g_close)
 
 
 def _model_step(t: float, sup: float, eps: float, p: PExponent) -> float:
@@ -400,10 +444,25 @@ def calibrate_level(
     good's t is the cap, bad.t / good.t <= 1.01, or 12 tries have followed
     the first feasible one. Without good, the next t is the model step from
     bad (the envelope start where nothing is measured): on the first try
-    never below the envelope start, and from the third on at most bad.t / 2,
-    so 200 tries span at least 2^199 before the level is refused. Without
-    bad, it is the model step from good, up to the cap. With both, it is
-    log-log interpolation on sup(t), aimed at 0.999 * 2^-n.
+    never below the envelope start, and from the third on at most bad.t / 2.
+    Without bad, it is the model step from good, up to the cap. With both,
+    it is log-log interpolation on sup(t), aimed at 0.999 * 2^-n.
+
+    Tries outside float64's resolution are not factored. With g = d, or d^2
+    for the gaussian kernel, at the largest close pair, 1 - K ~ t g there is
+    the largest 1 - K among the close pairs, and the factor reproduces each
+    Gram entry only to within _gram_error(n) = 2 n^2 eps.
+    - Floor: a try with t g under that error resolves no close pair. The
+      level takes the constant map instead: one column of ones, sup 0, every
+      pair distance 0, saturated. It records min(cap, 2^-55 / g_max), g_max
+      over all pairs, where the kernel is all-ones in float64, so its images
+      are the factor of its kernel, and later levels accept that bandwidth
+      free at their cap. Since the shrinks halve t from the third on, every
+      level ends at a feasible try or at this floor.
+    - Identity end: a try with t g > 53 ln 2 puts K at that pair below
+      2^-53, so its l_2 images are sqrt(2) apart and, through the Mazur
+      lower envelope, at least the ceiling > 1/2 >= 2^-n apart in l_p. It
+      counts as a try and sets bad to (53 ln 2 / g, the ceiling) unfactored.
 
     Each try builds its kernel once and measures the close-pair sup exactly,
     so the search path is the one an all-pairs scan per try gives. Where at
@@ -458,8 +517,15 @@ def calibrate_level(
     # with no close pair there is no closeness constraint at this radius, and
     # the cap maxes out the separation
     start = t_cap
+    # float64 resolution at the largest close g: below t_floor, 1 - K ~ t g
+    # is within the Gram error at every close pair, and from t_identity on,
+    # K at that pair is below 2^-53
+    t_floor, t_identity = 0.0, math.inf
     if close_count:
-        start = min(_feasible_start(eps, p, float(d_pairs[close].max()), kernel_kind), t_cap)
+        g_close = _kernel_g(float(d_pairs[close].max()), kernel_kind)
+        gram_error = _gram_error(space.n)
+        start = min(_feasible_start(eps, p, g_close, gram_error), t_cap)
+        t_floor, t_identity = gram_error / g_close, IDENTITY_EXPONENT / g_close
     # good: the largest feasible bandwidth measured, (t, sup, images, its
     # all-pairs scan or None); bad: the smallest infeasible one, (t, sup)
     good = bad = None
@@ -489,11 +555,13 @@ def calibrate_level(
                     t = max(t, start)
                 elif tries > 1:
                     t = min(t, bad[0] / 2.0)
-            if tries > 200 or not t > 0.0:
-                raise CalibrationError(
-                    f"cannot meet the 2^-{n} closeness target at any bandwidth "
-                    f"(space min distance {float(d_pairs.min()):g})"
-                )
+            if t < t_floor:
+                # no factor resolves the close pairs at t: the level takes the
+                # constant map, the factor of the all-ones kernel, at a
+                # bandwidth where the kernel is all-ones
+                t_ones = ALL_ONES_EXPONENT / _kernel_g(float(d_pairs.max()), kernel_kind)
+                good = (min(t_cap, t_ones), 0.0, np.ones((space.n, 1)), np.zeros(d_pairs.size))
+                break
         elif bad is None:
             t = t_cap if good[1] == 0.0 else min(t_cap, _model_step(*good[:2], eps, p))
         elif good[1] > 0.0:
@@ -502,6 +570,13 @@ def calibrate_level(
             t = good[0] * (bad[0] / good[0]) ** min(max(frac, 0.05), 0.95)
         else:
             t = math.sqrt(good[0] * bad[0])
+        if t > t_identity:
+            # the largest close pair's images are sqrt(2) apart in l_2, and at
+            # least the ceiling > 1/2 >= 2^-n apart in l_p: infeasible from
+            # t_identity on, with no factorization
+            tries += 1
+            bad = (t_identity, ceiling)
+            continue
         images = _transported_images(space, t, kernel_kind, p)
         scan = None
         if scan_tries:

@@ -35,11 +35,11 @@ __all__ = [
 # renormalized so upstream factorization error does not cascade into failures
 SPHERE_TOL = 1e-9
 
-# sample_ratio_extremes draws and maps this many pairs at a time
-SAMPLE_BATCH = 1 << 12
-# input bound on the sample dimension: each batch holds a few arrays of
-# 2 * SAMPLE_BATCH * dim floats, 64 MiB each at this bound (about 290 MB max
-# RSS for check-mazur, against 52 MB at dim 64)
+# sample_ratio_extremes draws and maps its pairs in batches of at most this
+# many floats (2 * pairs * dim, 4 MiB): 4096 pairs at dim 64 and 256 at
+# MAX_SAMPLE_DIM, so its memory does not grow with dim
+SAMPLE_BATCH_FLOATS = 1 << 19
+# input bound on the sample dimension
 MAX_SAMPLE_DIM = 1024
 
 
@@ -152,9 +152,10 @@ def sample_ratio_extremes(
     lower_excess = -math.inf
     upper_excess = -math.inf
     const_ratio = 0.0
+    batch = max(1, SAMPLE_BATCH_FLOATS // (2 * dim))
     done = 0
     while done < pairs:
-        m = min(SAMPLE_BATCH, pairs - done)
+        m = min(batch, pairs - done)
         raw = rng.standard_normal((2 * m, dim))
         raw /= row_pnorms(raw, pe)[:, None]
         # pair k is rows (2k, 2k+1)

@@ -494,12 +494,12 @@ REUSE_CASES = [
     (("cycle", 64), 1.0),
 ]
 # the default schedule refused these at the float64 floor while the factor
-# kept eigh's noise-level eigenvalues (ROADMAP item 2); they build now, with
-# at most this many factorizations
+# kept eigh's noise-level eigenvalues; they build now, with at most this many
+# factorizations (40, 39 and 63 while tries below the floor were factored)
 FLOOR_CASES = {
-    (("path", 30), 2.0): 40,
-    (("cycle", 48), 2.0): 39,
-    (("path", 48), 1.0): 63,
+    (("path", 30), 2.0): 21,
+    (("cycle", 48), 2.0): 20,
+    (("path", 48), 1.0): 48,
 }
 
 
@@ -570,9 +570,10 @@ FACTOR_CEILINGS = {
     "gaussian80-p3.0": 11,
     "hypercube6-p2.0": 9,  # 33
     "cycle64-p1.0": 42,  # 278
-    # 63 to build all 49 levels; while the factor kept eigh's noise-level
-    # eigenvalues it factored 77 (354 cold) and refused at level 47
-    "path48-p1.0": 63,
+    # 48 to build all 49 levels; 63 while tries below the floor were
+    # factored, and 77 (354 cold) while the factor kept eigh's noise-level
+    # eigenvalues, refusing at level 47
+    "path48-p1.0": 48,
 }
 
 
@@ -629,14 +630,20 @@ class TestWarmStart:
         cap = kernel_sphere_maps.T_CAP
         for level, ts in zip(levels, tried):
             eps = 2.0 ** -level.level_n
-            if not ts:
+            # the floor's constant map may stop anywhere, but only at a
+            # bandwidth where the kernel is all-ones
+            constant = bool((kernel_matrix(X, level.bandwidth_t, kernel_kind) == 1.0).all())
+            if constant:
+                assert level.images.shape[1] == 1
+                assert level.epsilon_n == 0.0 and level.saturated
+            elif not ts:
                 # a level that factors nothing accepts the previous bandwidth
                 assert level.level_n > 1
                 assert level.bandwidth_t == cap
             assert max(ts, default=cap) <= cap
             assert level.bandwidth_t <= cap
             assert level.epsilon_n <= eps
-            if level.epsilon_n < 0.9 * eps and level.bandwidth_t != cap:
+            if level.epsilon_n < 0.9 * eps and level.bandwidth_t != cap and not constant:
                 # stopped on the bracket: the smallest bandwidth measured
                 # above the accepted one, the previous level's included, is
                 # within 1% of it and misses the target
@@ -705,12 +712,104 @@ class TestRankAwareImages:
         # under it, above 0.9 * 1/2, and the search stops at its first try
         X = generate(kind, param)
         p = as_exponent(2.0)
-        start = kernel_sphere_maps._feasible_start(0.5, p, 1.0, "laplacian")
+        start = kernel_sphere_maps._feasible_start(0.5, p, 1.0, kernel_sphere_maps._gram_error(X.n))
         calls = spy_factor(monkeypatch)
         level = calibrate_level(X, 1, p, 1.0, "laplacian")
         assert calls == [start]
         assert level.bandwidth_t == start
         assert 0.9 * 0.5 <= level.epsilon_n <= 0.5
+
+
+# the worst floor cases: while tries below the floor were factored, those
+# were about half of each build's factorizations
+FLOOR_FREE_CASES = [(("path", 48), 3.0), (("cycle", 72), 3.0), (("path", 54), 1.0)]
+
+
+def below_floor(X, n, t):
+    """Whether 1 - K ~ t d at level n's largest close pair is under the Gram error 2 n^2 eps."""
+    ii, jj = X.pair_indices()
+    d = X.dist[ii, jj]
+    return t * d[d <= n].max() < 2.0 * X.n * X.n * np.finfo(np.float64).eps
+
+
+class TestResolution:
+    """Calibration factors no kernel outside float64's resolution."""
+
+    @pytest.mark.parametrize("kind", ["laplacian", "gaussian"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_target_below_the_floor_factors_nothing(self, kind, p, monkeypatch):
+        # with no previous level, level 40's envelope start lies below the floor
+        X = generate("path", 48)
+        calls = spy_factor(monkeypatch)
+        level = calibrate_level(X, 40, p, 1.0, kind)
+        assert calls == []
+        K = kernel_matrix(X, level.bandwidth_t, kind)
+        assert (K == 1.0).all()
+        assert level.images.shape == (48, 1)
+        assert np.array_equal(level.images @ level.images.T, K)
+        assert level.epsilon_n == 0.0 and level.saturated
+        assert not level.pair_distances.any()
+
+    @pytest.mark.parametrize("case", FLOOR_FREE_CASES, ids=case_id)
+    def test_no_try_below_the_floor(self, case, monkeypatch):
+        levels, tried = trace_levels(monkeypatch)
+        X = build_case(case)[0]
+        for level, ts in zip(levels, tried):
+            assert not any(below_floor(X, level.level_n, t) for t in ts)
+        # the last levels take the constant map, the first of them within a
+        # factor 4 of the largest bandwidth where the kernel is all-ones
+        # (exp(-x) rounds to the float below 1.0 from x = 2^-53 on)
+        first = next(level for level in levels if level.images.shape[1] == 1)
+        assert (kernel_matrix(X, first.bandwidth_t, "laplacian") == 1.0).all()
+        assert not (kernel_matrix(X, 4.0 * first.bandwidth_t, "laplacian") == 1.0).all()
+        assert below_floor(X, first.level_n, first.bandwidth_t)
+        assert all(level.bandwidth_t == first.bandwidth_t for level in levels[first.level_n:])
+
+    @pytest.mark.parametrize("case", FLOOR_FREE_CASES + [(("gaussian", 80), 1.3)], ids=case_id)
+    def test_same_thresholds_without_the_floor(self, case, monkeypatch):
+        # a zero Gram error turns off the floor and leaves the start's 1e-9
+        # margin; the tries below the floor then factored change no S_n
+        args = default_family_args(case[0][0], case[0][1], case[1])
+        with_floor = build_level_family(*args)
+        monkeypatch.setattr(kernel_sphere_maps, "_gram_error", lambda n_points: 0.0)
+        calls = spy_factor(monkeypatch)
+        without = build_level_family(*args)
+        assert [level.s_n for level in with_floor.levels] == [level.s_n for level in without.levels]
+        if case[0][0] != "gaussian":
+            assert any(below_floor(args[0], 1, t) for t in calls)
+
+    @pytest.mark.parametrize("p", [1.3, 3.0])
+    def test_identity_kernels_are_not_factored(self, p, monkeypatch):
+        # no pair of this cloud is within 1, so level 1 sits at the cap and
+        # level 2's model steps from there start on identity-like kernels:
+        # 7.7e6, 6.0e5, 4.6e4, 3.5e3 and 273 at p = 1.3 while they were
+        # factored, 19 factorizations in all
+        X = generate("gaussian", 60, seed=1)
+        ii, jj = X.pair_indices()
+        d = X.dist[ii, jj]
+        assert d.min() > 1.0
+        levels, tried = trace_levels(monkeypatch)
+        family = build_level_family(X, default_level_count(X), p, 1.0, "gaussian")
+        assert verify_family(family) == []
+        assert levels[0].bandwidth_t == kernel_sphere_maps.T_CAP
+        for level, ts in zip(levels[1:], tried[1:]):
+            g = d[d <= level.level_n].max() ** 2
+            # K at the largest close pair stays at or above 2^-53
+            assert all(t * g <= 53.0 * math.log(2.0) for t in ts)
+        assert sum(map(len, tried)) <= 13
+
+    @pytest.mark.parametrize("kind,param", [("hypercube", 8), ("path", 48), ("cycle", 72)])
+    def test_p2_levels_accept_their_first_try(self, kind, param, monkeypatch):
+        # the start aims under 2^-n by the Gram error relative to 1 - K, so
+        # its sup no longer rounds above the target at small t d; level 2's
+        # first try is the model step from the cap, which outranks the start
+        levels, tried = trace_levels(monkeypatch)
+        build_case(((kind, param), 2.0))
+        factoring = [(level, ts) for level, ts in zip(levels, tried) if ts and level.level_n >= 3]
+        assert len(factoring) >= 8
+        for level, ts in factoring:
+            assert ts == [level.bandwidth_t]
+            assert level.epsilon_n >= 0.9 * 2.0 ** -level.level_n
 
 
 def loop_threshold(d_sorted, pair_d_sorted, delta_half, s_floor):

@@ -105,10 +105,24 @@ class TestMazurBounds:
         assert sample.max_lower_excess <= 1e-12
         assert sample.max_upper_excess <= 1e-12
 
+    @pytest.mark.parametrize("dim,per_batch", [(64, 4096), (1024, 256), (3, 87381)])
+    def test_batches_bounded_in_floats(self, dim, per_batch, monkeypatch):
+        # every batch's 2 * pairs * dim floats stay within the bound, whatever
+        # the dim; at dim 64 a batch still holds 4096 pairs
+        shapes = []
+        real = mazur.mazur_map_rows
+        monkeypatch.setattr(mazur, "mazur_map_rows", lambda rows, p, q: shapes.append(rows.shape) or real(rows, p, q))
+        sample_ratio_extremes(1.3, 2, dim=dim, pairs=2 * per_batch + 1, seed=1)
+        assert shapes == [(2 * per_batch, dim)] * 2 + [(2, dim)]
+        assert 2 * per_batch * dim <= mazur.SAMPLE_BATCH_FLOATS < 2 * (per_batch + 1) * dim
+
     def test_sample_does_not_depend_on_the_batch_size(self, monkeypatch):
         # standard_normal fills rows in sequence and every batch has an even
-        # row count, so the pairs drawn are the same in any batching; 1000 is
-        # not a multiple of 16, so the last batch is a short one
-        default = sample_ratio_extremes(1.5, 3, dim=8, pairs=1000, seed=4)
-        monkeypatch.setattr(mazur, "SAMPLE_BATCH", 16)
-        assert sample_ratio_extremes(1.5, 3, dim=8, pairs=1000, seed=4) == default
+        # row count, so the pairs drawn are the same in any batching; 5000
+        # pairs leave a short last batch at each size
+        for dim in (64, 1024):
+            default = sample_ratio_extremes(1.5, 3, dim=dim, pairs=5000, seed=4)
+            for per_batch in (1000, 37):
+                monkeypatch.setattr(mazur, "SAMPLE_BATCH_FLOATS", 2 * per_batch * dim)
+                assert sample_ratio_extremes(1.5, 3, dim=dim, pairs=5000, seed=4) == default
+            monkeypatch.undo()
