@@ -32,7 +32,6 @@ from .kernel_sphere_maps import (
     build_sphere_map,
     calibrate_level,
     measure_conditions,
-    verify_family,
 )
 from .coarse_embedder import (
     CoarseEmbedding,
@@ -48,7 +47,6 @@ from .distortion_report import (
     DistortionProfile,
     empirical_profile,
     export,
-    profile_from_json,
     verify_bounds,
 )
 
@@ -75,7 +73,6 @@ __all__ = [
     "measure_conditions",
     "calibrate_level",
     "build_level_family",
-    "verify_family",
     "CoarseEmbedding",
     "build_embedding",
     "evaluate",
@@ -88,6 +85,5 @@ __all__ = [
     "empirical_profile",
     "verify_bounds",
     "export",
-    "profile_from_json",
     "__version__",
 ]

@@ -13,7 +13,9 @@ The certified envelopes: for every pair,
 
 where m(d) counts non-saturated levels with S_n <= d. Both follow from the
 measured per-level certificates, so a correctly built embedding verifies
-cleanly at 1e-9.
+cleanly at 1e-9 (distortion_report.verify_bounds, the one verifier). An
+embedding file is json.dumps of embedding_to_json's dict, written one point's
+image blocks at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .metric_spaces import FiniteMetricSpace, _numbers, validate
 __all__ = [
     "MAX_LEVELS",
     "CoarseEmbedding",
-    "default_level_count",
     "build_embedding",
     "evaluate",
     "theoretical_bounds",
@@ -48,7 +49,6 @@ __all__ = [
     "pairwise_image_power_sums",
     "pairwise_image_distances",
     "embedding_to_json",
-    "embedding_from_json",
     "save_embedding",
     "load_embedding",
 ]
@@ -270,9 +270,8 @@ def pairwise_image_distances(embedding: CoarseEmbedding) -> tuple:
 # JSON interface
 # ---------------------------------------------------------------------------
 
-def embedding_to_json(embedding: CoarseEmbedding) -> dict:
-    blocks = embedding.blocks
-    images = {label: [b[i].tolist() for b in blocks] for i, label in enumerate(embedding.space.labels)}
+def _header_json(embedding: CoarseEmbedding) -> dict:
+    """The embedding's JSON form up to its images: p, base, delta and the schedule."""
     return {
         "p": embedding.exponent.value,
         "base": embedding.base_index,
@@ -287,8 +286,13 @@ def embedding_to_json(embedding: CoarseEmbedding) -> dict:
             }
             for level in embedding.schedule
         ],
-        "images": images,
     }
+
+
+def embedding_to_json(embedding: CoarseEmbedding) -> dict:
+    blocks = embedding.blocks
+    images = {label: [b[i].tolist() for b in blocks] for i, label in enumerate(embedding.space.labels)}
+    return {**_header_json(embedding), "images": images}
 
 
 def _image_blocks(blocks, label: str) -> list:
@@ -365,7 +369,17 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
 
 
 def save_embedding(embedding: CoarseEmbedding, path) -> None:
-    Path(path).write_text(json.dumps(embedding_to_json(embedding)) + "\n", encoding="utf-8")
+    """Write json.dumps(embedding_to_json(embedding)) plus a newline, one point at a time.
+
+    The bytes are the same, but only the header and one point's image text
+    are held at a time, not the nested lists and the whole text.
+    """
+    blocks, header = embedding.blocks, json.dumps(_header_json(embedding))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header[:-1] + ', "images": {')
+        for i, label in enumerate(embedding.space.labels):
+            fh.write((", " if i else "") + json.dumps(label) + ": " + json.dumps([b[i].tolist() for b in blocks]))
+        fh.write("}}\n")
 
 
 def load_embedding(path, space: FiniteMetricSpace) -> CoarseEmbedding:

@@ -5,7 +5,9 @@ the min/max image distance next to the theoretical envelopes rho1/rho2 sampled
 at the bucket edges. verify_bounds checks every pair against both envelope
 inequalities in the p-th-power domain; violations are data, with a 1e-9
 classification tolerance mirroring the build-time tolerances (excesses inside
-the tolerance are suppressed and counted as marginal).
+the tolerance are suppressed and counted as marginal). export renders a
+profile as CSV, or as JSON whose floats are their repr, so json.loads gives
+every field back exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .coarse_embedder import (
 from .lp_core import abs_power
 
 __all__ = [
-    "DEFAULT_TOL",
     "MAX_BUCKETS",
     "DistortionBucket",
     "BoundViolation",
@@ -35,7 +36,6 @@ __all__ = [
     "empirical_profile",
     "verify_bounds",
     "export",
-    "profile_from_json",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -216,39 +216,3 @@ def export(profile: DistortionProfile, format: str) -> bytes:
         }
         return json.dumps(payload).encode("utf-8")
     raise ValueError(f"unknown export format {format!r}; expected 'csv' or 'json'")
-
-
-def profile_from_json(payload) -> DistortionProfile:
-    """Inverse of export(..., 'json'); floats round-trip exactly."""
-    if isinstance(payload, (bytes, str)):
-        payload = json.loads(payload)
-    try:
-        buckets = tuple(
-            DistortionBucket(
-                t_lo=float(b["t_lo"]),
-                t_hi=float(b["t_hi"]),
-                emp_min=None if b["emp_min"] is None else float(b["emp_min"]),
-                emp_max=None if b["emp_max"] is None else float(b["emp_max"]),
-                pair_count=int(b["pair_count"]),
-            )
-            for b in payload["buckets"]
-        )
-        violations = tuple(
-            BoundViolation(
-                pair=tuple(v["pair"]),
-                measured=float(v["measured"]),
-                bound=float(v["bound"]),
-                side=str(v["side"]),
-            )
-            for v in payload["violations"]
-        )
-        return DistortionProfile(
-            buckets=buckets,
-            edges=tuple(float(e) for e in payload["edges"]),
-            rho1_theory=tuple(float(v) for v in payload["rho1_theory"]),
-            rho2_theory=tuple(float(v) for v in payload["rho2_theory"]),
-            violations=violations,
-            marginal_count=int(payload["marginal_count"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed profile payload: {exc}") from exc

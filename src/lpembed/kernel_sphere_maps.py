@@ -95,12 +95,10 @@ __all__ = [
     "CalibrationError",
     "SphereMapLevel",
     "SphereMapFamily",
-    "kernel_matrix",
     "build_sphere_map",
     "measure_conditions",
     "calibrate_level",
     "build_level_family",
-    "verify_family",
 ]
 
 KERNEL_KINDS = ("gaussian", "laplacian")
@@ -119,8 +117,6 @@ IDENTITY_EXPONENT = 53.0 * math.log(2.0)
 # exp(-x) is 1.0 in float64 up to x = 2^-55, a quarter of the ulp below 1.0,
 # which leaves room for the rounding of t * g and of exp
 ALL_ONES_EXPONENT = 2.0 ** -55
-
-UNIT_TOL = 1e-9
 
 # Split sup of the close pairs (see _split_close_sup): the light columns may
 # add at most this share of the lower bound to any pair
@@ -198,11 +194,7 @@ def measure_conditions(
     +inf. The diagonal contributes nothing either way.
     """
     ii, jj = space.pair_indices()
-    return _conditions(pairwise_pnorm_all(images, p), space.dist[ii, jj], R, S)
-
-
-def _conditions(pair_d: np.ndarray, d: np.ndarray, R: float, S: float) -> tuple:
-    """measure_conditions on pair distances already scanned (condensed order)."""
+    pair_d, d = pairwise_pnorm_all(images, p), space.dist[ii, jj]
     # empty sets give 0 and +inf; distances are >= 0, so initial=0 moves no max
     sup_close = float(pair_d.max(where=d <= R, initial=0.0))
     return sup_close, float(pair_d.min(where=d >= S, initial=math.inf))
@@ -639,49 +631,3 @@ def build_level_family(
         if not level.saturated:
             s_floor = level.s_n
     return SphereMapFamily(levels=tuple(levels), exponent=p, delta=delta, space=space)
-
-
-def verify_family(family: SphereMapFamily) -> list:
-    """Re-measure every certificate and epsilon_n <= 2^-n; returns human-readable violations.
-
-    Each level's pairs are scanned once; the sup, the inf and the largest
-    image distance all come from that scan. A family read back from JSON has
-    no images to measure: ValueError.
-    """
-    if any(level.images is None for level in family.levels):
-        raise ValueError("family levels carry no images to verify (read back from JSON?)")
-    delta_half = family.delta / 2.0
-    problems: list = []
-    prev_s = 0.0
-    ii, jj = family.space.pair_indices()
-    d = family.space.dist[ii, jj]
-    for level in family.levels:
-        norms = row_pnorms(level.images, level.exponent)
-        worst = float(np.abs(norms - 1.0).max())
-        if worst > UNIT_TOL:
-            problems.append(f"level {level.level_n}: image off unit sphere by {worst:.3e}")
-        pair_d = pairwise_pnorm_all(level.images, level.exponent)
-        sup_close, inf_far = _conditions(pair_d, d, level.level_n, level.s_n)
-        if sup_close > level.epsilon_n:
-            problems.append(
-                f"level {level.level_n}: measured sup {sup_close!r} exceeds certificate {level.epsilon_n!r}"
-            )
-        if inf_far < delta_half:
-            problems.append(
-                f"level {level.level_n}: measured inf {inf_far!r} below certificate {delta_half!r}"
-            )
-        if level.epsilon_n > 2.0 ** (-level.level_n):
-            problems.append(
-                f"level {level.level_n}: epsilon {level.epsilon_n!r} above 2^-{level.level_n}"
-            )
-        if not level.saturated:
-            if level.s_n <= prev_s:
-                problems.append(
-                    f"level {level.level_n}: S_n {level.s_n!r} not above previous {prev_s!r}"
-                )
-            prev_s = level.s_n
-        if pair_d.size:
-            max_pair = float(pair_d.max())
-            if max_pair > 2.0 + 1e-9:
-                problems.append(f"level {level.level_n}: image distance {max_pair!r} above 2")
-    return problems

@@ -21,9 +21,7 @@ import numpy as np
 from .lp_core import ExponentLike, abs_power, as_exponent, row_pnorms
 
 __all__ = [
-    "SPHERE_TOL",
     "MAX_SAMPLE_DIM",
-    "signed_power",
     "mazur_map_rows",
     "MazurBounds",
     "mazur_bounds",
@@ -36,9 +34,10 @@ __all__ = [
 SPHERE_TOL = 1e-9
 
 # sample_ratio_extremes draws and maps its pairs in batches of at most this
-# many floats (2 * pairs * dim, 4 MiB): 4096 pairs at dim 64 and 256 at
-# MAX_SAMPLE_DIM, so its memory does not grow with dim
-SAMPLE_BATCH_FLOATS = 1 << 19
+# many floats (2 * pairs * dim, 256 KiB, so a batch and its images stay in
+# cache): 256 pairs at dim 64 and 16 at MAX_SAMPLE_DIM, so its memory does
+# not grow with dim
+SAMPLE_BATCH_FLOATS = 1 << 15
 # input bound on the sample dimension
 MAX_SAMPLE_DIM = 1024
 

@@ -6,6 +6,8 @@ shape (square matrix, matching labels, size cap); metric axioms are checked by
 inspected instead of rejected blindly. The generators cover graph metrics
 (hypercube, cycle, path) and seeded Gaussian point clouds with Euclidean
 distances, the stand-in for samples drawn from a separable Hilbert space.
+A space file is json.dumps of space_to_json's dict, written one matrix row
+at a time; load_space revalidates the metric axioms.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ import numpy as np
 __all__ = [
     "MAX_POINTS",
     "MAX_GAUSSIAN_DIM",
+    "GENERATOR_KINDS",
     "FiniteMetricSpace",
     "MetricViolation",
     "ValidationReport",
     "generate",
     "validate",
     "space_to_json",
-    "space_from_json",
     "save_space",
     "load_space",
     "load_space_lenient",
@@ -327,18 +329,37 @@ def _parse_space(payload) -> FiniteMetricSpace:
         raise ValueError(f"malformed space payload: {exc}") from exc
 
 
-def _require_metric(space: FiniteMetricSpace) -> FiniteMetricSpace:
-    validate(space).require_ok()
-    return space
-
-
-def space_from_json(payload: dict) -> FiniteMetricSpace:
-    """Rebuild a space from its JSON form; metric axioms are revalidated."""
-    return _require_metric(_parse_space(payload))
+def _write_rows(fh, arr: np.ndarray) -> None:
+    """Write json.dumps(arr.tolist()) to fh, one row's list at a time."""
+    fh.write("[")
+    for i, row in enumerate(arr):
+        fh.write((", " if i else "") + json.dumps(row.tolist()))
+    fh.write("]")
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:
-    Path(path).write_text(json.dumps(space_to_json(space)) + "\n", encoding="utf-8")
+    """Write json.dumps(space_to_json(space)) plus a newline, streaming the matrix rows.
+
+    The bytes are the same, but only the header, one row's text and the meta
+    entries are held at a time, not the nested lists and the whole text.
+    """
+    meta, tail = dict(space.meta), None
+    head = json.dumps(meta)
+    if space.points is not None:
+        # space_to_json sets meta["points"] in place: at its key, if meta has one
+        keys = list(meta)
+        cut = keys.index("points") if "points" in meta else len(keys)
+        head = json.dumps({k: meta[k] for k in keys[:cut]})[:-1] + (", " if cut else "") + '"points": '
+        tail = json.dumps({k: meta[k] for k in keys[cut + 1:]})[1:]
+        tail = tail if tail == "}" else ", " + tail
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"labels": list(space.labels)})[:-1] + ', "dist": ')
+        _write_rows(fh, space.dist)
+        fh.write(', "meta": ' + head)
+        if tail is not None:
+            _write_rows(fh, space.points)
+            fh.write(tail)
+        fh.write("}\n")
 
 
 def load_space_lenient(path) -> FiniteMetricSpace:
@@ -352,4 +373,6 @@ def load_space_lenient(path) -> FiniteMetricSpace:
 
 def load_space(path) -> FiniteMetricSpace:
     """Load a space file; metric axioms are revalidated."""
-    return _require_metric(load_space_lenient(path))
+    space = load_space_lenient(path)
+    validate(space).require_ok()
+    return space

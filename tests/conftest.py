@@ -1,11 +1,19 @@
-"""Shared test helpers: the extended-precision l_p oracle and the embeddings
-that the certification-path comparisons share."""
+"""Shared test helpers: the extended-precision l_p oracle, the level-family
+verifier, and the embeddings that the certification-path comparisons share."""
+
+import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 from lpembed.coarse_embedder import build_embedding
+from lpembed.lp_core import pairwise_pnorm_all, row_pnorms
 from lpembed.metric_spaces import generate
+
+# how far verify_family lets an image row's norm stray from 1
+UNIT_TOL = 1e-9
 
 
 def mp_pnorm(row, p) -> float:
@@ -13,6 +21,56 @@ def mp_pnorm(row, p) -> float:
     with mpmath.workdps(50):
         total = mpmath.fsum(abs(mpmath.mpf(float(x))) ** p for x in row)
         return float(total ** (1 / mpmath.mpf(p)))
+
+
+def verify_family(family) -> list:
+    """Re-measure every level's certificates and epsilon_n <= 2^-n; human-readable problems.
+
+    The oracle the unit tests hold calibration to: it trusts no recorded
+    pair distance. Each level's images are scanned once, and the sup over
+    d <= n, the inf over d >= S_n and the largest image distance (at most 2
+    on the unit sphere) all come from that scan. A family read back from
+    JSON has no images to measure: ValueError.
+    """
+    if any(level.images is None for level in family.levels):
+        raise ValueError("family levels carry no images to verify (read back from JSON?)")
+    delta_half = family.delta / 2.0
+    problems = []
+    prev_s = 0.0
+    ii, jj = family.space.pair_indices()
+    d = family.space.dist[ii, jj]
+    for level in family.levels:
+        n = level.level_n
+        worst = float(np.abs(row_pnorms(level.images, level.exponent) - 1.0).max())
+        if worst > UNIT_TOL:
+            problems.append(f"level {n}: image off unit sphere by {worst:.3e}")
+        pair_d = pairwise_pnorm_all(level.images, level.exponent)
+        sup_close = float(pair_d.max(where=d <= n, initial=0.0))
+        inf_far = float(pair_d.min(where=d >= level.s_n, initial=math.inf))
+        if sup_close > level.epsilon_n:
+            problems.append(f"level {n}: measured sup {sup_close!r} exceeds certificate {level.epsilon_n!r}")
+        if inf_far < delta_half:
+            problems.append(f"level {n}: measured inf {inf_far!r} below certificate {delta_half!r}")
+        if level.epsilon_n > 2.0 ** (-n):
+            problems.append(f"level {n}: epsilon {level.epsilon_n!r} above 2^-{n}")
+        if not level.saturated:
+            if level.s_n <= prev_s:
+                problems.append(f"level {n}: S_n {level.s_n!r} not above previous {prev_s!r}")
+            prev_s = level.s_n
+        top = float(pair_d.max(initial=0.0))
+        if top > 2.0 + 1e-9:
+            problems.append(f"level {n}: image distance {top!r} above 2")
+    return problems
+
+
+def saving_peak(save, obj, path) -> int:
+    """The peak bytes that save(obj, path) allocates, as tracemalloc traces them."""
+    tracemalloc.start()
+    try:
+        save(obj, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 BUILDS = {

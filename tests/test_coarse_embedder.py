@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mp_pnorm
+from conftest import mp_pnorm, saving_peak, verify_family
 from lpembed import coarse_embedder
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
@@ -17,13 +17,15 @@ from lpembed.coarse_embedder import (
     embedding_from_json,
     embedding_to_json,
     evaluate,
+    load_embedding,
     pairwise_image_distances,
     pairwise_image_power_sums,
+    save_embedding,
     tail_bound,
     theoretical_bounds,
 )
 from lpembed.distortion_report import empirical_profile, verify_bounds
-from lpembed.kernel_sphere_maps import KERNEL_KINDS, NotNegativeType, verify_family
+from lpembed.kernel_sphere_maps import KERNEL_KINDS, NotNegativeType
 from lpembed.lp_core import as_exponent, pairwise_power_sums_all
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
@@ -401,6 +403,39 @@ class TestJson:
         # zero columns add nothing; only the summation order differs
         np.testing.assert_allclose(pairwise_image_power_sums(old)[3], pairwise_image_power_sums(new)[3], rtol=1e-13)
         assert empirical_profile(old, 10).marginal_count == empirical_profile(new, 10).marginal_count
+
+
+class TestStreamedWriter:
+    def test_bytes_are_the_dict_form_dumped(self, built_embedding, tmp_path):
+        path = tmp_path / "e.json"
+        save_embedding(built_embedding, path)
+        text = (json.dumps(embedding_to_json(built_embedding)) + "\n").encode("utf-8")
+        assert path.read_bytes() == text
+        # and so for the embedding read back from that file
+        back = load_embedding(path, built_embedding.space)
+        save_embedding(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == text
+
+    def test_saturated_levels_and_escaped_labels(self, tmp_path):
+        dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        E = build_embedding(FiniteMetricSpace(labels=('a"b', "\u00e9", "c\\"), dist=dist), p=1.5)
+        assert any(level.saturated for level in E.schedule)
+        save_embedding(E, tmp_path / "e.json")
+        assert (tmp_path / "e.json").read_text(encoding="utf-8") == json.dumps(embedding_to_json(E)) + "\n"
+
+    def test_one_point(self, tmp_path):
+        E = build_embedding(FiniteMetricSpace(labels=("x",), dist=np.zeros((1, 1))), p=2.0)
+        save_embedding(E, tmp_path / "e.json")
+        assert (tmp_path / "e.json").read_text(encoding="utf-8") == json.dumps(embedding_to_json(E)) + "\n"
+
+    def test_peak_well_below_the_file(self, tmp_path):
+        # one point's image text at a time; the blocks are formed before, as
+        # an embedding's cached view of its levels
+        E = build_embedding(generate("gaussian", 150, seed=1), p=1.3)
+        assert E.blocks
+        path = tmp_path / "e.json"
+        peak = saving_peak(save_embedding, E, path)
+        assert peak < path.stat().st_size / 10
 
 
 # the default schedule refused these at the float64 floor while the factor

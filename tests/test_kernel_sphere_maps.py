@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
+from conftest import verify_family
 from lpembed import kernel_sphere_maps
 from lpembed.coarse_embedder import build_embedding, default_kernel_kind, default_level_count
 from lpembed.kernel_sphere_maps import (
@@ -18,7 +20,6 @@ from lpembed.kernel_sphere_maps import (
     calibrate_level,
     kernel_matrix,
     measure_conditions,
-    verify_family,
 )
 from lpembed.lp_core import as_exponent, pairwise_pnorm_all, row_pnorms
 from lpembed.metric_spaces import FiniteMetricSpace, generate
@@ -248,7 +249,7 @@ class TestFamily:
         for level in fam.levels:
             n = level.level_n
             worst = float(np.abs(row_pnorms(level.images, 1.0) - 1.0).max())
-            if worst > kernel_sphere_maps.UNIT_TOL:
+            if worst > conftest.UNIT_TOL:
                 expected.append(f"level {n}: image off unit sphere by {worst:.3e}")
             sup, inf_far = measure_conditions(level.images, X, n, level.s_n, 1.0)
             if sup > level.epsilon_n:
@@ -267,10 +268,8 @@ class TestFamily:
         assert len(expected) >= 6
 
         scans = []
-        real = kernel_sphere_maps.pairwise_pnorm_all
-        monkeypatch.setattr(
-            kernel_sphere_maps, "pairwise_pnorm_all", lambda rows, p: scans.append(1) or real(rows, p)
-        )
+        real = conftest.pairwise_pnorm_all
+        monkeypatch.setattr(conftest, "pairwise_pnorm_all", lambda rows, p: scans.append(1) or real(rows, p))
         assert verify_family(fam) == expected
         assert len(scans) == len(fam.levels)
 

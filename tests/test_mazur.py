@@ -105,10 +105,10 @@ class TestMazurBounds:
         assert sample.max_lower_excess <= 1e-12
         assert sample.max_upper_excess <= 1e-12
 
-    @pytest.mark.parametrize("dim,per_batch", [(64, 4096), (1024, 256), (3, 87381)])
+    @pytest.mark.parametrize("dim,per_batch", [(64, 256), (1024, 16), (3, 5461)])
     def test_batches_bounded_in_floats(self, dim, per_batch, monkeypatch):
         # every batch's 2 * pairs * dim floats stay within the bound, whatever
-        # the dim; at dim 64 a batch still holds 4096 pairs
+        # the dim; at dim 64 a batch holds 256 pairs
         shapes = []
         real = mazur.mazur_map_rows
         monkeypatch.setattr(mazur, "mazur_map_rows", lambda rows, p, q: shapes.append(rows.shape) or real(rows, p, q))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import saving_peak
 from lpembed import metric_spaces
 from lpembed.metric_spaces import (
     MAX_VIOLATIONS,
@@ -14,7 +15,6 @@ from lpembed.metric_spaces import (
     generate,
     load_space,
     save_space,
-    space_from_json,
     space_to_json,
     validate,
 )
@@ -215,14 +215,17 @@ class TestJson:
         assert Y.meta["kind"] == "gaussian"
         assert Y.meta["seed"] == 5
 
-    def test_symmetry_revalidated_on_load(self):
-        payload = {"labels": ["a", "b"], "dist": [[0.0, 1.0], [2.0, 0.0]], "meta": {}}
+    def test_symmetry_revalidated_on_load(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"labels": ["a", "b"], "dist": [[0.0, 1.0], [2.0, 0.0]], "meta": {}}))
         with pytest.raises(ValueError, match="validation"):
-            space_from_json(payload)
+            load_space(path)
 
-    def test_malformed_payload(self):
-        with pytest.raises(ValueError):
-            space_from_json({"labels": ["a"]})
+    def test_malformed_payload(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"labels": ["a"]}))
+        with pytest.raises(ValueError, match="malformed space payload"):
+            load_space(path)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -236,3 +239,40 @@ class TestJson:
         assert set(payload) == {"labels", "dist", "meta"}
         assert payload["labels"] == ["00", "01", "10", "11"]
         assert json.loads(json.dumps(payload)) == payload
+
+
+def escaped_labels():
+    """Three points whose labels need JSON escapes; no points, an empty meta."""
+    dist = np.array([[0.0, 1.0, 2.5], [1.0, 0.0, 1.5], [2.5, 1.5, 0.0]])
+    return FiniteMetricSpace(labels=('a"b', "\u00e9\n", "tab\t\\"), dist=dist)
+
+
+WRITER_SPACES = {
+    "gaussian_points": lambda: generate("gaussian", 30, seed=1, dim=3),
+    "hypercube_points": lambda: generate("hypercube", 3),
+    "cycle_no_points": lambda: generate("cycle", 40),
+    "path2": lambda: generate("path", 2),
+    "escaped_labels_empty_meta": escaped_labels,
+    "one_point": lambda: FiniteMetricSpace(labels=("x",), dist=np.zeros((1, 1)), points=np.ones((1, 2))),
+    # space_to_json overwrites a meta "points" entry where it stands
+    "points_key_in_meta": lambda: FiniteMetricSpace(
+        labels=("x",), dist=np.zeros((1, 1)), points=np.ones((1, 2)), meta={"a": 1, "points": 0, "z": [2]}
+    ),
+}
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("case", sorted(WRITER_SPACES))
+    def test_bytes_are_the_dict_form_dumped(self, case, tmp_path):
+        X = WRITER_SPACES[case]()
+        path = tmp_path / "s.json"
+        save_space(X, path)
+        assert path.read_bytes() == (json.dumps(space_to_json(X)) + "\n").encode("utf-8")
+
+    def test_peak_well_below_the_file(self, tmp_path):
+        # the rows are written one at a time; building the nested lists and
+        # the whole text first takes several times the file size
+        X = generate("gaussian", 300, seed=1)
+        path = tmp_path / "s.json"
+        peak = saving_peak(save_space, X, path)
+        assert peak < path.stat().st_size / 10
