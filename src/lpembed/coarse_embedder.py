@@ -24,7 +24,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -37,7 +36,7 @@ from .lp_core import (
     pairwise_power_sums_all,
 )
 from .kernel_sphere_maps import SphereMapFamily, SphereMapLevel, build_level_family
-from .metric_spaces import FiniteMetricSpace, _numbers, validate
+from .metric_spaces import FiniteMetricSpace, _numbers, _read_json, validate
 
 __all__ = [
     "MAX_LEVELS",
@@ -383,8 +382,4 @@ def save_embedding(embedding: CoarseEmbedding, path) -> None:
 
 
 def load_embedding(path, space: FiniteMetricSpace) -> CoarseEmbedding:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return embedding_from_json(payload, space)
+    return embedding_from_json(_read_json(path), space)

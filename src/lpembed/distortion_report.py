@@ -23,6 +23,7 @@ import numpy as np
 
 from .coarse_embedder import (
     CoarseEmbedding,
+    _is_index,
     pairwise_image_power_sums,
     theoretical_bounds,
 )
@@ -116,9 +117,9 @@ def verify_bounds(embedding: CoarseEmbedding) -> list:
 
 def empirical_profile(embedding: CoarseEmbedding, bucket_count: int) -> DistortionProfile:
     """Bucket all pairs by source distance over [0, diameter]."""
+    if not (_is_index(bucket_count) and 1 <= bucket_count <= MAX_BUCKETS):
+        raise ValueError(f"bucket count must be in 1..{MAX_BUCKETS}, got {bucket_count!r}")
     bucket_count = int(bucket_count)
-    if not 1 <= bucket_count <= MAX_BUCKETS:
-        raise ValueError(f"bucket count must be in 1..{MAX_BUCKETS}, got {bucket_count}")
     scan = pairwise_image_power_sums(embedding)
     _, _, d, psums = scan
     image_d = psums ** (1.0 / embedding.exponent.value)

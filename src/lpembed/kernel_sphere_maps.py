@@ -48,25 +48,17 @@ that grows with n until it holds every pair, so each try is measured in one
 of two ways, chosen once per level from the source distances:
 
 - At least half of all pairs close: one all-pairs scan, and the sup is its
-  max over the close pairs. The split sup below would gather two image rows
-  per close pair where the scan reads one per pair, so it moves at least as
-  many floats, and a try that is accepted keeps its scan as the level's pair
+  max over the close pairs. A gather reads two image rows per close pair
+  where the scan reads one per pair, so it would move at least as many
+  floats, and a try that is accepted keeps its scan as the level's pair
   distances.
-- Fewer close pairs: the split sup, which finds the sup without summing most
-  pairs at full width. `eigh` returns eigenvalues in ascending order, so the
-  leading image columns carry little row mass, and for p >= 1
+- Fewer close pairs: the close pairs alone are gathered and summed at full
+  width, and the accepted images are scanned once for the level's pair
+  distances.
 
-      |a - b|^p <= 2^(p-1) (|a|^p + |b|^p)
-
-  bounds what those light columns can add to any pair's p-th-power sum. A
-  pair is summed at full width only where its heavy-column sum plus that
-  bound reaches the largest exact sum among the close pairs of largest
-  source distance. The others cannot hold the maximum. The accepted images
-  are then scanned once for the level's pair distances.
-
-The pairs that are summed go through the same kernel as the all-pairs scan,
-so both ways give that scan's sup, bit for bit. A level that accepts the
-previous level's images scans nothing.
+The gathered pairs go through the same kernel as the all-pairs scan, so both
+ways give that scan's sup, bit for bit. A level that accepts the previous
+level's images scans nothing.
 """
 
 from __future__ import annotations
@@ -80,7 +72,6 @@ import numpy as np
 from .lp_core import (
     ExponentLike,
     PExponent,
-    abs_power,
     as_exponent,
     pair_subset_power_sums,
     pairwise_pnorm_all,
@@ -117,13 +108,6 @@ IDENTITY_EXPONENT = 53.0 * math.log(2.0)
 # exp(-x) is 1.0 in float64 up to x = 2^-55, a quarter of the ulp below 1.0,
 # which leaves room for the rounding of t * g and of exp
 ALL_ONES_EXPONENT = 2.0 ** -55
-
-# Split sup of the close pairs (see _split_close_sup): the light columns may
-# add at most this share of the lower bound to any pair
-SPLIT_LIGHT_SHARE = 1e-2
-# relative slack on both sides of the bound test; the rounding of the partial
-# sums, the cumulative row masses and the power kernel stays below 1e-12
-BOUND_SLACK = 1e-9
 
 
 class NotNegativeType(Exception):
@@ -297,37 +281,15 @@ def _transported_images(space: FiniteMetricSpace, t: float, kernel_kind: str, p:
     return mazur_map_rows(V, 2.0, p)
 
 
-def _split_close_sup(
-    images: np.ndarray, p: PExponent, ci: np.ndarray, cj: np.ndarray, top: int
-) -> float:
+def _close_pair_sup(images: np.ndarray, p: PExponent, ci: np.ndarray, cj: np.ndarray) -> float:
     """Exact max of ||images[i] - images[j]||_p over the pairs (ci, cj).
 
-    The last `top` pairs are those of largest source distance. They are
-    summed at full width, and their largest power sum is a lower bound L on
-    the sup. The columns come in ascending eigenvalue order, so row i's mass
-    c_i = sum_{k<k0} |a_ik|^p in the leading (light) columns is small; with
-    |a-b|^p <= 2^(p-1)(|a|^p + |b|^p) for p >= 1, a pair's power sum is at most
-    its sum over the heavy columns k >= k0 plus 2^(p-1)(c_i + c_j). Only pairs
-    whose bound reaches L are summed at full width, with the same kernel as
-    the all-pairs scan, so the max is that scan's max bit for bit.
+    Every pair is summed at full width with the all-pairs scan's kernel and
+    converted as pairwise_pnorm_all converts, so each distance has that
+    scan's bits, and so does the max.
     """
     pv = p.value
-    top_sums = pair_subset_power_sums(images, ci[-top:], cj[-top:], pv)
-    low = float(top_sums.max())
-    mass = np.cumsum(abs_power(images, pv), axis=1)
-    # k0 = the most leading columns that add at most SPLIT_LIGHT_SHARE * L to
-    # any pair, as 2^(p-1)(c_i + c_j) <= 2^p max_i c_i; that max grows with k
-    k0 = int(np.searchsorted(2.0 ** pv * mass.max(axis=0), SPLIT_LIGHT_SHARE * low, side="right"))
-    ri, rj = ci[:-top], cj[:-top]
-    sums = pair_subset_power_sums(images[:, k0:], ri, rj, pv)
-    if k0:
-        # partial sums: rescan at full width the pairs whose bound reaches L
-        light = 2.0 ** (pv - 1.0) * mass[:, k0 - 1]
-        bound = (sums + light[ri] + light[rj]) * (1.0 + BOUND_SLACK)
-        hit = np.nonzero(bound >= low * (1.0 - BOUND_SLACK))[0]
-        sums = pair_subset_power_sums(images, ri[hit], rj[hit], pv)
-    sums = np.concatenate([top_sums, sums])
-    # the conversion of pairwise_pnorm_all, so each distance has its bits
+    sums = pair_subset_power_sums(images, ci, cj, pv)
     return float((sums if pv == 1.0 else sums ** (1.0 / pv)).max())
 
 
@@ -400,9 +362,9 @@ def _pair_layout(space: FiniteMetricSpace) -> tuple:
 def _scans_every_try(close_count: int, pair_count: int) -> bool:
     """Whether a level measures each try by one all-pairs scan.
 
-    The split sup gathers two image rows per close pair, and the scan reads
-    one row per pair; from half the pairs close on, the split moves at least
-    as many floats, and the scan of an accepted try is the level's pair
+    A gather of the close pairs reads two image rows per pair, and the scan
+    reads one row per pair; from half the pairs close on, the gather moves at
+    least as many floats, and the scan of an accepted try is the level's pair
     distances besides.
     """
     return 2 * close_count >= pair_count
@@ -459,15 +421,14 @@ def calibrate_level(
     Each try builds its kernel once and measures the close-pair sup exactly,
     so the search path is the one an all-pairs scan per try gives. Where at
     least half of all pairs are close, the try is that scan, and good keeps
-    it as pair_distances. Otherwise the split sup sums at full width only
-    the pairs whose light-column bound can reach the sup (see
-    _split_close_sup), and the accepted images are scanned once at the end.
-    So no images are scanned twice. A kept scan is held while later tries
-    run: besides previous's pair distances, good's and the current try's,
-    two arrays of n(n-1)/2 floats (about 67 MB each at n = 4096), where a
-    split try holds none. S_n is the smallest source distance above s_floor
-    and above every pair the accepted images leave closer than delta/2
-    (+inf, a saturated level, where there is none).
+    it as pair_distances. Otherwise the close pairs alone are gathered at
+    full width (_close_pair_sup), and the accepted images are scanned once
+    at the end. So no images are scanned twice. A kept scan is held while
+    later tries run: besides previous's pair distances, good's and the
+    current try's, two arrays of n(n-1)/2 floats (about 67 MB each at
+    n = 4096), where a gathered try holds none. S_n is the smallest source
+    distance above s_floor and above every pair the accepted images leave
+    closer than delta/2 (+inf, a saturated level, where there is none).
 
     _pairs is internal: build_level_family lays out the pairs and their
     source distances once and passes them to every level.
@@ -499,11 +460,6 @@ def calibrate_level(
     scan_tries = _scans_every_try(close_count, d_pairs.size)
     if not scan_tries:
         ci, cj = ii[close], jj[close]
-        top = min(space.n, close_count)
-        if top < close_count:
-            # largest-distance close pairs last, where _split_close_sup takes its lower bound
-            last = np.argpartition(d_pairs[close], close_count - top)
-            ci, cj = ci[last], cj[last]
 
     t_cap = T_CAP if previous is None else previous.bandwidth_t
     # with no close pair there is no closeness constraint at this radius, and
@@ -576,7 +532,7 @@ def calibrate_level(
             # distances are >= 0, so initial=0 moves no max
             sup = float(scan.max(where=close, initial=0.0))
         else:
-            sup = _split_close_sup(images, p, ci, cj, top) if close_count else 0.0
+            sup = _close_pair_sup(images, p, ci, cj) if close_count else 0.0
         tries += 1
         if sup > eps:
             bad = (t, sup)

@@ -362,13 +362,18 @@ def save_space(space: FiniteMetricSpace, path) -> None:
         fh.write("}\n")
 
 
+def _read_json(path):
+    """Parse a JSON file; text that is not JSON, or nested too deep to parse, is a ValueError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_space_lenient(path) -> FiniteMetricSpace:
     """Load a space file without rejecting metric violations (validate reports them)."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return _parse_space(payload)
+    return _parse_space(_read_json(path))
 
 
 def load_space(path) -> FiniteMetricSpace:

@@ -301,6 +301,30 @@ class TestMalformedEmbeddingFile:
         assert message in capsys.readouterr().err
 
 
+class TestNestedJson:
+    """A file nested too deep for json.loads is a malformed payload: exit 2, not 1."""
+
+    @pytest.fixture()
+    def nested(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["validate", "embed", "report"])
+    def test_space_file_exit_2(self, command, nested, tmp_path, capsys):
+        argv = {
+            "validate": ["validate", "--space", str(nested)],
+            "embed": ["embed", "--space", str(nested), "--p", "1", "--out", str(tmp_path / "e.json")],
+            "report": ["report", "--space", str(nested), "--embedding", str(tmp_path / "e.json")],
+        }[command]
+        assert run(*argv) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_embedding_file_exit_2(self, nested, hc3_file, capsys):
+        assert run("report", "--space", str(hc3_file), "--embedding", str(nested)) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+
 class TestCheckMazur:
     def test_summary_and_exit_zero(self, capsys):
         assert run("check-mazur", "--p", "2", "--q", "1", "--dim", "64",

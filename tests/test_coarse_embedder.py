@@ -380,6 +380,13 @@ class TestJson:
         with pytest.raises(ValueError, match="missing images"):
             embedding_from_json(payload, hc4_p1.space)
 
+    @pytest.mark.parametrize("text", ["{not json", "[" * 100000 + "]" * 100000], ids=["garbled", "nested"])
+    def test_invalid_json_file_refused(self, text, hc4_p1, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="not valid JSON"):
+            load_embedding(path, hc4_p1.space)
+
     def test_inconsistent_blocks_rejected(self, hc4_p1):
         payload = embedding_to_json(hc4_p1)
         payload["images"]["0001"] = payload["images"]["0001"][:-1]

@@ -148,9 +148,14 @@ class TestProfile:
                 assert profile.rho1_theory[j] <= b.emp_min + 1e-9
                 assert b.emp_max <= profile.rho2_theory[j + 1] + 1e-9
 
-    def test_bucket_count_validated(self, hc5_p1):
-        with pytest.raises(ValueError):
-            empirical_profile(hc5_p1, 0)
+    @pytest.mark.parametrize("bucket_count", [0, 2.5, True, "3"])
+    def test_bucket_count_validated(self, hc5_p1, bucket_count):
+        # refused, not cast: int() would take 2.5 as 2, True as 1 and "3" as 3
+        with pytest.raises(ValueError, match="bucket count"):
+            empirical_profile(hc5_p1, bucket_count)
+
+    def test_numpy_integer_bucket_count(self, hc5_p1):
+        assert len(empirical_profile(hc5_p1, np.int64(3)).buckets) == 3
 
 
 class TestVerifyBounds:

@@ -274,60 +274,14 @@ class TestFamily:
         assert len(scans) == len(fam.levels)
 
 
-def full_scan_sup(images, p, ci, cj, top):
+def full_scan_sup(images, p, ci, cj):
     """The close-pair sup as one scan of all pairs measures it."""
     n = images.shape[0]
     condensed = ci * n - ci * (ci + 1) // 2 + (cj - ci - 1)
     return float(pairwise_pnorm_all(images, p)[condensed].max())
 
 
-def split_sup(images, p, ci, cj, top=1):
-    return kernel_sphere_maps._split_close_sup(images, as_exponent(p), np.asarray(ci), np.asarray(cj), top)
-
-
-class TestSplitSup:
-    """The pruned sup on pairs built to sit on the edge of its bound.
-
-    Rows 0 and 1 form the pair X, rows 2 and 3 the top pair, whose power sum
-    is the lower bound L.
-    """
-
-    @pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 3.0])
-    def test_light_columns_decide_the_sup(self, p):
-        # X has opposite signs in its three light columns, the equality case
-        # of |a-b|^p <= 2^(p-1)(|a|^p + |b|^p): they add A = 2^p m to its sum,
-        # just under the 1e-2 L light budget, and lift it above L = 1
-        A = 0.009
-        rows = np.zeros((4, 4))
-        rows[0, :3] = (A / 2.0**p / 3.0) ** (1.0 / p)
-        rows[1, :3] = -rows[0, :3]
-        rows[0, 3] = (1.0 - 0.9 * A) ** (1.0 / p)
-        rows[2, 3] = 1.0
-        got = split_sup(rows, p, [0, 2], [1, 3])
-        assert got > 1.0
-        assert got == full_scan_sup(rows, p, np.array([0, 2]), np.array([1, 3]), 1)
-
-    def test_pair_one_ulp_above_the_lower_bound_found(self):
-        # the bound and the full sum round differently; with L one ulp under
-        # X's sum, X must still be rescanned
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            rows = np.zeros((4, 108))
-            rows[0, :8] = rng.uniform(0.0, 1e-5, 8)
-            rows[1, :8] = -rows[0, :8]
-            rows[0, 8:] = rng.uniform(0.0, 1.0, 100) * 10.0 ** rng.uniform(-2.0, 0.0, 100)
-            x_sum = float(pairwise_pnorm_all(rows[:2], 1.0)[0])
-            rows[2, -1] = np.nextafter(x_sum, 0.0)
-            assert split_sup(rows, 1.0, [0, 2], [1, 3]) == x_sum
-
-    def test_every_pair_close_no_light_column(self):
-        # the partial sums cover every pair at full width; still the scan's sup
-        rows = np.random.default_rng(3).standard_normal((6, 6))
-        ci, cj = np.triu_indices(6, 1)
-        assert split_sup(rows, 1.5, ci, cj, 6) == full_scan_sup(rows, 1.5, ci, cj, 6)
-
-
-SPLIT_CASES = [
+GATHER_CASES = [
     (("gaussian", 80), 1.3),
     (("gaussian", 80), 3.0),
     (("hypercube", 6), 2.0),
@@ -339,42 +293,29 @@ SPLIT_CASES = [
 ]
 
 
-# the split levels of these families find no leading column light enough to
-# leave out: the short path's, and cycle(8)'s only split level, level 1
-NO_PARTIAL_SUMS = {"path6-p1.0", "cycle8-p1.5"}
-
-
 def case_id(case):
     (kind, param), p = case
     return f"{kind}{param}-p{p}"
 
 
-class TestSplitEquivalence:
-    @pytest.mark.parametrize("case", SPLIT_CASES, ids=case_id)
+class TestGatherEquivalence:
+    @pytest.mark.parametrize("case", GATHER_CASES, ids=case_id)
     def test_family_bits_match_full_scan_sup(self, case, monkeypatch):
-        # every family takes the split sup on its first levels and the
-        # all-pairs scan once half its pairs are close; the reference measures
-        # every try by a full scan and scans the accepted images again
+        # every family gathers its close pairs on its first levels and takes
+        # the all-pairs scan once half its pairs are close; the reference
+        # measures every try by a full scan and scans the accepted images again
         (kind, param), p = case
         X = generate(kind, param, seed=3) if kind == "gaussian" else generate(kind, param)
         args = (X, default_level_count(X), p, 1.0, default_kernel_kind(X))
 
-        real_split = kernel_sphere_maps._split_close_sup
-        real_subset = kernel_sphere_maps.pair_subset_power_sums
+        real_gather = kernel_sphere_maps._close_pair_sup
         real_rule = kernel_sphere_maps._scans_every_try
         real_factor = kernel_sphere_maps.build_sphere_map
-        ran = {"split": 0, "partial": 0, "width": None, "scan_tries": 0, "scan_level": None}
+        ran = {"gather": 0, "scan_tries": 0, "scan_level": None}
 
-        def spy_split(images, *rest):
-            ran["split"] += 1
-            ran["width"] = images.shape[1]
-            return real_split(images, *rest)
-
-        def spy_subset(rows, ii, jj, pv):
-            # images narrower than n are summed at full width too: a partial
-            # sum is one over fewer columns than the split sup was given
-            ran["partial"] += rows.shape[1] < ran["width"]
-            return real_subset(rows, ii, jj, pv)
+        def spy_gather(*args):
+            ran["gather"] += 1
+            return real_gather(*args)
 
         def spy_rule(close_count, pair_count):
             # called once per level, before its first try
@@ -385,20 +326,18 @@ class TestSplitEquivalence:
             ran["scan_tries"] += ran["scan_level"]
             return real_factor(space, t, kind)
 
-        monkeypatch.setattr(kernel_sphere_maps, "_split_close_sup", spy_split)
-        monkeypatch.setattr(kernel_sphere_maps, "pair_subset_power_sums", spy_subset)
+        monkeypatch.setattr(kernel_sphere_maps, "_close_pair_sup", spy_gather)
         monkeypatch.setattr(kernel_sphere_maps, "_scans_every_try", spy_rule)
         monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", spy_factor)
-        pruned = build_level_family(*args)
+        gathered = build_level_family(*args)
         monkeypatch.undo()
-        monkeypatch.setattr(kernel_sphere_maps, "_split_close_sup", full_scan_sup)
+        monkeypatch.setattr(kernel_sphere_maps, "_close_pair_sup", full_scan_sup)
         monkeypatch.setattr(kernel_sphere_maps, "_scans_every_try", lambda close_count, pair_count: False)
         reference = build_level_family(*args)
 
-        assert ran["split"] > 0
+        assert ran["gather"] > 0
         assert ran["scan_tries"] > 0
-        assert ran["partial"] > 0 or case_id(case) in NO_PARTIAL_SUMS
-        assert_same_levels(pruned, reference)
+        assert_same_levels(gathered, reference)
 
 
 def half_close_space(close_pairs):
@@ -418,28 +357,28 @@ class TestScanRule:
         X = half_close_space(close_pairs)
         ii, jj = X.pair_indices()
         assert int(np.count_nonzero(X.dist[ii, jj] <= 1.0)) == close_pairs
-        real_split = kernel_sphere_maps._split_close_sup
+        real_gather = kernel_sphere_maps._close_pair_sup
         real_rule = kernel_sphere_maps._scans_every_try
-        splits = []
+        gathers = []
         monkeypatch.setattr(
-            kernel_sphere_maps, "_split_close_sup", lambda *args: splits.append(1) or real_split(*args)
+            kernel_sphere_maps, "_close_pair_sup", lambda *args: gathers.append(1) or real_gather(*args)
         )
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
         level = calibrate_level(X, 1, p, 1.0, kind)
         tries = len(calls)
         if scans_tries:
-            assert splits == [] and len(scans) == tries
+            assert gathers == [] and len(scans) == tries
         else:
-            assert len(splits) == tries and len(scans) == 1
+            assert len(gathers) == tries and len(scans) == 1
 
         # the other path gives the same bits
         monkeypatch.setattr(
             kernel_sphere_maps, "_scans_every_try", lambda close_count, pair_count: not real_rule(close_count, pair_count)
         )
-        del splits[:], scans[:]
+        del gathers[:], scans[:]
         other = calibrate_level(X, 1, p, 1.0, kind)
-        assert bool(splits) == scans_tries
+        assert bool(gathers) == scans_tries
         assert_same_levels(
             SphereMapFamily((level,), level.exponent, 1.0, X), SphereMapFamily((other,), other.exponent, 1.0, X)
         )

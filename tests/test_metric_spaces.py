@@ -14,6 +14,7 @@ from lpembed.metric_spaces import (
     FiniteMetricSpace,
     generate,
     load_space,
+    load_space_lenient,
     save_space,
     space_to_json,
     validate,
@@ -227,11 +228,14 @@ class TestJson:
         with pytest.raises(ValueError, match="malformed space payload"):
             load_space(path)
 
-    def test_invalid_json_file(self, tmp_path):
+    @pytest.mark.parametrize("loader", [load_space, load_space_lenient])
+    @pytest.mark.parametrize("text", ["{not json", "[" * 100000 + "]" * 100000], ids=["garbled", "nested"])
+    def test_invalid_json_file(self, text, loader, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_space(path)
+        path.write_text(text, encoding="utf-8")
+        # json.loads raises RecursionError, not JSONDecodeError, on the nested text
+        with pytest.raises(ValueError, match="not valid JSON"):
+            loader(path)
 
     def test_payload_shape(self):
         X = generate("hypercube", 2)
