@@ -15,7 +15,7 @@ where m(d) counts non-saturated levels with S_n <= d. Both follow from the
 measured per-level certificates, so a correctly built embedding verifies
 cleanly at 1e-9 (distortion_report.verify_bounds, the one verifier). An
 embedding file is json.dumps of embedding_to_json's dict, written one point's
-image blocks at a time.
+level images at a time; the base offset is applied on read.
 """
 
 from __future__ import annotations
@@ -57,45 +57,23 @@ MAX_LEVELS = 64
 
 @dataclass(frozen=True, eq=False)
 class CoarseEmbedding:
-    """A finished embedding: its level family, base point and one source of block images.
+    """A finished embedding: its level family and its base point.
 
-    The family is the one record of the space, p, delta and the level schedule;
-    the embedding reads them from it. Exactly one source of images is given.
-    An embedding built in memory holds a calibrated family whose levels carry
-    their images; block n of point x is then level.images[x] -
-    level.images[base_index], formed on first use, and verification sums the
-    levels' measured pair distances. One reloaded from JSON holds a family of
-    image-less levels and the blocks it read (loaded_blocks, one finite
-    (points, width) array per level). Either way image_matrix (the per-point
-    concatenation of the blocks), blocks (its per-level column views) and
-    block_dims are formed once and read-only.
+    The family is the one record of the space, p, delta and the level
+    schedule, and each of its levels carries its images phi_n; the embedding
+    reads them from it. Block n of point x is level.images[x] -
+    level.images[base_index], for a build in memory and a reload from JSON
+    alike. image_matrix (the per-point concatenation of the blocks), blocks
+    (its per-level column views) and block_dims are formed on first use,
+    once, and read-only.
     """
 
     family: SphereMapFamily
     base_index: int
-    loaded_blocks: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        with_images = [level.images is not None for level in self.family.levels]
-        if not (all(with_images) if self.loaded_blocks is None else not any(with_images)):
-            raise ValueError("an embedding's images come from exactly one source: its levels or loaded image blocks")
         if not (_is_index(self.base_index) and 0 <= self.base_index < self.space.n):
             raise ValueError(f"base index must be an integer point index in 0..{self.space.n - 1}, got {self.base_index!r}")
-        if self.loaded_blocks is not None:
-            blocks = [np.asarray(b, dtype=np.float64) for b in self.loaded_blocks]
-            if not blocks or any(b.ndim != 2 or b.shape[0] != self.space.n for b in blocks):
-                raise ValueError(f"loaded image blocks must be (points, width) arrays with {self.space.n} rows")
-            mat = np.hstack(blocks)
-            if not np.isfinite(mat).all():
-                # a NaN pair distance would pass every envelope comparison
-                raise ValueError("image blocks must be finite (no NaN/inf)")
-            mat.setflags(write=False)
-            self.__dict__["block_dims"] = tuple(b.shape[1] for b in blocks)
-            self.__dict__["image_matrix"] = mat
-            # keep the read-only views of the one stacked copy, not the arrays passed in
-            object.__setattr__(self, "loaded_blocks", self.blocks)
-            if len(blocks) != self.level_count:
-                raise ValueError(f"{len(blocks)} image blocks but {self.level_count} schedule levels")
 
     @property
     def space(self) -> FiniteMetricSpace:
@@ -118,8 +96,6 @@ class CoarseEmbedding:
     def level_count(self) -> int:
         return len(self.family.levels)
 
-    # Reloaded embeddings fill block_dims and image_matrix at construction, so
-    # these two bodies only run on levels that carry their images.
     @cached_property
     def block_dims(self) -> tuple:
         return tuple(level.images.shape[1] for level in self.family.levels)
@@ -128,9 +104,13 @@ class CoarseEmbedding:
     def image_matrix(self) -> np.ndarray:
         mat = np.empty((self.space.n, sum(self.block_dims)))
         offset = 0
-        for level, width in zip(self.family.levels, self.block_dims):
-            np.subtract(level.images, level.images[self.base_index], out=mat[:, offset:offset + width])
-            offset += width
+        with np.errstate(over="ignore"):  # finite images can overflow; refused below
+            for level, width in zip(self.family.levels, self.block_dims):
+                np.subtract(level.images, level.images[self.base_index], out=mat[:, offset:offset + width])
+                offset += width
+        if not np.isfinite(mat).all():
+            # inf - inf in a pair scan is NaN, which passes every envelope comparison
+            raise ValueError("image blocks must be finite (no NaN/inf)")
         mat.setflags(write=False)
         return mat
 
@@ -242,20 +222,20 @@ def pairwise_image_power_sums(embedding: CoarseEmbedding) -> tuple:
     """(i_idx, j_idx, source_distance, image_distance^p) over all point pairs.
 
     The base-point offset cancels in every pair, so
-    ||Phi(x)-Phi(y)||_p^p = sum_n ||phi_n(x)-phi_n(y)||_p^p. An embedding that
-    carries its family sums, in level order, the p-th powers of the pair
-    distances calibration measured at each level: O(L n^2). One reloaded from
-    JSON scans the stacked image rows: O(L n^3). The two agree to rounding.
+    ||Phi(x)-Phi(y)||_p^p = sum_n ||phi_n(x)-phi_n(y)||_p^p. Where every level
+    carries the pair distances calibration measured, their p-th powers are
+    summed in level order: O(L n^2). Otherwise (levels read back from JSON)
+    the stacked image rows are scanned: O(L n^3). The two agree to rounding.
     """
     ii, jj = embedding.space.pair_indices()
     d = embedding.space.dist[ii, jj]
-    if embedding.loaded_blocks is not None:
-        psums = pairwise_power_sums_all(embedding.image_matrix, embedding.exponent)
-    else:
-        p = embedding.exponent.value
-        psums = np.zeros(d.size)
-        for level in embedding.family.levels:
-            psums += abs_power(level.pair_distances, p)
+    levels = embedding.family.levels
+    if any(level.pair_distances is None for level in levels):
+        return ii, jj, d, pairwise_power_sums_all(embedding.image_matrix, embedding.exponent)
+    p = embedding.exponent.value
+    psums = np.zeros(d.size)
+    for level in levels:
+        psums += abs_power(level.pair_distances, p)
     return ii, jj, d, psums
 
 
@@ -289,13 +269,13 @@ def _header_json(embedding: CoarseEmbedding) -> dict:
 
 
 def embedding_to_json(embedding: CoarseEmbedding) -> dict:
-    blocks = embedding.blocks
-    images = {label: [b[i].tolist() for b in blocks] for i, label in enumerate(embedding.space.labels)}
+    levels = embedding.schedule
+    images = {label: [lv.images[i].tolist() for lv in levels] for i, label in enumerate(embedding.space.labels)}
     return {**_header_json(embedding), "images": images}
 
 
 def _image_blocks(blocks, label: str) -> list:
-    """One point's image blocks as float64 arrays; each must be a list of finite numbers."""
+    """One point's level images as float64 arrays; each must be a list of finite numbers."""
     bad = ValueError(f"malformed embedding payload: images of {label!r} must be a list of number lists")
     if not isinstance(blocks, list) or not blocks:
         raise bad
@@ -326,13 +306,18 @@ def _threshold(value) -> float:
 
 
 def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedding:
-    """Reattach a serialized embedding to its space: image-less levels plus the blocks read."""
+    """Reattach a serialized embedding to its space: each level with the images read.
+
+    The file holds each level's images phi_n(x); the base offset is applied
+    on read. Older files hold the offsets phi_n(x) - phi_n(x0), whose zero
+    base rows read back to the same image_matrix.
+    """
     try:
         pe = as_exponent(_number(payload["p"], "p"))
         base = _number(payload["base"], "base", integer=True)
         delta = _number(payload["delta"], "delta")
-        levels = tuple(
-            SphereMapLevel(
+        schedule = [
+            dict(
                 level_n=_number(s["n"], "schedule n", integer=True),
                 exponent=pe,
                 epsilon_n=_number(s["eps"], "schedule eps"),
@@ -341,7 +326,7 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
                 kernel_kind=s["kernel"],
             )
             for s in payload["schedule"]
-        )
+        ]
         images = payload["images"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
@@ -360,11 +345,16 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
         elif dims != block_dims:
             raise ValueError(f"inconsistent block shapes at point {label!r}")
         per_point.append(blocks)
-    return CoarseEmbedding(
-        family=SphereMapFamily(levels=levels, exponent=pe, delta=delta, space=space),
-        base_index=base,
-        loaded_blocks=tuple(np.vstack(level) for level in zip(*per_point)),
-    )
+    if len(block_dims) != len(schedule):
+        raise ValueError(f"{len(block_dims)} image blocks per point but {len(schedule)} schedule levels")
+    try:
+        levels = tuple(
+            SphereMapLevel(**params, images=np.vstack(rows)) for params, rows in zip(schedule, zip(*per_point))
+        )
+        family = SphereMapFamily(levels=levels, exponent=pe, delta=delta, space=space)
+    except ValueError as exc:
+        raise ValueError(f"malformed embedding payload: {exc}") from exc
+    return CoarseEmbedding(family=family, base_index=base)
 
 
 def save_embedding(embedding: CoarseEmbedding, path) -> None:
@@ -373,11 +363,12 @@ def save_embedding(embedding: CoarseEmbedding, path) -> None:
     The bytes are the same, but only the header and one point's image text
     are held at a time, not the nested lists and the whole text.
     """
-    blocks, header = embedding.blocks, json.dumps(_header_json(embedding))
+    levels, header = embedding.schedule, json.dumps(_header_json(embedding))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header[:-1] + ', "images": {')
         for i, label in enumerate(embedding.space.labels):
-            fh.write((", " if i else "") + json.dumps(label) + ": " + json.dumps([b[i].tolist() for b in blocks]))
+            rows = [level.images[i].tolist() for level in levels]
+            fh.write((", " if i else "") + json.dumps(label) + ": " + json.dumps(rows))
         fh.write("}}\n")
 
 

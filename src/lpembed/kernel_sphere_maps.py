@@ -186,16 +186,16 @@ def measure_conditions(
 
 @dataclass(frozen=True, eq=False)
 class SphereMapLevel:
-    """One calibrated map into S(l_p) with its certified parameters.
+    """One calibrated map into S(l_p): its images, one row per point, and certified parameters.
 
-    epsilon_n certifies sup{||phi(x)-phi(y)||_p : d(x,y) <= level_n} and s_n
-    the threshold from which pairs stay the family's delta/2 apart (vacuous
-    when saturated, s_n = inf), both measured on the images after Mazur
-    transport. pair_distances is that measurement, kept read-only, over all
-    pairs i < j in condensed (np.triu_indices) order; the embedding's
-    verification and profile reuse it instead of rescanning. A level read
-    back from JSON carries neither array, and neither enters the repr. Both
-    arrays, when given, must be finite.
+    epsilon_n (finite, >= 0) certifies sup{||phi(x)-phi(y)||_p : d(x,y) <= level_n}
+    and s_n the threshold from which pairs stay the family's delta/2 apart
+    (vacuous when saturated, s_n = inf), both measured on the images after
+    Mazur transport; bandwidth_t is finite and > 0. pair_distances is that
+    measurement, kept read-only, over all pairs i < j in condensed
+    (np.triu_indices) order; the embedding's verification and profile reuse
+    it instead of rescanning. A level read back from JSON has none. Neither
+    array enters the repr, and both must be finite.
     """
 
     level_n: int
@@ -204,11 +204,17 @@ class SphereMapLevel:
     s_n: float
     bandwidth_t: float
     kernel_kind: str
-    images: Optional[np.ndarray] = field(default=None, repr=False)
+    images: np.ndarray = field(repr=False)
     pair_distances: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         _check_kernel_kind(self.kernel_kind)
+        if not (math.isfinite(self.epsilon_n) and self.epsilon_n >= 0):
+            raise ValueError(f"level {self.level_n}: eps must be finite and nonnegative, got {self.epsilon_n!r}")
+        if not (math.isfinite(self.bandwidth_t) and self.bandwidth_t > 0):
+            raise ValueError(f"level {self.level_n}: t must be finite and positive, got {self.bandwidth_t!r}")
+        if self.images is None or np.ndim(self.images) != 2:
+            raise ValueError(f"level {self.level_n}: images must be a (points, width) array")
         for name in ("images", "pair_distances"):
             arr = getattr(self, name)
             if arr is not None and not np.isfinite(arr).all():
@@ -233,6 +239,11 @@ class SphereMapFamily:
         if not (math.isfinite(self.delta) and self.delta > 0):
             # a vacuous lower envelope would certify any images
             raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
+        numbers = [level.level_n for level in self.levels]
+        if numbers != list(range(1, len(numbers) + 1)):
+            raise ValueError(f"level numbers n must run 1..{len(numbers)} in order, got {numbers}")
+        if any(level.images.shape[0] != self.space.n for level in self.levels):
+            raise ValueError(f"every level's images must hold one row per point, {self.space.n} rows")
         if any(level.exponent.value != self.exponent.value for level in self.levels):
             # the family's exponent is the one its pair distances are summed at
             raise ValueError(f"every level must be calibrated at the family's p = {self.exponent.value:g}")
@@ -437,15 +448,16 @@ def calibrate_level(
     _check_kernel_kind(kernel_kind)
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not (math.isfinite(delta) and delta > 0):
+        # the family's rule, applied before the ceiling check below
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if previous is not None and (
         previous.pair_distances is None
         or previous.exponent.value != p.value
         or previous.kernel_kind != kernel_kind
         or previous.pair_distances.shape != (space.n * (space.n - 1) // 2,)
     ):
-        raise ValueError("previous level must carry its images and come from the same space, exponent and kernel")
+        raise ValueError("previous level must carry pair distances and come from the same space, exponent and kernel")
     ceiling = _distance_ceiling(p)
     if delta / 2.0 > ceiling:
         raise CalibrationError(

@@ -51,7 +51,11 @@ GAUSSIAN_CHUNK_ELEMS = 1 << 20  # coordinate differences held at once by _gaussi
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """Point labels plus a symmetric nonnegative distance matrix."""
+    """Point labels plus a symmetric nonnegative distance matrix.
+
+    meta holds JSON-ready facts about the space; its key "points" is
+    reserved, since a space file keeps the coordinates there.
+    """
 
     labels: tuple
     dist: np.ndarray
@@ -72,6 +76,8 @@ class FiniteMetricSpace:
             raise ValueError(f"{len(labels)} labels for {n} points")
         if len(set(labels)) != n:
             raise ValueError("labels must be unique")
+        if "points" in self.meta:
+            raise ValueError('meta key "points" is reserved for the coordinates (the points field)')
         dist = dist.copy()
         dist.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -343,23 +349,17 @@ def save_space(space: FiniteMetricSpace, path) -> None:
     The bytes are the same, but only the header, one row's text and the meta
     entries are held at a time, not the nested lists and the whole text.
     """
-    meta, tail = dict(space.meta), None
-    head = json.dumps(meta)
-    if space.points is not None:
-        # space_to_json sets meta["points"] in place: at its key, if meta has one
-        keys = list(meta)
-        cut = keys.index("points") if "points" in meta else len(keys)
-        head = json.dumps({k: meta[k] for k in keys[:cut]})[:-1] + (", " if cut else "") + '"points": '
-        tail = json.dumps({k: meta[k] for k in keys[cut + 1:]})[1:]
-        tail = tail if tail == "}" else ", " + tail
+    meta = json.dumps(space.meta)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"labels": list(space.labels)})[:-1] + ', "dist": ')
         _write_rows(fh, space.dist)
-        fh.write(', "meta": ' + head)
-        if tail is not None:
+        if space.points is None:
+            fh.write(', "meta": ' + meta + "}\n")
+        else:
+            # space_to_json appends the coordinates to meta, as its last key
+            fh.write(', "meta": ' + meta[:-1] + (", " if space.meta else "") + '"points": ')
             _write_rows(fh, space.points)
-            fh.write(tail)
-        fh.write("}\n")
+            fh.write("}}\n")
 
 
 def _read_json(path):

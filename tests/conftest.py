@@ -30,10 +30,8 @@ def verify_family(family) -> list:
     pair distance. Each level's images are scanned once, and the sup over
     d <= n, the inf over d >= S_n and the largest image distance (at most 2
     on the unit sphere) all come from that scan. A family read back from
-    JSON has no images to measure: ValueError.
+    JSON carries its images too, and is measured alike.
     """
-    if any(level.images is None for level in family.levels):
-        raise ValueError("family levels carry no images to verify (read back from JSON?)")
     delta_half = family.delta / 2.0
     problems = []
     prev_s = 0.0

@@ -237,7 +237,12 @@ def test_criterion_9_forced_violation_detection(tmp_path):
     results = {}
     for name, scale in (("scaled", 10.0), ("zeroed", 0.0)):
         payload = json.loads(json.dumps(baseline))
-        payload["images"]["39"] = [[c * scale for c in block] for block in payload["images"]["39"]]
+        # the file holds phi_n(x): scale point 39's offset from the base point's
+        base = payload["images"][str(baseline["base"])]
+        payload["images"]["39"] = [
+            [b + scale * (c - b) for c, b in zip(block, base_block)]
+            for block, base_block in zip(payload["images"]["39"], base)
+        ]
         tampered_file = tmp_path / f"{name}.json"
         tampered_file.write_text(json.dumps(payload))
 

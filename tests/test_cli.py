@@ -102,7 +102,8 @@ class TestEmbedReport:
         assert run("gen", "--kind", "path", "--param", "40", "--out", str(space_file)) == 0
         assert run("embed", "--space", str(space_file), "--p", "1", "--levels", "5", "--out", str(emb)) == 0
         payload = json.loads(emb.read_text())
-        payload["images"]["39"] = [[0.0 for _ in block] for block in payload["images"]["39"]]
+        # point 39 takes the base point's images, so its image is the base's
+        payload["images"]["39"] = payload["images"]["0"]
         emb.write_text(json.dumps(payload))
         code = run("report", "--space", str(space_file), "--embedding", str(emb), "--buckets", "4")
         assert code == 1
@@ -127,6 +128,16 @@ class TestEmbedReport:
             "--delta", "3.0", "--out", str(tmp_path / "e.json"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize("delta", ["inf", "nan", "0"])
+    def test_delta_not_finite_positive_exit_2(self, delta, hc3_file, tmp_path, capsys):
+        # inf once exited 3 (beyond the reachable ceiling) where nan and 0 exit 2
+        code = run(
+            "embed", "--space", str(hc3_file), "--p", "1", "--levels", "2",
+            "--delta", delta, "--out", str(tmp_path / "e.json"),
+        )
+        assert code == 2
+        assert "delta must be finite and positive" in capsys.readouterr().err
 
     def test_base_out_of_range_exit_2(self, hc3_file, tmp_path):
         code = run("embed", "--space", str(hc3_file), "--p", "1", "--base", "99",
@@ -271,6 +282,14 @@ class TestMalformedEmbeddingFile:
         ("t", True, "malformed embedding payload: schedule t must be a number"),
         ("n", 1.9, "malformed embedding payload: schedule n must be an integer"),
         ("n", True, "malformed embedding payload: schedule n must be an integer"),
+        # each of these also passed report (exit 0), and a re-save wrote NaN and
+        # Infinity back out as non-strict JSON
+        ("eps", float("nan"), "level 1: eps must be finite and nonnegative"),
+        ("eps", -1.0, "level 1: eps must be finite and nonnegative"),
+        ("t", float("inf"), "level 1: t must be finite and positive"),
+        ("t", -2.0, "level 1: t must be finite and positive"),
+        ("n", 0, "level numbers n must run 1..4 in order, got [0, 2, 3, 4]"),
+        ("n", 2, "level numbers n must run 1..4 in order, got [2, 2, 3, 4]"),
     ])
     def test_report_bad_parameter_exit_2(self, key, value, message, hc2_embedding, capsys):
         space, emb = hc2_embedding
@@ -415,7 +434,8 @@ def test_module_entrypoint_exit_codes(tmp_path):
     assert console("embed", "--space", space, "--p", "1", "--levels", "5", "--out", str(emb))[0] == 0
     assert console("report", "--space", space, "--embedding", str(emb))[0] == 0
     payload = json.loads(emb.read_text())
-    payload["images"]["11"] = [[0.0 for _ in block] for block in payload["images"]["11"]]
+    # point 11 takes the base point's images, so its image is the base's
+    payload["images"]["11"] = payload["images"]["0"]
     emb.write_text(json.dumps(payload))
     code, err = console("report", "--space", space, "--embedding", str(emb))
     assert code == 1 and "lower: pair" in err

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from lpembed.coarse_embedder import (
     tail_bound,
     theoretical_bounds,
 )
-from lpembed.distortion_report import empirical_profile, verify_bounds
+from lpembed.distortion_report import empirical_profile, export, verify_bounds
 from lpembed.kernel_sphere_maps import KERNEL_KINDS, NotNegativeType
 from lpembed.lp_core import as_exponent, pairwise_power_sums_all
 from lpembed.metric_spaces import FiniteMetricSpace, generate
@@ -107,14 +109,21 @@ class TestBuild:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_image_matrix_rejected(self, bad):
-        # without the family, nothing else would look at the rows before
-        # verify_bounds compares their NaN distances (always False) and passes
+        # a reloaded level has no pair distances, so nothing else would look at
+        # the rows before verify_bounds compares their NaN distances (always
+        # False) and passes
         E = build_embedding(generate("hypercube", 3), p=1.0)
         back = embedding_from_json(embedding_to_json(E), E.space)
-        blocks = tuple(b.copy() for b in E.blocks)
-        blocks[-1][3] = bad
+        images = back.schedule[-1].images.copy()
+        images[3] = bad
         with pytest.raises(ValueError, match="finite"):
-            dataclasses.replace(back, loaded_blocks=blocks)
+            dataclasses.replace(back.schedule[-1], images=images)
+        # finite images whose offsets from the base overflow
+        payload = embedding_to_json(E)
+        payload["images"]["000"][0][0] = -1e308
+        payload["images"]["011"][0][0] = 1e308
+        with pytest.raises(ValueError, match="image blocks must be finite"):
+            verify_bounds(embedding_from_json(payload, E.space))
 
     def test_unknown_point(self, hc4_p1):
         with pytest.raises(KeyError):
@@ -236,25 +245,24 @@ class TestLevelReuse:
             assert not level.pair_distances.flags.writeable
 
     def test_level_count_mismatch_rejected(self, built_embedding):
-        back = embedding_from_json(embedding_to_json(built_embedding), built_embedding.space)
-        short = dataclasses.replace(back.family, levels=back.schedule[:-1])
-        with pytest.raises(ValueError, match="image blocks but"):
-            dataclasses.replace(back, family=short)
+        payload = embedding_to_json(built_embedding)
+        payload["schedule"] = payload["schedule"][:-1]
+        with pytest.raises(ValueError, match="image blocks per point but"):
+            embedding_from_json(payload, built_embedding.space)
 
 
 class TestSingleCopy:
-    """A built embedding derives its blocks from its family; a reloaded one keeps the blocks it read."""
+    """Built and reloaded embeddings alike derive their blocks from their levels' images."""
 
-    def test_exactly_one_source(self, hc4_p1):
+    def test_levels_mix_freely(self, hc4_p1):
+        # a family of built and reloaded levels is one record: it scans its rows
         back = embedding_from_json(embedding_to_json(hc4_p1), hc4_p1.space)
-        with pytest.raises(ValueError, match="exactly one"):
-            dataclasses.replace(hc4_p1, loaded_blocks=back.blocks)
-        with pytest.raises(ValueError, match="exactly one"):
-            dataclasses.replace(back, loaded_blocks=None)
         mixed = dataclasses.replace(back.family, levels=hc4_p1.schedule[:1] + back.schedule[1:])
-        for blocks in (None, back.blocks):
-            with pytest.raises(ValueError, match="exactly one"):
-                CoarseEmbedding(family=mixed, base_index=0, loaded_blocks=blocks)
+        E = CoarseEmbedding(family=mixed, base_index=0)
+        assert np.array_equal(E.image_matrix.view(np.uint64), hc4_p1.image_matrix.view(np.uint64))
+        np.testing.assert_array_equal(
+            pairwise_image_power_sums(E)[3], pairwise_power_sums_all(E.image_matrix, E.exponent)
+        )
 
     def test_build_keeps_no_image_matrix(self):
         E = build_embedding(generate("cycle", 12), p=1.5)
@@ -277,11 +285,11 @@ class TestSingleCopy:
             assert not E.image_matrix.flags.writeable
             assert all(not b.flags.writeable for b in E.blocks)
             assert E.block_dims == tuple(b.shape[1] for b in E.blocks)
-        assert all(not b.flags.writeable for b in back.loaded_blocks)
 
-    def test_reloaded_keeps_one_stacked_copy(self, hc4_p1):
+    def test_blocks_are_views_of_one_stacked_copy(self, hc4_p1):
         back = embedding_from_json(embedding_to_json(hc4_p1), hc4_p1.space)
-        assert all(np.shares_memory(b, back.image_matrix) for b in back.loaded_blocks)
+        for E in (hc4_p1, back):
+            assert all(np.shares_memory(b, E.image_matrix) for b in E.blocks)
 
     def test_json_round_trip_byte_equal(self, built_embedding):
         text = json.dumps(embedding_to_json(built_embedding))
@@ -313,8 +321,8 @@ class TestSingleCopy:
 class TestOneLevelRecord:
     """The family is the one record of space, p, delta and levels; the embedding reads them from it."""
 
-    def test_fields_are_family_base_and_blocks(self, hc4_p1):
-        assert [f.name for f in dataclasses.fields(CoarseEmbedding)] == ["family", "base_index", "loaded_blocks"]
+    def test_fields_are_family_and_base(self, hc4_p1):
+        assert [f.name for f in dataclasses.fields(CoarseEmbedding)] == ["family", "base_index"]
         # a second copy of delta (or space, p, schedule) cannot be set apart from the family's
         with pytest.raises(TypeError):
             dataclasses.replace(hc4_p1, delta=3.0)
@@ -327,12 +335,12 @@ class TestOneLevelRecord:
         assert E.delta == E.family.delta and isinstance(E.delta, float)
         assert E.level_count == len(E.family.levels)
 
-    def test_reloaded_levels_hold_no_images(self, built_embedding):
+    def test_reloaded_levels_carry_their_images(self, built_embedding):
         back = embedding_from_json(embedding_to_json(built_embedding), built_embedding.space)
-        assert back.loaded_blocks is not None
         assert back.space is built_embedding.space
         for level, built in zip(back.schedule, built_embedding.schedule):
-            assert level.images is None and level.pair_distances is None
+            assert np.array_equal(level.images.view(np.uint64), built.images.view(np.uint64))
+            assert level.pair_distances is None
             assert repr(level) == repr(built)
 
     def test_schedule_repr_holds_no_arrays(self, hc4_p1):
@@ -365,7 +373,15 @@ class TestJson:
         assert back.base_index == hc4_p1.base_index
         assert back.exponent.value == hc4_p1.exponent.value
         assert [s.s_n for s in back.schedule] == [s.s_n for s in hc4_p1.schedule]
-        assert all(level.images is None for level in back.schedule)
+        for level, built in zip(back.schedule, hc4_p1.schedule):
+            np.testing.assert_array_equal(level.images, built.images)
+
+    def test_file_holds_level_images(self, hc4_p1):
+        # each level's own images phi_n(x), not their offsets from the base point
+        payload = embedding_to_json(hc4_p1)
+        for i, label in enumerate(hc4_p1.space.labels):
+            assert payload["images"][label] == [level.images[i].tolist() for level in hc4_p1.schedule]
+        assert any(any(row) for row in payload["images"]["0000"])
 
     def test_saturated_levels_serialize_as_null(self, hc4_p1):
         payload = embedding_to_json(hc4_p1)
@@ -436,10 +452,8 @@ class TestStreamedWriter:
         assert (tmp_path / "e.json").read_text(encoding="utf-8") == json.dumps(embedding_to_json(E)) + "\n"
 
     def test_peak_well_below_the_file(self, tmp_path):
-        # one point's image text at a time; the blocks are formed before, as
-        # an embedding's cached view of its levels
+        # one point's image text at a time, read from the levels' images
         E = build_embedding(generate("gaussian", 150, seed=1), p=1.3)
-        assert E.blocks
         path = tmp_path / "e.json"
         peak = saving_peak(save_embedding, E, path)
         assert peak < path.stat().st_size / 10
@@ -580,3 +594,62 @@ class TestCertifyOrRefuse:
     @pytest.mark.parametrize("d", [1e-7, 1.0, 3.5])
     def test_two_points(self, d, p, kernel_kind):
         certify(FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, d], [d, 0.0]])), p, kernel_kind)
+
+
+def round_trip(embedding):
+    """load_embedding(save_embedding(embedding)), through a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.json"
+        save_embedding(embedding, path)
+        return load_embedding(path, embedding.space)
+
+
+def certify_reloaded(space, p, kernel_kind):
+    embedding = build_embedding(space, p=p, kernel_kind=kernel_kind)
+    back = round_trip(embedding)
+    assert verify_family(back.family) == []
+    assert verify_bounds(back) == []
+    assert np.array_equal(back.image_matrix.view(np.uint64), embedding.image_matrix.view(np.uint64))
+
+
+class TestReloadedFamilyCertifies:
+    """A family read back from its file carries its images, and the oracle re-measures it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(space=graph_metrics(), p=st.sampled_from(PROPERTY_EXPONENTS))
+    def test_graph_metrics(self, space, p):
+        try:
+            certify_reloaded(space, p, "laplacian")
+        except NotNegativeType:
+            pass
+
+    @settings(max_examples=25, deadline=None)
+    @given(space=euclidean_clouds(), p=st.sampled_from(PROPERTY_EXPONENTS))
+    def test_euclidean_clouds(self, space, p):
+        certify_reloaded(space, p, "gaussian")
+
+
+class TestOffsetFiles:
+    """Files written while the rows were stored offset from the base point read back the same."""
+
+    @staticmethod
+    def offset_payload(embedding):
+        # what the writer stored then: each level's images minus the base point's row
+        payload = embedding_to_json(embedding)
+        base = payload["images"][embedding.space.labels[embedding.base_index]]
+        payload["images"] = {
+            label: [(np.array(row) - np.array(b)).tolist() for row, b in zip(rows, base)]
+            for label, rows in payload["images"].items()
+        }
+        return payload
+
+    def test_same_matrix_and_exports(self, built_embedding):
+        E = dataclasses.replace(built_embedding, base_index=built_embedding.space.n - 1)
+        old = embedding_from_json(self.offset_payload(E), E.space)
+        new = embedding_from_json(embedding_to_json(E), E.space)
+        for back in (old, new):
+            assert np.array_equal(back.image_matrix.view(np.uint64), E.image_matrix.view(np.uint64))
+        for fmt in ("csv", "json"):
+            assert export(empirical_profile(old, 16), fmt) == export(empirical_profile(new, 16), fmt)
+        # the old file's rows are offsets, off the unit sphere: the base row is zero
+        assert not any(level.images[E.base_index].any() for level in old.schedule)

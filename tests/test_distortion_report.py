@@ -38,18 +38,25 @@ def path40_p1():
     return build_embedding(generate("path", 40), p=1.0, level_count=5)
 
 
-def reloaded_form(E, blocks, **family_changes):
-    """E as reloaded from JSON: its levels without images, `blocks` as its images."""
-    levels = tuple(dataclasses.replace(level, images=None, pair_distances=None) for level in E.schedule)
+def reloaded_form(E, images=None, **family_changes):
+    """E as reloaded from JSON: its levels carry `images` (default their own) and no pair distances."""
+    images = [level.images for level in E.schedule] if images is None else images
+    levels = tuple(
+        dataclasses.replace(level, images=img, pair_distances=None) for level, img in zip(E.schedule, images)
+    )
     family = dataclasses.replace(E.family, levels=levels, **family_changes)
-    return CoarseEmbedding(family=family, base_index=E.base_index, loaded_blocks=blocks)
+    return CoarseEmbedding(family=family, base_index=E.base_index)
 
 
 def tampered(E, idx, scale):
-    blocks = tuple(b.copy() for b in E.blocks)
-    for b in blocks:
-        b[idx] = b[idx] * scale
-    return reloaded_form(E, blocks)
+    """E reloaded with point idx's offset from the base point scaled in every level's images."""
+    images = []
+    for level in E.schedule:
+        img = level.images.copy()
+        base = img[E.base_index]
+        img[idx] = base + scale * (img[idx] - base)
+        images.append(img)
+    return reloaded_form(E, images)
 
 
 def lower_missed_by(E, excess):
@@ -58,7 +65,7 @@ def lower_missed_by(E, excess):
     m = np.searchsorted(E.separation_thresholds(), d, side="right")
     k = int(np.argmin(np.where(m > 0, psums / np.maximum(m, 1), np.inf)))
     delta = 2.0 * ((psums[k] + excess) / m[k]) ** (1.0 / E.exponent.value)
-    return reloaded_form(E, E.blocks, delta=delta)
+    return reloaded_form(E, delta=delta)
 
 
 def marginal_oracle(E, tol=DEFAULT_TOL):
@@ -205,7 +212,7 @@ class TestReloadedAgrees:
     def test_verify_and_marginals_survive_round_trip(self, built_embedding):
         E = built_embedding
         back = embedding_from_json(embedding_to_json(E), E.space)
-        assert back.loaded_blocks is not None
+        assert all(level.pair_distances is None for level in back.schedule)
         assert verify_bounds(E) == verify_bounds(back) == []
         for buckets in (1, 7):
             assert empirical_profile(E, buckets).marginal_count == empirical_profile(back, buckets).marginal_count

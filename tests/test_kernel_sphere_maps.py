@@ -15,6 +15,7 @@ from lpembed.kernel_sphere_maps import (
     CalibrationError,
     NotNegativeType,
     SphereMapFamily,
+    SphereMapLevel,
     build_level_family,
     build_sphere_map,
     calibrate_level,
@@ -158,6 +159,12 @@ class TestCalibrateLevel:
         with pytest.raises(CalibrationError, match="ceiling"):
             calibrate_level(generate("hypercube", 3), 1, 1.0, 2.5, "laplacian")
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0])
+    def test_delta_not_finite_positive_is_a_value_error(self, delta):
+        # the family's rule, before the ceiling check: inf is not unreachable, it is invalid
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            calibrate_level(generate("hypercube", 3), 1, 1.0, delta, "laplacian")
+
     def test_monotone_kernel_sup_at_max_close_distance(self):
         # at p = 2 the image distance is increasing in source distance, so the
         # close sup sits exactly on the largest close distance class
@@ -180,8 +187,9 @@ class TestCalibrateLevel:
     def test_previous_without_pair_distances_rejected(self):
         X = generate("cycle", 8)
         first = calibrate_level(X, 1, 1.5, 1.0, "laplacian")
-        bare = replace(first, images=None, pair_distances=None)
-        with pytest.raises(ValueError, match="must carry its images"):
+        # a level read back from JSON carries its images but no pair distances
+        bare = replace(first, pair_distances=None)
+        with pytest.raises(ValueError, match="must carry pair distances"):
             calibrate_level(X, 2, 1.5, 1.0, "laplacian", previous=bare)
 
 
@@ -206,11 +214,45 @@ class TestFamily:
         for lvl in fam.levels:
             assert lvl.epsilon_n <= 2.0 ** (-lvl.level_n)
 
-    def test_family_without_images_rejected(self):
+    def test_level_without_images_rejected(self):
         fam = build_level_family(generate("cycle", 8), 4, 1.0, 1.0, "laplacian")
-        bare = replace(fam, levels=tuple(replace(level, images=None, pair_distances=None) for level in fam.levels))
-        with pytest.raises(ValueError, match="no images to verify"):
-            verify_family(bare)
+        level = fam.levels[1]
+        for bad in (None, level.images[0], level.images[None]):
+            with pytest.raises(ValueError, match=r"level 2: images must be a \(points, width\) array"):
+                replace(level, images=bad)
+        with pytest.raises(TypeError, match="images"):
+            SphereMapLevel(
+                level_n=1, exponent=level.exponent, epsilon_n=0.5, s_n=math.inf, bandwidth_t=1.0,
+                kernel_kind="laplacian",
+            )
+
+    def test_images_one_row_per_point(self):
+        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, "laplacian")
+        short = replace(fam.levels[2], images=fam.levels[2].images[:-1])
+        with pytest.raises(ValueError, match="one row per point, 8 rows"):
+            replace(fam, levels=fam.levels[:2] + (short,))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("epsilon_n", math.nan, "level 1: eps must be finite and nonnegative"),
+        ("epsilon_n", math.inf, "level 1: eps must be finite and nonnegative"),
+        ("epsilon_n", -1.0, "level 1: eps must be finite and nonnegative"),
+        ("bandwidth_t", math.inf, "level 1: t must be finite and positive"),
+        ("bandwidth_t", math.nan, "level 1: t must be finite and positive"),
+        ("bandwidth_t", 0.0, "level 1: t must be finite and positive"),
+        ("bandwidth_t", -2.0, "level 1: t must be finite and positive"),
+    ])
+    def test_schedule_values_checked(self, field, value, message):
+        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, "laplacian").levels[0]
+        with pytest.raises(ValueError, match=message):
+            replace(level, **{field: value})
+
+    @pytest.mark.parametrize("numbers", [(0, 2, 3), (2, 2, 3), (1, 3, 2), (2, 3, 4)])
+    def test_level_numbers_run_from_one_in_order(self, numbers):
+        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, "laplacian")
+        levels = tuple(replace(level, level_n=k) for level, k in zip(fam.levels, numbers))
+        with pytest.raises(ValueError, match=r"level numbers n must run 1\.\.3 in order"):
+            replace(fam, levels=levels)
+        assert replace(fam, levels=fam.levels[:2]).levels[-1].level_n == 2
 
     def test_nan_images_rejected(self):
         # every comparison verify_family makes is False on a NaN row, so it would report nothing

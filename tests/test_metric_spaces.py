@@ -197,6 +197,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FiniteMetricSpace(labels=tuple(map(str, range(5000))), dist=np.zeros((5000, 5000)))
 
+    @pytest.mark.parametrize("value", ["abc", [[0.0], [1.0]], None])
+    def test_points_meta_key_reserved(self, value):
+        # a string saved but failed to load; numbers became the coordinates
+        with pytest.raises(ValueError, match='meta key "points" is reserved'):
+            FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, 1.0], [1.0, 0.0]]), meta={"points": value})
+
     def test_index_of(self):
         X = generate("cycle", 4)
         assert X.index_of("2") == 2
@@ -258,9 +264,9 @@ WRITER_SPACES = {
     "path2": lambda: generate("path", 2),
     "escaped_labels_empty_meta": escaped_labels,
     "one_point": lambda: FiniteMetricSpace(labels=("x",), dist=np.zeros((1, 1)), points=np.ones((1, 2))),
-    # space_to_json overwrites a meta "points" entry where it stands
-    "points_key_in_meta": lambda: FiniteMetricSpace(
-        labels=("x",), dist=np.zeros((1, 1)), points=np.ones((1, 2)), meta={"a": 1, "points": 0, "z": [2]}
+    # space_to_json appends the coordinates after every meta key
+    "meta_keys_and_points": lambda: FiniteMetricSpace(
+        labels=("x",), dist=np.zeros((1, 1)), points=np.ones((1, 2)), meta={"a": 1, "z": [2]}
     ),
 }
 
