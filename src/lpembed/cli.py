@@ -2,7 +2,7 @@
 
 Exit codes: 0 success with zero violations, 1 completed but violations or
 inequality failures were found, 2 input/usage error, 3 construction error
-(calibration failure or a kernel that is not of negative type). All randomness
+(calibration failure, or distances that are not of negative type). All randomness
 flows through explicit --seed flags.
 """
 
@@ -19,7 +19,7 @@ from .coarse_embedder import (
     tail_bound,
 )
 from .distortion_report import empirical_profile, export
-from .kernel_sphere_maps import KERNEL_KINDS, CalibrationError, NotNegativeType
+from .kernel_sphere_maps import CalibrationError, NotNegativeType
 from .metric_spaces import GENERATOR_KINDS, generate, load_space, load_space_lenient, save_space, validate
 
 RATIO_TOL = 1e-12
@@ -54,7 +54,6 @@ def _cmd_embed(args) -> int:
         level_count=args.levels,
         delta=args.delta,
         base_index=args.base,
-        kernel_kind=args.kernel,
     )
     save_embedding(embedding, args.out)
     saturated = sum(1 for level in embedding.schedule if level.saturated)
@@ -134,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--p", required=True, type=float, help="target exponent, decimals allowed (e.g. 1.5)")
     emb.add_argument("--levels", type=int, default=None, help="level count (default ceil(diam)+2)")
     emb.add_argument("--delta", type=float, default=1.0)
-    emb.add_argument("--kernel", choices=KERNEL_KINDS, default=None)
     emb.add_argument("--base", type=int, default=0)
     emb.add_argument("--out", required=True)
     emb.set_defaults(func=_cmd_embed)

@@ -35,7 +35,7 @@ from .lp_core import (
     as_exponent,
     pairwise_power_sums_all,
 )
-from .kernel_sphere_maps import SphereMapFamily, SphereMapLevel, build_level_family
+from .kernel_sphere_maps import SphereMapFamily, SphereMapLevel, _kernel_for, build_level_family
 from .metric_spaces import FiniteMetricSpace, _numbers, _read_json, validate
 
 __all__ = [
@@ -130,11 +130,6 @@ def default_level_count(space: FiniteMetricSpace) -> int:
     return max(1, min(MAX_LEVELS, int(math.ceil(space.diameter())) + 2))
 
 
-def default_kernel_kind(space: FiniteMetricSpace) -> str:
-    """Gaussian kernels for Euclidean-sampled clouds, laplacian for graphs."""
-    return "gaussian" if space.meta.get("kind") == "gaussian" else "laplacian"
-
-
 def _is_index(value) -> bool:
     """An int or numpy integer, and not a bool: a point index or a level count."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -146,13 +141,15 @@ def build_embedding(
     level_count: Optional[int] = None,
     delta: float = 1.0,
     base_index: int = 0,
-    kernel_kind: Optional[str] = None,
 ) -> CoarseEmbedding:
-    """Calibrate levels 1..N and assemble the block images."""
+    """Calibrate levels 1..N and assemble the block images.
+
+    The kernel follows from the distances: gaussian (exp(-t d^2)) where d^2
+    is of negative type, else laplacian (exp(-t d)) where d is. Where
+    neither is, NotNegativeType is raised before any kernel is factored.
+    """
     validate(space).require_ok()
     pe = as_exponent(p)
-    if kernel_kind is None:
-        kernel_kind = default_kernel_kind(space)
     if level_count is None:
         level_count = default_level_count(space)
     if not (_is_index(level_count) and 1 <= level_count <= MAX_LEVELS):
@@ -161,7 +158,7 @@ def build_embedding(
         raise ValueError(f"base index must be an integer point index in 0..{space.n - 1}, got {base_index!r}")
 
     return CoarseEmbedding(
-        family=build_level_family(space, int(level_count), pe, float(delta), kernel_kind),
+        family=build_level_family(space, int(level_count), pe, float(delta), _kernel_for(space)),
         base_index=int(base_index),
     )
 

@@ -6,6 +6,12 @@ v_x = row_x(U sqrt(w)) with <v_x, v_y> = K(x,y), hence
 
     ||v_x - v_y||_2 = sqrt(2 (1 - K(x,y))).
 
+The kernel follows from the distances. By Schoenberg's theorem,
+exp(-t d^beta) is positive semidefinite at every t exactly when d^beta is of
+negative type, so a build takes the gaussian kernel where d^2 is, else the
+laplacian kernel where d is, and refuses a space where neither is
+(NotNegativeType) before it factors any kernel.
+
 Only the r eigenpairs above eigh's backward error n * eps * lambda_max are
 kept, so each level's images are (n, r), r the kernel's numerical rank, and
 the Mazur map, the pair scans and the JSON blocks all work at that width.
@@ -81,7 +87,6 @@ from .mazur import mazur_bounds, mazur_map_rows
 from .metric_spaces import FiniteMetricSpace
 
 __all__ = [
-    "KERNEL_KINDS",
     "NotNegativeType",
     "CalibrationError",
     "SphereMapLevel",
@@ -111,7 +116,7 @@ ALL_ONES_EXPONENT = 2.0 ** -55
 
 
 class NotNegativeType(Exception):
-    """The kernel matrix is not positive semidefinite beyond roundoff."""
+    """The distances are not of negative type, or a kernel matrix not positive semidefinite, beyond roundoff."""
 
 
 class CalibrationError(Exception):
@@ -131,6 +136,62 @@ def kernel_matrix(space: FiniteMetricSpace, t: float, kernel_kind: str) -> np.nd
     if kernel_kind == "gaussian":
         return np.exp(-t * space.dist * space.dist)
     return np.exp(-t * space.dist)
+
+
+def _negative_type_gram(dist: np.ndarray, beta: float) -> np.ndarray:
+    """G_ij = (F_i0 + F_j0 - F_ij) / 2 over the points i, j >= 1, with F = d^beta.
+
+    d^beta is of negative type exactly when G is positive semidefinite. F is
+    halved before the sums, so G is finite wherever F is; d^2 overflows to
+    inf from d ~ 1.3e154 on, and then G holds inf and NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = dist ** beta
+        half *= 0.5
+        gram = half[1:, :1] + half[:1, 1:]
+        gram -= half[1:, 1:]
+    return gram
+
+
+def _admits(dist: np.ndarray, beta: float) -> bool:
+    """Whether d^beta is of negative type beyond roundoff.
+
+    The test is a Cholesky of G + EIG_REL_TOL * trace(G) / (n - 1) I, G as in
+    _negative_type_gram; a G that is not finite admits nothing, since its
+    kernel is not finite either.
+    """
+    gram = _negative_type_gram(dist, beta)
+    if not gram.size:
+        return True
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram[np.diag_indices_from(gram)] += EIG_REL_TOL * np.trace(gram) / len(gram)
+    if not np.isfinite(gram).all():
+        return False
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _kernel_for(space: FiniteMetricSpace) -> str:
+    """The kernel exp(-t d^beta) that is positive semidefinite at every t on this space.
+
+    By Schoenberg's theorem that holds exactly when d^beta is of negative
+    type: gaussian (beta = 2) where d^2 is, else laplacian (beta = 1) where d
+    is. Where neither is, raises NotNegativeType with the smallest eigenvalue
+    of beta = 1's G as the witness, before any kernel is factored.
+    """
+    if _admits(space.dist, 2.0):
+        return "gaussian"
+    if _admits(space.dist, 1.0):
+        return "laplacian"
+    lam_min = float(np.linalg.eigvalsh(_negative_type_gram(space.dist, 1.0))[0])
+    raise NotNegativeType(
+        f"the distances are not of negative type (beta = 1), so no kernel exp(-t d^beta) with "
+        f"beta >= 1 is positive semidefinite at every t: G = (d_i0 + d_j0 - d_ij) / 2 has "
+        f"eigenvalue {lam_min:.6e}"
+    )
 
 
 def build_sphere_map(space: FiniteMetricSpace, t: float, kernel_kind: str) -> np.ndarray:

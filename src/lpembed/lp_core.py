@@ -14,7 +14,6 @@ far from float64 underflow and overflow.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,14 +31,18 @@ ExponentLike = Union["PExponent", float, int]
 
 @dataclass(frozen=True)
 class PExponent:
-    """Norm exponent p with 1 <= p < inf enforced at construction."""
+    """Norm exponent p with 1 <= p < 1024 enforced at construction.
+
+    The envelopes and the tail bound take 2^p, which overflows float64 from
+    p = 1024 on (its largest binary exponent, np.finfo(np.float64).maxexp).
+    """
 
     value: float
 
     def __post_init__(self) -> None:
         v = float(self.value)
-        if not math.isfinite(v) or v < 1.0:
-            raise ValueError(f"norm exponent must satisfy 1 <= p < inf, got {self.value!r}")
+        if not 1.0 <= v < np.finfo(np.float64).maxexp:
+            raise ValueError(f"norm exponent must satisfy 1 <= p < 1024, got {self.value!r}")
         object.__setattr__(self, "value", v)
 
     def __float__(self) -> float:

@@ -7,8 +7,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume
 
 from lpembed.coarse_embedder import build_embedding
+from lpembed.kernel_sphere_maps import EIG_REL_TOL
 from lpembed.lp_core import pairwise_pnorm_all, row_pnorms
 from lpembed.metric_spaces import generate
 
@@ -59,6 +61,34 @@ def verify_family(family) -> list:
         if top > 2.0 + 1e-9:
             problems.append(f"level {n}: image distance {top!r} above 2")
     return problems
+
+
+def negative_type_margin(dist, beta) -> float:
+    """lambda_min(G) / (EIG_REL_TOL * trace(G) / (n - 1)) by eigvalsh; inf for one point.
+
+    G = (F_i0 + F_j0 - F_ij) / 2 over the points i, j >= 1, with F = d^beta,
+    is positive semidefinite exactly when d^beta is of negative type. The
+    kernel choice admits beta where this margin is above -1.
+    """
+    if len(dist) < 2:
+        return math.inf
+    F = np.asarray(dist) ** beta
+    G = 0.5 * (F[1:, :1] + F[:1, 1:] - F[1:, 1:])
+    return float(np.linalg.eigvalsh(G)[0]) / (EIG_REL_TOL * np.trace(G) / len(G))
+
+
+def reference_kernel(dist):
+    """The kernel build_embedding should take by eigvalsh: gaussian, laplacian, or None (neither).
+
+    Inside a hypothesis test only: a space whose margin lies within a factor
+    2 of the tolerance, where roundoff may decide, is skipped.
+    """
+    for kind, beta in (("gaussian", 2.0), ("laplacian", 1.0)):
+        margin = negative_type_margin(dist, beta)
+        assume(not -2.0 < margin < -0.5)
+        if margin > -1.0:
+            return kind
+    return None
 
 
 def saving_peak(save, obj, path) -> int:

@@ -71,7 +71,7 @@ class TestEmbedReport:
         csv_out = tmp_path / "prof.csv"
         code = run(
             "embed", "--space", str(hc3_file), "--p", "1", "--levels", "5",
-            "--delta", "1.0", "--kernel", "laplacian", "--base", "0", "--out", str(emb),
+            "--delta", "1.0", "--base", "0", "--out", str(emb),
         )
         assert code == 0
         code = run(
@@ -108,19 +108,26 @@ class TestEmbedReport:
         code = run("report", "--space", str(space_file), "--embedding", str(emb), "--buckets", "4")
         assert code == 1
 
-    def test_non_negative_type_kernel_exit_3(self, tmp_path):
-        # star graph whose squared distances are not of negative type
-        claw = FiniteMetricSpace(
-            labels=("c", "x", "y", "z"),
-            dist=np.array([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], dtype=float),
+    def test_non_negative_type_kernel_exit_3(self, tmp_path, capsys):
+        # K_{2,3}, whose distances are not of negative type: no kernel
+        # exp(-t d^beta), beta in {1, 2}, is PSD at every bandwidth
+        k23 = FiniteMetricSpace(
+            labels=("a", "b", "x", "y", "z"),
+            dist=np.array(
+                [[0, 2, 1, 1, 1], [2, 0, 1, 1, 1], [1, 1, 0, 2, 2], [1, 1, 2, 0, 2], [1, 1, 2, 2, 0]], dtype=float
+            ),
         )
-        space_file = tmp_path / "claw.json"
-        save_space(claw, space_file)
-        code = run(
-            "embed", "--space", str(space_file), "--p", "2", "--levels", "3",
-            "--kernel", "gaussian", "--out", str(tmp_path / "e.json"),
-        )
+        space_file = tmp_path / "k23.json"
+        save_space(k23, space_file)
+        code = run("embed", "--space", str(space_file), "--p", "2", "--out", str(tmp_path / "e.json"))
         assert code == 3
+        assert "not of negative type (beta = 1)" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
+
+    def test_exponent_from_1024_exit_2(self, hc3_file, tmp_path, capsys):
+        # 2^p overflows float64 from p = 1024 on
+        assert run("embed", "--space", str(hc3_file), "--p", "1024", "--out", str(tmp_path / "e.json")) == 2
+        assert "1 <= p < 1024" in capsys.readouterr().err
 
     def test_unreachable_delta_exit_3(self, hc3_file, tmp_path):
         code = run(
@@ -290,6 +297,9 @@ class TestMalformedEmbeddingFile:
         ("t", -2.0, "level 1: t must be finite and positive"),
         ("n", 0, "level numbers n must run 1..4 in order, got [0, 2, 3, 4]"),
         ("n", 2, "level numbers n must run 1..4 in order, got [2, 2, 3, 4]"),
+        # these exited 1 with an OverflowError traceback from 2.0 ** p
+        ("p", 1e9, "malformed embedding payload: norm exponent must satisfy 1 <= p < 1024"),
+        ("p", 1024, "malformed embedding payload: norm exponent must satisfy 1 <= p < 1024"),
     ])
     def test_report_bad_parameter_exit_2(self, key, value, message, hc2_embedding, capsys):
         space, emb = hc2_embedding
@@ -357,6 +367,12 @@ class TestCheckMazur:
     def test_increasing_exponent_pairs(self, p, q):
         assert run("check-mazur", "--p", p, "--q", q, "--dim", "16", "--samples", "500", "--seed", "1") == 0
 
+    def test_exponent_bound(self, capsys):
+        # q = 1500 exited 1 with "max C-ratio inf"; 1023 is within the bound
+        assert run("check-mazur", "--p", "2", "--q", "1500", "--samples", "100") == 2
+        assert "1 <= p < 1024" in capsys.readouterr().err
+        assert run("check-mazur", "--p", "2", "--q", "1023", "--dim", "64", "--samples", "100") == 0
+
     def test_deterministic_per_seed(self, capsys):
         run("check-mazur", "--p", "1", "--q", "2", "--dim", "8", "--samples", "100", "--seed", "5")
         first = capsys.readouterr().out
@@ -411,9 +427,14 @@ class TestUsage:
         assert run("frobnicate") == 2
         capsys.readouterr()
 
-    def test_unknown_flag(self, capsys):
-        assert run("gen", "--kind", "path", "--param", "3", "--out", "x.json", "--bogus") == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv,unknown", [
+        (("gen", "--kind", "path", "--param", "3", "--out", "x.json", "--bogus"), "--bogus"),
+        # the kernel follows from the distances; there is no --kernel option
+        (("embed", "--space", "s.json", "--p", "1", "--kernel", "laplacian", "--out", "x.json"), "--kernel laplacian"),
+    ])
+    def test_unknown_flag(self, argv, unknown, capsys):
+        assert run(*argv) == 2
+        assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
 
     def test_no_arguments(self, capsys):
         assert run() == 2

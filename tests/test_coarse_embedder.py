@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mp_pnorm, saving_peak, verify_family
-from lpembed import coarse_embedder
+from conftest import mp_pnorm, reference_kernel, saving_peak, verify_family
+from lpembed import coarse_embedder, kernel_sphere_maps
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
     build_embedding,
@@ -27,7 +27,7 @@ from lpembed.coarse_embedder import (
     theoretical_bounds,
 )
 from lpembed.distortion_report import empirical_profile, export, verify_bounds
-from lpembed.kernel_sphere_maps import KERNEL_KINDS, NotNegativeType
+from lpembed.kernel_sphere_maps import KERNEL_KINDS, NotNegativeType, build_level_family
 from lpembed.lp_core import as_exponent, pairwise_power_sums_all
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
@@ -542,34 +542,43 @@ def ultrametrics(draw):
     return FiniteMetricSpace(labels=tuple(map(str, range(n))), dist=dist[np.ix_(perm, perm)])
 
 
-def certify(space, p, kernel_kind):
-    embedding = build_embedding(space, p=p, kernel_kind=kernel_kind)
+def certify(space, p):
+    embedding = build_embedding(space, p=p)
     assert verify_bounds(embedding) == []
     assert verify_family(embedding.family) == []
+    return embedding
+
+
+def certify_family(space, p, kernel_kind):
+    """The default schedule under a kernel named, below build_embedding's choice."""
+    family = build_level_family(space, default_level_count(space), p, 1.0, kernel_kind)
+    assert verify_family(family) == []
 
 
 class TestCertifyOrRefuse:
-    """Every build verifies cleanly; only a kernel that is not PSD may refuse.
+    """Every build verifies cleanly; only distances that are not of negative type refuse.
 
     The factor keeps only the eigenvalues above eigh's noise floor, so no
-    level runs into the float64 floor of its closeness target: clouds under
-    the gaussian kernel (PSD at every bandwidth) and ultrametrics under
-    either kernel always certify, and graph metrics refuse only with
-    NotNegativeType.
+    level runs into the float64 floor of its closeness target: clouds
+    (gaussian kernel) always certify, ultrametrics under either kernel, and
+    graph metrics refuse, with NotNegativeType, exactly where d is not of
+    negative type.
     """
 
     @settings(max_examples=40, deadline=None)
     @given(space=graph_metrics(), p=st.sampled_from(PROPERTY_EXPONENTS))
     def test_graph_metrics(self, space, p):
-        try:
-            certify(space, p, "laplacian")
-        except NotNegativeType:
-            pass
+        kind = reference_kernel(space.dist)
+        if kind is None:
+            with pytest.raises(NotNegativeType, match="beta = 1"):
+                build_embedding(space, p=p)
+        else:
+            assert certify(space, p).schedule[0].kernel_kind == kind
 
     @settings(max_examples=40, deadline=None)
     @given(space=euclidean_clouds(), p=st.sampled_from(PROPERTY_EXPONENTS))
     def test_euclidean_clouds(self, space, p):
-        certify(space, p, "gaussian")
+        assert certify(space, p).schedule[0].kernel_kind == "gaussian"
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -580,20 +589,117 @@ class TestCertifyOrRefuse:
     def test_ultrametrics(self, space, p, kernel_kind):
         # an ultrametric embeds isometrically in l_2, so both kernels are PSD
         # at every bandwidth and no build may refuse
-        certify(space, p, kernel_kind)
+        certify_family(space, p, kernel_kind)
 
     # one point has no pair and two points one, where calibration's choice of
     # close-pair measurement meets its edge (2 * close >= pairs)
     @pytest.mark.parametrize("kernel_kind", KERNEL_KINDS)
     @pytest.mark.parametrize("p", PROPERTY_EXPONENTS)
     def test_one_point(self, p, kernel_kind):
-        certify(FiniteMetricSpace(labels=("a",), dist=np.zeros((1, 1))), p, kernel_kind)
+        certify_family(FiniteMetricSpace(labels=("a",), dist=np.zeros((1, 1))), p, kernel_kind)
 
     @pytest.mark.parametrize("kernel_kind", KERNEL_KINDS)
     @pytest.mark.parametrize("p", PROPERTY_EXPONENTS)
     @pytest.mark.parametrize("d", [1e-7, 1.0, 3.5])
     def test_two_points(self, d, p, kernel_kind):
-        certify(FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, d], [d, 0.0]])), p, kernel_kind)
+        certify_family(FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, d], [d, 0.0]])), p, kernel_kind)
+
+
+def k23():
+    """The complete bipartite graph K_{2,3}: its d is not of negative type."""
+    d = np.array(
+        [[0, 2, 1, 1, 1], [2, 0, 1, 1, 1], [1, 1, 0, 2, 2], [1, 1, 2, 0, 2], [1, 1, 2, 2, 0]],
+        dtype=float,
+    )
+    return FiniteMetricSpace(labels=("a", "b", "x", "y", "z"), dist=d)
+
+
+def permuted(space, perm):
+    perm = np.asarray(perm)
+    return FiniteMetricSpace(labels=tuple(space.labels[i] for i in perm), dist=space.dist[np.ix_(perm, perm)])
+
+
+def chosen_kernel(space):
+    """The kernel build_embedding takes on space, or None where it refuses."""
+    try:
+        return kernel_sphere_maps._kernel_for(space)
+    except NotNegativeType:
+        return None
+
+
+class TestKernelChoice:
+    """The kernel follows from the distances: gaussian where d^2 is of negative type, else laplacian where d is."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(space=st.one_of(graph_metrics(), ultrametrics(), euclidean_clouds()))
+    def test_matches_eigvalsh_reference(self, space):
+        assert chosen_kernel(space) == reference_kernel(space.dist)
+
+    @settings(max_examples=40, deadline=None)
+    @given(space=st.one_of(ultrametrics(), euclidean_clouds()))
+    def test_ultrametrics_and_clouds_take_gaussian(self, space):
+        # both embed isometrically in l_2, so d^2 is of negative type
+        assert chosen_kernel(space) == "gaussian"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), space=graph_metrics())
+    def test_same_kernel_for_a_permuted_space(self, data, space):
+        reference_kernel(space.dist)  # skips the spaces roundoff may decide
+        perm = data.draw(st.permutations(range(space.n)))
+        assert chosen_kernel(permuted(space, perm)) == chosen_kernel(space)
+
+    @pytest.mark.parametrize(
+        "kind,param,expected",
+        [
+            ("hypercube", 4, "laplacian"),
+            ("hypercube", 8, "laplacian"),
+            ("cycle", 16, "laplacian"),
+            ("gaussian", 60, "gaussian"),
+            ("path", 30, "gaussian"),
+            ("hypercube", 1, "gaussian"),
+            ("cycle", 3, "gaussian"),
+        ],
+    )
+    def test_stock_spaces(self, kind, param, expected):
+        # clouds, cubes and cycles keep the kernel their meta label gave them;
+        # paths, and the two- and three-point cube and cycle, whose d^2 is of
+        # negative type, take the gaussian kernel
+        X = generate(kind, param, seed=1) if kind == "gaussian" else generate(kind, param)
+        assert chosen_kernel(X) == expected
+
+    def test_refused_before_any_factorization(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", lambda *args: calls.append(args))
+        d = k23().dist
+        # the witness: the smallest eigenvalue of G = (d_i0 + d_j0 - d_ij) / 2, -0.30
+        lam = float(np.linalg.eigvalsh(0.5 * (d[1:, :1] + d[:1, 1:] - d[1:, 1:]))[0])
+        assert lam < -0.3
+        with pytest.raises(NotNegativeType, match=rf"beta = 1\).*eigenvalue {lam:.6e}$"):
+            build_embedding(k23(), p=1.5)
+        assert calls == []
+
+    @pytest.mark.parametrize("param,p,thresholds,floor_level", [(30, 2.0, [2, 5, 13], 21), (48, 3.0, [3, 11, 28], 13)])
+    def test_paths_certify_under_the_gaussian_kernel(self, param, p, thresholds, floor_level):
+        # under the laplacian kernel these gave S = [2, 10] and [2, 23]
+        E = certify(generate("path", param), p)
+        assert {level.kernel_kind for level in E.schedule} == {"gaussian"}
+        assert E.separation_thresholds().tolist() == thresholds
+        # from floor_level on, every level takes the constant map at the float64 floor
+        constant = [level.level_n for level in E.schedule if level.images.shape[1] == 1]
+        assert constant == list(range(floor_level, E.level_count + 1))
+
+    def test_overflowing_squares_take_laplacian(self):
+        # d^2 overflows to inf, and G holds inf and NaN; a Cholesky of it
+        # returns NaN without raising, so only the finiteness check refuses
+        # beta = 2. The build raises no RuntimeWarning (an error in this suite)
+        path = generate("path", 10)
+        # the path with its distances scaled by 2^664 (about 1.5e200), exactly
+        X = FiniteMetricSpace(labels=path.labels, dist=np.ldexp(path.dist, 664))
+        with np.errstate(over="ignore"):
+            assert np.isinf(X.dist ** 2).any()
+        E = build_embedding(X, p=1.5)
+        assert {level.kernel_kind for level in E.schedule} == {"laplacian"}
+        assert verify_bounds(E) == []
 
 
 def round_trip(embedding):
@@ -604,8 +710,8 @@ def round_trip(embedding):
         return load_embedding(path, embedding.space)
 
 
-def certify_reloaded(space, p, kernel_kind):
-    embedding = build_embedding(space, p=p, kernel_kind=kernel_kind)
+def certify_reloaded(space, p):
+    embedding = build_embedding(space, p=p)
     back = round_trip(embedding)
     assert verify_family(back.family) == []
     assert verify_bounds(back) == []
@@ -619,14 +725,14 @@ class TestReloadedFamilyCertifies:
     @given(space=graph_metrics(), p=st.sampled_from(PROPERTY_EXPONENTS))
     def test_graph_metrics(self, space, p):
         try:
-            certify_reloaded(space, p, "laplacian")
+            certify_reloaded(space, p)
         except NotNegativeType:
             pass
 
     @settings(max_examples=25, deadline=None)
     @given(space=euclidean_clouds(), p=st.sampled_from(PROPERTY_EXPONENTS))
     def test_euclidean_clouds(self, space, p):
-        certify_reloaded(space, p, "gaussian")
+        certify_reloaded(space, p)
 
 
 class TestOffsetFiles:

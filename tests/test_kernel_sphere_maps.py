@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import conftest
 from conftest import verify_family
 from lpembed import kernel_sphere_maps
-from lpembed.coarse_embedder import build_embedding, default_kernel_kind, default_level_count
+from lpembed.coarse_embedder import build_embedding, default_level_count
 from lpembed.kernel_sphere_maps import (
     CalibrationError,
     NotNegativeType,
@@ -347,8 +347,8 @@ class TestGatherEquivalence:
         # the all-pairs scan once half its pairs are close; the reference
         # measures every try by a full scan and scans the accepted images again
         (kind, param), p = case
-        X = generate(kind, param, seed=3) if kind == "gaussian" else generate(kind, param)
-        args = (X, default_level_count(X), p, 1.0, default_kernel_kind(X))
+        args = default_family_args(kind, param, p)
+        X = args[0]
 
         real_gather = kernel_sphere_maps._close_pair_sup
         real_rule = kernel_sphere_maps._scans_every_try
@@ -436,9 +436,19 @@ def assert_same_levels(family, reference):
         assert np.array_equal(a.pair_distances.view(np.uint64), b.pair_distances.view(np.uint64))
 
 
+def pinned_kernel(kind, X):
+    """The kernel build_embedding takes, but laplacian on paths.
+
+    build_embedding takes the gaussian kernel on a path, whose d^2 is of
+    negative type; the factorization counts, floor levels and thresholds
+    these tests pin on paths were measured under the laplacian kernel.
+    """
+    return "laplacian" if kind == "path" else kernel_sphere_maps._kernel_for(X)
+
+
 def default_family_args(kind, param, p):
     X = generate(kind, param, seed=3) if kind == "gaussian" else generate(kind, param)
-    return (X, default_level_count(X), p, 1.0, default_kernel_kind(X))
+    return (X, default_level_count(X), p, 1.0, pinned_kernel(kind, X))
 
 
 def spy_factor(monkeypatch):
@@ -816,7 +826,7 @@ class TestSeparationThreshold:
     )
     def test_mask_matches_loop(self, kind, param, p, delta, levels):
         X = generate(kind, param, seed=5) if kind == "gaussian" else generate(kind, param)
-        fam = build_level_family(X, levels or default_level_count(X), p, delta, default_kernel_kind(X))
+        fam = build_level_family(X, levels or default_level_count(X), p, delta, pinned_kernel(kind, X))
         ii, jj = X.pair_indices()
         d = X.dist[ii, jj]
         order = np.argsort(d, kind="stable")

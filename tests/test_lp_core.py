@@ -27,12 +27,13 @@ NORM_15 = 0.86355047505875975647512620754155
 
 
 class TestPExponent:
-    @pytest.mark.parametrize("bad", [0.5, 0.99, 0.0, -1.0, math.inf, math.nan])
+    # 2^p overflows float64 from p = 1024 on
+    @pytest.mark.parametrize("bad", [0.5, 0.99, 0.0, -1.0, 1024, 1e9, math.inf, math.nan])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 <= p < 1024"):
             PExponent(bad)
 
-    @pytest.mark.parametrize("ok", [1, 1.0, 1.5, 2, 3.25, 100.0])
+    @pytest.mark.parametrize("ok", [1, 1.0, 1.5, 2, 3.25, 100.0, 1023, 1023.999])
     def test_accepts_valid(self, ok):
         assert PExponent(ok).value == float(ok)
 

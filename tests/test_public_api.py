@@ -73,7 +73,6 @@ MODULE_NAMES = {
         "load_space_lenient",
     ],
     "kernel_sphere_maps": [
-        "KERNEL_KINDS",
         "NotNegativeType",
         "CalibrationError",
         "SphereMapLevel",
@@ -109,7 +108,8 @@ MODULE_NAMES = {
 
 # the scalar l_p path, which the array kernels in lp_core and mazur_map_rows
 # replace; the second verifier, now the test oracle conftest.verify_family;
-# and the inverses of export and of the space JSON, which only tests called
+# the inverses of export and of the space JSON, which only tests called; and
+# the kernel chosen from a space's meta label, now chosen from its distances
 REMOVED_NAMES = [
     "LpVector",
     "BlockVector",
@@ -122,6 +122,7 @@ REMOVED_NAMES = [
     "verify_family",
     "profile_from_json",
     "space_from_json",
+    "default_kernel_kind",
 ]
 
 
