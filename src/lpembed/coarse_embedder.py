@@ -15,7 +15,8 @@ where m(d) counts non-saturated levels with S_n <= d. Both follow from the
 measured per-level certificates, so a correctly built embedding verifies
 cleanly at 1e-9 (distortion_report.verify_bounds, the one verifier). An
 embedding file is json.dumps of embedding_to_json's dict, written one point's
-level images at a time; the base offset is applied on read.
+level images at a time; on read, each level's pair distances are measured
+once on its base-offset rows, so a reloaded level is the record a build makes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .lp_core import (
     PExponent,
     abs_power,
     as_exponent,
-    pairwise_power_sums_all,
+    pairwise_pnorm_all,
+    pairwise_power_sums_all,  # unused here: bench/tracing.py's TARGETS wraps this name in this module
 )
 from .kernel_sphere_maps import SphereMapFamily, SphereMapLevel, _kernel_for, build_level_family
 from .metric_spaces import FiniteMetricSpace, _numbers, _read_json, validate
@@ -60,20 +62,20 @@ class CoarseEmbedding:
     """A finished embedding: its level family and its base point.
 
     The family is the one record of the space, p, delta and the level
-    schedule, and each of its levels carries its images phi_n; the embedding
-    reads them from it. Block n of point x is level.images[x] -
-    level.images[base_index], for a build in memory and a reload from JSON
-    alike. image_matrix (the per-point concatenation of the blocks), blocks
-    (its per-level column views) and block_dims are formed on first use,
-    once, and read-only.
+    schedule, and each of its levels carries its images phi_n and its pair
+    distances; the embedding reads them from it, for a build in memory and a
+    reload from JSON alike. Block n of point x is level.images[x] -
+    level.images[base_index]. image_matrix (the per-point concatenation of
+    the blocks), blocks (its per-level column views) and block_dims are
+    formed on first use, once, and read-only; verification and profiling
+    never form them.
     """
 
     family: SphereMapFamily
     base_index: int
 
     def __post_init__(self) -> None:
-        if not (_is_index(self.base_index) and 0 <= self.base_index < self.space.n):
-            raise ValueError(f"base index must be an integer point index in 0..{self.space.n - 1}, got {self.base_index!r}")
+        _check_base_index(self.base_index, self.space.n)
 
     @property
     def space(self) -> FiniteMetricSpace:
@@ -104,13 +106,9 @@ class CoarseEmbedding:
     def image_matrix(self) -> np.ndarray:
         mat = np.empty((self.space.n, sum(self.block_dims)))
         offset = 0
-        with np.errstate(over="ignore"):  # finite images can overflow; refused below
-            for level, width in zip(self.family.levels, self.block_dims):
-                np.subtract(level.images, level.images[self.base_index], out=mat[:, offset:offset + width])
-                offset += width
-        if not np.isfinite(mat).all():
-            # inf - inf in a pair scan is NaN, which passes every envelope comparison
-            raise ValueError("image blocks must be finite (no NaN/inf)")
+        for level, width in zip(self.family.levels, self.block_dims):
+            _offset_rows(level.images, self.base_index, out=mat[:, offset:offset + width])
+            offset += width
         mat.setflags(write=False)
         return mat
 
@@ -135,6 +133,21 @@ def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_base_index(value, n_points: int) -> None:
+    if not (_is_index(value) and 0 <= value < n_points):
+        raise ValueError(f"base index must be an integer point index in 0..{n_points - 1}, got {value!r}")
+
+
+def _offset_rows(images: np.ndarray, base_index: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A level's block: images - images[base_index], which must be finite."""
+    with np.errstate(over="ignore"):  # finite images can overflow; refused below
+        rows = np.subtract(images, images[base_index], out=out)
+    if not np.isfinite(rows).all():
+        # inf - inf in a pair scan is NaN, which passes every envelope comparison
+        raise ValueError("image blocks must be finite (no NaN/inf)")
+    return rows
+
+
 def build_embedding(
     space: FiniteMetricSpace,
     p: ExponentLike,
@@ -154,8 +167,7 @@ def build_embedding(
         level_count = default_level_count(space)
     if not (_is_index(level_count) and 1 <= level_count <= MAX_LEVELS):
         raise ValueError(f"level count must be an integer in 1..{MAX_LEVELS}, got {level_count!r}")
-    if not (_is_index(base_index) and 0 <= base_index < space.n):
-        raise ValueError(f"base index must be an integer point index in 0..{space.n - 1}, got {base_index!r}")
+    _check_base_index(base_index, space.n)
 
     return CoarseEmbedding(
         family=build_level_family(space, int(level_count), pe, float(delta), _kernel_for(space)),
@@ -185,7 +197,8 @@ def evaluate(embedding: CoarseEmbedding, point: Union[int, str]) -> tuple:
 def theoretical_bounds(embedding: CoarseEmbedding, d) -> tuple:
     """(rho1, rho2) envelope values at source distance d (scalar or array).
 
-    rho2(d) = (2^p d^p + 1)^(1/p). rho1(d) = (delta/2) m^(1/p) with m the
+    rho2(d) = (2^p d^p + 1)^(1/p), and 2d where 2^p d^p + 1 overflows: the
+    +1 is below resolution there. rho1(d) = (delta/2) m^(1/p) with m the
     number of non-saturated levels whose threshold S_n is <= d; a distance
     exactly equal to some S_n counts that level.
     """
@@ -197,7 +210,9 @@ def theoretical_bounds(embedding: CoarseEmbedding, d) -> tuple:
     thresholds = embedding.separation_thresholds()
     m = np.searchsorted(thresholds, arr, side="right").astype(np.float64)
     rho1 = (embedding.delta / 2.0) * m ** (1.0 / p)
-    rho2 = (2.0 ** p * abs_power(arr, p) + 1.0) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # where 2^p d^p + 1 overflows, rho2 is 2d
+        upper = 2.0 ** p * abs_power(arr, p) + 1.0
+        rho2 = np.where(np.isinf(upper), 2.0 * arr, upper ** (1.0 / p))
     if arr.ndim == 0:
         return float(rho1), float(rho2)
     return rho1, rho2
@@ -219,21 +234,16 @@ def pairwise_image_power_sums(embedding: CoarseEmbedding) -> tuple:
     """(i_idx, j_idx, source_distance, image_distance^p) over all point pairs.
 
     The base-point offset cancels in every pair, so
-    ||Phi(x)-Phi(y)||_p^p = sum_n ||phi_n(x)-phi_n(y)||_p^p. Where every level
-    carries the pair distances calibration measured, their p-th powers are
-    summed in level order: O(L n^2). Otherwise (levels read back from JSON)
-    the stacked image rows are scanned: O(L n^3). The two agree to rounding.
+    ||Phi(x)-Phi(y)||_p^p = sum_n ||phi_n(x)-phi_n(y)||_p^p: the p-th powers
+    of each level's pair distances, summed in level order, O(L n^2), for a
+    build and a reload alike.
     """
     ii, jj = embedding.space.pair_indices()
-    d = embedding.space.dist[ii, jj]
-    levels = embedding.family.levels
-    if any(level.pair_distances is None for level in levels):
-        return ii, jj, d, pairwise_power_sums_all(embedding.image_matrix, embedding.exponent)
     p = embedding.exponent.value
-    psums = np.zeros(d.size)
-    for level in levels:
+    psums = np.zeros(ii.size)
+    for level in embedding.family.levels:
         psums += abs_power(level.pair_distances, p)
-    return ii, jj, d, psums
+    return ii, jj, embedding.space.dist[ii, jj], psums
 
 
 def pairwise_image_distances(embedding: CoarseEmbedding) -> tuple:
@@ -303,11 +313,13 @@ def _threshold(value) -> float:
 
 
 def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedding:
-    """Reattach a serialized embedding to its space: each level with the images read.
+    """Reattach a serialized embedding to its space: each level with its images and pair distances.
 
-    The file holds each level's images phi_n(x); the base offset is applied
-    on read. Older files hold the offsets phi_n(x) - phi_n(x0), whose zero
-    base rows read back to the same image_matrix.
+    The file holds each level's images phi_n(x). Each level's pair distances
+    are measured once, by pairwise_pnorm_all on its base-offset rows
+    phi_n(x) - phi_n(x0); offsets that overflow are a malformed payload.
+    Older files hold those offsets, whose zero base rows give the same rows,
+    so they read back to the same pair distances and image_matrix.
     """
     try:
         pe = as_exponent(_number(payload["p"], "p"))
@@ -327,6 +339,7 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
         images = payload["images"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
+    _check_base_index(base, space.n)
     if not isinstance(images, dict):
         raise ValueError(f"malformed embedding payload: images must be an object, got {type(images).__name__}")
     missing = [l for l in space.labels if l not in images]
@@ -345,10 +358,13 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
     if len(block_dims) != len(schedule):
         raise ValueError(f"{len(block_dims)} image blocks per point but {len(schedule)} schedule levels")
     try:
-        levels = tuple(
-            SphereMapLevel(**params, images=np.vstack(rows)) for params, rows in zip(schedule, zip(*per_point))
-        )
-        family = SphereMapFamily(levels=levels, exponent=pe, delta=delta, space=space)
+        levels = []
+        for params, rows in zip(schedule, zip(*per_point)):
+            level_images = np.vstack(rows)
+            pair_distances = pairwise_pnorm_all(_offset_rows(level_images, base), pe)
+            pair_distances.setflags(write=False)
+            levels.append(SphereMapLevel(**params, images=level_images, pair_distances=pair_distances))
+        family = SphereMapFamily(levels=tuple(levels), exponent=pe, delta=delta, space=space)
     except ValueError as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
     return CoarseEmbedding(family=family, base_index=base)

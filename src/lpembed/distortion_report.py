@@ -81,7 +81,10 @@ def _scan_bounds(embedding: CoarseEmbedding, scan: tuple) -> tuple:
     p = embedding.exponent.value
     labels = embedding.space.labels
 
-    upper = 2.0 ** p * abs_power(d, p) + 1.0
+    with np.errstate(over="ignore"):
+        # where 2^p d^p overflows, +inf is its correctly rounded value, and no
+        # finite sum exceeds it
+        upper = 2.0 ** p * abs_power(d, p) + 1.0
     m = np.searchsorted(embedding.separation_thresholds(), d, side="right")
     lower = m * (embedding.delta / 2.0) ** p
 

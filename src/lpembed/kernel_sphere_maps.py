@@ -254,9 +254,10 @@ class SphereMapLevel:
     (vacuous when saturated, s_n = inf), both measured on the images after
     Mazur transport; bandwidth_t is finite and > 0. pair_distances is that
     measurement, kept read-only, over all pairs i < j in condensed
-    (np.triu_indices) order; the embedding's verification and profile reuse
-    it instead of rescanning. A level read back from JSON has none. Neither
-    array enters the repr, and both must be finite.
+    (np.triu_indices) order; the embedding's verification and profile sum
+    it instead of rescanning. Both arrays are required, built or read back
+    from JSON: images (points, width) and pair_distances 1-D. Neither enters
+    the repr, and both must be finite.
     """
 
     level_n: int
@@ -266,7 +267,7 @@ class SphereMapLevel:
     bandwidth_t: float
     kernel_kind: str
     images: np.ndarray = field(repr=False)
-    pair_distances: Optional[np.ndarray] = field(default=None, repr=False)
+    pair_distances: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         _check_kernel_kind(self.kernel_kind)
@@ -274,11 +275,12 @@ class SphereMapLevel:
             raise ValueError(f"level {self.level_n}: eps must be finite and nonnegative, got {self.epsilon_n!r}")
         if not (math.isfinite(self.bandwidth_t) and self.bandwidth_t > 0):
             raise ValueError(f"level {self.level_n}: t must be finite and positive, got {self.bandwidth_t!r}")
-        if self.images is None or np.ndim(self.images) != 2:
+        if np.ndim(self.images) != 2:  # None has ndim 0
             raise ValueError(f"level {self.level_n}: images must be a (points, width) array")
+        if np.ndim(self.pair_distances) != 1:
+            raise ValueError(f"level {self.level_n}: pair_distances must be a 1-D array")
         for name in ("images", "pair_distances"):
-            arr = getattr(self, name)
-            if arr is not None and not np.isfinite(arr).all():
+            if not np.isfinite(getattr(self, name)).all():
                 # a NaN distance would pass every certificate comparison
                 raise ValueError(f"level {self.level_n}: {name} must be finite (no NaN/inf)")
 
@@ -305,6 +307,9 @@ class SphereMapFamily:
             raise ValueError(f"level numbers n must run 1..{len(numbers)} in order, got {numbers}")
         if any(level.images.shape[0] != self.space.n for level in self.levels):
             raise ValueError(f"every level's images must hold one row per point, {self.space.n} rows")
+        pairs = self.space.n * (self.space.n - 1) // 2
+        if any(level.pair_distances.shape != (pairs,) for level in self.levels):
+            raise ValueError(f"every level must carry one distance per point pair, {pairs} distances")
         if any(level.exponent.value != self.exponent.value for level in self.levels):
             # the family's exponent is the one its pair distances are summed at
             raise ValueError(f"every level must be calibrated at the family's p = {self.exponent.value:g}")
@@ -513,12 +518,11 @@ def calibrate_level(
         # the family's rule, applied before the ceiling check below
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if previous is not None and (
-        previous.pair_distances is None
-        or previous.exponent.value != p.value
+        previous.exponent.value != p.value
         or previous.kernel_kind != kernel_kind
         or previous.pair_distances.shape != (space.n * (space.n - 1) // 2,)
     ):
-        raise ValueError("previous level must carry pair distances and come from the same space, exponent and kernel")
+        raise ValueError("previous level must come from the same space, exponent and kernel")
     ceiling = _distance_ceiling(p)
     if delta / 2.0 > ceiling:
         raise CalibrationError(

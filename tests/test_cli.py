@@ -124,6 +124,16 @@ class TestEmbedReport:
         assert "not of negative type (beta = 1)" in capsys.readouterr().err
         assert not (tmp_path / "e.json").exists()
 
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_overflowing_upper_envelope_exit_0(self, p, tmp_path):
+        # path(10) scaled by 2^664: 2^p d^p overflows to +inf, which no finite
+        # sum exceeds, with no RuntimeWarning (an error in this suite)
+        path = metric_spaces.generate("path", 10)
+        space_file, emb = tmp_path / "s.json", tmp_path / "e.json"
+        save_space(FiniteMetricSpace(labels=path.labels, dist=np.ldexp(path.dist, 664)), space_file)
+        assert run("embed", "--space", str(space_file), "--p", p, "--out", str(emb)) == 0
+        assert run("report", "--space", str(space_file), "--embedding", str(emb), "--csv", str(tmp_path / "r.csv")) == 0
+
     def test_exponent_from_1024_exit_2(self, hc3_file, tmp_path, capsys):
         # 2^p overflows float64 from p = 1024 on
         assert run("embed", "--space", str(hc3_file), "--p", "1024", "--out", str(tmp_path / "e.json")) == 2
@@ -276,6 +286,9 @@ class TestMalformedEmbeddingFile:
         ("delta", -1.0, "delta must be finite and positive"),
         ("base", 1.7, "base must be an integer"),
         ("base", True, "base must be an integer"),
+        # checked before the rows are offset by the base row
+        ("base", 4, "base index must be an integer point index in 0..3, got 4"),
+        ("base", -1, "base index must be an integer point index in 0..3, got -1"),
         ("S", float("nan"), "schedule S must be null or a finite positive number"),
         ("S", float("inf"), "schedule S must be null or a finite positive number"),
         ("S", 0.0, "schedule S must be null or a finite positive number"),
@@ -312,6 +325,17 @@ class TestMalformedEmbeddingFile:
         assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
         assert message in capsys.readouterr().err
 
+
+    def test_report_overflowing_offsets_exit_2(self, hc2_embedding, capsys):
+        # finite images whose offsets from the base point overflow are refused on load
+        space, emb = hc2_embedding
+        payload = json.loads(emb.read_text())
+        payload["images"]["00"][0][0] = -1e308
+        payload["images"]["11"][0][0] = 1e308
+        emb.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
+        assert "malformed embedding payload: image blocks must be finite" in capsys.readouterr().err
 
     # a kind outside KERNEL_KINDS, or levels of two kinds, once passed report with exit 0
     @pytest.mark.parametrize("first,rest,message", [

@@ -28,7 +28,7 @@ from lpembed.coarse_embedder import (
 )
 from lpembed.distortion_report import empirical_profile, export, verify_bounds
 from lpembed.kernel_sphere_maps import KERNEL_KINDS, NotNegativeType, build_level_family
-from lpembed.lp_core import as_exponent, pairwise_power_sums_all
+from lpembed.lp_core import as_exponent, pairwise_pnorm_all, pairwise_power_sums_all
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
 
@@ -109,21 +109,21 @@ class TestBuild:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_image_matrix_rejected(self, bad):
-        # a reloaded level has no pair distances, so nothing else would look at
-        # the rows before verify_bounds compares their NaN distances (always
-        # False) and passes
+        # verify_bounds compares NaN distances (always False) and passes, so
+        # non-finite rows are refused where they enter a level
         E = build_embedding(generate("hypercube", 3), p=1.0)
         back = embedding_from_json(embedding_to_json(E), E.space)
         images = back.schedule[-1].images.copy()
         images[3] = bad
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(back.schedule[-1], images=images)
-        # finite images whose offsets from the base overflow
+        # finite images whose offsets from the base overflow: refused on load,
+        # where the level's pair distances are measured on those offsets
         payload = embedding_to_json(E)
         payload["images"]["000"][0][0] = -1e308
         payload["images"]["011"][0][0] = 1e308
-        with pytest.raises(ValueError, match="image blocks must be finite"):
-            verify_bounds(embedding_from_json(payload, E.space))
+        with pytest.raises(ValueError, match="malformed embedding payload: image blocks must be finite"):
+            embedding_from_json(payload, E.space)
 
     def test_unknown_point(self, hc4_p1):
         with pytest.raises(KeyError):
@@ -151,6 +151,15 @@ class TestEnvelopes:
     def test_rho2_p1_linear_form(self, hc4_p1):
         _, rho2 = theoretical_bounds(hc4_p1, 3.0)
         assert rho2 == pytest.approx(7.0)
+
+    def test_rho2_where_the_power_overflows(self):
+        # at p = 1023, 2^p d^p overflows from d = 1 on; rho2 is 2d there, since
+        # the +1 is below resolution, and inf only where 2d overflows
+        E = build_embedding(generate("cycle", 16), p=1.5)
+        E = embedding_from_json({**embedding_to_json(E), "p": 1023}, E.space)
+        assert theoretical_bounds(E, 8.0)[1] == 16.0
+        _, rho2 = theoretical_bounds(E, np.array([0.0, 8.0, 1e300, 1.7e308, math.inf]))
+        assert rho2.tolist() == [1.0, 16.0, 2.0 * 1e300, math.inf, math.inf]
 
     def test_envelopes_nondecreasing(self, hc6_p1):
         d = np.linspace(0, hc6_p1.space.diameter(), 200)
@@ -215,7 +224,7 @@ class TestBaseInvariance:
 
 
 class TestLevelReuse:
-    """Certification sums calibration's per-level pair distances when the family is present."""
+    """Certification sums each level's pair distances, for a build and a reload alike."""
 
     def test_level_sums_match_stacked_scan(self, built_embedding):
         E = built_embedding
@@ -223,20 +232,28 @@ class TestLevelReuse:
         scan = pairwise_power_sums_all(E.image_matrix, E.exponent)
         np.testing.assert_allclose(psums, scan, rtol=1e-13, atol=0.0)
 
-    def test_path_follows_family_presence(self, built_embedding, monkeypatch):
+    def test_reload_sums_its_levels(self, built_embedding, monkeypatch, tmp_path):
         E = built_embedding
+        save_embedding(E, tmp_path / "e.json")
+        back = load_embedding(tmp_path / "e.json", E.space)
+        calls = []
+        scan = coarse_embedder.pairwise_power_sums_all
+        monkeypatch.setattr(coarse_embedder, "pairwise_power_sums_all", lambda *a: calls.append(a) or scan(*a))
+        assert verify_bounds(back) == []
+        assert empirical_profile(back, 7).violations == ()
+        assert calls == []
+        assert "image_matrix" not in vars(back) and "blocks" not in vars(back)
+
+    def test_reloaded_pair_distances_from_offset_rows(self, built_embedding):
+        # measured once on load, on the base-offset rows: bit for bit the scan
+        # of each block, and the built level's to rounding
+        E = dataclasses.replace(built_embedding, base_index=built_embedding.space.n // 2)
         back = embedding_from_json(embedding_to_json(E), E.space)
-        np.testing.assert_array_equal(
-            pairwise_image_power_sums(back)[3], pairwise_power_sums_all(back.image_matrix, back.exponent)
-        )
-
-        def no_scan(rows, p):
-            raise AssertionError("stacked-row scan")
-
-        monkeypatch.setattr(coarse_embedder, "pairwise_power_sums_all", no_scan)
-        pairwise_image_power_sums(E)
-        with pytest.raises(AssertionError, match="stacked-row scan"):
-            pairwise_image_power_sums(back)
+        for level, built, block in zip(back.schedule, E.schedule, back.blocks):
+            scan = pairwise_pnorm_all(block, E.exponent)
+            assert np.array_equal(level.pair_distances.view(np.uint64), scan.view(np.uint64))
+            np.testing.assert_allclose(level.pair_distances, built.pair_distances, rtol=1e-13, atol=0.0)
+            assert not level.pair_distances.flags.writeable
 
     def test_level_pair_distances_read_only(self, built_embedding):
         n = built_embedding.space.n
@@ -255,13 +272,15 @@ class TestSingleCopy:
     """Built and reloaded embeddings alike derive their blocks from their levels' images."""
 
     def test_levels_mix_freely(self, hc4_p1):
-        # a family of built and reloaded levels is one record: it scans its rows
+        # a family of built and reloaded levels is one record: it sums its levels
         back = embedding_from_json(embedding_to_json(hc4_p1), hc4_p1.space)
         mixed = dataclasses.replace(back.family, levels=hc4_p1.schedule[:1] + back.schedule[1:])
         E = CoarseEmbedding(family=mixed, base_index=0)
         assert np.array_equal(E.image_matrix.view(np.uint64), hc4_p1.image_matrix.view(np.uint64))
-        np.testing.assert_array_equal(
-            pairwise_image_power_sums(E)[3], pairwise_power_sums_all(E.image_matrix, E.exponent)
+        expected = sum(level.pair_distances for level in mixed.levels)  # p = 1
+        np.testing.assert_array_equal(pairwise_image_power_sums(E)[3], expected)
+        np.testing.assert_allclose(
+            pairwise_image_power_sums(E)[3], pairwise_power_sums_all(E.image_matrix, E.exponent), rtol=1e-13
         )
 
     def test_build_keeps_no_image_matrix(self):
@@ -340,7 +359,7 @@ class TestOneLevelRecord:
         assert back.space is built_embedding.space
         for level, built in zip(back.schedule, built_embedding.schedule):
             assert np.array_equal(level.images.view(np.uint64), built.images.view(np.uint64))
-            assert level.pair_distances is None
+            assert level.pair_distances.shape == built.pair_distances.shape
             assert repr(level) == repr(built)
 
     def test_schedule_repr_holds_no_arrays(self, hc4_p1):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from lpembed.coarse_embedder import (
-    CoarseEmbedding,
     build_embedding,
     embedding_from_json,
     embedding_to_json,
@@ -38,38 +37,40 @@ def path40_p1():
     return build_embedding(generate("path", 40), p=1.0, level_count=5)
 
 
-def reloaded_form(E, images=None, **family_changes):
-    """E as reloaded from JSON: its levels carry `images` (default their own) and no pair distances."""
-    images = [level.images for level in E.schedule] if images is None else images
-    levels = tuple(
-        dataclasses.replace(level, images=img, pair_distances=None) for level, img in zip(E.schedule, images)
-    )
-    family = dataclasses.replace(E.family, levels=levels, **family_changes)
-    return CoarseEmbedding(family=family, base_index=E.base_index)
+def reloaded_form(E, edit=None):
+    """E written to its JSON payload, edited in place by edit(payload) if given, and read back."""
+    payload = embedding_to_json(E)
+    if edit is not None:
+        edit(payload)
+    return embedding_from_json(payload, E.space)
 
 
 def tampered(E, idx, scale):
     """E reloaded with point idx's offset from the base point scaled in every level's images."""
-    images = []
-    for level in E.schedule:
-        img = level.images.copy()
-        base = img[E.base_index]
-        img[idx] = base + scale * (img[idx] - base)
-        images.append(img)
-    return reloaded_form(E, images)
+    labels = E.space.labels
+
+    def edit(payload):
+        images = payload["images"]
+        base = images[labels[E.base_index]]
+        images[labels[idx]] = [
+            (np.array(b) + scale * (np.array(row) - np.array(b))).tolist() for row, b in zip(images[labels[idx]], base)
+        ]
+
+    return reloaded_form(E, edit)
 
 
 def lower_missed_by(E, excess):
-    """E with delta raised until its tightest lower-envelope pair misses by excess."""
-    _, _, d, psums = pairwise_image_power_sums(E)
-    m = np.searchsorted(E.separation_thresholds(), d, side="right")
+    """E reloaded with delta raised until its tightest lower-envelope pair misses by excess."""
+    back = reloaded_form(E)
+    _, _, d, psums = pairwise_image_power_sums(back)
+    m = np.searchsorted(back.separation_thresholds(), d, side="right")
     k = int(np.argmin(np.where(m > 0, psums / np.maximum(m, 1), np.inf)))
     delta = 2.0 * ((psums[k] + excess) / m[k]) ** (1.0 / E.exponent.value)
-    return reloaded_form(E, delta=delta)
+    return reloaded_form(E, lambda payload: payload.update(delta=delta))
 
 
 def marginal_oracle(E, tol=DEFAULT_TOL):
-    """Pairs outside an envelope by at most tol, from a fresh all-pairs scan."""
+    """Pairs outside an envelope by at most tol, recounted from the pair power sums."""
     _, _, d, psums = pairwise_image_power_sums(E)
     p = E.exponent.value
     upper = 2.0 ** p * abs_power(d, p) + 1.0
@@ -207,12 +208,11 @@ class TestVerifyBounds:
 
 
 class TestReloadedAgrees:
-    """An in-memory build (level reuse) and its JSON reload (row scan) certify alike."""
+    """An in-memory build and its JSON reload, whose pair distances are measured on load, certify alike."""
 
     def test_verify_and_marginals_survive_round_trip(self, built_embedding):
         E = built_embedding
         back = embedding_from_json(embedding_to_json(E), E.space)
-        assert all(level.pair_distances is None for level in back.schedule)
         assert verify_bounds(E) == verify_bounds(back) == []
         for buckets in (1, 7):
             assert empirical_profile(E, buckets).marginal_count == empirical_profile(back, buckets).marginal_count
@@ -232,6 +232,26 @@ class TestReloadedAgrees:
         assert got[0].side == want[0].side == "lower"
         assert got[0].pair == want[0].pair
         assert got[0].measured == pytest.approx(want[0].measured, rel=1e-13)
+
+
+def scaled_path():
+    """path(10) with its distances scaled by 2^664 (about 1.5e200), exactly."""
+    path = generate("path", 10)
+    return FiniteMetricSpace(labels=path.labels, dist=np.ldexp(path.dist, 664))
+
+
+class TestOverflowingEnvelope:
+    """Where 2^p d^p overflows, the upper envelope is +inf and rho2 is 2d, with no RuntimeWarning (an error here)."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_scaled_path_certifies(self, p):
+        E = build_embedding(scaled_path(), p=p)
+        for emb in (E, reloaded_form(E)):
+            assert verify_bounds(emb) == []
+            profile = empirical_profile(emb, 9)
+            assert profile.violations == ()
+            # every edge but 0 overflows 2^p d^p; the +1 is below resolution there
+            assert profile.rho2_theory == (1.0,) + tuple(2.0 * e for e in profile.edges[1:])
 
 
 class TestExport:

@@ -184,14 +184,6 @@ class TestCalibrateLevel:
         with pytest.raises(ValueError):
             calibrate_level(two_point(), 0, 2.0, 1.0, "laplacian")
 
-    def test_previous_without_pair_distances_rejected(self):
-        X = generate("cycle", 8)
-        first = calibrate_level(X, 1, 1.5, 1.0, "laplacian")
-        # a level read back from JSON carries its images but no pair distances
-        bare = replace(first, pair_distances=None)
-        with pytest.raises(ValueError, match="must carry pair distances"):
-            calibrate_level(X, 2, 1.5, 1.0, "laplacian", previous=bare)
-
 
 class TestFamily:
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -231,6 +223,27 @@ class TestFamily:
         short = replace(fam.levels[2], images=fam.levels[2].images[:-1])
         with pytest.raises(ValueError, match="one row per point, 8 rows"):
             replace(fam, levels=fam.levels[:2] + (short,))
+
+    def test_pair_distances_required(self):
+        # every level, built or read back from JSON, carries its pair distances
+        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, "laplacian").levels[1]
+        with pytest.raises(TypeError, match="pair_distances"):
+            SphereMapLevel(
+                level_n=2, exponent=level.exponent, epsilon_n=level.epsilon_n, s_n=level.s_n,
+                bandwidth_t=level.bandwidth_t, kernel_kind="laplacian", images=level.images,
+            )
+        for bad in (None, level.pair_distances[None], np.float64(0.5)):
+            with pytest.raises(ValueError, match="level 2: pair_distances must be a 1-D array"):
+                replace(level, pair_distances=bad)
+
+    @pytest.mark.parametrize("trim", [1, -1])
+    def test_one_pair_distance_per_pair(self, trim):
+        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, "laplacian")
+        level = fam.levels[1]
+        d = level.pair_distances
+        wrong = d[:-1] if trim > 0 else np.concatenate([d, d[:1]])
+        with pytest.raises(ValueError, match="one distance per point pair, 28 distances"):
+            replace(fam, levels=(fam.levels[0], replace(level, pair_distances=wrong), fam.levels[2]))
 
     @pytest.mark.parametrize("field,value,message", [
         ("epsilon_n", math.nan, "level 1: eps must be finite and nonnegative"),
