@@ -34,8 +34,12 @@ S_n. `calibrate_level` finds the largest bandwidth t meeting the closeness
 target (measured exactly after Mazur transport of the l_2 factors to l_p);
 S_n is then the smallest source distance above s_floor and above every pair
 the images leave closer than delta/2. Levels with no such distance are
-marked saturated (S_n = inf); they still contribute blocks downstream, just no
-certified separation.
+marked saturated (S_n = inf) and add nothing to rho1. Where the distances
+alone show that a level cannot separate any pair beyond s_floor (the
+separation end: s_floor is past the diameter, every pair is close under a
+target below delta/2, or, at p = 2, the farthest pair stays under delta/2 at
+the largest bandwidth the closeness target admits), the level takes the
+constant map unfactored, and every later level accepts it free.
 
 Every level runs one bandwidth search over one bracket: the largest feasible
 bandwidth measured and the smallest infeasible one. The previous level's
@@ -417,6 +421,52 @@ def _model_step(t: float, sup: float, eps: float, p: PExponent) -> float:
     return t * (0.95 * eps / sup) ** p.value
 
 
+def _constant_map(n_points: int, pair_count: int, g_max: float, t_cap: float) -> tuple:
+    """The constant map as a level's (t, sup, images, pair distances).
+
+    One column of ones, sup 0 and every pair distance 0, at min(cap,
+    2^-55 / g_max), g_max over all pairs, where the kernel is all-ones in
+    float64: its images are the factor of its kernel, and every later level
+    accepts that bandwidth free at its cap.
+    """
+    t = min(t_cap, ALL_ONES_EXPONENT / g_max) if g_max > 0.0 else t_cap
+    return t, 0.0, np.ones((n_points, 1)), np.zeros(pair_count)
+
+
+def _separates_nothing(
+    p: PExponent,
+    eps: float,
+    delta_half: float,
+    s_floor: float,
+    all_close: bool,
+    d_max: float,
+    g_close: Optional[float],
+    g_far: float,
+    t_cap: float,
+    gram_error: float,
+) -> bool:
+    """Whether, from the distances alone, no image this level accepts leaves a pair beyond s_floor delta/2 apart.
+
+    (a) s_floor >= diam: there is no pair beyond s_floor. (b) Every pair is
+    close and 2^-n < delta/2: the closeness target itself keeps every pair
+    under delta/2. (c) At p = 2, where the images are the l_2 factor: an
+    accepted sup of at most 2^-n at the largest close pair g_close bounds
+    1 - exp(-t g_close) by 4^-n / 2 + gram_error, so t by
+    -log1p(-(4^-n / 2 + gram_error)) / g_close, and the cap bounds it too.
+    At that t, the farthest pair's image distance is at most
+    sqrt(2 (1 - exp(-t g_far)) + 2 gram_error); under delta/2, so is every
+    pair's.
+    """
+    if s_floor >= d_max or (all_close and eps < delta_half):
+        return True
+    if p.value != 2.0:
+        return False
+    t = t_cap
+    if g_close is not None:
+        t = min(t_cap, -math.log1p(-(eps * eps / 2.0 + gram_error)) / g_close)
+    return math.sqrt(-2.0 * math.expm1(-t * g_far) + 2.0 * gram_error) < delta_half
+
+
 def _separation_threshold(
     d_pairs: np.ndarray, pair_d: np.ndarray, delta_half: float, s_floor: float
 ) -> float:
@@ -484,16 +534,25 @@ def calibrate_level(
     the largest 1 - K among the close pairs, and the factor reproduces each
     Gram entry only to within _gram_error(n) = 2 n^2 eps.
     - Floor: a try with t g under that error resolves no close pair. The
-      level takes the constant map instead: one column of ones, sup 0, every
-      pair distance 0, saturated. It records min(cap, 2^-55 / g_max), g_max
-      over all pairs, where the kernel is all-ones in float64, so its images
-      are the factor of its kernel, and later levels accept that bandwidth
-      free at their cap. Since the shrinks halve t from the third on, every
-      level ends at a feasible try or at this floor.
+      level takes the constant map instead (_constant_map): one column of
+      ones, sup 0, every pair distance 0, saturated, at min(cap, 2^-55 /
+      g_max), g_max over all pairs, where the kernel is all-ones in
+      float64, so its images are the factor of its kernel, and later
+      levels accept that bandwidth free at their cap. Since the shrinks
+      halve t from the third on, every level ends at a feasible try, at
+      this floor or at the separation end.
     - Identity end: a try with t g > 53 ln 2 puts K at that pair below
       2^-53, so its l_2 images are sqrt(2) apart and, through the Mazur
       lower envelope, at least the ceiling > 1/2 >= 2^-n apart in l_p. It
       counts as a try and sets bad to (53 ln 2 / g, the ceiling) unfactored.
+
+    Separation end: where the cap misses 2^-n, the level first asks, from
+    the distances alone (_separates_nothing), whether any image it may
+    accept leaves a pair beyond s_floor delta/2 apart. Where none does, its
+    S_n is +inf whatever the search finds, so it takes the floor's
+    constant-map record before any try; the S_n schedule, and so rho1 and
+    rho2, are those the search would give, and each level before the first
+    constant one keeps its bits.
 
     Each try builds its kernel once and measures the close-pair sup exactly,
     so the search path is the one an all-pairs scan per try gives. Where at
@@ -546,9 +605,9 @@ def calibrate_level(
     # is within the Gram error at every close pair, and from t_identity on,
     # K at that pair is below 2^-53
     t_floor, t_identity = 0.0, math.inf
+    g_close, gram_error = None, _gram_error(space.n)
     if close_count:
         g_close = _kernel_g(float(d_pairs[close].max()), kernel_kind)
-        gram_error = _gram_error(space.n)
         start = min(_feasible_start(eps, p, g_close, gram_error), t_cap)
         t_floor, t_identity = gram_error / g_close, IDENTITY_EXPONENT / g_close
     # good: the largest feasible bandwidth measured, (t, sup, images, its
@@ -562,6 +621,14 @@ def calibrate_level(
             good = (t_cap, prev_sup, previous.images, previous.pair_distances)
         else:
             bad = (t_cap, prev_sup)
+    d_max = float(d_pairs.max(initial=0.0))
+    g_max = _kernel_g(d_max, kernel_kind)
+    # the separation end: where no bandwidth this level may accept leaves a
+    # pair beyond s_floor delta/2 apart, a search would only refine images
+    # that add nothing to rho1
+    separates_nothing = _separates_nothing(
+        p, eps, delta / 2.0, s_floor, close_count == d_pairs.size, d_max, g_close, g_max, t_cap, gram_error
+    )
     tries = 0
     found_at = 0
     while good is None or not (
@@ -580,12 +647,11 @@ def calibrate_level(
                     t = max(t, start)
                 elif tries > 1:
                     t = min(t, bad[0] / 2.0)
-            if t < t_floor:
-                # no factor resolves the close pairs at t: the level takes the
-                # constant map, the factor of the all-ones kernel, at a
-                # bandwidth where the kernel is all-ones
-                t_ones = ALL_ONES_EXPONENT / _kernel_g(float(d_pairs.max()), kernel_kind)
-                good = (min(t_cap, t_ones), 0.0, np.ones((space.n, 1)), np.zeros(d_pairs.size))
+            if separates_nothing or t < t_floor:
+                # no separation to gain, or no factor resolves the close pairs
+                # at t: the level takes the constant map, the factor of the
+                # all-ones kernel, before it factors anything more
+                good = _constant_map(space.n, d_pairs.size, g_max, t_cap)
                 break
         elif bad is None:
             t = t_cap if good[1] == 0.0 else min(t_cap, _model_step(*good[:2], eps, p))
@@ -647,8 +713,9 @@ def build_level_family(
     """Calibrate levels 1..level_count with strictly increasing S_n.
 
     Later levels have tighter closeness targets over larger radii, so each
-    level's bandwidth brackets the next one's search; saturated levels keep
-    their blocks but add no separation threshold. The pairs and their source
+    level's bandwidth brackets the next one's search; saturated levels add no
+    separation threshold, and those known saturated before their search
+    take the constant map. The pairs and their source
     distances are laid out once, for every level of this build.
     """
     p = as_exponent(p_target)

@@ -505,9 +505,10 @@ class TestRankAwareBlocks:
 
     def test_hypercube8_p2_width(self):
         E = build_embedding(generate("hypercube", 8), p=2.0)
-        # 981 columns; 10 levels of 256 columns each (2560) while every
-        # block was as wide as the space
-        assert sum(E.block_dims) <= 1024
+        # 265 columns: levels 2-10 take the constant map at the separation
+        # end; 981 while they were factored, and 10 levels of 256 columns
+        # each (2560) while every block was as wide as the space
+        assert sum(E.block_dims) == 265
         assert verify_bounds(E) == []
 
 
@@ -697,15 +698,19 @@ class TestKernelChoice:
             build_embedding(k23(), p=1.5)
         assert calls == []
 
-    @pytest.mark.parametrize("param,p,thresholds,floor_level", [(30, 2.0, [2, 5, 13], 21), (48, 3.0, [3, 11, 28], 13)])
-    def test_paths_certify_under_the_gaussian_kernel(self, param, p, thresholds, floor_level):
+    @pytest.mark.parametrize("param,p,thresholds,constant_from", [(30, 2.0, [2, 5, 13], 4), (48, 3.0, [3, 11, 28], 13)])
+    def test_paths_certify_under_the_gaussian_kernel(self, param, p, thresholds, constant_from):
         # under the laplacian kernel these gave S = [2, 10] and [2, 23]
         E = certify(generate("path", param), p)
         assert {level.kernel_kind for level in E.schedule} == {"gaussian"}
         assert E.separation_thresholds().tolist() == thresholds
-        # from floor_level on, every level takes the constant map at the float64 floor
+        # from constant_from on, every level takes the constant map: path(30)
+        # at p = 2 at the separation end, after S_3 = 13, and path(48) at p = 3
+        # at the float64 floor (its separation end could fire only where every
+        # pair is close, from level 47)
         constant = [level.level_n for level in E.schedule if level.images.shape[1] == 1]
-        assert constant == list(range(floor_level, E.level_count + 1))
+        assert constant == list(range(constant_from, E.level_count + 1))
+        assert all(level.epsilon_n == 0.0 and level.saturated for level in E.schedule[constant_from - 1:])
 
     def test_overflowing_squares_take_laplacian(self):
         # d^2 overflows to inf, and G holds inf and NaN; a Cholesky of it
@@ -719,6 +724,127 @@ class TestKernelChoice:
         E = build_embedding(X, p=1.5)
         assert {level.kernel_kind for level in E.schedule} == {"laplacian"}
         assert verify_bounds(E) == []
+
+
+# the benchmark's graph-ladder grid (125 specs) and the first 16 clouds of its
+# cloud-frac workload at seed 1
+LADDER_SPECS = [
+    (kind, param, p)
+    for kind, params in (("cycle", range(8, 81, 8)), ("path", range(6, 61, 6)), ("hypercube", range(3, 8)))
+    for param in params
+    for p in (1.0, 1.3, 1.5, 2.0, 3.0)
+]
+CLOUD_SPECS = [("gaussian", 1000 + k, 1.3) for k in range(16)]
+
+
+def spec_space(kind, param):
+    return generate("gaussian", 160, seed=param, dim=8) if kind == "gaussian" else generate(kind, param)
+
+
+def without_separation_end(build, *args, **kwargs):
+    """build(*args, **kwargs) with calibration's separation end switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_sphere_maps, "_separates_nothing", lambda *rule_args: False)
+        return build(*args, **kwargs)
+
+
+def first_constant_level(embedding) -> int:
+    """The index of the first level whose images are the constant map; the level count if none is."""
+    return next((k for k, w in enumerate(embedding.block_dims) if w == 1), embedding.level_count)
+
+
+class TestSeparationEnd:
+    """A level that cannot leave a pair beyond s_floor delta/2 apart takes the constant map, unfactored."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        space=st.one_of(graph_metrics(), ultrametrics(), euclidean_clouds()),
+        delta=st.sampled_from([1.0, 0.5, 0.25, 0.05]),
+    )
+    def test_bandwidth_bound_keeps_every_pair_close(self, space, delta):
+        # wherever the p = 2 bound (c) decides, the images at the bandwidth it
+        # bounds the level's search by, the cap or the bound's t, leave the
+        # farthest pair under delta/2, measured
+        try:
+            kernel = kernel_sphere_maps._kernel_for(space)
+        except NotNegativeType:
+            return
+        decided = []
+        real = kernel_sphere_maps._separates_nothing
+
+        def spy(p, eps, delta_half, s_floor, all_close, d_max, g_close, g_far, t_cap, gram_error):
+            out = real(p, eps, delta_half, s_floor, all_close, d_max, g_close, g_far, t_cap, gram_error)
+            if out and not (s_floor >= d_max or (all_close and eps < delta_half)):
+                t = t_cap
+                if g_close is not None:
+                    t = min(t_cap, -math.log1p(-(eps * eps / 2.0 + gram_error)) / g_close)
+                decided.append((t, delta_half))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel_sphere_maps, "_separates_nothing", spy)
+            family = build_level_family(space, default_level_count(space), 2.0, delta, kernel)
+        assert verify_family(family) == []
+        for t, delta_half in decided:
+            images = kernel_sphere_maps.build_sphere_map(space, t, kernel)
+            assert pairwise_pnorm_all(images, 2.0).max() < delta_half
+
+    @pytest.mark.parametrize("specs", [LADDER_SPECS, CLOUD_SPECS], ids=["graph-ladder", "cloud-frac"])
+    def test_same_thresholds_and_leading_bits_as_without_it(self, specs):
+        constant_levels = 0
+        for kind, param, p in specs:
+            space = spec_space(kind, param)
+            E = build_embedding(space, p=p)
+            reference = without_separation_end(build_embedding, space, p=p)
+            assert [level.s_n for level in E.schedule] == [level.s_n for level in reference.schedule]
+            assert verify_bounds(E) == []
+            first = first_constant_level(E)
+            for a, b in zip(E.schedule[:first], reference.schedule[:first]):
+                assert (a.bandwidth_t, a.epsilon_n) == (b.bandwidth_t, b.epsilon_n)
+                assert np.array_equal(a.images.view(np.uint64), b.images.view(np.uint64))
+            for level in E.schedule[first:]:
+                assert level.images.shape[1] == 1 and level.epsilon_n == 0.0 and level.saturated
+            constant_levels += E.level_count - first
+        assert constant_levels > 0
+
+    def test_hypercube8_p2_factors_level_one_only(self, monkeypatch):
+        # levels 2-10 cannot separate at p = 2 (bound (c)); they held 716 of 981 columns
+        X = generate("hypercube", 8)
+        reference = without_separation_end(build_embedding, X, p=2.0)
+        calls = []
+        real = kernel_sphere_maps.build_sphere_map
+        monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", lambda *args: calls.append(args) or real(*args))
+        E = build_embedding(X, p=2.0)
+        assert len(calls) == 1
+        assert E.block_dims == (256,) + (1,) * 9
+        assert sum(reference.block_dims) == 981
+        first, same = E.schedule[0], reference.schedule[0]
+        assert (first.bandwidth_t, first.epsilon_n) == (same.bandwidth_t, same.epsilon_n)
+        assert np.array_equal(first.images.view(np.uint64), same.images.view(np.uint64))
+        assert [level.s_n for level in E.schedule] == [level.s_n for level in reference.schedule]
+        assert verify_bounds(E) == []
+        # S_1 = 2 is the only finite threshold, so rho1 and rho2 are unchanged
+        assert E.separation_thresholds().tolist() == reference.separation_thresholds().tolist() == [2.0]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_cases_a_and_b_at_any_exponent(self, p):
+        # diameter 7, largest close distance 3, delta/2 = 0.1, cap 1
+        def rule(eps, s_floor, all_close):
+            return kernel_sphere_maps._separates_nothing(
+                as_exponent(p), eps, 0.1, s_floor, all_close, 7.0, 3.0, 7.0, 1.0, 0.0
+            )
+
+        # (a) no pair beyond s_floor; (b) every pair close, under a target below delta/2
+        assert rule(2.0 ** -3, 7.0, False)
+        assert rule(2.0 ** -4, 0.0, True)
+        # neither, and at p = 2 the farthest pair can reach 0.19 > delta/2
+        assert not rule(2.0 ** -3, 0.0, True)
+        assert not rule(2.0 ** -3, 6.0, False)
+        # path(8): from level 7 on every pair is close and 2^-n < 1/2
+        family = build_level_family(generate("path", 8), 10, p, 1.0, "laplacian")
+        for level in family.levels[6:]:
+            assert level.images.shape[1] == 1 and level.epsilon_n == 0.0 and level.saturated
+        assert verify_family(family) == []
 
 
 def round_trip(embedding):

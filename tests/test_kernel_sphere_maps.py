@@ -134,8 +134,10 @@ class TestMeasureConditions:
 class TestCalibrateLevel:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_two_point_bandwidth_matches_closed_form(self, n):
-        # bisection/interpolation must land just below the closed-form optimum
-        lvl = calibrate_level(two_point(), n, 2.0, 1.0, "laplacian")
+        # bisection/interpolation must land just below the closed-form optimum;
+        # delta/2 = 2^-(n+1) stays under the target, so the only pair can still
+        # be delta/2 apart and the separation end leaves the level to the search
+        lvl = calibrate_level(two_point(), n, 2.0, 2.0 ** -n, "laplacian")
         assert lvl.bandwidth_t <= T_STAR[n] * (1 + 1e-9)
         assert lvl.bandwidth_t >= T_STAR[n] * 0.80
         assert lvl.epsilon_n <= 2.0 ** (-n)
@@ -360,7 +362,7 @@ class TestGatherEquivalence:
         # the all-pairs scan once half its pairs are close; the reference
         # measures every try by a full scan and scans the accepted images again
         (kind, param), p = case
-        args = default_family_args(kind, param, p)
+        args = default_family_args(kind, param, p, FINE_DELTA if p == 2.0 else 1.0)
         X = args[0]
 
         real_gather = kernel_sphere_maps._close_pair_sup
@@ -459,9 +461,15 @@ def pinned_kernel(kind, X):
     return "laplacian" if kind == "path" else kernel_sphere_maps._kernel_for(X)
 
 
-def default_family_args(kind, param, p):
+def default_family_args(kind, param, p, delta=1.0):
     X = generate(kind, param, seed=3) if kind == "gaussian" else generate(kind, param)
-    return (X, default_level_count(X), p, 1.0, pinned_kernel(kind, X))
+    return (X, default_level_count(X), p, delta, pinned_kernel(kind, X))
+
+
+# at delta = 1, the p = 2 graph families take the constant map at the
+# separation end from level 2 to 4 on; at this delta their levels keep
+# separating, and searching, until S_n reaches the diameter
+FINE_DELTA = 2.0 ** -20
 
 
 def spy_factor(monkeypatch):
@@ -551,8 +559,11 @@ class TestKernelReuse:
         for level in fam.levels:
             assert np.array_equal(level.pair_distances.view(np.uint64), real(level.images, p).view(np.uint64))
         if p == 1.0:
-            # every scanned try of this family is accepted
-            assert [rows.shape[0] for rows in scanned] == [12] * 13
+            # every scanned try of this family is accepted; from level 11 on
+            # every pair is close and 2^-n < delta/2, so those levels take the
+            # constant map at the separation end and scan nothing
+            assert [level.level_n for level in fam.levels if level.images.shape[1] == 1] == [11, 12, 13]
+            assert [rows.shape[0] for rows in scanned] == [12] * 10
 
     def test_previous_from_other_exponent_rejected(self):
         X = generate("hypercube", 3)
@@ -805,11 +816,13 @@ class TestResolution:
     def test_p2_levels_accept_their_first_try(self, kind, param, monkeypatch):
         # the start aims under 2^-n by the Gram error relative to 1 - K, so
         # its sup no longer rounds above the target at small t d; level 2's
-        # first try is the model step from the cap, which outranks the start
+        # first try is the model step from the cap, which outranks the start.
+        # FINE_DELTA keeps the levels separating, so they search (hypercube(8)
+        # up to level 8, where S_n reaches the diameter)
         levels, tried = trace_levels(monkeypatch)
-        build_case(((kind, param), 2.0))
+        build_level_family(*default_family_args(kind, param, 2.0, FINE_DELTA))
         factoring = [(level, ts) for level, ts in zip(levels, tried) if ts and level.level_n >= 3]
-        assert len(factoring) >= 8
+        assert len(factoring) >= {"hypercube": 6, "path": 17, "cycle": 16}[kind]
         for level, ts in factoring:
             assert ts == [level.bandwidth_t]
             assert level.epsilon_n >= 0.9 * 2.0 ** -level.level_n

@@ -8,6 +8,8 @@ import pytest
 
 from conftest import saving_peak
 from lpembed import metric_spaces
+from lpembed.coarse_embedder import build_embedding
+from lpembed.distortion_report import verify_bounds
 from lpembed.metric_spaces import (
     MAX_VIOLATIONS,
     TRIANGLE_TOL,
@@ -128,16 +130,16 @@ class TestValidate:
 
 
 def triangle_reference(space):
-    """The triangle check as first written: three n x n temporaries per intermediate j."""
+    """The triangle check, relative to each path's length, with fresh n x n temporaries per intermediate j."""
     finite = np.where(np.isfinite(space.dist), space.dist, 0.0)
     out = []
     for j in range(space.n):
-        slack = finite - (finite[:, j:j + 1] + finite[j:j + 1, :])
-        for i, k in np.argwhere(slack > TRIANGLE_TOL):
+        slack = finite - (finite[:, j:j + 1] + finite[j:j + 1, :]) * (1.0 + TRIANGLE_TOL)
+        for i, k in np.argwhere(slack > 0.0):
             if i < k:
                 out.append((
                     (int(i), int(j), int(k)),
-                    f"d(i,k) = {finite[i, k]!r} > {finite[i, j] + finite[j, k]!r} via j",
+                    f"d(i,k) = {float(finite[i, k])!r} > {float(finite[i, j] + finite[j, k])!r} via j",
                 ))
     return out
 
@@ -178,6 +180,41 @@ class TestTriangleAgainstReference:
             assert 0 < len(got) < MAX_VIOLATIONS
         else:
             assert len(got) == expected
+
+
+class TestScaleInvariantTriangle:
+    """The triangle tolerance is relative to the path's length, so it holds at every scale."""
+
+    def test_scaled_path_validates_and_builds(self):
+        # path(10) x 1e200: an absolute tolerance reported 14 violations from rounding alone
+        X = FiniteMetricSpace(labels=tuple(map(str, range(10))), dist=generate("path", 10).dist * 1e200)
+        assert validate(X).ok
+        E = build_embedding(X, p=2.0)
+        assert verify_bounds(E) == []
+
+    @pytest.mark.parametrize("case", ["path50_one_broken_entry", "random12", "random40_capped"])
+    @pytest.mark.parametrize("k", [-600, -300, -40, 0, 40, 300, 600])
+    def test_power_of_two_scaling_keeps_the_violations(self, case, k):
+        space = REFERENCE_SPACES[case][0]()
+        scaled = FiniteMetricSpace(labels=space.labels, dist=np.ldexp(space.dist, k))
+        got = [v.indices for v in validate(scaled).violations]
+        assert got == [v.indices for v in validate(space).violations]
+        assert got
+
+    def test_small_violation_at_unit_scale_reported(self):
+        d = np.array([[0.0, 1.0, 2.0 + 1e-6], [1.0, 0.0, 1.0], [2.0 + 1e-6, 1.0, 0.0]])
+        report = validate(FiniteMetricSpace(labels=("a", "b", "c"), dist=d))
+        assert [(v.kind, v.indices) for v in report.violations] == [("triangle", (0, 1, 2))]
+
+    def test_details_print_plain_floats(self):
+        d = np.array([[0.0, 1e200, 6e200], [1e200, 0.0, 1e200], [6e200, 1e200, 0.0]])
+        report = validate(FiniteMetricSpace(labels=("a", "b", "c"), dist=d))
+        assert [v.detail for v in report.violations] == ["d(i,k) = 6e+200 > 2e+200 via j"]
+        d = np.array([[0.5, math.inf], [2.0, 0.0]])
+        details = {v.kind: v.detail for v in validate(FiniteMetricSpace(labels=("a", "b"), dist=d)).violations}
+        assert details == {
+            "finite": "dist = inf", "diagonal": "dist(i,i) = 0.5", "symmetry": "0.0 != 2.0", "positivity": "dist = 0.0",
+        }
 
 
 class TestConstruction:
