@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 MAX_LEVELS = 64
+_KERNEL_NAMES = {2.0: "gaussian", 1.0: "laplacian"}  # a file's name for each beta of exp(-t d^beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +77,7 @@ class CoarseEmbedding:
 
     def __post_init__(self) -> None:
         _check_base_index(self.base_index, self.space.n)
+        object.__setattr__(self, "base_index", int(self.base_index))  # json.dumps refuses np.int64
 
     @property
     def space(self) -> FiniteMetricSpace:
@@ -157,9 +159,9 @@ def build_embedding(
 ) -> CoarseEmbedding:
     """Calibrate levels 1..N and assemble the block images.
 
-    The kernel follows from the distances: gaussian (exp(-t d^2)) where d^2
-    is of negative type, else laplacian (exp(-t d)) where d is. Where
-    neither is, NotNegativeType is raised before any kernel is factored.
+    The kernel exp(-t d^beta) follows from the distances: beta = 2 where d^2
+    is of negative type, else beta = 1 where d is. Where neither is,
+    NotNegativeType is raised before any kernel is factored.
     """
     validate(space).require_ok()
     pe = as_exponent(p)
@@ -207,15 +209,21 @@ def theoretical_bounds(embedding: CoarseEmbedding, d) -> tuple:
     if not np.all(arr >= 0):
         # NaN fails this test too; inf is allowed
         raise ValueError("distances must be nonnegative")
-    thresholds = embedding.separation_thresholds()
-    m = np.searchsorted(thresholds, arr, side="right").astype(np.float64)
-    rho1 = (embedding.delta / 2.0) * m ** (1.0 / p)
-    with np.errstate(over="ignore"):  # where 2^p d^p + 1 overflows, rho2 is 2d
-        upper = 2.0 ** p * abs_power(arr, p) + 1.0
+    m, upper = _envelope_terms(embedding, arr)
+    rho1 = (embedding.delta / 2.0) * m.astype(np.float64) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # where upper overflows, rho2 is 2d, inf from d = 2^1023 on
         rho2 = np.where(np.isinf(upper), 2.0 * arr, upper ** (1.0 / p))
     if arr.ndim == 0:
         return float(rho1), float(rho2)
     return rho1, rho2
+
+
+def _envelope_terms(embedding: CoarseEmbedding, d: np.ndarray) -> tuple:
+    """(m(d), 2^p |d|^p + 1) at source distances d, m(d) the count of non-saturated S_n <= d."""
+    p = embedding.exponent.value
+    with np.errstate(over="ignore"):  # +inf where 2^p d^p overflows: no finite sum exceeds it
+        upper = 2.0 ** p * abs_power(d, p) + 1.0
+    return np.searchsorted(embedding.separation_thresholds(), d, side="right"), upper
 
 
 def tail_bound(embedding: CoarseEmbedding) -> float:
@@ -268,7 +276,7 @@ def _header_json(embedding: CoarseEmbedding) -> dict:
                 "eps": level.epsilon_n,
                 "S": None if level.saturated else level.s_n,
                 "t": level.bandwidth_t,
-                "kernel": level.kernel_kind,
+                "kernel": _KERNEL_NAMES[level.beta],
             }
             for level in embedding.schedule
         ],
@@ -304,6 +312,14 @@ def _number(value, name: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _kernel_beta(name) -> float:
+    """The beta a schedule entry's kernel name stands for."""
+    for beta, kernel in _KERNEL_NAMES.items():
+        if name == kernel:
+            return beta
+    raise ValueError(f"schedule kernel must be one of {sorted(_KERNEL_NAMES.values())}, got {name!r}")
+
+
 def _threshold(value) -> float:
     """A schedule entry's S: null for a saturated level, else a finite positive number."""
     s_n = math.inf if value is None else _number(value, "schedule S")
@@ -332,7 +348,7 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
                 epsilon_n=_number(s["eps"], "schedule eps"),
                 s_n=_threshold(s["S"]),
                 bandwidth_t=_number(s["t"], "schedule t"),
-                kernel_kind=s["kernel"],
+                beta=_kernel_beta(s["kernel"]),
             )
             for s in payload["schedule"]
         ]

@@ -23,11 +23,11 @@ import numpy as np
 
 from .coarse_embedder import (
     CoarseEmbedding,
+    _envelope_terms,
     _is_index,
     pairwise_image_power_sums,
     theoretical_bounds,
 )
-from .lp_core import abs_power
 
 __all__ = [
     "MAX_BUCKETS",
@@ -81,30 +81,17 @@ def _scan_bounds(embedding: CoarseEmbedding, scan: tuple) -> tuple:
     p = embedding.exponent.value
     labels = embedding.space.labels
 
-    with np.errstate(over="ignore"):
-        # where 2^p d^p overflows, +inf is its correctly rounded value, and no
-        # finite sum exceeds it
-        upper = 2.0 ** p * abs_power(d, p) + 1.0
-    m = np.searchsorted(embedding.separation_thresholds(), d, side="right")
+    m, upper = _envelope_terms(embedding, d)
     lower = m * (embedding.delta / 2.0) ** p
 
     violations: list = []
     marginal = 0
-    for side, excess, bound in (
-        ("upper", psums - upper, upper),
-        ("lower", lower - psums, lower),
-    ):
-        bad = np.nonzero(excess > DEFAULT_TOL)[0]
+    for side, excess, bound in (("upper", psums - upper, upper), ("lower", lower - psums, lower)):
         marginal += int(np.count_nonzero((excess > 0.0) & (excess <= DEFAULT_TOL)))
-        for k in bad:
-            violations.append(
-                BoundViolation(
-                    pair=(labels[ii[k]], labels[jj[k]]),
-                    measured=float(psums[k]),
-                    bound=float(bound[k]),
-                    side=side,
-                )
-            )
+        violations += [
+            BoundViolation((labels[ii[k]], labels[jj[k]]), float(psums[k]), float(bound[k]), side)
+            for k in np.nonzero(excess > DEFAULT_TOL)[0]
+        ]
     return violations, marginal
 
 

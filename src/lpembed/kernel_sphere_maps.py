@@ -1,30 +1,30 @@
 """Unit-sphere maps from positive-semidefinite kernels, calibrated per level.
 
-A kernel K(x,y) = exp(-t d(x,y)) (laplacian) or exp(-t d(x,y)^2) (gaussian) on
-a finite metric space factors as K = U diag(w) U^T, giving unit vectors
-v_x = row_x(U sqrt(w)) with <v_x, v_y> = K(x,y), hence
+A kernel K(x,y) = exp(-t d(x,y)^beta) on a finite metric space factors as
+K = U diag(w) U^T, giving unit vectors v_x = row_x(U sqrt(w)) with
+<v_x, v_y> = K(x,y), hence
 
     ||v_x - v_y||_2 = sqrt(2 (1 - K(x,y))).
 
 The kernel follows from the distances. By Schoenberg's theorem,
 exp(-t d^beta) is positive semidefinite at every t exactly when d^beta is of
-negative type, so a build takes the gaussian kernel where d^2 is, else the
-laplacian kernel where d is, and refuses a space where neither is
-(NotNegativeType) before it factors any kernel.
+negative type, so a build takes beta = 2 where d^2 is, else beta = 1 where d
+is, and refuses a space where neither is (NotNegativeType) before it factors
+any kernel.
 
 Only the r eigenpairs above eigh's backward error n * eps * lambda_max are
 kept, so each level's images are (n, r), r the kernel's numerical rank, and
 the Mazur map, the pair scans and the JSON blocks all work at that width.
-Where t * d falls below float64 resolution, K is all-ones plus noise and
+Where t * d^beta falls below float64 resolution, K is all-ones plus noise and
 factors to one column: the constant map, which meets any closeness target
 exactly.
 
 Calibration keeps within float64's resolution by one bound: the factor
 reproduces each Gram entry to within 2 n^2 eps (eigh's backward error and
 the dropped eigenpairs, lambda_max <= n), against 1 - K ~ t g at a close pair
-(g = d, or d^2 for the gaussian kernel). Below that floor at every close
-pair, a level takes the constant map with no factorization; the envelope
-start aims under the target by the same error relative to 1 - K; and a try
+(g = d^beta). Below that floor at every close pair, a level takes the
+constant map with no factorization; the envelope start aims under the target
+by the same error relative to 1 - K; and a try
 whose kernel entry at the largest close pair is below 2^-53 is known
 infeasible without a factorization (the identity end).
 
@@ -101,7 +101,7 @@ __all__ = [
     "build_level_family",
 ]
 
-KERNEL_KINDS = ("gaussian", "laplacian")
+_BETAS = (2.0, 1.0)  # the exponents of the kernel exp(-t d^beta), in the order a build tries them
 
 # relative eigenvalue floor separating genuine non-PSD kernels from roundoff
 EIG_REL_TOL = 1e-8
@@ -127,19 +127,18 @@ class CalibrationError(Exception):
     """A level's closeness/separation targets cannot be met."""
 
 
-def _check_kernel_kind(kernel_kind: str) -> str:
-    if kernel_kind not in KERNEL_KINDS:
-        raise ValueError(f"kernel_kind must be one of {KERNEL_KINDS}, got {kernel_kind!r}")
-    return kernel_kind
+def _check_beta(beta: float) -> None:
+    if beta not in _BETAS:
+        raise ValueError(f"kernel exponent beta must be one of {_BETAS}, got {beta!r}")
 
 
-def kernel_matrix(space: FiniteMetricSpace, t: float, kernel_kind: str) -> np.ndarray:
-    _check_kernel_kind(kernel_kind)
+def kernel_matrix(space: FiniteMetricSpace, t: float, beta: float) -> np.ndarray:
+    _check_beta(beta)
     if not (t > 0) or not math.isfinite(t):
         raise ValueError(f"bandwidth t must be positive and finite, got {t!r}")
-    if kernel_kind == "gaussian":
-        return np.exp(-t * space.dist * space.dist)
-    return np.exp(-t * space.dist)
+    # t d^beta as (t d) d^(beta - 1), with d^(beta - 1) exactly d or 1: pow's d^2
+    # differs from d d in the last bit on some entries; _kernel_g forms g alike
+    return np.exp(-t * space.dist * space.dist ** (beta - 1.0))
 
 
 def _negative_type_gram(dist: np.ndarray, beta: float) -> np.ndarray:
@@ -178,18 +177,17 @@ def _admits(dist: np.ndarray, beta: float) -> bool:
     return True
 
 
-def _kernel_for(space: FiniteMetricSpace) -> str:
-    """The kernel exp(-t d^beta) that is positive semidefinite at every t on this space.
+def _kernel_for(space: FiniteMetricSpace) -> float:
+    """The beta of the kernel exp(-t d^beta) that is positive semidefinite at every t on this space.
 
     By Schoenberg's theorem that holds exactly when d^beta is of negative
-    type: gaussian (beta = 2) where d^2 is, else laplacian (beta = 1) where d
-    is. Where neither is, raises NotNegativeType with the smallest eigenvalue
-    of beta = 1's G as the witness, before any kernel is factored.
+    type: beta = 2 where d^2 is, else beta = 1 where d is. Where neither is,
+    raises NotNegativeType with the smallest eigenvalue of beta = 1's G as
+    the witness, before any kernel is factored.
     """
-    if _admits(space.dist, 2.0):
-        return "gaussian"
-    if _admits(space.dist, 1.0):
-        return "laplacian"
+    for beta in _BETAS:
+        if _admits(space.dist, beta):
+            return beta
     lam_min = float(np.linalg.eigvalsh(_negative_type_gram(space.dist, 1.0))[0])
     raise NotNegativeType(
         f"the distances are not of negative type (beta = 1), so no kernel exp(-t d^beta) with "
@@ -198,7 +196,7 @@ def _kernel_for(space: FiniteMetricSpace) -> str:
     )
 
 
-def build_sphere_map(space: FiniteMetricSpace, t: float, kernel_kind: str) -> np.ndarray:
+def build_sphere_map(space: FiniteMetricSpace, t: float, beta: float) -> np.ndarray:
     """Factor the kernel into per-point unit vectors of l_2^r, r its numerical rank.
 
     Returns an (n, r) array whose rows are the images: one column per
@@ -210,17 +208,17 @@ def build_sphere_map(space: FiniteMetricSpace, t: float, kernel_kind: str) -> np
     |eigenvalue|, at most max(n * eps, EIG_REL_TOL) * lambda_max; with the
     rows renormalized to exact unit length, the Gram matrix is reproduced
     entrywise to 1e-8. A kernel below the floor everywhere but its top
-    eigenvalue (t * d under float64 resolution, exp(-t d) = 1.0) factors to
-    one column and the constant map.
+    eigenvalue (t * d^beta under float64 resolution, K = 1.0) factors to one
+    column and the constant map.
     """
-    K = kernel_matrix(space, t, kernel_kind)
+    K = kernel_matrix(space, t, beta)
     w, U = np.linalg.eigh(K)
     lam_max = float(w[-1])
     floor = -EIG_REL_TOL * lam_max
     lam_min = float(w[0])
     if lam_min < floor:
         raise NotNegativeType(
-            f"{kernel_kind} kernel at t={t:g} is not of negative type on this space: "
+            f"kernel exp(-t d^{beta:g}) at t={t:g} is not of negative type on this space: "
             f"eigenvalue {lam_min:.6e} < {floor:.3e}"
         )
     # eigh returns w ascending, so the kept eigenpairs are its last r
@@ -256,7 +254,8 @@ class SphereMapLevel:
     epsilon_n (finite, >= 0) certifies sup{||phi(x)-phi(y)||_p : d(x,y) <= level_n}
     and s_n the threshold from which pairs stay the family's delta/2 apart
     (vacuous when saturated, s_n = inf), both measured on the images after
-    Mazur transport; bandwidth_t is finite and > 0. pair_distances is that
+    Mazur transport; bandwidth_t is finite and > 0, and beta (2 or 1) is
+    the kernel exp(-t d^beta) the images factor. pair_distances is that
     measurement, kept read-only, over all pairs i < j in condensed
     (np.triu_indices) order; the embedding's verification and profile sum
     it instead of rescanning. Both arrays are required, built or read back
@@ -269,12 +268,12 @@ class SphereMapLevel:
     epsilon_n: float
     s_n: float
     bandwidth_t: float
-    kernel_kind: str
+    beta: float
     images: np.ndarray = field(repr=False)
     pair_distances: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_kernel_kind(self.kernel_kind)
+        _check_beta(self.beta)
         if not (math.isfinite(self.epsilon_n) and self.epsilon_n >= 0):
             raise ValueError(f"level {self.level_n}: eps must be finite and nonnegative, got {self.epsilon_n!r}")
         if not (math.isfinite(self.bandwidth_t) and self.bandwidth_t > 0):
@@ -317,10 +316,10 @@ class SphereMapFamily:
         if any(level.exponent.value != self.exponent.value for level in self.levels):
             # the family's exponent is the one its pair distances are summed at
             raise ValueError(f"every level must be calibrated at the family's p = {self.exponent.value:g}")
-        kinds = {level.kernel_kind for level in self.levels}
-        if len(kinds) > 1:
+        betas = {level.beta for level in self.levels}
+        if len(betas) > 1:
             # a build calibrates every level with one kernel, each from the last
-            raise ValueError(f"every level must use one kernel kind, got {sorted(kinds)}")
+            raise ValueError(f"every level must use one kernel exponent beta, got {sorted(betas)}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +349,13 @@ def _gram_error(n_points: int) -> float:
     return 2.0 * n_points * n_points * EPS64
 
 
-def _kernel_g(d: float, kernel_kind: str) -> float:
-    """The g of K = exp(-t g) at source distance d: d, or d^2 for the gaussian kernel."""
-    return d * d if kernel_kind == "gaussian" else d
+def _kernel_g(d: float, beta: float) -> float:
+    """The g = d^beta of K = exp(-t g) at source distance d, as kernel_matrix forms it: d d^(beta - 1)."""
+    return d * d ** (beta - 1.0)
 
 
-def _transported_images(space: FiniteMetricSpace, t: float, kernel_kind: str, p: PExponent) -> np.ndarray:
-    V = build_sphere_map(space, t, kernel_kind)
+def _transported_images(space: FiniteMetricSpace, t: float, beta: float, p: PExponent) -> np.ndarray:
+    V = build_sphere_map(space, t, beta)
     if p.value == 2.0:
         return V
     return mazur_map_rows(V, 2.0, p)
@@ -385,7 +384,7 @@ def _feasible_start(eps: float, p: PExponent, g_close: float, gram_error: float)
     """Bandwidth guaranteed to meet the closeness target via the envelopes.
 
     At l_2 the largest close-pair image distance is s(t) = sqrt(2(1 - K)) at
-    the largest close g (d, or d^2 for the gaussian kernel), where the kernel
+    the largest close g = d^beta, where the kernel
     is smallest. Pushing s through the Mazur upper envelope and solving for t
     gives a start point that cannot overshoot.
 
@@ -451,7 +450,7 @@ def _separates_nothing(
     close and 2^-n < delta/2: the closeness target itself keeps every pair
     under delta/2. (c) At p = 2, where the images are the l_2 factor: an
     accepted sup of at most 2^-n at the largest close pair g_close bounds
-    1 - exp(-t g_close) by 4^-n / 2 + gram_error, so t by
+    1 - exp(-t g_close) by 4^-n / 2 + gram_error (g = d^beta), so t by
     -log1p(-(4^-n / 2 + gram_error)) / g_close, and the cap bounds it too.
     At that t, the farthest pair's image distance is at most
     sqrt(2 (1 - exp(-t g_far)) + 2 gram_error); under delta/2, so is every
@@ -502,7 +501,7 @@ def calibrate_level(
     n: int,
     p_target: ExponentLike,
     delta: float,
-    kernel_kind: str,
+    beta: float,
     *,
     previous: Optional[SphereMapLevel] = None,
     s_floor: float = 0.0,
@@ -512,7 +511,7 @@ def calibrate_level(
 
     The closeness certificate is the exactly measured post-transport sup, not
     the envelope bound. previous (level n-1 of this space, exponent and
-    kernel) caps the search at its bandwidth, since later levels have
+    beta) caps the search at its bandwidth, since later levels have
     tighter targets over larger radii; level 1's cap is T_CAP. s_floor is an
     exclusive lower bound on S_n, for strictly increasing schedules.
 
@@ -529,8 +528,8 @@ def calibrate_level(
     Without bad, it is the model step from good, up to the cap. With both,
     it is log-log interpolation on sup(t), aimed at 0.999 * 2^-n.
 
-    Tries outside float64's resolution are not factored. With g = d, or d^2
-    for the gaussian kernel, at the largest close pair, 1 - K ~ t g there is
+    Tries outside float64's resolution are not factored. With g = d^beta at
+    the largest close pair, 1 - K ~ t g there is
     the largest 1 - K among the close pairs, and the factor reproduces each
     Gram entry only to within _gram_error(n) = 2 n^2 eps.
     - Floor: a try with t g under that error resolves no close pair. The
@@ -570,7 +569,7 @@ def calibrate_level(
     source distances once and passes them to every level.
     """
     p = as_exponent(p_target)
-    _check_kernel_kind(kernel_kind)
+    _check_beta(beta)
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
     if not (math.isfinite(delta) and delta > 0):
@@ -578,10 +577,10 @@ def calibrate_level(
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if previous is not None and (
         previous.exponent.value != p.value
-        or previous.kernel_kind != kernel_kind
+        or previous.beta != beta
         or previous.pair_distances.shape != (space.n * (space.n - 1) // 2,)
     ):
-        raise ValueError("previous level must come from the same space, exponent and kernel")
+        raise ValueError("previous level must come from the same space, exponent and beta")
     ceiling = _distance_ceiling(p)
     if delta / 2.0 > ceiling:
         raise CalibrationError(
@@ -607,7 +606,7 @@ def calibrate_level(
     t_floor, t_identity = 0.0, math.inf
     g_close, gram_error = None, _gram_error(space.n)
     if close_count:
-        g_close = _kernel_g(float(d_pairs[close].max()), kernel_kind)
+        g_close = _kernel_g(float(d_pairs[close].max()), beta)
         start = min(_feasible_start(eps, p, g_close, gram_error), t_cap)
         t_floor, t_identity = gram_error / g_close, IDENTITY_EXPONENT / g_close
     # good: the largest feasible bandwidth measured, (t, sup, images, its
@@ -622,7 +621,7 @@ def calibrate_level(
         else:
             bad = (t_cap, prev_sup)
     d_max = float(d_pairs.max(initial=0.0))
-    g_max = _kernel_g(d_max, kernel_kind)
+    g_max = _kernel_g(d_max, beta)
     # the separation end: where no bandwidth this level may accept leaves a
     # pair beyond s_floor delta/2 apart, a search would only refine images
     # that add nothing to rho1
@@ -668,7 +667,7 @@ def calibrate_level(
             tries += 1
             bad = (t_identity, ceiling)
             continue
-        images = _transported_images(space, t, kernel_kind, p)
+        images = _transported_images(space, t, beta, p)
         scan = None
         if scan_tries:
             scan = pairwise_pnorm_all(images, p)
@@ -697,7 +696,7 @@ def calibrate_level(
         epsilon_n=sup_best,
         s_n=s_n,
         bandwidth_t=t_best,
-        kernel_kind=kernel_kind,
+        beta=beta,
         images=images,
         pair_distances=all_img,
     )
@@ -708,7 +707,7 @@ def build_level_family(
     level_count: int,
     p_target: ExponentLike,
     delta: float,
-    kernel_kind: str,
+    beta: float,
 ) -> SphereMapFamily:
     """Calibrate levels 1..level_count with strictly increasing S_n.
 
@@ -724,7 +723,7 @@ def build_level_family(
     s_floor = 0.0
     for n in range(1, level_count + 1):
         level = calibrate_level(
-            space, n, p, delta, kernel_kind,
+            space, n, p, delta, beta,
             previous=levels[-1] if levels else None, s_floor=s_floor, _pairs=pairs,
         )
         levels.append(level)

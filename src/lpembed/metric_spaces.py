@@ -143,49 +143,47 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     The triangle inequality is checked relative to the path's length,
     d(i,k) <= (d(i,j) + d(j,k)) (1 + TRIANGLE_TOL), so scaling every
     distance by a power of 2 reports the same violations. Details print the
-    distances as floats.
+    distances as floats. The report holds the first MAX_VIOLATIONS, in the
+    order finite, diagonal, symmetry, positivity, triangle, and the search
+    stops once it has them.
     """
     d = space.dist
     n = space.n
     out: list = []
 
-    def push(kind, idx, detail):
-        if len(out) < MAX_VIOLATIONS:
-            out.append(MetricViolation(kind, idx, detail))
+    def push(kind, hits, detail):
+        # only the hits that fit: all of them cost O(n^3) where every triangle fails
+        for idx in hits[:MAX_VIOLATIONS - len(out)]:
+            idx = tuple(int(v) for v in idx)
+            out.append(MetricViolation(kind, idx, detail(*idx)))
 
-    bad = np.argwhere(~np.isfinite(d))
-    for i, j in bad:
-        push("finite", (int(i), int(j)), f"dist = {float(d[i, j])!r}")
+    push("finite", np.argwhere(~np.isfinite(d)), lambda i, j: f"dist = {float(d[i, j])!r}")
     finite = np.where(np.isfinite(d), d, 0.0)
-
-    for i in np.nonzero(np.diag(finite) != 0.0)[0]:
-        push("diagonal", (int(i),), f"dist(i,i) = {float(finite[i, i])!r}")
-
+    push("diagonal", np.argwhere(np.diag(finite) != 0.0), lambda i: f"dist(i,i) = {float(finite[i, i])!r}")
     asym = np.argwhere(finite != finite.T)
-    for i, j in asym[asym[:, 0] < asym[:, 1]]:
-        push("symmetry", (int(i), int(j)), f"{float(finite[i, j])!r} != {float(finite[j, i])!r}")
-
+    asym = asym[asym[:, 0] < asym[:, 1]]
+    push("symmetry", asym, lambda i, j: f"{float(finite[i, j])!r} != {float(finite[j, i])!r}")
     offdiag = ~np.eye(n, dtype=bool)
     nonpos = np.argwhere((finite <= 0.0) & offdiag)
-    for i, j in nonpos[nonpos[:, 0] < nonpos[:, 1]]:
-        push("positivity", (int(i), int(j)), f"dist = {float(finite[i, j])!r}")
+    push("positivity", nonpos[nonpos[:, 0] < nonpos[:, 1]], lambda i, j: f"dist = {float(finite[i, j])!r}")
 
     # triangle: d(i,k) <= (d(i,j) + d(j,k)) (1 + TRIANGLE_TOL), one
-    # intermediate j at a time in one buffer
+    # intermediate j at a time in one buffer, until the report is full
     slack = np.empty_like(finite)
     for j in range(n):
+        if len(out) >= MAX_VIOLATIONS:
+            break
         np.add(finite[:, j:j + 1], finite[j:j + 1, :], out=slack)
         slack *= 1.0 + TRIANGLE_TOL
         np.subtract(finite, slack, out=slack)
         if slack.max() <= 0.0:
             continue
-        for i, k in np.argwhere(slack > 0.0):
-            if i < k:
-                push(
-                    "triangle",
-                    (int(i), int(j), int(k)),
-                    f"d(i,k) = {float(finite[i, k])!r} > {float(finite[i, j] + finite[j, k])!r} via j",
-                )
+        ik = np.argwhere(slack > 0.0)
+        push(
+            "triangle",
+            np.insert(ik[ik[:, 0] < ik[:, 1]], 1, j, axis=1),
+            lambda i, j, k: f"d(i,k) = {float(finite[i, k])!r} > {float(finite[i, j] + finite[j, k])!r} via j",
+        )
 
     pos = finite[offdiag & (finite > 0)] if n > 1 else np.array([])
     min_positive = float(pos.min()) if pos.size else math.inf

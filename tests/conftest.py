@@ -78,16 +78,16 @@ def negative_type_margin(dist, beta) -> float:
 
 
 def reference_kernel(dist):
-    """The kernel build_embedding should take by eigvalsh: gaussian, laplacian, or None (neither).
+    """The beta build_embedding should take by eigvalsh: 2, 1, or None (neither).
 
     Inside a hypothesis test only: a space whose margin lies within a factor
     2 of the tolerance, where roundoff may decide, is skipped.
     """
-    for kind, beta in (("gaussian", 2.0), ("laplacian", 1.0)):
+    for beta in (2.0, 1.0):
         margin = negative_type_margin(dist, beta)
         assume(not -2.0 < margin < -0.5)
         if margin > -1.0:
-            return kind
+            return beta
     return None
 
 

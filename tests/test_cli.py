@@ -337,10 +337,13 @@ class TestMalformedEmbeddingFile:
         assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
         assert "malformed embedding payload: image blocks must be finite" in capsys.readouterr().err
 
-    # a kind outside KERNEL_KINDS, or levels of two kinds, once passed report with exit 0
+    # a kernel name the file map does not hold, or levels of two kernels, once
+    # passed report with exit 0
     @pytest.mark.parametrize("first,rest,message", [
-        (5, 5, "kernel_kind must be one of"),
-        ("gaussian", "laplacian", "every level must use one kernel kind"),
+        (5, 5, "schedule kernel must be one of ['gaussian', 'laplacian'], got 5"),
+        ("cauchy", "cauchy", "schedule kernel must be one of ['gaussian', 'laplacian'], got 'cauchy'"),
+        (["gaussian"], ["gaussian"], "schedule kernel must be one of ['gaussian', 'laplacian'], got ['gaussian']"),
+        ("gaussian", "laplacian", "every level must use one kernel exponent beta, got [1.0, 2.0]"),
     ])
     def test_report_bad_kernel_kind_exit_2(self, first, rest, message, hc2_embedding, capsys):
         space, emb = hc2_embedding

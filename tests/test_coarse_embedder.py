@@ -27,7 +27,7 @@ from lpembed.coarse_embedder import (
     theoretical_bounds,
 )
 from lpembed.distortion_report import empirical_profile, export, verify_bounds
-from lpembed.kernel_sphere_maps import KERNEL_KINDS, NotNegativeType, build_level_family
+from lpembed.kernel_sphere_maps import NotNegativeType, build_level_family
 from lpembed.lp_core import as_exponent, pairwise_pnorm_all, pairwise_power_sums_all
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
@@ -446,6 +446,31 @@ class TestJson:
         np.testing.assert_allclose(pairwise_image_power_sums(old)[3], pairwise_image_power_sums(new)[3], rtol=1e-13)
         assert empirical_profile(old, 10).marginal_count == empirical_profile(new, 10).marginal_count
 
+    # a path's d^2 is of negative type, a cube's is not
+    @pytest.mark.parametrize("kind,param,name,beta", [("path", 12, "gaussian", 2.0), ("hypercube", 3, "laplacian", 1.0)])
+    def test_kernel_names_read_as_beta(self, kind, param, name, beta, tmp_path):
+        X = generate(kind, param)
+        path, again = tmp_path / "e.json", tmp_path / "again.json"
+        save_embedding(build_embedding(X, p=1.5), path)
+        assert {level["kernel"] for level in json.loads(path.read_text())["schedule"]} == {name}
+        E = load_embedding(path, X)
+        assert {level.beta for level in E.schedule} == {beta}
+        save_embedding(E, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_numpy_integer_base_writes_an_ints_bytes(self, tmp_path):
+        # np.int64 passed the base check, and then json.dumps refused it
+        E = build_embedding(generate("hypercube", 3), p=1.5, base_index=2)
+        E64 = CoarseEmbedding(family=E.family, base_index=np.int64(2))
+        assert type(E64.base_index) is int
+        save_embedding(E, tmp_path / "a.json")
+        save_embedding(E64, tmp_path / "b.json")
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+        back = load_embedding(tmp_path / "b.json", E.space)
+        assert back.base_index == 2
+        save_embedding(back, tmp_path / "c.json")
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
 
 class TestStreamedWriter:
     def test_bytes_are_the_dict_form_dumped(self, built_embedding, tmp_path):
@@ -569,9 +594,13 @@ def certify(space, p):
     return embedding
 
 
-def certify_family(space, p, kernel_kind):
-    """The default schedule under a kernel named, below build_embedding's choice."""
-    family = build_level_family(space, default_level_count(space), p, 1.0, kernel_kind)
+# both kernels build_embedding chooses between, exp(-t d^2) and exp(-t d)
+BETAS = (2.0, 1.0)
+
+
+def certify_family(space, p, beta):
+    """The default schedule under a kernel exp(-t d^beta) given, below build_embedding's choice."""
+    family = build_level_family(space, default_level_count(space), p, 1.0, beta)
     assert verify_family(family) == []
 
 
@@ -580,7 +609,7 @@ class TestCertifyOrRefuse:
 
     The factor keeps only the eigenvalues above eigh's noise floor, so no
     level runs into the float64 floor of its closeness target: clouds
-    (gaussian kernel) always certify, ultrametrics under either kernel, and
+    (beta = 2) always certify, ultrametrics under either kernel, and
     graph metrics refuse, with NotNegativeType, exactly where d is not of
     negative type.
     """
@@ -588,41 +617,41 @@ class TestCertifyOrRefuse:
     @settings(max_examples=40, deadline=None)
     @given(space=graph_metrics(), p=st.sampled_from(PROPERTY_EXPONENTS))
     def test_graph_metrics(self, space, p):
-        kind = reference_kernel(space.dist)
-        if kind is None:
+        beta = reference_kernel(space.dist)
+        if beta is None:
             with pytest.raises(NotNegativeType, match="beta = 1"):
                 build_embedding(space, p=p)
         else:
-            assert certify(space, p).schedule[0].kernel_kind == kind
+            assert certify(space, p).schedule[0].beta == beta
 
     @settings(max_examples=40, deadline=None)
     @given(space=euclidean_clouds(), p=st.sampled_from(PROPERTY_EXPONENTS))
     def test_euclidean_clouds(self, space, p):
-        assert certify(space, p).schedule[0].kernel_kind == "gaussian"
+        assert certify(space, p).schedule[0].beta == 2.0
 
     @settings(max_examples=40, deadline=None)
     @given(
         space=ultrametrics(),
         p=st.sampled_from(PROPERTY_EXPONENTS),
-        kernel_kind=st.sampled_from(KERNEL_KINDS),
+        beta=st.sampled_from(BETAS),
     )
-    def test_ultrametrics(self, space, p, kernel_kind):
+    def test_ultrametrics(self, space, p, beta):
         # an ultrametric embeds isometrically in l_2, so both kernels are PSD
         # at every bandwidth and no build may refuse
-        certify_family(space, p, kernel_kind)
+        certify_family(space, p, beta)
 
     # one point has no pair and two points one, where calibration's choice of
     # close-pair measurement meets its edge (2 * close >= pairs)
-    @pytest.mark.parametrize("kernel_kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("p", PROPERTY_EXPONENTS)
-    def test_one_point(self, p, kernel_kind):
-        certify_family(FiniteMetricSpace(labels=("a",), dist=np.zeros((1, 1))), p, kernel_kind)
+    def test_one_point(self, p, beta):
+        certify_family(FiniteMetricSpace(labels=("a",), dist=np.zeros((1, 1))), p, beta)
 
-    @pytest.mark.parametrize("kernel_kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("p", PROPERTY_EXPONENTS)
     @pytest.mark.parametrize("d", [1e-7, 1.0, 3.5])
-    def test_two_points(self, d, p, kernel_kind):
-        certify_family(FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, d], [d, 0.0]])), p, kernel_kind)
+    def test_two_points(self, d, p, beta):
+        certify_family(FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, d], [d, 0.0]])), p, beta)
 
 
 def k23():
@@ -640,7 +669,7 @@ def permuted(space, perm):
 
 
 def chosen_kernel(space):
-    """The kernel build_embedding takes on space, or None where it refuses."""
+    """The beta build_embedding takes on space, or None where it refuses."""
     try:
         return kernel_sphere_maps._kernel_for(space)
     except NotNegativeType:
@@ -648,7 +677,7 @@ def chosen_kernel(space):
 
 
 class TestKernelChoice:
-    """The kernel follows from the distances: gaussian where d^2 is of negative type, else laplacian where d is."""
+    """The kernel follows from the distances: beta = 2 where d^2 is of negative type, else beta = 1 where d is."""
 
     @settings(max_examples=150, deadline=None)
     @given(space=st.one_of(graph_metrics(), ultrametrics(), euclidean_clouds()))
@@ -657,9 +686,9 @@ class TestKernelChoice:
 
     @settings(max_examples=40, deadline=None)
     @given(space=st.one_of(ultrametrics(), euclidean_clouds()))
-    def test_ultrametrics_and_clouds_take_gaussian(self, space):
+    def test_ultrametrics_and_clouds_take_beta_two(self, space):
         # both embed isometrically in l_2, so d^2 is of negative type
-        assert chosen_kernel(space) == "gaussian"
+        assert chosen_kernel(space) == 2.0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), space=graph_metrics())
@@ -671,19 +700,19 @@ class TestKernelChoice:
     @pytest.mark.parametrize(
         "kind,param,expected",
         [
-            ("hypercube", 4, "laplacian"),
-            ("hypercube", 8, "laplacian"),
-            ("cycle", 16, "laplacian"),
-            ("gaussian", 60, "gaussian"),
-            ("path", 30, "gaussian"),
-            ("hypercube", 1, "gaussian"),
-            ("cycle", 3, "gaussian"),
+            ("hypercube", 4, 1.0),
+            ("hypercube", 8, 1.0),
+            ("cycle", 16, 1.0),
+            ("gaussian", 60, 2.0),
+            ("path", 30, 2.0),
+            ("hypercube", 1, 2.0),
+            ("cycle", 3, 2.0),
         ],
     )
     def test_stock_spaces(self, kind, param, expected):
         # clouds, cubes and cycles keep the kernel their meta label gave them;
         # paths, and the two- and three-point cube and cycle, whose d^2 is of
-        # negative type, take the gaussian kernel
+        # negative type, take beta = 2
         X = generate(kind, param, seed=1) if kind == "gaussian" else generate(kind, param)
         assert chosen_kernel(X) == expected
 
@@ -699,10 +728,10 @@ class TestKernelChoice:
         assert calls == []
 
     @pytest.mark.parametrize("param,p,thresholds,constant_from", [(30, 2.0, [2, 5, 13], 4), (48, 3.0, [3, 11, 28], 13)])
-    def test_paths_certify_under_the_gaussian_kernel(self, param, p, thresholds, constant_from):
-        # under the laplacian kernel these gave S = [2, 10] and [2, 23]
+    def test_paths_certify_under_beta_two(self, param, p, thresholds, constant_from):
+        # under beta = 1 these gave S = [2, 10] and [2, 23]
         E = certify(generate("path", param), p)
-        assert {level.kernel_kind for level in E.schedule} == {"gaussian"}
+        assert {level.beta for level in E.schedule} == {2.0}
         assert E.separation_thresholds().tolist() == thresholds
         # from constant_from on, every level takes the constant map: path(30)
         # at p = 2 at the separation end, after S_3 = 13, and path(48) at p = 3
@@ -712,7 +741,7 @@ class TestKernelChoice:
         assert constant == list(range(constant_from, E.level_count + 1))
         assert all(level.epsilon_n == 0.0 and level.saturated for level in E.schedule[constant_from - 1:])
 
-    def test_overflowing_squares_take_laplacian(self):
+    def test_overflowing_squares_take_beta_one(self):
         # d^2 overflows to inf, and G holds inf and NaN; a Cholesky of it
         # returns NaN without raising, so only the finiteness check refuses
         # beta = 2. The build raises no RuntimeWarning (an error in this suite)
@@ -722,8 +751,30 @@ class TestKernelChoice:
         with np.errstate(over="ignore"):
             assert np.isinf(X.dist ** 2).any()
         E = build_embedding(X, p=1.5)
-        assert {level.kernel_kind for level in E.schedule} == {"laplacian"}
+        assert {level.beta for level in E.schedule} == {1.0}
         assert verify_bounds(E) == []
+
+
+def bits(arr):
+    return np.asarray(arr, dtype=np.float64).view(np.uint64)
+
+
+class TestOneKernel:
+    """One kernel exp(-t d^beta): at beta = 2 and 1, the bits of exp(-t d d) and exp(-t d)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(space=st.one_of(graph_metrics(), euclidean_clouds()), t=st.floats(1e-12, 1e8))
+    def test_kernel_matrix_bits(self, space, t):
+        d = space.dist
+        assert np.array_equal(bits(kernel_sphere_maps.kernel_matrix(space, t, 2)), bits(np.exp(-t * d * d)))
+        assert np.array_equal(bits(kernel_sphere_maps.kernel_matrix(space, t, 1)), bits(np.exp(-t * d)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(space=st.one_of(graph_metrics(), euclidean_clouds()))
+    def test_kernel_g_bits(self, space):
+        d = space.dist.ravel().tolist()
+        assert np.array_equal(bits([kernel_sphere_maps._kernel_g(x, 2) for x in d]), bits([x * x for x in d]))
+        assert np.array_equal(bits([kernel_sphere_maps._kernel_g(x, 1) for x in d]), bits(d))
 
 
 # the benchmark's graph-ladder grid (125 specs) and the first 16 clouds of its
@@ -841,7 +892,7 @@ class TestSeparationEnd:
         assert not rule(2.0 ** -3, 0.0, True)
         assert not rule(2.0 ** -3, 6.0, False)
         # path(8): from level 7 on every pair is close and 2^-n < 1/2
-        family = build_level_family(generate("path", 8), 10, p, 1.0, "laplacian")
+        family = build_level_family(generate("path", 8), 10, p, 1.0, 1.0)
         for level in family.levels[6:]:
             assert level.images.shape[1] == 1 and level.epsilon_n == 0.0 and level.saturated
         assert verify_family(family) == []

@@ -26,7 +26,7 @@ from lpembed.lp_core import as_exponent, pairwise_pnorm_all, row_pnorms
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
 # closed-form max bandwidth for a two-point space at distance 1 under the
-# laplacian kernel at p = 2: sqrt(2(1 - e^-t)) = 2^-n  =>  t*(n) = -ln(1 - 2^(-2n-1))
+# kernel exp(-t d) (beta = 1) at p = 2: sqrt(2(1 - e^-t)) = 2^-n  =>  t*(n) = -ln(1 - 2^(-2n-1))
 T_STAR = {1: 0.13353139262452262, 2: 0.0317486983145803, 3: 0.007843177461025893}
 
 
@@ -36,7 +36,7 @@ def two_point(d=1.0):
 
 def claw():
     # star K_{1,3}: center at distance 1 from three leaves, leaves mutually at 2;
-    # its squared distances are not of negative type, so the gaussian kernel
+    # its squared distances are not of negative type, so beta = 2's kernel
     # must be rejected at small bandwidth
     d = np.array(
         [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]],
@@ -48,23 +48,23 @@ def claw():
 class TestBuildSphereMap:
     def test_two_point_gram_identity(self):
         t, d = 0.7, 1.3
-        V = build_sphere_map(two_point(d), t, "laplacian")
+        V = build_sphere_map(two_point(d), t, 1.0)
         expected = math.sqrt(2.0 * (1.0 - math.exp(-t * d)))
         got = float(np.linalg.norm(V[0] - V[1]))
         assert got == pytest.approx(expected, abs=1e-8)
 
     def test_small_bandwidth_collapses_images(self):
         X = generate("cycle", 7)
-        V = build_sphere_map(X, 1e-9, "laplacian")
+        V = build_sphere_map(X, 1e-9, 1.0)
         assert pairwise_pnorm_all(V, 2.0).max() <= 1e-3
 
     def test_hypercube3_eigenvalues_match_tensor_oracle(self):
-        # laplacian kernel on {0,1}^3 is the 3-fold tensor power of
+        # exp(-t d) on {0,1}^3 is the 3-fold tensor power of
         # [[1, a], [a, 1]] with a = e^-t: eigenvalues (1+a)^(3-w) (1-a)^w
         X = generate("hypercube", 3)
         t = 0.5
         a = math.exp(-t)
-        K = kernel_matrix(X, t, "laplacian")
+        K = kernel_matrix(X, t, 1.0)
         got = np.sort(np.linalg.eigvalsh(K))
         expected = np.sort(
             [(1 + a) ** (3 - w) * (1 - a) ** w for w in range(4) for _ in range(math.comb(3, w))]
@@ -72,59 +72,62 @@ class TestBuildSphereMap:
         np.testing.assert_allclose(got, expected, atol=1e-12)
         assert got.min() > 0
 
-    @pytest.mark.parametrize("kind,t", [("laplacian", 0.5), ("gaussian", 0.05)])
-    def test_gram_reconstruction_within_1e8(self, kind, t):
-        X = generate("hypercube", 3) if kind == "laplacian" else generate("gaussian", 40, seed=2)
-        K = kernel_matrix(X, t, kind)
-        V = build_sphere_map(X, t, kind)
+    @pytest.mark.parametrize("beta,t", [(1.0, 0.5), (2.0, 0.05)])
+    def test_gram_reconstruction_within_1e8(self, beta, t):
+        X = generate("hypercube", 3) if beta == 1.0 else generate("gaussian", 40, seed=2)
+        K = kernel_matrix(X, t, beta)
+        V = build_sphere_map(X, t, beta)
         assert np.abs(V @ V.T - K).max() <= 1e-8
 
     def test_image_distances_match_gram_formula(self):
         X = generate("gaussian", 30, seed=11)
         t = 0.2
-        K = kernel_matrix(X, t, "gaussian")
-        V = build_sphere_map(X, t, "gaussian")
+        K = kernel_matrix(X, t, 2.0)
+        V = build_sphere_map(X, t, 2.0)
         ii, jj = X.pair_indices()
         expected = np.sqrt(2.0 * (1.0 - K[ii, jj]))
         np.testing.assert_allclose(pairwise_pnorm_all(V, 2.0), expected, atol=1e-8)
 
     def test_unit_rows(self):
-        V = build_sphere_map(generate("path", 9), 0.3, "laplacian")
+        V = build_sphere_map(generate("path", 9), 0.3, 1.0)
         assert np.abs(row_pnorms(V, 2.0) - 1.0).max() <= 1e-12
 
     def test_non_negative_type_kernel_rejected(self):
         with pytest.raises(NotNegativeType, match="eigenvalue"):
-            build_sphere_map(claw(), 0.1, "gaussian")
+            build_sphere_map(claw(), 0.1, 2.0)
 
-    def test_same_space_laplacian_accepted(self):
-        V = build_sphere_map(claw(), 0.1, "laplacian")
+    def test_same_space_beta_one_accepted(self):
+        V = build_sphere_map(claw(), 0.1, 1.0)
         assert V.shape == (4, 4)
 
-    def test_bad_kernel_kind(self):
-        with pytest.raises(ValueError):
-            kernel_matrix(two_point(), 1.0, "cauchy")
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5, 2.5, math.nan, -1.0, "laplacian"])
+    def test_bad_kernel_exponent(self, beta):
+        with pytest.raises(ValueError, match=r"beta must be one of \(2.0, 1.0\)"):
+            kernel_matrix(two_point(), 1.0, beta)
+        with pytest.raises(ValueError, match=r"beta must be one of \(2.0, 1.0\)"):
+            build_level_family(two_point(), 2, 1.0, 1.0, beta)
 
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):
-            kernel_matrix(two_point(), 0.0, "laplacian")
+            kernel_matrix(two_point(), 0.0, 1.0)
 
 
 class TestMeasureConditions:
     def test_r_zero_sup_is_zero(self):
         X = generate("cycle", 5)
-        V = build_sphere_map(X, 0.4, "laplacian")
+        V = build_sphere_map(X, 0.4, 1.0)
         sup, _ = measure_conditions(V, X, 0.0, 1.0, 2.0)
         assert sup == 0.0
 
     def test_s_beyond_diameter_inf_is_infinite(self):
         X = generate("cycle", 5)
-        V = build_sphere_map(X, 0.4, "laplacian")
+        V = build_sphere_map(X, 0.4, 1.0)
         _, inf_far = measure_conditions(V, X, 1.0, X.diameter() + 1.0, 2.0)
         assert inf_far == math.inf
 
     def test_two_point_single_pair(self):
         X = two_point()
-        V = build_sphere_map(X, 0.4, "laplacian")
+        V = build_sphere_map(X, 0.4, 1.0)
         sup, inf_far = measure_conditions(V, X, 1.0, 1.0, 2.0)
         d = float(np.linalg.norm(V[0] - V[1]))
         assert sup == pytest.approx(d, abs=1e-15)
@@ -137,7 +140,7 @@ class TestCalibrateLevel:
         # bisection/interpolation must land just below the closed-form optimum;
         # delta/2 = 2^-(n+1) stays under the target, so the only pair can still
         # be delta/2 apart and the separation end leaves the level to the search
-        lvl = calibrate_level(two_point(), n, 2.0, 2.0 ** -n, "laplacian")
+        lvl = calibrate_level(two_point(), n, 2.0, 2.0 ** -n, 1.0)
         assert lvl.bandwidth_t <= T_STAR[n] * (1 + 1e-9)
         assert lvl.bandwidth_t >= T_STAR[n] * 0.80
         assert lvl.epsilon_n <= 2.0 ** (-n)
@@ -145,7 +148,7 @@ class TestCalibrateLevel:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_certificates_remesured(self, p):
         X = generate("hypercube", 4)
-        lvl = calibrate_level(X, 2, p, 1.0, "laplacian")
+        lvl = calibrate_level(X, 2, p, 1.0, 1.0)
         sup, inf_far = measure_conditions(lvl.images, X, lvl.level_n, lvl.s_n, p)
         assert sup == lvl.epsilon_n
         assert sup <= 0.25
@@ -153,25 +156,25 @@ class TestCalibrateLevel:
 
     def test_level_beyond_diameter_bounds_all_pairs(self):
         X = generate("hypercube", 3)
-        lvl = calibrate_level(X, 5, 1.0, 1.0, "laplacian")
+        lvl = calibrate_level(X, 5, 1.0, 1.0, 1.0)
         assert pairwise_pnorm_all(lvl.images, 1.0).max() <= 2.0 ** -5
 
     def test_unreachable_delta_raises(self):
         # at p = 1 the transport-guaranteed far ceiling is 1.0, so delta/2 > 1 fails
         with pytest.raises(CalibrationError, match="ceiling"):
-            calibrate_level(generate("hypercube", 3), 1, 1.0, 2.5, "laplacian")
+            calibrate_level(generate("hypercube", 3), 1, 1.0, 2.5, 1.0)
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0])
     def test_delta_not_finite_positive_is_a_value_error(self, delta):
         # the family's rule, before the ceiling check: inf is not unreachable, it is invalid
         with pytest.raises(ValueError, match="delta must be finite and positive"):
-            calibrate_level(generate("hypercube", 3), 1, 1.0, delta, "laplacian")
+            calibrate_level(generate("hypercube", 3), 1, 1.0, delta, 1.0)
 
     def test_monotone_kernel_sup_at_max_close_distance(self):
         # at p = 2 the image distance is increasing in source distance, so the
         # close sup sits exactly on the largest close distance class
         X = generate("path", 12)
-        lvl = calibrate_level(X, 3, 2.0, 1.0, "laplacian")
+        lvl = calibrate_level(X, 3, 2.0, 1.0, 1.0)
         ii, jj = X.pair_indices()
         d = X.dist[ii, jj]
         pair_d = pairwise_pnorm_all(lvl.images, 2.0)
@@ -179,37 +182,37 @@ class TestCalibrateLevel:
         assert lvl.epsilon_n == pytest.approx(pair_d[close][d[close] == 3].max(), abs=1e-15)
 
     def test_images_unit_norm_at_target_exponent(self):
-        lvl = calibrate_level(generate("cycle", 9), 2, 1.5, 1.0, "laplacian")
+        lvl = calibrate_level(generate("cycle", 9), 2, 1.5, 1.0, 1.0)
         assert np.abs(row_pnorms(lvl.images, 1.5) - 1.0).max() <= 1e-9
 
     def test_bad_level_index(self):
         with pytest.raises(ValueError):
-            calibrate_level(two_point(), 0, 2.0, 1.0, "laplacian")
+            calibrate_level(two_point(), 0, 2.0, 1.0, 1.0)
 
 
 class TestFamily:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_family_passes_verification(self, p):
         X = generate("hypercube", 4)
-        fam = build_level_family(X, 6, p, 1.0, "laplacian")
+        fam = build_level_family(X, 6, p, 1.0, 1.0)
         assert verify_family(fam) == []
 
     def test_thresholds_strictly_increasing_with_small_delta(self):
         # small delta keeps several levels non-saturated, exercising the
         # strict-increase enforcement
         X = generate("path", 30)
-        fam = build_level_family(X, 5, 2.0, 0.4, "laplacian")
+        fam = build_level_family(X, 5, 2.0, 0.4, 1.0)
         finite = [lvl.s_n for lvl in fam.levels if not lvl.saturated]
         assert len(finite) >= 2
         assert all(b > a for a, b in zip(finite, finite[1:]))
 
     def test_epsilon_schedule_dyadic(self):
-        fam = build_level_family(generate("cycle", 8), 5, 1.0, 1.0, "laplacian")
+        fam = build_level_family(generate("cycle", 8), 5, 1.0, 1.0, 1.0)
         for lvl in fam.levels:
             assert lvl.epsilon_n <= 2.0 ** (-lvl.level_n)
 
     def test_level_without_images_rejected(self):
-        fam = build_level_family(generate("cycle", 8), 4, 1.0, 1.0, "laplacian")
+        fam = build_level_family(generate("cycle", 8), 4, 1.0, 1.0, 1.0)
         level = fam.levels[1]
         for bad in (None, level.images[0], level.images[None]):
             with pytest.raises(ValueError, match=r"level 2: images must be a \(points, width\) array"):
@@ -217,22 +220,22 @@ class TestFamily:
         with pytest.raises(TypeError, match="images"):
             SphereMapLevel(
                 level_n=1, exponent=level.exponent, epsilon_n=0.5, s_n=math.inf, bandwidth_t=1.0,
-                kernel_kind="laplacian",
+                beta=1.0,
             )
 
     def test_images_one_row_per_point(self):
-        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, "laplacian")
+        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, 1.0)
         short = replace(fam.levels[2], images=fam.levels[2].images[:-1])
         with pytest.raises(ValueError, match="one row per point, 8 rows"):
             replace(fam, levels=fam.levels[:2] + (short,))
 
     def test_pair_distances_required(self):
         # every level, built or read back from JSON, carries its pair distances
-        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, "laplacian").levels[1]
+        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0).levels[1]
         with pytest.raises(TypeError, match="pair_distances"):
             SphereMapLevel(
                 level_n=2, exponent=level.exponent, epsilon_n=level.epsilon_n, s_n=level.s_n,
-                bandwidth_t=level.bandwidth_t, kernel_kind="laplacian", images=level.images,
+                bandwidth_t=level.bandwidth_t, beta=1.0, images=level.images,
             )
         for bad in (None, level.pair_distances[None], np.float64(0.5)):
             with pytest.raises(ValueError, match="level 2: pair_distances must be a 1-D array"):
@@ -240,7 +243,7 @@ class TestFamily:
 
     @pytest.mark.parametrize("trim", [1, -1])
     def test_one_pair_distance_per_pair(self, trim):
-        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, "laplacian")
+        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, 1.0)
         level = fam.levels[1]
         d = level.pair_distances
         wrong = d[:-1] if trim > 0 else np.concatenate([d, d[:1]])
@@ -257,13 +260,13 @@ class TestFamily:
         ("bandwidth_t", -2.0, "level 1: t must be finite and positive"),
     ])
     def test_schedule_values_checked(self, field, value, message):
-        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, "laplacian").levels[0]
+        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0).levels[0]
         with pytest.raises(ValueError, match=message):
             replace(level, **{field: value})
 
     @pytest.mark.parametrize("numbers", [(0, 2, 3), (2, 2, 3), (1, 3, 2), (2, 3, 4)])
     def test_level_numbers_run_from_one_in_order(self, numbers):
-        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, "laplacian")
+        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, 1.0)
         levels = tuple(replace(level, level_n=k) for level, k in zip(fam.levels, numbers))
         with pytest.raises(ValueError, match=r"level numbers n must run 1\.\.3 in order"):
             replace(fam, levels=levels)
@@ -287,12 +290,12 @@ class TestFamily:
 
     def test_gaussian_space_with_gaussian_kernel(self):
         X = generate("gaussian", 40, seed=3)
-        fam = build_level_family(X, 4, 1.5, 1.0, "gaussian")
+        fam = build_level_family(X, 4, 1.5, 1.0, 2.0)
         assert verify_family(fam) == []
 
     def test_tampered_family_problems_from_one_scan_per_level(self, monkeypatch):
         X = generate("hypercube", 4)
-        fam = build_level_family(X, 6, 1.0, 1.0, "laplacian")
+        fam = build_level_family(X, 6, 1.0, 1.0, 1.0)
         lv = list(fam.levels)
         lv[0] = replace(lv[0], epsilon_n=lv[0].epsilon_n / 2.0)
         lv[1] = replace(lv[1], s_n=1.0)
@@ -379,9 +382,9 @@ class TestGatherEquivalence:
             ran["scan_level"] = real_rule(close_count, pair_count)
             return ran["scan_level"]
 
-        def spy_factor(space, t, kind):
+        def spy_factor(space, t, beta):
             ran["scan_tries"] += ran["scan_level"]
-            return real_factor(space, t, kind)
+            return real_factor(space, t, beta)
 
         monkeypatch.setattr(kernel_sphere_maps, "_close_pair_sup", spy_gather)
         monkeypatch.setattr(kernel_sphere_maps, "_scans_every_try", spy_rule)
@@ -409,8 +412,8 @@ class TestScanRule:
 
     @pytest.mark.parametrize("close_pairs, scans_tries", [(3, True), (2, False)])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("kind", ["laplacian", "gaussian"])
-    def test_path_at_half_the_pairs_and_other_path_bits(self, close_pairs, scans_tries, p, kind, monkeypatch):
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_path_at_half_the_pairs_and_other_path_bits(self, close_pairs, scans_tries, p, beta, monkeypatch):
         X = half_close_space(close_pairs)
         ii, jj = X.pair_indices()
         assert int(np.count_nonzero(X.dist[ii, jj] <= 1.0)) == close_pairs
@@ -422,7 +425,7 @@ class TestScanRule:
         )
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
-        level = calibrate_level(X, 1, p, 1.0, kind)
+        level = calibrate_level(X, 1, p, 1.0, beta)
         tries = len(calls)
         if scans_tries:
             assert gathers == [] and len(scans) == tries
@@ -434,7 +437,7 @@ class TestScanRule:
             kernel_sphere_maps, "_scans_every_try", lambda close_count, pair_count: not real_rule(close_count, pair_count)
         )
         del gathers[:], scans[:]
-        other = calibrate_level(X, 1, p, 1.0, kind)
+        other = calibrate_level(X, 1, p, 1.0, beta)
         assert bool(gathers) == scans_tries
         assert_same_levels(
             SphereMapFamily((level,), level.exponent, 1.0, X), SphereMapFamily((other,), other.exponent, 1.0, X)
@@ -452,13 +455,13 @@ def assert_same_levels(family, reference):
 
 
 def pinned_kernel(kind, X):
-    """The kernel build_embedding takes, but laplacian on paths.
+    """The beta build_embedding takes, but beta = 1 on paths.
 
-    build_embedding takes the gaussian kernel on a path, whose d^2 is of
-    negative type; the factorization counts, floor levels and thresholds
-    these tests pin on paths were measured under the laplacian kernel.
+    build_embedding takes beta = 2 on a path, whose d^2 is of negative
+    type; the factorization counts, floor levels and thresholds these tests
+    pin on paths were measured under beta = 1, exp(-t d).
     """
-    return "laplacian" if kind == "path" else kernel_sphere_maps._kernel_for(X)
+    return 1.0 if kind == "path" else kernel_sphere_maps._kernel_for(X)
 
 
 def default_family_args(kind, param, p, delta=1.0):
@@ -477,9 +480,9 @@ def spy_factor(monkeypatch):
     calls = []
     real = kernel_sphere_maps.build_sphere_map
 
-    def spy(space, t, kind):
+    def spy(space, t, beta):
         calls.append(t)
-        return real(space, t, kind)
+        return real(space, t, beta)
 
     monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", spy)
     return calls
@@ -530,7 +533,7 @@ class TestKernelReuse:
         # bandwidth, and levels 2..4 take level 1's images and pair distances
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
-        fam = build_level_family(two_point(5.0), 4, 1.5, 1.0, "laplacian")
+        fam = build_level_family(two_point(5.0), 4, 1.5, 1.0, 1.0)
         assert calls == [kernel_sphere_maps.T_CAP]
         assert scans == [2]
         first = fam.levels[0]
@@ -567,11 +570,11 @@ class TestKernelReuse:
 
     def test_previous_from_other_exponent_rejected(self):
         X = generate("hypercube", 3)
-        level = calibrate_level(X, 1, 1.0, 1.0, "laplacian")
+        level = calibrate_level(X, 1, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="previous level"):
-            calibrate_level(X, 2, 2.0, 1.0, "laplacian", previous=level)
+            calibrate_level(X, 2, 2.0, 1.0, 1.0, previous=level)
         with pytest.raises(ValueError, match="previous level"):
-            calibrate_level(generate("hypercube", 2), 2, 1.0, 1.0, "laplacian", previous=level)
+            calibrate_level(generate("hypercube", 2), 2, 1.0, 1.0, 1.0, previous=level)
 
 
 WARM_CASES = REUSE_CASES + [(("path", 48), 1.0)]
@@ -611,10 +614,10 @@ def trace_levels(monkeypatch):
         levels.append(level)
         return level
 
-    def spy_factor(space, t, kind):
+    def spy_factor(space, t, beta):
         if calibrating:
             tried[-1].append(t)
-        return real_factor(space, t, kind)
+        return real_factor(space, t, beta)
 
     monkeypatch.setattr(kernel_sphere_maps, "calibrate_level", spy_level)
     monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", spy_factor)
@@ -639,14 +642,14 @@ class TestWarmStart:
     @pytest.mark.parametrize("case", WARM_CASES, ids=case_id)
     def test_every_level_keeps_the_stopping_rule(self, case, monkeypatch):
         levels, tried = trace_levels(monkeypatch)
-        X, _, p, _, kernel_kind = build_case(case)
+        X, _, p, _, beta = build_case(case)
         assert len(levels) >= 8
         cap = kernel_sphere_maps.T_CAP
         for level, ts in zip(levels, tried):
             eps = 2.0 ** -level.level_n
             # the floor's constant map may stop anywhere, but only at a
             # bandwidth where the kernel is all-ones
-            constant = bool((kernel_matrix(X, level.bandwidth_t, kernel_kind) == 1.0).all())
+            constant = bool((kernel_matrix(X, level.bandwidth_t, beta) == 1.0).all())
             if constant:
                 assert level.images.shape[1] == 1
                 assert level.epsilon_n == 0.0 and level.saturated
@@ -663,7 +666,7 @@ class TestWarmStart:
                 # within 1% of it and misses the target
                 top = min(t for t in ts + [cap] if t > level.bandwidth_t)
                 assert top <= 1.01 * level.bandwidth_t
-                images = kernel_sphere_maps._transported_images(X, top, kernel_kind, as_exponent(p))
+                images = kernel_sphere_maps._transported_images(X, top, beta, as_exponent(p))
                 assert measure_conditions(images, X, level.level_n, math.inf, p)[0] > eps
             cap = level.bandwidth_t
 
@@ -673,9 +676,9 @@ class TestWarmStart:
         kernels = []
         real = kernel_sphere_maps.kernel_matrix
 
-        def spy_kernel(space, t, kind):
+        def spy_kernel(space, t, beta):
             kernels.append(t)
-            return real(space, t, kind)
+            return real(space, t, beta)
 
         monkeypatch.setattr(kernel_sphere_maps, "kernel_matrix", spy_kernel)
         build_case(case)
@@ -685,10 +688,10 @@ class TestWarmStart:
         # level 3's bandwidth keeps pairs within 3 under 2^-3, so it already
         # meets level 2's target on the pairs within 2
         X = generate("cycle", 16)
-        third = calibrate_level(X, 3, 1.0, 1.0, "laplacian")
+        third = calibrate_level(X, 3, 1.0, 1.0, 1.0)
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
-        second = calibrate_level(X, 2, 1.0, 1.0, "laplacian", previous=third)
+        second = calibrate_level(X, 2, 1.0, 1.0, 1.0, previous=third)
         assert calls == []
         assert scans == []
         assert second.bandwidth_t == third.bandwidth_t
@@ -710,10 +713,10 @@ class TestRankAwareImages:
     def test_all_ones_kernel_is_the_constant_map(self):
         # every t * d sits below float64 resolution at the capped bandwidth
         X = FiniteMetricSpace(labels=tuple("abcdef"), dist=generate("path", 6).dist * 1e-30)
-        assert (kernel_matrix(X, kernel_sphere_maps.T_CAP, "laplacian") == 1.0).all()
-        assert build_sphere_map(X, kernel_sphere_maps.T_CAP, "laplacian").shape == (6, 1)
+        assert (kernel_matrix(X, kernel_sphere_maps.T_CAP, 1.0) == 1.0).all()
+        assert build_sphere_map(X, kernel_sphere_maps.T_CAP, 1.0).shape == (6, 1)
         for p in (1.0, 2.0, 3.0):
-            level = calibrate_level(X, 1, p, 1.0, "laplacian")
+            level = calibrate_level(X, 1, p, 1.0, 1.0)
             assert level.bandwidth_t == kernel_sphere_maps.T_CAP
             assert level.images.shape == (6, 1)
             assert level.saturated
@@ -728,7 +731,7 @@ class TestRankAwareImages:
         p = as_exponent(2.0)
         start = kernel_sphere_maps._feasible_start(0.5, p, 1.0, kernel_sphere_maps._gram_error(X.n))
         calls = spy_factor(monkeypatch)
-        level = calibrate_level(X, 1, p, 1.0, "laplacian")
+        level = calibrate_level(X, 1, p, 1.0, 1.0)
         assert calls == [start]
         assert level.bandwidth_t == start
         assert 0.9 * 0.5 <= level.epsilon_n <= 0.5
@@ -749,15 +752,15 @@ def below_floor(X, n, t):
 class TestResolution:
     """Calibration factors no kernel outside float64's resolution."""
 
-    @pytest.mark.parametrize("kind", ["laplacian", "gaussian"])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_target_below_the_floor_factors_nothing(self, kind, p, monkeypatch):
+    def test_target_below_the_floor_factors_nothing(self, beta, p, monkeypatch):
         # with no previous level, level 40's envelope start lies below the floor
         X = generate("path", 48)
         calls = spy_factor(monkeypatch)
-        level = calibrate_level(X, 40, p, 1.0, kind)
+        level = calibrate_level(X, 40, p, 1.0, beta)
         assert calls == []
-        K = kernel_matrix(X, level.bandwidth_t, kind)
+        K = kernel_matrix(X, level.bandwidth_t, beta)
         assert (K == 1.0).all()
         assert level.images.shape == (48, 1)
         assert np.array_equal(level.images @ level.images.T, K)
@@ -774,8 +777,8 @@ class TestResolution:
         # factor 4 of the largest bandwidth where the kernel is all-ones
         # (exp(-x) rounds to the float below 1.0 from x = 2^-53 on)
         first = next(level for level in levels if level.images.shape[1] == 1)
-        assert (kernel_matrix(X, first.bandwidth_t, "laplacian") == 1.0).all()
-        assert not (kernel_matrix(X, 4.0 * first.bandwidth_t, "laplacian") == 1.0).all()
+        assert (kernel_matrix(X, first.bandwidth_t, 1.0) == 1.0).all()
+        assert not (kernel_matrix(X, 4.0 * first.bandwidth_t, 1.0) == 1.0).all()
         assert below_floor(X, first.level_n, first.bandwidth_t)
         assert all(level.bandwidth_t == first.bandwidth_t for level in levels[first.level_n:])
 
@@ -803,7 +806,7 @@ class TestResolution:
         d = X.dist[ii, jj]
         assert d.min() > 1.0
         levels, tried = trace_levels(monkeypatch)
-        family = build_level_family(X, default_level_count(X), p, 1.0, "gaussian")
+        family = build_level_family(X, default_level_count(X), p, 1.0, 2.0)
         assert verify_family(family) == []
         assert levels[0].bandwidth_t == kernel_sphere_maps.T_CAP
         for level, ts in zip(levels[1:], tried[1:]):

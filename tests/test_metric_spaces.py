@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -180,6 +181,64 @@ class TestTriangleAgainstReference:
             assert 0 < len(got) < MAX_VIOLATIONS
         else:
             assert len(got) == expected
+
+
+def violations_reference(space):
+    """Every violation validate reports, uncapped, in its order: one Python loop per kind."""
+    d = space.dist
+    out = [("finite", (int(i), int(j)), f"dist = {float(d[i, j])!r}") for i, j in np.argwhere(~np.isfinite(d))]
+    finite = np.where(np.isfinite(d), d, 0.0)
+    for i in range(space.n):
+        if finite[i, i] != 0.0:
+            out.append(("diagonal", (i,), f"dist(i,i) = {float(finite[i, i])!r}"))
+    pairs = [(i, j) for i in range(space.n) for j in range(i + 1, space.n)]
+    out += [
+        ("symmetry", (i, j), f"{float(finite[i, j])!r} != {float(finite[j, i])!r}")
+        for i, j in pairs if finite[i, j] != finite[j, i]
+    ]
+    out += [("positivity", (i, j), f"dist = {float(finite[i, j])!r}") for i, j in pairs if finite[i, j] <= 0.0]
+    out += [("triangle", idx, detail) for idx, detail in triangle_reference(space)]
+    return out
+
+
+def random_non_metric(n, seed):
+    """Small integer distances with some NaN, inf, asymmetric, zero and diagonal entries."""
+    rng = np.random.default_rng(seed)
+    d = rng.integers(0, 9, (n, n)).astype(np.float64)
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    d[rng.random((n, n)) < 0.03] += 1.0
+    d[rng.random((n, n)) < 0.01] = math.nan
+    d[rng.random((n, n)) < 0.01] = math.inf
+    d[np.diag_indices(n)] = np.where(rng.random(n) < 0.1, 1.0, 0.0)
+    return FiniteMetricSpace(labels=tuple(map(str, range(n))), dist=d)
+
+
+class TestViolationCap:
+    """validate stops enumerating once MAX_VIOLATIONS are reported."""
+
+    @pytest.mark.parametrize("n,seed", [(3, 0), (8, 1), (15, 2), (30, 3), (45, 4)])
+    def test_capped_report_is_the_oracles_head(self, n, seed):
+        space = random_non_metric(n, seed)
+        got = [(v.kind, v.indices, v.detail) for v in validate(space).violations]
+        reference = violations_reference(space)
+        assert got == reference[:MAX_VIOLATIONS]
+        assert {kind for kind, _, _ in got} >= ({"finite", "symmetry", "positivity"} if n >= 15 else set())
+
+    def test_oracle_past_the_cap(self):
+        # the head test above must also see reports the cap cuts short
+        assert len(violations_reference(random_non_metric(45, 4))) > MAX_VIOLATIONS
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_non_metric(400, 5),
+        lambda: FiniteMetricSpace(labels=tuple(map(str, range(1000))), dist=np.full((1000, 1000), math.nan)),
+    ], ids=["random400", "nan1000"])
+    def test_cpu_budget(self, make):
+        # enumerating every hit took 22 s of CPU time on random400, and 5.6 s on nan1000
+        space = make()
+        t0 = time.process_time()
+        report = validate(space)
+        assert time.process_time() - t0 < 1.0
+        assert len(report.violations) == MAX_VIOLATIONS
 
 
 class TestScaleInvariantTriangle:

@@ -108,8 +108,9 @@ MODULE_NAMES = {
 
 # the scalar l_p path, which the array kernels in lp_core and mazur_map_rows
 # replace; the second verifier, now the test oracle conftest.verify_family;
-# the inverses of export and of the space JSON, which only tests called; and
-# the kernel chosen from a space's meta label, now chosen from its distances
+# the inverses of export and of the space JSON, which only tests called; the
+# kernel chosen from a space's meta label, now chosen from its distances; and
+# the kernel names, now its exponent beta outside the embedding file
 REMOVED_NAMES = [
     "LpVector",
     "BlockVector",
@@ -123,6 +124,8 @@ REMOVED_NAMES = [
     "profile_from_json",
     "space_from_json",
     "default_kernel_kind",
+    "KERNEL_KINDS",
+    "_check_kernel_kind",
 ]
 
 
