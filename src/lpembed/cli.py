@@ -46,7 +46,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    # build_embedding validates the metric
+    # build_embedding checks the axioms its certificate uses, and refuses a
+    # space that breaks one with validate's report; the triangle inequality
+    # is left to `lpembed validate`
     space = load_space_lenient(args.space)
     embedding = build_embedding(
         space,
@@ -73,7 +75,7 @@ def _cmd_report(args) -> int:
         Path(args.csv).write_bytes(export(profile, "csv"))
     if args.json:
         Path(args.json).write_bytes(export(profile, "json"))
-    n_viol = len(profile.violations)
+    n_viol = profile.violation_count
     delta, p = embedding.delta, embedding.exponent.value
     print(
         f"{args.embedding}: {n_viol} envelope violations "

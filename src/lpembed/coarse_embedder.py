@@ -16,7 +16,8 @@ measured per-level certificates, so a correctly built embedding verifies
 cleanly at 1e-9 (distortion_report.verify_bounds, the one verifier). An
 embedding file is json.dumps of embedding_to_json's dict, written one point's
 level images at a time; on read, each level's pair distances are measured
-once on its base-offset rows, so a reloaded level is the record a build makes.
+once on its base-offset rows (a repeated block shares its predecessor's), so a
+reloaded level is the record a build makes.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .lp_core import (
     pairwise_pnorm_all,
     pairwise_power_sums_all,  # unused here: bench/tracing.py's TARGETS wraps this name in this module
 )
-from .kernel_sphere_maps import SphereMapFamily, SphereMapLevel, _kernel_for, build_level_family
-from .metric_spaces import FiniteMetricSpace, _numbers, _read_json, validate
+from .kernel_sphere_maps import NotNegativeType, SphereMapFamily, SphereMapLevel, _kernel_for, build_level_family
+from .metric_spaces import FiniteMetricSpace, _numbers, _read_json, _require_axioms, validate
 
 __all__ = [
     "MAX_LEVELS",
@@ -159,11 +160,15 @@ def build_embedding(
 ) -> CoarseEmbedding:
     """Calibrate levels 1..N and assemble the block images.
 
-    The kernel exp(-t d^beta) follows from the distances: beta = 2 where d^2
-    is of negative type, else beta = 1 where d is. Where neither is,
-    NotNegativeType is raised before any kernel is factored.
+    The space must pass the axioms the certificate uses (_require_axioms:
+    finite, zero diagonal, symmetric, positive off the diagonal); the
+    triangle inequality is not read. The kernel exp(-t d^beta) follows from
+    the distances: beta = 2 where d^2 is of negative type, else beta = 1
+    where d is. Where neither is, NotNegativeType is raised before any
+    kernel is factored, or validate(space).require_ok()'s ValueError where
+    the space is not a metric either.
     """
-    validate(space).require_ok()
+    _require_axioms(space)
     pe = as_exponent(p)
     if level_count is None:
         level_count = default_level_count(space)
@@ -171,10 +176,13 @@ def build_embedding(
         raise ValueError(f"level count must be an integer in 1..{MAX_LEVELS}, got {level_count!r}")
     _check_base_index(base_index, space.n)
 
-    return CoarseEmbedding(
-        family=build_level_family(space, int(level_count), pe, float(delta), _kernel_for(space)),
-        base_index=int(base_index),
-    )
+    try:
+        family = build_level_family(space, int(level_count), pe, float(delta), _kernel_for(space))
+    except NotNegativeType:
+        # a non-metric is refused as one; its triangle scan runs only here
+        validate(space).require_ok()
+        raise
+    return CoarseEmbedding(family=family, base_index=int(base_index))
 
 
 def _point_index(embedding: CoarseEmbedding, point: Union[int, str]) -> int:
@@ -333,7 +341,10 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
 
     The file holds each level's images phi_n(x). Each level's pair distances
     are measured once, by pairwise_pnorm_all on its base-offset rows
-    phi_n(x) - phi_n(x0); offsets that overflow are a malformed payload.
+    phi_n(x) - phi_n(x0); offsets that overflow are a malformed payload. A
+    level whose images equal the previous level's shares that level's images
+    and pair-distance array, as a build's do, so a constant tail costs one
+    scan and one array.
     Older files hold those offsets, whose zero base rows give the same rows,
     so they read back to the same pair distances and image_matrix.
     """
@@ -377,8 +388,12 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
         levels = []
         for params, rows in zip(schedule, zip(*per_point)):
             level_images = np.vstack(rows)
-            pair_distances = pairwise_pnorm_all(_offset_rows(level_images, base), pe)
-            pair_distances.setflags(write=False)
+            if levels and np.array_equal(level_images, levels[-1].images):
+                # the previous level's images, as a build shares them: its pair distances, unscanned
+                level_images, pair_distances = levels[-1].images, levels[-1].pair_distances
+            else:
+                pair_distances = pairwise_pnorm_all(_offset_rows(level_images, base), pe)
+                pair_distances.setflags(write=False)
             levels.append(SphereMapLevel(**params, images=level_images, pair_distances=pair_distances))
         family = SphereMapFamily(levels=tuple(levels), exponent=pe, delta=delta, space=space)
     except ValueError as exc:

@@ -136,9 +136,12 @@ def kernel_matrix(space: FiniteMetricSpace, t: float, beta: float) -> np.ndarray
     _check_beta(beta)
     if not (t > 0) or not math.isfinite(t):
         raise ValueError(f"bandwidth t must be positive and finite, got {t!r}")
-    # t d^beta as (t d) d^(beta - 1), with d^(beta - 1) exactly d or 1: pow's d^2
+    # -t d^beta as (-t d), times d once more at beta = 2, in place: pow's d^2
     # differs from d d in the last bit on some entries; _kernel_g forms g alike
-    return np.exp(-t * space.dist * space.dist ** (beta - 1.0))
+    exponent = -t * space.dist
+    if beta == 2.0:
+        exponent *= space.dist
+    return np.exp(exponent, out=exponent)
 
 
 def _negative_type_gram(dist: np.ndarray, beta: float) -> np.ndarray:
@@ -350,8 +353,8 @@ def _gram_error(n_points: int) -> float:
 
 
 def _kernel_g(d: float, beta: float) -> float:
-    """The g = d^beta of K = exp(-t g) at source distance d, as kernel_matrix forms it: d d^(beta - 1)."""
-    return d * d ** (beta - 1.0)
+    """The g = d^beta of K = exp(-t g) at source distance d, as kernel_matrix forms it: d d at beta = 2."""
+    return d * d if beta == 2.0 else d
 
 
 def _transported_images(space: FiniteMetricSpace, t: float, beta: float, p: PExponent) -> np.ndarray:

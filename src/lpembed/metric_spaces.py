@@ -3,11 +3,14 @@
 Spaces are immutable after construction. Construction only enforces structural
 shape (square matrix, matching labels, size cap); metric axioms are checked by
 `validate`, which reports violations as data so that broken inputs can be
-inspected instead of rejected blindly. The generators cover graph metrics
+inspected instead of rejected blindly. A build and load_space check only the
+O(n^2) axioms the certificate uses (finite, zero diagonal, symmetric,
+positive off the diagonal) and refuse with validate's text; validate's O(n^3)
+triangle scan runs only when they refuse. The generators cover graph metrics
 (hypercube, cycle, path) and seeded Gaussian point clouds with Euclidean
 distances, the stand-in for samples drawn from a separable Hilbert space.
 A space file is json.dumps of space_to_json's dict, written one matrix row
-at a time; load_space revalidates the metric axioms.
+at a time; load_space rechecks the O(n^2) axioms.
 """
 
 from __future__ import annotations
@@ -137,6 +140,31 @@ class ValidationReport:
             raise ValueError(f"space fails metric validation ({len(self.violations)} violations): {first}")
 
 
+def _push(out: list, kind: str, hits, detail) -> None:
+    """Append the hits that fit under MAX_VIOLATIONS: all of them cost O(n^3) where every triangle fails."""
+    for idx in hits[:MAX_VIOLATIONS - len(out)]:
+        idx = tuple(int(v) for v in idx)
+        out.append(MetricViolation(kind, idx, detail(*idx)))
+
+
+def _axiom_violations(d: np.ndarray) -> tuple:
+    """(violations, finite): the O(n^2) axioms, finite, zero diagonal, symmetric and positive.
+
+    violations holds the first MAX_VIOLATIONS in that order; finite is d with
+    its non-finite entries set to 0, which every later check reads.
+    """
+    out: list = []
+    _push(out, "finite", np.argwhere(~np.isfinite(d)), lambda i, j: f"dist = {float(d[i, j])!r}")
+    finite = np.where(np.isfinite(d), d, 0.0)
+    _push(out, "diagonal", np.argwhere(np.diag(finite) != 0.0), lambda i: f"dist(i,i) = {float(finite[i, i])!r}")
+    asym = np.argwhere(finite != finite.T)
+    asym = asym[asym[:, 0] < asym[:, 1]]
+    _push(out, "symmetry", asym, lambda i, j: f"{float(finite[i, j])!r} != {float(finite[j, i])!r}")
+    nonpos = np.argwhere((finite <= 0.0) & ~np.eye(d.shape[0], dtype=bool))
+    _push(out, "positivity", nonpos[nonpos[:, 0] < nonpos[:, 1]], lambda i, j: f"dist = {float(finite[i, j])!r}")
+    return out, finite
+
+
 def validate(space: FiniteMetricSpace) -> ValidationReport:
     """Check all metric axioms; violations are returned, never raised.
 
@@ -147,25 +175,8 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     order finite, diagonal, symmetry, positivity, triangle, and the search
     stops once it has them.
     """
-    d = space.dist
     n = space.n
-    out: list = []
-
-    def push(kind, hits, detail):
-        # only the hits that fit: all of them cost O(n^3) where every triangle fails
-        for idx in hits[:MAX_VIOLATIONS - len(out)]:
-            idx = tuple(int(v) for v in idx)
-            out.append(MetricViolation(kind, idx, detail(*idx)))
-
-    push("finite", np.argwhere(~np.isfinite(d)), lambda i, j: f"dist = {float(d[i, j])!r}")
-    finite = np.where(np.isfinite(d), d, 0.0)
-    push("diagonal", np.argwhere(np.diag(finite) != 0.0), lambda i: f"dist(i,i) = {float(finite[i, i])!r}")
-    asym = np.argwhere(finite != finite.T)
-    asym = asym[asym[:, 0] < asym[:, 1]]
-    push("symmetry", asym, lambda i, j: f"{float(finite[i, j])!r} != {float(finite[j, i])!r}")
-    offdiag = ~np.eye(n, dtype=bool)
-    nonpos = np.argwhere((finite <= 0.0) & offdiag)
-    push("positivity", nonpos[nonpos[:, 0] < nonpos[:, 1]], lambda i, j: f"dist = {float(finite[i, j])!r}")
+    out, finite = _axiom_violations(space.dist)
 
     # triangle: d(i,k) <= (d(i,j) + d(j,k)) (1 + TRIANGLE_TOL), one
     # intermediate j at a time in one buffer, until the report is full
@@ -179,12 +190,14 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
         if slack.max() <= 0.0:
             continue
         ik = np.argwhere(slack > 0.0)
-        push(
+        _push(
+            out,
             "triangle",
             np.insert(ik[ik[:, 0] < ik[:, 1]], 1, j, axis=1),
             lambda i, j, k: f"d(i,k) = {float(finite[i, k])!r} > {float(finite[i, j] + finite[j, k])!r} via j",
         )
 
+    offdiag = ~np.eye(n, dtype=bool)
     pos = finite[offdiag & (finite > 0)] if n > 1 else np.array([])
     min_positive = float(pos.min()) if pos.size else math.inf
     return ValidationReport(
@@ -192,6 +205,20 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
         diameter=float(finite.max()) if n > 1 else 0.0,
         min_positive=min_positive,
     )
+
+
+def _require_axioms(space: FiniteMetricSpace) -> None:
+    """Refuse a space that breaks an axiom the certificate uses, in validate's words.
+
+    The certificate uses the O(n^2) axioms (finite, zero diagonal,
+    symmetric, positive off the diagonal) and not the triangle inequality:
+    the kernel needs d^beta of negative type, and verification measures
+    every pair. Where one of them fails, this raises
+    validate(space).require_ok()'s ValueError, so the O(n^3) triangle scan
+    runs only on that refusal.
+    """
+    if _axiom_violations(space.dist)[0]:
+        validate(space).require_ok()
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +411,11 @@ def load_space_lenient(path) -> FiniteMetricSpace:
 
 
 def load_space(path) -> FiniteMetricSpace:
-    """Load a space file; metric axioms are revalidated."""
+    """Load a space file; the axioms the certificate uses are rechecked (_require_axioms).
+
+    A file that breaks only the triangle inequality loads: validate and
+    `lpembed validate` report it.
+    """
     space = load_space_lenient(path)
-    validate(space).require_ok()
+    _require_axioms(space)
     return space

@@ -12,7 +12,7 @@ import pytest
 import lpembed
 from lpembed import cli, coarse_embedder, distortion_report, mazur, metric_spaces
 from lpembed.cli import main
-from lpembed.metric_spaces import FiniteMetricSpace, load_space, save_space, validate
+from lpembed.metric_spaces import FiniteMetricSpace, load_space, load_space_lenient, save_space, validate
 
 
 def run(*argv):
@@ -108,6 +108,37 @@ class TestEmbedReport:
         code = run("report", "--space", str(space_file), "--embedding", str(emb), "--buckets", "4")
         assert code == 1
 
+    def test_violation_count_past_the_cap_exit_1(self, tmp_path, capsys):
+        # gaussian(60) with point k's level-1 block set to (k 1e6, 0, ...): all
+        # 1770 pairs at least 1e6 apart, above rho2
+        space_file, emb, out = tmp_path / "s.json", tmp_path / "e.json", tmp_path / "r.json"
+        assert run("gen", "--kind", "gaussian", "--param", "60", "--seed", "1", "--out", str(space_file)) == 0
+        assert run("embed", "--space", str(space_file), "--p", "1.3", "--out", str(emb)) == 0
+        payload = json.loads(emb.read_text())
+        for k, blocks in enumerate(payload["images"].values()):
+            blocks[0] = [k * 1e6] + [0.0] * (len(blocks[0]) - 1)
+        emb.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("report", "--space", str(space_file), "--embedding", str(emb), "--json", str(out)) == 1
+        printed = capsys.readouterr()
+        assert printed.out.startswith(f"{emb}: 1770 envelope violations")
+        assert len(printed.err.splitlines()) == 20
+        profile = json.loads(out.read_text())
+        assert profile["violation_count"] == 1770
+        assert len(profile["violations"]) == distortion_report.MAX_VIOLATIONS
+
+    def test_negative_type_non_metric_certifies(self, tmp_path, capsys):
+        # squared distances on a path break the triangle inequality, but d is of
+        # negative type: validate reports it (exit 1), embed and report certify
+        space_file, emb = tmp_path / "sq.json", tmp_path / "e.json"
+        space_file.write_text(json.dumps({"labels": ["a", "b", "c"], "dist": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}))
+        assert run("validate", "--space", str(space_file)) == 1
+        assert "triangle(0, 1, 2)" in capsys.readouterr().err
+        for p in ("1", "1.3", "2", "3"):
+            assert run("embed", "--space", str(space_file), "--p", p, "--out", str(emb)) == 0
+            assert run("report", "--space", str(space_file), "--embedding", str(emb)) == 0
+            assert ": 0 envelope violations" in capsys.readouterr().out
+
     def test_non_negative_type_kernel_exit_3(self, tmp_path, capsys):
         # K_{2,3}, whose distances are not of negative type: no kernel
         # exp(-t d^beta), beta in {1, 2}, is PSD at every bandwidth
@@ -174,9 +205,10 @@ class TestEmbedReport:
         return calls
 
     def test_embed_validates_once(self, hc3_file, tmp_path, monkeypatch):
+        # a space that passes the O(n^2) axioms builds with no triangle scan
         calls = self.spy_validate(monkeypatch)
         assert run("embed", "--space", str(hc3_file), "--p", "1", "--out", str(tmp_path / "e.json")) == 0
-        assert calls == [8]
+        assert calls == []
 
     def test_metric_violation_validated_once_exit_2(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "broken.json"
@@ -185,12 +217,13 @@ class TestEmbedReport:
             "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
             "meta": {},
         }))
+        # load_space loads it: only the triangle inequality fails
         with pytest.raises(ValueError) as loaded:
-            load_space(path)
+            validate(load_space_lenient(path)).require_ok()
         calls = self.spy_validate(monkeypatch)
         code = run("embed", "--space", str(path), "--p", "1", "--out", str(tmp_path / "e.json"))
         assert code == 2
-        # the text of metric_spaces.load_space, not a second formatter's
+        # d is not of negative type, and the refusal is validate's text, not a second formatter's
         err = capsys.readouterr().err
         assert err == f"error: {loaded.value}\n"
         assert err.startswith("error: space fails metric validation (1 violations): triangle(0, 1, 2): ")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mp_pnorm, reference_kernel, saving_peak, verify_family
-from lpembed import coarse_embedder, kernel_sphere_maps
+from lpembed import coarse_embedder, kernel_sphere_maps, metric_spaces
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
     build_embedding,
@@ -29,7 +29,7 @@ from lpembed.coarse_embedder import (
 from lpembed.distortion_report import empirical_profile, export, verify_bounds
 from lpembed.kernel_sphere_maps import NotNegativeType, build_level_family
 from lpembed.lp_core import as_exponent, pairwise_pnorm_all, pairwise_power_sums_all
-from lpembed.metric_spaces import FiniteMetricSpace, generate
+from lpembed.metric_spaces import FiniteMetricSpace, generate, validate
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +254,22 @@ class TestLevelReuse:
             assert np.array_equal(level.pair_distances.view(np.uint64), scan.view(np.uint64))
             np.testing.assert_allclose(level.pair_distances, built.pair_distances, rtol=1e-13, atol=0.0)
             assert not level.pair_distances.flags.writeable
+
+    def test_reload_shares_repeated_blocks(self, monkeypatch):
+        # hypercube(8) at p = 2 factors level 1 only; levels 2-10 hold the
+        # constant map, which the reload scans once and shares, as the build does
+        E = build_embedding(generate("hypercube", 8), p=2.0)
+        calls = []
+        scan = coarse_embedder.pairwise_pnorm_all
+        monkeypatch.setattr(coarse_embedder, "pairwise_pnorm_all", lambda *a: calls.append(a) or scan(*a))
+        back = embedding_from_json(embedding_to_json(E), E.space)
+        assert len(calls) == 2
+        for levels in (E.schedule, back.schedule):
+            assert len({id(level.pair_distances) for level in levels}) == 2
+            assert all(level.images is levels[1].images for level in levels[2:])
+        # the bits of a scan of every block, so the reports are those of scanning each level
+        for level, block in zip(back.schedule, back.blocks):
+            assert np.array_equal(level.pair_distances.view(np.uint64), scan(block, E.exponent).view(np.uint64))
 
     def test_level_pair_distances_read_only(self, built_embedding):
         n = built_embedding.space.n
@@ -652,6 +668,92 @@ class TestCertifyOrRefuse:
     @pytest.mark.parametrize("d", [1e-7, 1.0, 3.5])
     def test_two_points(self, d, p, beta):
         certify_family(FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, d], [d, 0.0]])), p, beta)
+
+
+def squared_path():
+    """Squared distances on the 3-point path: d(0, 2) = 4 > 1 + 1, yet d is of negative type."""
+    return FiniteMetricSpace(labels=("a", "b", "c"), dist=np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]))
+
+
+def squared_cloud():
+    """gaussian(60, dim 3) with its distances squared: of negative type, far from a metric."""
+    cloud = generate("gaussian", 60, seed=1, dim=3)
+    return FiniteMetricSpace(labels=cloud.labels, dist=cloud.dist ** 2)
+
+
+@st.composite
+def positive_matrices(draw):
+    """A symmetric matrix with zero diagonal and positive entries off it, 1..8 points, often no metric.
+
+    Entries are k / 4 for k in 1..40, times a common 2^j, so ties are common.
+    """
+    n = draw(st.integers(1, 8))
+    upper = np.zeros((n, n))
+    pairs = n * (n - 1) // 2
+    upper[np.triu_indices(n, 1)] = draw(st.lists(st.integers(1, 40), min_size=pairs, max_size=pairs))
+    dist = (upper + upper.T) * 2.0 ** (draw(st.integers(-8, 2)) - 2)
+    return FiniteMetricSpace(labels=tuple(map(str, range(n))), dist=dist)
+
+
+class TestTriangleNotRead:
+    """A build checks the axioms its certificate uses, not the triangle inequality.
+
+    The kernel needs d^beta of negative type, and verification measures
+    every pair, so a space of negative type that is not a metric certifies,
+    while validate still reports it.
+    """
+
+    @pytest.mark.parametrize("p", PROPERTY_EXPONENTS)
+    @pytest.mark.parametrize("make", [squared_path, squared_cloud])
+    def test_negative_type_non_metric_certifies(self, make, p):
+        space = make()
+        kinds = {v.kind for v in validate(space).violations}
+        assert kinds == {"triangle"}
+        assert certify(space, p).schedule[0].beta == 1.0
+
+    def test_builds_with_no_triangle_scan(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(coarse_embedder, "validate", lambda space: calls.append(space) or validate(space))
+        monkeypatch.setattr(metric_spaces, "validate", lambda space: calls.append(space) or validate(space))
+        assert verify_bounds(build_embedding(squared_path(), p=1.3)) == []
+        assert verify_bounds(build_embedding(generate("hypercube", 3), p=1.3)) == []
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            [[0.0, 1.0], [2.0, 0.0]],
+            [[0.0, math.inf], [math.inf, 0.0]],
+            [[0.0, math.nan], [math.nan, 0.0]],
+            [[1.0, 1.0], [1.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.0, -1.0, 1.0], [-1.0, 0.0, 5.0], [1.0, 5.0, 0.0]],
+        ],
+        ids=["asymmetric", "infinite", "nan", "diagonal", "zero", "negative_and_triangle"],
+    )
+    def test_pointwise_faults_refused_in_validate_words(self, dist):
+        space = FiniteMetricSpace(labels=tuple("abc"[: len(dist)]), dist=np.array(dist))
+        with pytest.raises(ValueError) as want:
+            validate(space).require_ok()
+        with pytest.raises(ValueError) as got:
+            build_embedding(space, p=1.3)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(space=positive_matrices(), p=st.sampled_from(PROPERTY_EXPONENTS))
+    def test_certify_or_refuse(self, space, p):
+        report = validate(space)
+        try:
+            embedding = build_embedding(space, p=p)
+        except NotNegativeType:
+            # only a metric: a non-metric is refused in validate's words
+            assert report.ok
+        except ValueError as exc:
+            with pytest.raises(ValueError) as want:
+                report.require_ok()
+            assert str(exc) == str(want.value)
+        else:
+            assert verify_bounds(embedding) == []
 
 
 def k23():

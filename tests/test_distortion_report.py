@@ -17,6 +17,7 @@ from lpembed.coarse_embedder import (
 )
 from lpembed.distortion_report import (
     DEFAULT_TOL,
+    MAX_VIOLATIONS,
     empirical_profile,
     export,
     verify_bounds,
@@ -93,8 +94,11 @@ def assert_json_mirrors(payload, profile):
     assert [(tuple(v["pair"]), v["measured"], v["bound"], v["side"]) for v in payload["violations"]] == [
         (v.pair, v.measured, v.bound, v.side) for v in profile.violations
     ]
+    assert payload["violation_count"] == profile.violation_count
     assert payload["marginal_count"] == profile.marginal_count
-    assert set(payload) == {"buckets", "edges", "rho1_theory", "rho2_theory", "violations", "marginal_count"}
+    assert list(payload) == [
+        "buckets", "edges", "rho1_theory", "rho2_theory", "violations", "violation_count", "marginal_count"
+    ]
 
 
 class TestProfile:
@@ -205,6 +209,39 @@ class TestVerifyBounds:
             profile = empirical_profile(E, buckets)
             assert profile.violations == tuple(verify_bounds(E))
             assert profile.marginal_count == marginal_oracle(E)
+
+
+class TestViolationCap:
+    """verify_bounds and a profile keep the first MAX_VIOLATIONS records; a profile counts them all."""
+
+    @pytest.fixture(scope="class")
+    def far_apart(self):
+        # gaussian(60): every one of its 1770 pairs 1e6 apart at level 1, above rho2
+        E = build_embedding(generate("gaussian", 60, seed=1), p=1.3)
+        first = E.schedule[0]
+        far = dataclasses.replace(first, pair_distances=np.full_like(first.pair_distances, 1e6))
+        return dataclasses.replace(E, family=dataclasses.replace(E.family, levels=(far,) + E.schedule[1:]))
+
+    def test_capped_in_pair_order(self, far_apart):
+        violations = verify_bounds(far_apart)
+        assert len(violations) == MAX_VIOLATIONS < 1770
+        ii, jj = far_apart.space.pair_indices()
+        labels = far_apart.space.labels
+        assert [v.pair for v in violations] == [(labels[i], labels[j]) for i, j in zip(ii, jj)][:MAX_VIOLATIONS]
+        assert all(v.side == "upper" for v in violations)
+
+    def test_profile_counts_all(self, far_apart):
+        profile = empirical_profile(far_apart, 4)
+        assert profile.violation_count == 1770
+        assert profile.violations == tuple(verify_bounds(far_apart))
+        payload = json.loads(export(profile, "json"))
+        assert len(payload["violations"]) == MAX_VIOLATIONS
+        assert payload["violation_count"] == 1770
+
+    def test_count_equals_records_under_the_cap(self, path40_p1):
+        for scale in (10.0, 0.0):
+            profile = empirical_profile(tampered(path40_p1, 39, scale), 4)
+            assert profile.violation_count == len(profile.violations) > 0
 
 
 class TestReloadedAgrees:

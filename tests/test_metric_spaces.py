@@ -324,6 +324,45 @@ class TestJson:
         with pytest.raises(ValueError, match="validation"):
             load_space(path)
 
+    def test_loads_a_non_metric_with_no_triangle_scan(self, tmp_path, monkeypatch):
+        # squared distances on a path: only the triangle inequality fails, which
+        # nothing certified reads
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"labels": ["a", "b", "c"], "dist": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}))
+        calls = []
+        monkeypatch.setattr(metric_spaces, "validate", lambda space: calls.append(space) or validate(space))
+        space = load_space(path)
+        assert calls == []
+        np.testing.assert_array_equal(space.dist, [[0, 1, 4], [1, 0, 1], [4, 1, 0]])
+        assert [v.kind for v in validate(space).violations] == ["triangle"]
+
+    @pytest.mark.parametrize(
+        "dist, text",
+        [
+            ([[0.0, 1.0], [2.0, 0.0]], "(1 violations): symmetry(0, 1): 1.0 != 2.0"),
+            (
+                [[0.0, "Infinity"], ["Infinity", 0.0]],
+                "(3 violations): finite(0, 1): dist = inf; finite(1, 0): dist = inf; positivity(0, 1): dist = 0.0",
+            ),
+            (
+                [[0.0, "NaN"], [1.0, 0.0]],
+                "(3 violations): finite(0, 1): dist = nan; symmetry(0, 1): 0.0 != 1.0; positivity(0, 1): dist = 0.0",
+            ),
+        ],
+        ids=["asymmetric", "infinite", "nan"],
+    )
+    def test_pointwise_faults_refused_in_validate_words(self, dist, text, tmp_path):
+        path = tmp_path / "s.json"
+        # json.dumps writes the bare tokens Infinity and NaN, which json.loads reads
+        body = json.dumps({"labels": ["a", "b"], "dist": dist})
+        path.write_text(body.replace('"Infinity"', "Infinity").replace('"NaN"', "NaN"))
+        with pytest.raises(ValueError) as want:
+            validate(load_space_lenient(path)).require_ok()
+        assert str(want.value) == f"space fails metric validation {text}"
+        with pytest.raises(ValueError) as got:
+            load_space(path)
+        assert str(got.value) == str(want.value)
+
     def test_malformed_payload(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"labels": ["a"]}))
