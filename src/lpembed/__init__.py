@@ -28,9 +28,6 @@ from .kernel_sphere_maps import (
     NotNegativeType,
     SphereMapFamily,
     SphereMapLevel,
-    build_level_family,
-    build_sphere_map,
-    calibrate_level,
     measure_conditions,
 )
 from .coarse_embedder import (
@@ -69,10 +66,7 @@ __all__ = [
     "CalibrationError",
     "SphereMapLevel",
     "SphereMapFamily",
-    "build_sphere_map",
     "measure_conditions",
-    "calibrate_level",
-    "build_level_family",
     "CoarseEmbedding",
     "build_embedding",
     "evaluate",

@@ -297,20 +297,22 @@ def embedding_to_json(embedding: CoarseEmbedding) -> dict:
     return {**_header_json(embedding), "images": images}
 
 
-def _image_blocks(blocks, label: str) -> list:
-    """One point's level images as float64 arrays; each must be a list of finite numbers."""
-    bad = ValueError(f"malformed embedding payload: images of {label!r} must be a list of number lists")
-    if not isinstance(blocks, list) or not blocks:
-        raise bad
+def _level_images(rows: list, position: int) -> np.ndarray:
+    """The blocks at one schedule position, one per point, as a (points, width) array of finite numbers.
+
+    They are refused before any arithmetic: inf - inf in the base offset
+    would be NaN, which passes every envelope comparison.
+    """
+    bad = ValueError(f"level {position} images must be one number list per point, all of one length")
     try:
-        arrays = [_numbers(block, "block") for block in blocks]
+        arr = _numbers(rows, "block")
     except (TypeError, ValueError):  # not numbers, or ragged nesting
         raise bad from None
-    if any(arr.ndim != 1 for arr in arrays):
+    if arr.ndim != 2:
         raise bad
-    if not all(np.isfinite(arr).all() for arr in arrays):
-        raise ValueError(f"malformed embedding payload: images of {label!r} are not all finite")
-    return arrays
+    if not np.isfinite(arr).all():
+        raise ValueError(f"level {position} images are not all finite")
+    return arr
 
 
 def _number(value, name: str, integer: bool = False):
@@ -339,9 +341,11 @@ def _threshold(value) -> float:
 def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedding:
     """Reattach a serialized embedding to its space: each level with its images and pair distances.
 
-    The file holds each level's images phi_n(x). Each level's pair distances
-    are measured once, by pairwise_pnorm_all on its base-offset rows
-    phi_n(x) - phi_n(x0); offsets that overflow are a malformed payload. A
+    The file holds each level's images phi_n(x), one list per level for
+    each point; a level's lists are read for all points as one array. Each
+    level's pair distances are measured once, by pairwise_pnorm_all on its
+    base-offset rows phi_n(x) - phi_n(x0); offsets that overflow are a
+    malformed payload. A
     level whose images equal the previous level's shares that level's images
     and pair-distance array, as a build's do, so a constant tail costs one
     scan and one array.
@@ -363,6 +367,9 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
             )
             for s in payload["schedule"]
         ]
+        if not schedule:
+            # an embedding is the direct sum of its level blocks
+            raise ValueError("schedule must list at least one level")
         images = payload["images"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
@@ -372,22 +379,17 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
     missing = [l for l in space.labels if l not in images]
     if missing:
         raise ValueError(f"embedding payload missing images for {len(missing)} points, e.g. {missing[0]!r}")
-    per_point = []
-    block_dims = None
-    for label in space.labels:
-        blocks = _image_blocks(images[label], label)
-        dims = tuple(b.size for b in blocks)
-        if block_dims is None:
-            block_dims = dims
-        elif dims != block_dims:
-            raise ValueError(f"inconsistent block shapes at point {label!r}")
-        per_point.append(blocks)
-    if len(block_dims) != len(schedule):
-        raise ValueError(f"{len(block_dims)} image blocks per point but {len(schedule)} schedule levels")
+    per_point = [images[label] for label in space.labels]
+    for label, blocks in zip(space.labels, per_point):
+        if not isinstance(blocks, list) or len(blocks) != len(schedule):
+            raise ValueError(
+                f"malformed embedding payload: images of {label!r} must be a list of "
+                f"{len(schedule)} blocks, one per schedule level"
+            )
     try:
         levels = []
-        for params, rows in zip(schedule, zip(*per_point)):
-            level_images = np.vstack(rows)
+        for k, params in enumerate(schedule):
+            level_images = _level_images([blocks[k] for blocks in per_point], k + 1)
             if levels and np.array_equal(level_images, levels[-1].images):
                 # the previous level's images, as a build shares them: its pair distances, unscanned
                 level_images, pair_distances = levels[-1].images, levels[-1].pair_distances

@@ -38,24 +38,52 @@ marked saturated (S_n = inf) and add nothing to rho1. Where the distances
 alone show that a level cannot separate any pair beyond s_floor (the
 separation end: s_floor is past the diameter, every pair is close under a
 target below delta/2, or, at p = 2, the farthest pair stays under delta/2 at
-the largest bandwidth the closeness target admits), the level takes the
-constant map unfactored, and every later level accepts it free.
+the largest bandwidth the closeness target admits), a level that does not
+accept its cap takes the constant map unfactored, before any try, and every
+later level accepts it free. The S_n schedule, and so rho1 and rho2, are
+those the search would give, and each level before the first constant one
+keeps its bits.
 
-Every level runs one bandwidth search over one bracket: the largest feasible
-bandwidth measured and the smallest infeasible one. The previous level's
-bandwidth caps it, and the max of its pair distances over this level's close
-pairs is the sup there, free: a cap that meets 2^-n is accepted with no
-factorization, and one that misses is the bracket's upper end. Each next try
-takes the model step t (0.95 2^-n / sup)^p while a side of the bracket is
-missing (the model is sup ~ t^(1/p): the l_2 sup grows like sqrt(t d) at
-small t, and the Mazur map raises it to the power 2/p), and log-log
-interpolation once both are known. The search stops once the accepted sup is
-at least 0.9 2^-n, t is the cap, the bracket is within a factor 1.01, or a
-try falls below the floor; each accepted t is measured exactly.
+Every level runs one bandwidth search over one bracket: good, the largest
+feasible bandwidth measured, and bad, the smallest infeasible one. The
+previous level's bandwidth caps it (level 1's cap is T_CAP), and the max of
+its pair distances over this level's close pairs is the sup there, free: a
+cap that meets 2^-n is accepted with the previous level's images and pair
+distances and no factorization, and one that misses is bad. The next try is:
+
+- without good, the model step t (0.95 2^-n / sup)^p from bad, or the
+  envelope start where nothing is measured (the model is sup ~ t^(1/p): the
+  l_2 sup grows like sqrt(t d) at small t, and the Mazur map raises it to
+  the power 2/p). The first try is never below the envelope start, and from
+  the third on each try is at most half of bad's t;
+- without bad, the model step from good, up to the cap, or the cap where
+  good's sup is 0;
+- with both, log-log interpolation on sup(t) aimed at 0.999 2^-n, kept
+  within 5-95% of the bracket's log width, or the bracket's geometric
+  midpoint where good's sup is 0.
+
+Before each try the search stops once good's sup is at least 0.9 2^-n,
+good's t is the cap, bad's t / good's t <= 1.01, or 12 tries have followed
+the first feasible one; each accepted t is measured exactly. Tries outside
+float64's resolution are not factored:
+
+- Floor: a try whose t g at the largest close pair is under the Gram error
+  resolves no close pair. The level takes the constant map instead: one
+  column of ones, sup 0, every pair distance 0, saturated, at
+  min(cap, 2^-55 / g_max), g_max over all pairs, where the kernel is
+  all-ones in float64, so its images are the factor of its kernel and later
+  levels accept that bandwidth free at their cap. Since the shrinks halve t
+  from the third on, every level ends at a feasible try, at this floor or at
+  the separation end.
+- Identity end: a try with t g > 53 ln 2 puts K at that pair below 2^-53,
+  so its l_2 images are sqrt(2) apart and, through the Mazur lower
+  envelope, at least the ceiling > 1/2 >= 2^-n apart in l_p. It counts as a
+  try and sets bad to (53 ln 2 / g, the ceiling) unfactored.
 
 The bandwidth search needs only the sup over close pairs (d <= n), a set
-that grows with n until it holds every pair, so each try is measured in one
-of two ways, chosen once per level from the source distances:
+that grows with n until it holds every pair, so each try builds its kernel
+once and is measured in one of two ways, chosen once per level from the
+source distances:
 
 - At least half of all pairs close: one all-pairs scan, and the sup is its
   max over the close pairs. A gather reads two image rows per close pair
@@ -67,8 +95,12 @@ of two ways, chosen once per level from the source distances:
   distances.
 
 The gathered pairs go through the same kernel as the all-pairs scan, so both
-ways give that scan's sup, bit for bit. A level that accepts the previous
-level's images scans nothing.
+ways give that scan's sup, bit for bit, and the search path is the one an
+all-pairs scan per try gives. No images are scanned twice, and a level that
+accepts the previous level's images scans nothing. A kept scan is held while
+later tries run: besides the previous level's pair distances, good's and the
+current try's, two arrays of n(n-1)/2 floats (about 67 MB each at n = 4096),
+where a gathered try holds none.
 """
 
 from __future__ import annotations
@@ -95,10 +127,7 @@ __all__ = [
     "CalibrationError",
     "SphereMapLevel",
     "SphereMapFamily",
-    "build_sphere_map",
     "measure_conditions",
-    "calibrate_level",
-    "build_level_family",
 ]
 
 _BETAS = (2.0, 1.0)  # the exponents of the kernel exp(-t d^beta), in the order a build tries them
@@ -127,15 +156,7 @@ class CalibrationError(Exception):
     """A level's closeness/separation targets cannot be met."""
 
 
-def _check_beta(beta: float) -> None:
-    if beta not in _BETAS:
-        raise ValueError(f"kernel exponent beta must be one of {_BETAS}, got {beta!r}")
-
-
 def kernel_matrix(space: FiniteMetricSpace, t: float, beta: float) -> np.ndarray:
-    _check_beta(beta)
-    if not (t > 0) or not math.isfinite(t):
-        raise ValueError(f"bandwidth t must be positive and finite, got {t!r}")
     # -t d^beta as (-t d), times d once more at beta = 2, in place: pow's d^2
     # differs from d d in the last bit on some entries; _kernel_g forms g alike
     exponent = -t * space.dist
@@ -276,7 +297,8 @@ class SphereMapLevel:
     pair_distances: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_beta(self.beta)
+        if self.beta not in _BETAS:
+            raise ValueError(f"kernel exponent beta must be one of {_BETAS}, got {self.beta!r}")
         if not (math.isfinite(self.epsilon_n) and self.epsilon_n >= 0):
             raise ValueError(f"level {self.level_n}: eps must be finite and nonnegative, got {self.epsilon_n!r}")
         if not (math.isfinite(self.bandwidth_t) and self.bandwidth_t > 0):
@@ -401,6 +423,10 @@ def _feasible_start(eps: float, p: PExponent, g_close: float, gram_error: float)
     small space, but 1.4e-4 at path(48)'s level 13 at p = 2, where
     1 - K = 7.5e-9. Where that ratio reaches 1, the start is 0, below the
     floor.
+
+    The l_2 target s is at most 1/2, since eps = 2^-n <= 1/2: it is p eps / 2
+    for p <= 2, and (eps / C)^(p/2) with C >= 1 for p > 2. So 1 - s^2 / 2 is
+    at least 7/8, and the start is finite.
     """
     s = _l2_target(eps, p)
     margin = max(1e-9, 2.0 * gram_error / (s * s))
@@ -408,8 +434,6 @@ def _feasible_start(eps: float, p: PExponent, g_close: float, gram_error: float)
         # the target is within the Gram error: no factor resolves it
         return 0.0
     s = _l2_target(eps * (1.0 - margin), p)
-    if s * s >= 2.0:
-        return T_CAP
     return min(T_CAP, -math.log1p(-s * s / 2.0) / g_close)
 
 
@@ -514,83 +538,20 @@ def calibrate_level(
 
     The closeness certificate is the exactly measured post-transport sup, not
     the envelope bound. previous (level n-1 of this space, exponent and
-    beta) caps the search at its bandwidth, since later levels have
-    tighter targets over larger radii; level 1's cap is T_CAP. s_floor is an
-    exclusive lower bound on S_n, for strictly increasing schedules.
+    beta) caps the search at its bandwidth, since later levels have tighter
+    targets over larger radii; level 1's cap is T_CAP. s_floor is an
+    exclusive lower bound on S_n, for strictly increasing schedules. The
+    search, its stopping rule and its ends are described in the module
+    docstring.
 
-    One loop serves every level. good is the largest feasible bandwidth
-    measured, as (t, sup, images, pair distances or None), and bad the
-    smallest infeasible one, as (t, sup). previous's pair distances give the
-    sup at the cap without a factorization; a cap that meets 2^-n is taken
-    with previous's images and pair distances, and one that misses is bad.
-    Before each try the loop stops once good's sup is at least 0.9 * 2^-n,
-    good's t is the cap, bad.t / good.t <= 1.01, or 12 tries have followed
-    the first feasible one. Without good, the next t is the model step from
-    bad (the envelope start where nothing is measured): on the first try
-    never below the envelope start, and from the third on at most bad.t / 2.
-    Without bad, it is the model step from good, up to the cap. With both,
-    it is log-log interpolation on sup(t), aimed at 0.999 * 2^-n.
-
-    Tries outside float64's resolution are not factored. With g = d^beta at
-    the largest close pair, 1 - K ~ t g there is
-    the largest 1 - K among the close pairs, and the factor reproduces each
-    Gram entry only to within _gram_error(n) = 2 n^2 eps.
-    - Floor: a try with t g under that error resolves no close pair. The
-      level takes the constant map instead (_constant_map): one column of
-      ones, sup 0, every pair distance 0, saturated, at min(cap, 2^-55 /
-      g_max), g_max over all pairs, where the kernel is all-ones in
-      float64, so its images are the factor of its kernel, and later
-      levels accept that bandwidth free at their cap. Since the shrinks
-      halve t from the third on, every level ends at a feasible try, at
-      this floor or at the separation end.
-    - Identity end: a try with t g > 53 ln 2 puts K at that pair below
-      2^-53, so its l_2 images are sqrt(2) apart and, through the Mazur
-      lower envelope, at least the ceiling > 1/2 >= 2^-n apart in l_p. It
-      counts as a try and sets bad to (53 ln 2 / g, the ceiling) unfactored.
-
-    Separation end: where the cap misses 2^-n, the level first asks, from
-    the distances alone (_separates_nothing), whether any image it may
-    accept leaves a pair beyond s_floor delta/2 apart. Where none does, its
-    S_n is +inf whatever the search finds, so it takes the floor's
-    constant-map record before any try; the S_n schedule, and so rho1 and
-    rho2, are those the search would give, and each level before the first
-    constant one keeps its bits.
-
-    Each try builds its kernel once and measures the close-pair sup exactly,
-    so the search path is the one an all-pairs scan per try gives. Where at
-    least half of all pairs are close, the try is that scan, and good keeps
-    it as pair_distances. Otherwise the close pairs alone are gathered at
-    full width (_close_pair_sup), and the accepted images are scanned once
-    at the end. So no images are scanned twice. A kept scan is held while
-    later tries run: besides previous's pair distances, good's and the
-    current try's, two arrays of n(n-1)/2 floats (about 67 MB each at
-    n = 4096), where a gathered try holds none. S_n is the smallest source
-    distance above s_floor and above every pair the accepted images leave
-    closer than delta/2 (+inf, a saturated level, where there is none).
-
-    _pairs is internal: build_level_family lays out the pairs and their
-    source distances once and passes them to every level.
+    The inputs are build_level_family's and are not checked again: n >= 1,
+    beta in _BETAS, delta finite and positive with delta/2 within reach at
+    p, and previous from the same space, exponent and beta. _pairs is
+    internal: build_level_family lays out the pairs and their source
+    distances once and passes them to every level.
     """
     p = as_exponent(p_target)
-    _check_beta(beta)
-    if n < 1:
-        raise ValueError(f"level index must be >= 1, got {n}")
-    if not (math.isfinite(delta) and delta > 0):
-        # the family's rule, applied before the ceiling check below
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
-    if previous is not None and (
-        previous.exponent.value != p.value
-        or previous.beta != beta
-        or previous.pair_distances.shape != (space.n * (space.n - 1) // 2,)
-    ):
-        raise ValueError("previous level must come from the same space, exponent and beta")
     ceiling = _distance_ceiling(p)
-    if delta / 2.0 > ceiling:
-        raise CalibrationError(
-            f"separation target delta/2 = {delta / 2.0:g} exceeds the reachable "
-            f"ceiling {ceiling:g} at p = {p.value:g}"
-        )
-
     eps = 2.0 ** (-n)
     ii, jj, d_pairs = _pair_layout(space) if _pairs is None else _pairs
     close = d_pairs <= n
@@ -717,10 +678,22 @@ def build_level_family(
     Later levels have tighter closeness targets over larger radii, so each
     level's bandwidth brackets the next one's search; saturated levels add no
     separation threshold, and those known saturated before their search
-    take the constant map. The pairs and their source
-    distances are laid out once, for every level of this build.
+    take the constant map. delta and its reach are checked once, before
+    level 1: a delta that is not finite and positive is a ValueError, and a
+    delta/2 beyond the separation l_p images can be guaranteed at p a
+    CalibrationError. The pairs and their source distances are laid out
+    once, for every level of this build.
     """
     p = as_exponent(p_target)
+    if not (math.isfinite(delta) and delta > 0):
+        # the family's rule, applied before the ceiling check below
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    ceiling = _distance_ceiling(p)
+    if delta / 2.0 > ceiling:
+        raise CalibrationError(
+            f"separation target delta/2 = {delta / 2.0:g} exceeds the reachable "
+            f"ceiling {ceiling:g} at p = {p.value:g}"
+        )
     pairs = _pair_layout(space)
     levels = []
     s_floor = 0.0

@@ -266,7 +266,8 @@ class TestMalformedSpaceFile:
         assert "malformed space payload" in capsys.readouterr().err
 
 
-# (key path under "images", value put there); the corrupted point keeps its block count
+# (key path under "images", value put there, or a function of the value there);
+# the corrupted point keeps its block count unless the case says otherwise
 MALFORMED_IMAGES = {
     "images_not_an_object": ((), 5),
     "images_a_list": ((), [[[0.0]]]),
@@ -280,6 +281,10 @@ MALFORMED_IMAGES = {
     "coeff_bool": (("00", 0, 0), True),
     "coeff_nan": (("00", 0, 0), float("nan")),
     "coeff_inf": (("00", 0, 0), float("inf")),
+    "coeff_minus_inf": (("00", 0, 0), float("-inf")),
+    # one point's level-1 block one coefficient longer than the other points'
+    "level_ragged": (("00", 0), lambda block: block + [0.0]),
+    "point_extra_block": (("00",), lambda blocks: blocks + [blocks[-1]]),
 }
 
 
@@ -301,7 +306,7 @@ class TestMalformedEmbeddingFile:
             target = payload["images"]
             for key in path[:-1]:
                 target = target[key]
-            target[path[-1]] = value
+            target[path[-1]] = value(target[path[-1]]) if callable(value) else value
         else:
             payload["images"] = value
         emb.write_text(json.dumps(payload))

@@ -280,7 +280,7 @@ class TestLevelReuse:
     def test_level_count_mismatch_rejected(self, built_embedding):
         payload = embedding_to_json(built_embedding)
         payload["schedule"] = payload["schedule"][:-1]
-        with pytest.raises(ValueError, match="image blocks per point but"):
+        with pytest.raises(ValueError, match=r"must be a list of \d+ blocks, one per schedule level"):
             embedding_from_json(payload, built_embedding.space)
 
 

@@ -100,17 +100,6 @@ class TestBuildSphereMap:
         V = build_sphere_map(claw(), 0.1, 1.0)
         assert V.shape == (4, 4)
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5, 2.5, math.nan, -1.0, "laplacian"])
-    def test_bad_kernel_exponent(self, beta):
-        with pytest.raises(ValueError, match=r"beta must be one of \(2.0, 1.0\)"):
-            kernel_matrix(two_point(), 1.0, beta)
-        with pytest.raises(ValueError, match=r"beta must be one of \(2.0, 1.0\)"):
-            build_level_family(two_point(), 2, 1.0, 1.0, beta)
-
-    def test_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            kernel_matrix(two_point(), 0.0, 1.0)
-
 
 class TestMeasureConditions:
     def test_r_zero_sup_is_zero(self):
@@ -159,16 +148,21 @@ class TestCalibrateLevel:
         lvl = calibrate_level(X, 5, 1.0, 1.0, 1.0)
         assert pairwise_pnorm_all(lvl.images, 1.0).max() <= 2.0 ** -5
 
-    def test_unreachable_delta_raises(self):
-        # at p = 1 the transport-guaranteed far ceiling is 1.0, so delta/2 > 1 fails
-        with pytest.raises(CalibrationError, match="ceiling"):
-            calibrate_level(generate("hypercube", 3), 1, 1.0, 2.5, 1.0)
+    def test_unreachable_delta_raises(self, monkeypatch):
+        # at p = 1 the transport-guaranteed far ceiling is 1.0, so delta/2 > 1
+        # fails, once, before any kernel is factored
+        calls = spy_factor(monkeypatch)
+        with pytest.raises(CalibrationError, match="separation target delta/2 = 1.25 exceeds the reachable ceiling 1"):
+            build_embedding(generate("hypercube", 3), p=1.0, delta=2.5)
+        assert calls == []
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0])
-    def test_delta_not_finite_positive_is_a_value_error(self, delta):
+    def test_delta_not_finite_positive_is_a_value_error(self, delta, monkeypatch):
         # the family's rule, before the ceiling check: inf is not unreachable, it is invalid
+        calls = spy_factor(monkeypatch)
         with pytest.raises(ValueError, match="delta must be finite and positive"):
-            calibrate_level(generate("hypercube", 3), 1, 1.0, delta, 1.0)
+            build_embedding(generate("hypercube", 3), p=1.0, delta=delta)
+        assert calls == []
 
     def test_monotone_kernel_sup_at_max_close_distance(self):
         # at p = 2 the image distance is increasing in source distance, so the
@@ -184,10 +178,6 @@ class TestCalibrateLevel:
     def test_images_unit_norm_at_target_exponent(self):
         lvl = calibrate_level(generate("cycle", 9), 2, 1.5, 1.0, 1.0)
         assert np.abs(row_pnorms(lvl.images, 1.5) - 1.0).max() <= 1e-9
-
-    def test_bad_level_index(self):
-        with pytest.raises(ValueError):
-            calibrate_level(two_point(), 0, 2.0, 1.0, 1.0)
 
 
 class TestFamily:
@@ -263,6 +253,14 @@ class TestFamily:
         level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0).levels[0]
         with pytest.raises(ValueError, match=message):
             replace(level, **{field: value})
+
+    @pytest.mark.parametrize("beta", [0.5, math.nan, "laplacian"])
+    def test_level_beta_checked(self, beta):
+        # a level read from outside names its kernel by beta, 2 or 1; a file's
+        # kernel name is mapped to beta before the level is made
+        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0).levels[0]
+        with pytest.raises(ValueError, match=r"beta must be one of \(2.0, 1.0\)"):
+            replace(level, beta=beta)
 
     @pytest.mark.parametrize("numbers", [(0, 2, 3), (2, 2, 3), (1, 3, 2), (2, 3, 4)])
     def test_level_numbers_run_from_one_in_order(self, numbers):
@@ -567,14 +565,6 @@ class TestKernelReuse:
             # constant map at the separation end and scan nothing
             assert [level.level_n for level in fam.levels if level.images.shape[1] == 1] == [11, 12, 13]
             assert [rows.shape[0] for rows in scanned] == [12] * 10
-
-    def test_previous_from_other_exponent_rejected(self):
-        X = generate("hypercube", 3)
-        level = calibrate_level(X, 1, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="previous level"):
-            calibrate_level(X, 2, 2.0, 1.0, 1.0, previous=level)
-        with pytest.raises(ValueError, match="previous level"):
-            calibrate_level(generate("hypercube", 2), 2, 1.0, 1.0, 1.0, previous=level)
 
 
 WARM_CASES = REUSE_CASES + [(("path", 48), 1.0)]

@@ -213,7 +213,7 @@ class TestDirectSum:
         payload = embedding_to_json(E)
         payload["schedule"] = []
         payload["images"] = {label: [] for label in payload["images"]}
-        with pytest.raises(ValueError, match="must be a list of number lists"):
+        with pytest.raises(ValueError, match="malformed embedding payload: schedule must list at least one level"):
             embedding_from_json(payload, E.space)
 
 
