@@ -254,13 +254,29 @@ class TestFamily:
         with pytest.raises(ValueError, match=message):
             replace(level, **{field: value})
 
-    @pytest.mark.parametrize("beta", [0.5, math.nan, "laplacian"])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5, 2.5, math.nan, -1.0, "laplacian"])
     def test_level_beta_checked(self, beta):
         # a level read from outside names its kernel by beta, 2 or 1; a file's
         # kernel name is mapped to beta before the level is made
         level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0).levels[0]
         with pytest.raises(ValueError, match=r"beta must be one of \(2.0, 1.0\)"):
             replace(level, beta=beta)
+
+    @pytest.mark.parametrize("change,message", [
+        ("exponent", r"every level must be calibrated at the family's p = 1"),
+        ("beta", r"every level must use one kernel exponent beta, got \[1\.0, 2\.0\]"),
+    ], ids=["exponent", "beta"])
+    def test_levels_share_exponent_and_beta(self, change, message):
+        # calibration trusts its previous level; the family refuses a level
+        # made at another p or with another kernel
+        X = generate("cycle", 8)
+        fam = build_level_family(X, 2, 1.0, 1.0, 1.0)
+        if change == "exponent":
+            other = build_level_family(X, 2, 2.0, 1.0, 1.0).levels[1]
+        else:
+            other = replace(fam.levels[1], beta=2.0)
+        with pytest.raises(ValueError, match=message):
+            replace(fam, levels=(fam.levels[0], other))
 
     @pytest.mark.parametrize("numbers", [(0, 2, 3), (2, 2, 3), (1, 3, 2), (2, 3, 4)])
     def test_level_numbers_run_from_one_in_order(self, numbers):
