@@ -26,7 +26,6 @@ from .metric_spaces import (
 from .kernel_sphere_maps import (
     CalibrationError,
     NotNegativeType,
-    SphereMapFamily,
     SphereMapLevel,
     measure_conditions,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "NotNegativeType",
     "CalibrationError",
     "SphereMapLevel",
-    "SphereMapFamily",
     "measure_conditions",
     "CoarseEmbedding",
     "build_embedding",

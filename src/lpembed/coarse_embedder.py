@@ -1,10 +1,11 @@
 """Assembly of the coarse embedding Phi(x) = (+)_n (phi_n(x) - phi_n(x0)).
 
-Each calibrated level contributes one block, offset so the base point maps to
-zero. On a finite space the level sum is truncated at level_count N; levels at
-or beyond the diameter satisfy their closeness condition globally, so the
-p-th-power mass a longer schedule could add to any pair is at most
-tail_bound = 2^(-Np) / (2^p - 1).
+An embedding is one record, CoarseEmbedding: the space, p, delta, the
+calibrated levels and the base point x0. Each level contributes one block,
+offset so the base point maps to zero. On a finite space the level sum is
+truncated at level_count N; levels at or beyond the diameter satisfy their
+closeness condition globally, so the p-th-power mass a longer schedule could
+add to any pair is at most tail_bound = 2^(-Np) / (2^p - 1).
 
 The certified envelopes: for every pair,
 
@@ -38,7 +39,7 @@ from .lp_core import (
     pairwise_pnorm_all,
     pairwise_power_sums_all,  # unused here: bench/tracing.py's TARGETS wraps this name in this module
 )
-from .kernel_sphere_maps import NotNegativeType, SphereMapFamily, SphereMapLevel, _kernel_for, build_level_family
+from .kernel_sphere_maps import NotNegativeType, SphereMapLevel, _kernel_for, build_level_family
 from .metric_spaces import FiniteMetricSpace, _numbers, _read_json, _require_axioms, validate
 
 __all__ = [
@@ -61,64 +62,62 @@ _KERNEL_NAMES = {2.0: "gaussian", 1.0: "laplacian"}  # a file's name for each be
 
 @dataclass(frozen=True, eq=False)
 class CoarseEmbedding:
-    """A finished embedding: its level family and its base point.
+    """A finished embedding: its space, p, delta, level schedule and base point.
 
-    The family is the one record of the space, p, delta and the level
-    schedule, and each of its levels carries its images phi_n and its pair
-    distances; the embedding reads them from it, for a build in memory and a
-    reload from JSON alike. Block n of point x is level.images[x] -
-    level.images[base_index]. image_matrix (the per-point concatenation of
-    the blocks), blocks (its per-level column views) and block_dims are
-    formed on first use, once, and read-only; verification and profiling
-    never form them.
+    This is the one record of an embedding, for a build in memory and a
+    reload from JSON alike. Each level of the schedule (a tuple of
+    SphereMapLevel) carries its images phi_n and its pair distances, and
+    block n of point x is level.images[x] - level.images[base_index].
+    image_matrix (the per-point concatenation of the blocks) and block_dims
+    are formed on first use, once, and read-only; verification and
+    profiling never form them.
     """
 
-    family: SphereMapFamily
+    space: FiniteMetricSpace
+    exponent: PExponent
+    delta: float
+    schedule: tuple
     base_index: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            # a vacuous lower envelope would certify any images
+            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
+        numbers = [level.level_n for level in self.schedule]
+        if numbers != list(range(1, len(numbers) + 1)):
+            raise ValueError(f"level numbers n must run 1..{len(numbers)} in order, got {numbers}")
+        if any(level.images.shape[0] != self.space.n for level in self.schedule):
+            raise ValueError(f"every level's images must hold one row per point, {self.space.n} rows")
+        pairs = self.space.n * (self.space.n - 1) // 2
+        if any(level.pair_distances.shape != (pairs,) for level in self.schedule):
+            raise ValueError(f"every level must carry one distance per point pair, {pairs} distances")
+        if any(level.exponent.value != self.exponent.value for level in self.schedule):
+            # the embedding's exponent is the one its pair distances are summed at
+            raise ValueError(f"every level must be calibrated at the family's p = {self.exponent.value:g}")
+        betas = {level.beta for level in self.schedule}
+        if len(betas) > 1:
+            # a build calibrates every level with one kernel, each from the last
+            raise ValueError(f"every level must use one kernel exponent beta, got {sorted(betas)}")
         _check_base_index(self.base_index, self.space.n)
         object.__setattr__(self, "base_index", int(self.base_index))  # json.dumps refuses np.int64
 
     @property
-    def space(self) -> FiniteMetricSpace:
-        return self.family.space
-
-    @property
-    def exponent(self) -> PExponent:
-        return self.family.exponent
-
-    @property
-    def delta(self) -> float:
-        return self.family.delta
-
-    @property
-    def schedule(self) -> tuple:
-        """The family's levels, in order."""
-        return self.family.levels
-
-    @property
     def level_count(self) -> int:
-        return len(self.family.levels)
+        return len(self.schedule)
 
     @cached_property
     def block_dims(self) -> tuple:
-        return tuple(level.images.shape[1] for level in self.family.levels)
+        return tuple(level.images.shape[1] for level in self.schedule)
 
     @cached_property
     def image_matrix(self) -> np.ndarray:
         mat = np.empty((self.space.n, sum(self.block_dims)))
         offset = 0
-        for level, width in zip(self.family.levels, self.block_dims):
-            _offset_rows(level.images, self.base_index, out=mat[:, offset:offset + width])
+        for level, width in zip(self.schedule, self.block_dims):
+            _offset_rows(level.images, level.images[self.base_index], out=mat[:, offset:offset + width])
             offset += width
         mat.setflags(write=False)
         return mat
-
-    @cached_property
-    def blocks(self) -> tuple:
-        """One (points, width) read-only view of image_matrix per level."""
-        return tuple(np.hsplit(self.image_matrix, np.cumsum(self.block_dims)[:-1]))
 
     def separation_thresholds(self) -> np.ndarray:
         """Sorted finite S_n over non-saturated levels."""
@@ -141,10 +140,10 @@ def _check_base_index(value, n_points: int) -> None:
         raise ValueError(f"base index must be an integer point index in 0..{n_points - 1}, got {value!r}")
 
 
-def _offset_rows(images: np.ndarray, base_index: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """A level's block: images - images[base_index], which must be finite."""
+def _offset_rows(images: np.ndarray, base_row: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Image rows offset from the base point's, images - base_row, which must be finite."""
     with np.errstate(over="ignore"):  # finite images can overflow; refused below
-        rows = np.subtract(images, images[base_index], out=out)
+        rows = np.subtract(images, base_row, out=out)
     if not np.isfinite(rows).all():
         # inf - inf in a pair scan is NaN, which passes every envelope comparison
         raise ValueError("image blocks must be finite (no NaN/inf)")
@@ -177,12 +176,12 @@ def build_embedding(
     _check_base_index(base_index, space.n)
 
     try:
-        family = build_level_family(space, int(level_count), pe, float(delta), _kernel_for(space))
+        levels = build_level_family(space, int(level_count), pe, float(delta), _kernel_for(space))
     except NotNegativeType:
         # a non-metric is refused as one; its triangle scan runs only here
         validate(space).require_ok()
         raise
-    return CoarseEmbedding(family=family, base_index=int(base_index))
+    return CoarseEmbedding(space=space, exponent=pe, delta=float(delta), schedule=levels, base_index=int(base_index))
 
 
 def _point_index(embedding: CoarseEmbedding, point: Union[int, str]) -> int:
@@ -195,13 +194,14 @@ def _point_index(embedding: CoarseEmbedding, point: Union[int, str]) -> int:
 
 
 def evaluate(embedding: CoarseEmbedding, point: Union[int, str]) -> tuple:
-    """The stored image of a point: one read-only row per level, in level order.
+    """The image of a point: one row per level, in level order, phi_n(x) - phi_n(x0).
 
-    The rows are views of the embedding's blocks, not copies. A point is a
+    Each row is formed from its level's images on the call, with the bits
+    of the point's row of image_matrix, which is not formed. A point is a
     label or an integer index (a bool is neither).
     """
-    idx = _point_index(embedding, point)
-    return tuple(block[idx] for block in embedding.blocks)
+    idx, base = _point_index(embedding, point), embedding.base_index
+    return tuple(_offset_rows(level.images[idx], level.images[base]) for level in embedding.schedule)
 
 
 def theoretical_bounds(embedding: CoarseEmbedding, d) -> tuple:
@@ -257,7 +257,7 @@ def pairwise_image_power_sums(embedding: CoarseEmbedding) -> tuple:
     ii, jj = embedding.space.pair_indices()
     p = embedding.exponent.value
     psums = np.zeros(ii.size)
-    for level in embedding.family.levels:
+    for level in embedding.schedule:
         psums += abs_power(level.pair_distances, p)
     return ii, jj, embedding.space.dist[ii, jj], psums
 
@@ -394,13 +394,12 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
                 # the previous level's images, as a build shares them: its pair distances, unscanned
                 level_images, pair_distances = levels[-1].images, levels[-1].pair_distances
             else:
-                pair_distances = pairwise_pnorm_all(_offset_rows(level_images, base), pe)
+                pair_distances = pairwise_pnorm_all(_offset_rows(level_images, level_images[base]), pe)
                 pair_distances.setflags(write=False)
             levels.append(SphereMapLevel(**params, images=level_images, pair_distances=pair_distances))
-        family = SphereMapFamily(levels=tuple(levels), exponent=pe, delta=delta, space=space)
+        return CoarseEmbedding(space=space, exponent=pe, delta=delta, schedule=tuple(levels), base_index=base)
     except ValueError as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
-    return CoarseEmbedding(family=family, base_index=base)
 
 
 def save_embedding(embedding: CoarseEmbedding, path) -> None:

@@ -133,7 +133,11 @@ def empirical_profile(embedding: CoarseEmbedding, bucket_count: int) -> Distorti
     maxs = np.full(bucket_count, -math.inf)
     counts = np.zeros(bucket_count, dtype=np.int64)
     if d.size and diameter > 0:
-        idx = np.minimum((d * bucket_count / diameter).astype(np.int64), bucket_count - 1)
+        # d and the diameter scaled by one power of two, exactly, so that d * bucket_count
+        # stays finite up to float64's maximum and every index keeps its value
+        k = math.frexp(diameter)[1]
+        scaled = np.ldexp(d, -k) * bucket_count / math.ldexp(diameter, -k)
+        idx = np.minimum(scaled.astype(np.int64), bucket_count - 1)
         np.minimum.at(mins, idx, image_d)
         np.maximum.at(maxs, idx, image_d)
         np.add.at(counts, idx, 1)

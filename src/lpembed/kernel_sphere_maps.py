@@ -126,7 +126,6 @@ __all__ = [
     "NotNegativeType",
     "CalibrationError",
     "SphereMapLevel",
-    "SphereMapFamily",
     "measure_conditions",
 ]
 
@@ -158,10 +157,13 @@ class CalibrationError(Exception):
 
 def kernel_matrix(space: FiniteMetricSpace, t: float, beta: float) -> np.ndarray:
     # -t d^beta as (-t d), times d once more at beta = 2, in place: pow's d^2
-    # differs from d d in the last bit on some entries; _kernel_g forms g alike
-    exponent = -t * space.dist
-    if beta == 2.0:
-        exponent *= space.dist
+    # differs from d d in the last bit on some entries; _kernel_g forms g alike.
+    # It overflows to -inf past float64's maximum (from d ~ 1.8e300 on at
+    # t = T_CAP), where exp(-inf) = 0 is the kernel entry
+    with np.errstate(over="ignore"):
+        exponent = -t * space.dist
+        if beta == 2.0:
+            exponent *= space.dist
     return np.exp(exponent, out=exponent)
 
 
@@ -185,13 +187,19 @@ def _admits(dist: np.ndarray, beta: float) -> bool:
 
     The test is a Cholesky of G + EIG_REL_TOL * trace(G) / (n - 1) I, G as in
     _negative_type_gram; a G that is not finite admits nothing, since its
-    kernel is not finite either.
+    kernel is not finite either. The trace is summed on G scaled by 2^-k,
+    k the exponent of G's largest diagonal entry, and the shift scaled back:
+    the scaling is exact, so the shift is finite wherever G is, and keeps
+    the unscaled sum's bits wherever that gave a finite normal number.
     """
     gram = _negative_type_gram(dist, beta)
     if not gram.size:
         return True
+    diagonal = gram.diagonal()
+    k = math.frexp(float(diagonal.max()))[1]  # 0 at inf and NaN, which the finiteness test refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        gram[np.diag_indices_from(gram)] += EIG_REL_TOL * np.trace(gram) / len(gram)
+        shift = math.ldexp(EIG_REL_TOL * np.ldexp(diagonal, -k).sum() / len(gram), k)
+        gram[np.diag_indices_from(gram)] += shift
     if not np.isfinite(gram).all():
         return False
     try:
@@ -276,7 +284,7 @@ class SphereMapLevel:
     """One calibrated map into S(l_p): its images, one row per point, and certified parameters.
 
     epsilon_n (finite, >= 0) certifies sup{||phi(x)-phi(y)||_p : d(x,y) <= level_n}
-    and s_n the threshold from which pairs stay the family's delta/2 apart
+    and s_n the threshold from which pairs stay the embedding's delta/2 apart
     (vacuous when saturated, s_n = inf), both measured on the images after
     Mazur transport; bandwidth_t is finite and > 0, and beta (2 or 1) is
     the kernel exp(-t d^beta) the images factor. pair_distances is that
@@ -315,36 +323,6 @@ class SphereMapLevel:
     @property
     def saturated(self) -> bool:
         return math.isinf(self.s_n)
-
-
-@dataclass(frozen=True, eq=False)
-class SphereMapFamily:
-    """The level sequence phi_1, phi_2, ... over one space at one exponent and delta."""
-
-    levels: tuple
-    exponent: PExponent
-    delta: float
-    space: FiniteMetricSpace
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            # a vacuous lower envelope would certify any images
-            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
-        numbers = [level.level_n for level in self.levels]
-        if numbers != list(range(1, len(numbers) + 1)):
-            raise ValueError(f"level numbers n must run 1..{len(numbers)} in order, got {numbers}")
-        if any(level.images.shape[0] != self.space.n for level in self.levels):
-            raise ValueError(f"every level's images must hold one row per point, {self.space.n} rows")
-        pairs = self.space.n * (self.space.n - 1) // 2
-        if any(level.pair_distances.shape != (pairs,) for level in self.levels):
-            raise ValueError(f"every level must carry one distance per point pair, {pairs} distances")
-        if any(level.exponent.value != self.exponent.value for level in self.levels):
-            # the family's exponent is the one its pair distances are summed at
-            raise ValueError(f"every level must be calibrated at the family's p = {self.exponent.value:g}")
-        betas = {level.beta for level in self.levels}
-        if len(betas) > 1:
-            # a build calibrates every level with one kernel, each from the last
-            raise ValueError(f"every level must use one kernel exponent beta, got {sorted(betas)}")
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +650,8 @@ def build_level_family(
     p_target: ExponentLike,
     delta: float,
     beta: float,
-) -> SphereMapFamily:
-    """Calibrate levels 1..level_count with strictly increasing S_n.
+) -> tuple:
+    """Calibrate levels 1..level_count with strictly increasing S_n; the levels, in order.
 
     Later levels have tighter closeness targets over larger radii, so each
     level's bandwidth brackets the next one's search; saturated levels add no
@@ -686,7 +664,7 @@ def build_level_family(
     """
     p = as_exponent(p_target)
     if not (math.isfinite(delta) and delta > 0):
-        # the family's rule, applied before the ceiling check below
+        # the embedding's rule, applied before the ceiling check below
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     ceiling = _distance_ceiling(p)
     if delta / 2.0 > ceiling:
@@ -705,4 +683,4 @@ def build_level_family(
         levels.append(level)
         if not level.saturated:
             s_floor = level.s_n
-    return SphereMapFamily(levels=tuple(levels), exponent=p, delta=delta, space=space)
+    return tuple(levels)

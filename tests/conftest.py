@@ -1,4 +1,4 @@
-"""Shared test helpers: the extended-precision l_p oracle, the level-family
+"""Shared test helpers: the extended-precision l_p oracle, the level
 verifier, and the embeddings that the certification-path comparisons share."""
 
 import math
@@ -14,7 +14,7 @@ from lpembed.kernel_sphere_maps import EIG_REL_TOL
 from lpembed.lp_core import pairwise_pnorm_all, row_pnorms
 from lpembed.metric_spaces import generate
 
-# how far verify_family lets an image row's norm stray from 1
+# how far verify_levels lets an image row's norm stray from 1
 UNIT_TOL = 1e-9
 
 
@@ -25,21 +25,22 @@ def mp_pnorm(row, p) -> float:
         return float(total ** (1 / mpmath.mpf(p)))
 
 
-def verify_family(family) -> list:
+def verify_levels(levels, space, delta) -> list:
     """Re-measure every level's certificates and epsilon_n <= 2^-n; human-readable problems.
 
     The oracle the unit tests hold calibration to: it trusts no recorded
     pair distance. Each level's images are scanned once, and the sup over
-    d <= n, the inf over d >= S_n and the largest image distance (at most 2
-    on the unit sphere) all come from that scan. A family read back from
-    JSON carries its images too, and is measured alike.
+    d <= n, the inf over d >= S_n (at separation delta/2) and the largest
+    image distance (at most 2 on the unit sphere) all come from that scan.
+    Levels read back from JSON carry their images too, and are measured
+    alike.
     """
-    delta_half = family.delta / 2.0
+    delta_half = delta / 2.0
     problems = []
     prev_s = 0.0
-    ii, jj = family.space.pair_indices()
-    d = family.space.dist[ii, jj]
-    for level in family.levels:
+    ii, jj = space.pair_indices()
+    d = space.dist[ii, jj]
+    for level in levels:
         n = level.level_n
         worst = float(np.abs(row_pnorms(level.images, level.exponent) - 1.0).max())
         if worst > UNIT_TOL:
@@ -111,7 +112,7 @@ BUILDS = {
 
 @pytest.fixture(scope="session", params=sorted(BUILDS))
 def built_embedding(request):
-    """An in-memory build, which carries its level family.
+    """An in-memory build, whose levels carry their images.
 
     Graph metrics at p = 1 and a Euclidean cloud on the fractional (log/exp)
     and integer power paths.

@@ -129,7 +129,7 @@ def test_criterion_4_sphere_map_conditions(hypercube8, hc8_embeddings):
     embeddings, build_seconds = hc8_embeddings
     failures = []
     for p, embedding in embeddings.items():
-        for level in embedding.family.levels:
+        for level in embedding.schedule:
             sup_close, inf_far = measure_conditions(
                 level.images, hypercube8, level.level_n, level.s_n, p
             )

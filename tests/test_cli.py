@@ -155,15 +155,19 @@ class TestEmbedReport:
         assert "not of negative type (beta = 1)" in capsys.readouterr().err
         assert not (tmp_path / "e.json").exists()
 
+    @pytest.mark.parametrize("scale", [664, 1016, 1019])
     @pytest.mark.parametrize("p", ["2", "3"])
-    def test_overflowing_upper_envelope_exit_0(self, p, tmp_path):
-        # path(10) scaled by 2^664: 2^p d^p overflows to +inf, which no finite
-        # sum exceeds, with no RuntimeWarning (an error in this suite)
+    def test_overflowing_upper_envelope_exit_0(self, p, scale, tmp_path):
+        # path(10) scaled by 2^scale: 2^p d^p overflows to +inf, which no finite
+        # sum exceeds, and up to 2^1019 (largest distance 5.1e307) the kernel,
+        # the negative-type test and the 1000 bucket indices stay finite, with
+        # no RuntimeWarning (an error in this suite)
         path = metric_spaces.generate("path", 10)
         space_file, emb = tmp_path / "s.json", tmp_path / "e.json"
-        save_space(FiniteMetricSpace(labels=path.labels, dist=np.ldexp(path.dist, 664)), space_file)
+        save_space(FiniteMetricSpace(labels=path.labels, dist=np.ldexp(path.dist, scale)), space_file)
         assert run("embed", "--space", str(space_file), "--p", p, "--out", str(emb)) == 0
-        assert run("report", "--space", str(space_file), "--embedding", str(emb), "--csv", str(tmp_path / "r.csv")) == 0
+        report = ("report", "--space", str(space_file), "--embedding", str(emb), "--buckets", "1000")
+        assert run(*report, "--csv", str(tmp_path / "r.csv")) == 0
 
     def test_exponent_from_1024_exit_2(self, hc3_file, tmp_path, capsys):
         # 2^p overflows float64 from p = 1024 on

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mp_pnorm, reference_kernel, saving_peak, verify_family
+from conftest import mp_pnorm, reference_kernel, saving_peak, verify_levels
 from lpembed import coarse_embedder, kernel_sphere_maps, metric_spaces
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
@@ -55,13 +55,12 @@ class TestBuild:
         img = evaluate(hc4_p1, 5)
         assert len(img) == hc4_p1.level_count
         assert tuple(row.shape for row in img) == tuple((w,) for w in hc4_p1.block_dims)
-        assert all(not row.flags.writeable for row in img)
 
     def test_single_level_two_point_distance_is_level_distance(self):
         E = build_embedding(two_point(), p=2.0, level_count=1)
         (img_a,), (img_b,) = evaluate(E, "a"), evaluate(E, "b")
         got = mp_pnorm(img_a - img_b, 2.0)
-        lvl = E.family.levels[0]
+        lvl = E.schedule[0]
         assert got == pytest.approx(lvl.pair_distances[0], abs=1e-12)
         assert got == pytest.approx(mp_pnorm(lvl.images[0] - lvl.images[1], 2.0), abs=1e-12)
 
@@ -69,7 +68,7 @@ class TestBuild:
         rng = np.random.default_rng(0)
         for idx in rng.integers(0, 16, size=5):
             img = evaluate(hc4_p1, int(idx))
-            for lvl, row in zip(hc4_p1.family.levels, img):
+            for lvl, row in zip(hc4_p1.schedule, img):
                 expected = lvl.images[idx] - lvl.images[hc4_p1.base_index]
                 assert np.abs(row - expected).max() <= 1e-12
 
@@ -200,7 +199,7 @@ class TestEnvelopes:
         E = hc4_p1
         ii, jj, _, psums = pairwise_image_power_sums(E)
         per_level = np.zeros_like(psums)
-        for lvl in E.family.levels:
+        for lvl in E.schedule:
             diff = lvl.images[ii] - lvl.images[jj]
             per_level += np.abs(diff).sum(axis=1)
         assert np.abs(psums - per_level).max() <= 1e-10
@@ -242,15 +241,15 @@ class TestLevelReuse:
         assert verify_bounds(back) == []
         assert empirical_profile(back, 7).violations == ()
         assert calls == []
-        assert "image_matrix" not in vars(back) and "blocks" not in vars(back)
+        assert "image_matrix" not in vars(back)
 
     def test_reloaded_pair_distances_from_offset_rows(self, built_embedding):
         # measured once on load, on the base-offset rows: bit for bit the scan
         # of each block, and the built level's to rounding
         E = dataclasses.replace(built_embedding, base_index=built_embedding.space.n // 2)
         back = embedding_from_json(embedding_to_json(E), E.space)
-        for level, built, block in zip(back.schedule, E.schedule, back.blocks):
-            scan = pairwise_pnorm_all(block, E.exponent)
+        for level, built in zip(back.schedule, E.schedule):
+            scan = pairwise_pnorm_all(level.images - level.images[E.base_index], E.exponent)
             assert np.array_equal(level.pair_distances.view(np.uint64), scan.view(np.uint64))
             np.testing.assert_allclose(level.pair_distances, built.pair_distances, rtol=1e-13, atol=0.0)
             assert not level.pair_distances.flags.writeable
@@ -268,12 +267,13 @@ class TestLevelReuse:
             assert len({id(level.pair_distances) for level in levels}) == 2
             assert all(level.images is levels[1].images for level in levels[2:])
         # the bits of a scan of every block, so the reports are those of scanning each level
-        for level, block in zip(back.schedule, back.blocks):
+        for level in back.schedule:
+            block = level.images - level.images[E.base_index]
             assert np.array_equal(level.pair_distances.view(np.uint64), scan(block, E.exponent).view(np.uint64))
 
     def test_level_pair_distances_read_only(self, built_embedding):
         n = built_embedding.space.n
-        for level in built_embedding.family.levels:
+        for level in built_embedding.schedule:
             assert level.pair_distances.shape == (n * (n - 1) // 2,)
             assert not level.pair_distances.flags.writeable
 
@@ -288,12 +288,11 @@ class TestSingleCopy:
     """Built and reloaded embeddings alike derive their blocks from their levels' images."""
 
     def test_levels_mix_freely(self, hc4_p1):
-        # a family of built and reloaded levels is one record: it sums its levels
+        # built and reloaded levels make one record: it sums its levels
         back = embedding_from_json(embedding_to_json(hc4_p1), hc4_p1.space)
-        mixed = dataclasses.replace(back.family, levels=hc4_p1.schedule[:1] + back.schedule[1:])
-        E = CoarseEmbedding(family=mixed, base_index=0)
+        E = dataclasses.replace(back, schedule=hc4_p1.schedule[:1] + back.schedule[1:])
         assert np.array_equal(E.image_matrix.view(np.uint64), hc4_p1.image_matrix.view(np.uint64))
-        expected = sum(level.pair_distances for level in mixed.levels)  # p = 1
+        expected = sum(level.pair_distances for level in E.schedule)  # p = 1
         np.testing.assert_array_equal(pairwise_image_power_sums(E)[3], expected)
         np.testing.assert_allclose(
             pairwise_image_power_sums(E)[3], pairwise_power_sums_all(E.image_matrix, E.exponent), rtol=1e-13
@@ -302,14 +301,15 @@ class TestSingleCopy:
     def test_build_keeps_no_image_matrix(self):
         E = build_embedding(generate("cycle", 12), p=1.5)
         assert verify_bounds(E) == []
-        assert "image_matrix" not in vars(E) and "blocks" not in vars(E)
+        assert "image_matrix" not in vars(E)
 
     def test_every_base_point_rederives_blocks(self):
         E = build_embedding(generate("cycle", 10), p=1.5, level_count=5)
         for k in range(E.space.n):
             moved = dataclasses.replace(E, base_index=k)
-            assert moved.family is E.family
-            for level, block in zip(E.family.levels, moved.blocks):
+            assert moved.schedule is E.schedule
+            blocks = np.hsplit(moved.image_matrix, np.cumsum(moved.block_dims)[:-1])
+            for level, block in zip(E.schedule, blocks):
                 expected = level.images - level.images[k]
                 assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
             assert verify_bounds(moved) == []
@@ -318,13 +318,6 @@ class TestSingleCopy:
         back = embedding_from_json(embedding_to_json(built_embedding), built_embedding.space)
         for E in (built_embedding, back):
             assert not E.image_matrix.flags.writeable
-            assert all(not b.flags.writeable for b in E.blocks)
-            assert E.block_dims == tuple(b.shape[1] for b in E.blocks)
-
-    def test_blocks_are_views_of_one_stacked_copy(self, hc4_p1):
-        back = embedding_from_json(embedding_to_json(hc4_p1), hc4_p1.space)
-        for E in (hc4_p1, back):
-            assert all(np.shares_memory(b, E.image_matrix) for b in E.blocks)
 
     def test_json_round_trip_byte_equal(self, built_embedding):
         text = json.dumps(embedding_to_json(built_embedding))
@@ -344,31 +337,25 @@ class TestSingleCopy:
     @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
     def test_delta_must_be_finite_positive(self, hc4_p1, delta):
         with pytest.raises(ValueError, match="delta must be finite and positive"):
-            dataclasses.replace(hc4_p1.family, delta=delta)
+            dataclasses.replace(hc4_p1, delta=delta)
 
     def test_levels_at_another_exponent_rejected(self):
-        # p = 2 levels under a p = 1 family would be summed to the first power
+        # p = 2 levels under a p = 1 embedding would be summed to the first power
         E = build_embedding(generate("cycle", 16), p=2.0)
         with pytest.raises(ValueError, match="family's p = 1"):
-            CoarseEmbedding(family=dataclasses.replace(E.family, exponent=as_exponent(1.0)), base_index=0)
+            dataclasses.replace(E, exponent=as_exponent(1.0))
 
 
 class TestOneLevelRecord:
-    """The family is the one record of space, p, delta and levels; the embedding reads them from it."""
+    """The embedding is the one record of space, p, delta, levels and base point."""
 
     def test_fields_are_family_and_base(self, hc4_p1):
-        assert [f.name for f in dataclasses.fields(CoarseEmbedding)] == ["family", "base_index"]
-        # a second copy of delta (or space, p, schedule) cannot be set apart from the family's
-        with pytest.raises(TypeError):
-            dataclasses.replace(hc4_p1, delta=3.0)
-
-    def test_parameters_read_from_family(self, built_embedding):
-        E = built_embedding
-        assert E.schedule is E.family.levels
-        assert E.space is E.family.space
-        assert E.exponent is E.family.exponent
-        assert E.delta == E.family.delta and isinstance(E.delta, float)
-        assert E.level_count == len(E.family.levels)
+        fields = [f.name for f in dataclasses.fields(CoarseEmbedding)]
+        assert fields == ["space", "exponent", "delta", "schedule", "base_index"]
+        assert hc4_p1.level_count == len(hc4_p1.schedule) and isinstance(hc4_p1.delta, float)
+        # every copy of the record is checked as a build's is
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            dataclasses.replace(hc4_p1, delta=math.nan)
 
     def test_reloaded_levels_carry_their_images(self, built_embedding):
         back = embedding_from_json(embedding_to_json(built_embedding), built_embedding.space)
@@ -477,7 +464,7 @@ class TestJson:
     def test_numpy_integer_base_writes_an_ints_bytes(self, tmp_path):
         # np.int64 passed the base check, and then json.dumps refused it
         E = build_embedding(generate("hypercube", 3), p=1.5, base_index=2)
-        E64 = CoarseEmbedding(family=E.family, base_index=np.int64(2))
+        E64 = dataclasses.replace(E, base_index=np.int64(2))
         assert type(E64.base_index) is int
         save_embedding(E, tmp_path / "a.json")
         save_embedding(E64, tmp_path / "b.json")
@@ -539,7 +526,7 @@ class TestRankAwareBlocks:
     def test_former_floor_refusal_certifies(self, kind, param, p):
         E = build_embedding(generate(kind, param), p=p)
         assert verify_bounds(E) == []
-        assert verify_family(E.family) == []
+        assert verify_levels(E.schedule, E.space, E.delta) == []
         # the last levels sit below the floor: the constant map, one column
         assert E.block_dims[-1] == 1
         assert E.schedule[-1].epsilon_n == 0.0 and E.schedule[-1].saturated
@@ -606,7 +593,7 @@ def ultrametrics(draw):
 def certify(space, p):
     embedding = build_embedding(space, p=p)
     assert verify_bounds(embedding) == []
-    assert verify_family(embedding.family) == []
+    assert verify_levels(embedding.schedule, space, embedding.delta) == []
     return embedding
 
 
@@ -616,8 +603,8 @@ BETAS = (2.0, 1.0)
 
 def certify_family(space, p, beta):
     """The default schedule under a kernel exp(-t d^beta) given, below build_embedding's choice."""
-    family = build_level_family(space, default_level_count(space), p, 1.0, beta)
-    assert verify_family(family) == []
+    levels = build_level_family(space, default_level_count(space), p, 1.0, beta)
+    assert verify_levels(levels, space, 1.0) == []
 
 
 class TestCertifyOrRefuse:
@@ -843,13 +830,16 @@ class TestKernelChoice:
         assert constant == list(range(constant_from, E.level_count + 1))
         assert all(level.epsilon_n == 0.0 and level.saturated for level in E.schedule[constant_from - 1:])
 
-    def test_overflowing_squares_take_beta_one(self):
+    @pytest.mark.parametrize("scale", [664, 1019])
+    def test_overflowing_squares_take_beta_one(self, scale):
         # d^2 overflows to inf, and G holds inf and NaN; a Cholesky of it
         # returns NaN without raising, so only the finiteness check refuses
-        # beta = 2. The build raises no RuntimeWarning (an error in this suite)
+        # beta = 2. At 2^1019 the sum of d_i0 overflows too, and the trace of
+        # beta = 1's G is scaled so that it does not. The build raises no
+        # RuntimeWarning (an error in this suite)
         path = generate("path", 10)
-        # the path with its distances scaled by 2^664 (about 1.5e200), exactly
-        X = FiniteMetricSpace(labels=path.labels, dist=np.ldexp(path.dist, 664))
+        # the path with its distances scaled by 2^scale (2^664 is about 1.5e200), exactly
+        X = FiniteMetricSpace(labels=path.labels, dist=np.ldexp(path.dist, scale))
         with np.errstate(over="ignore"):
             assert np.isinf(X.dist ** 2).any()
         E = build_embedding(X, p=1.5)
@@ -936,8 +926,8 @@ class TestSeparationEnd:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel_sphere_maps, "_separates_nothing", spy)
-            family = build_level_family(space, default_level_count(space), 2.0, delta, kernel)
-        assert verify_family(family) == []
+            levels = build_level_family(space, default_level_count(space), 2.0, delta, kernel)
+        assert verify_levels(levels, space, delta) == []
         for t, delta_half in decided:
             images = kernel_sphere_maps.build_sphere_map(space, t, kernel)
             assert pairwise_pnorm_all(images, 2.0).max() < delta_half
@@ -994,10 +984,11 @@ class TestSeparationEnd:
         assert not rule(2.0 ** -3, 0.0, True)
         assert not rule(2.0 ** -3, 6.0, False)
         # path(8): from level 7 on every pair is close and 2^-n < 1/2
-        family = build_level_family(generate("path", 8), 10, p, 1.0, 1.0)
-        for level in family.levels[6:]:
+        X = generate("path", 8)
+        levels = build_level_family(X, 10, p, 1.0, 1.0)
+        for level in levels[6:]:
             assert level.images.shape[1] == 1 and level.epsilon_n == 0.0 and level.saturated
-        assert verify_family(family) == []
+        assert verify_levels(levels, X, 1.0) == []
 
 
 def round_trip(embedding):
@@ -1011,13 +1002,13 @@ def round_trip(embedding):
 def certify_reloaded(space, p):
     embedding = build_embedding(space, p=p)
     back = round_trip(embedding)
-    assert verify_family(back.family) == []
+    assert verify_levels(back.schedule, space, back.delta) == []
     assert verify_bounds(back) == []
     assert np.array_equal(back.image_matrix.view(np.uint64), embedding.image_matrix.view(np.uint64))
 
 
 class TestReloadedFamilyCertifies:
-    """A family read back from its file carries its images, and the oracle re-measures it."""
+    """Levels read back from their file carry their images, and the oracle re-measures them."""
 
     @settings(max_examples=25, deadline=None)
     @given(space=graph_metrics(), p=st.sampled_from(PROPERTY_EXPONENTS))

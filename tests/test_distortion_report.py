@@ -220,7 +220,7 @@ class TestViolationCap:
         E = build_embedding(generate("gaussian", 60, seed=1), p=1.3)
         first = E.schedule[0]
         far = dataclasses.replace(first, pair_distances=np.full_like(first.pair_distances, 1e6))
-        return dataclasses.replace(E, family=dataclasses.replace(E.family, levels=(far,) + E.schedule[1:]))
+        return dataclasses.replace(E, schedule=(far,) + E.schedule[1:])
 
     def test_capped_in_pair_order(self, far_apart):
         violations = verify_bounds(far_apart)
@@ -256,14 +256,14 @@ class TestReloadedAgrees:
 
     def test_marginal_pair_counted_on_both_paths(self, path40_p1):
         reloaded = lower_missed_by(path40_p1, 0.5 * DEFAULT_TOL)
-        in_memory = dataclasses.replace(path40_p1, family=dataclasses.replace(path40_p1.family, delta=reloaded.delta))
+        in_memory = dataclasses.replace(path40_p1, delta=reloaded.delta)
         assert marginal_oracle(reloaded) > 0
         assert verify_bounds(in_memory) == verify_bounds(reloaded) == []
         assert empirical_profile(in_memory, 4).marginal_count == marginal_oracle(reloaded)
 
     def test_lower_violation_found_on_both_paths(self, path40_p1):
         reloaded = lower_missed_by(path40_p1, 10.0 * DEFAULT_TOL)
-        in_memory = dataclasses.replace(path40_p1, family=dataclasses.replace(path40_p1.family, delta=reloaded.delta))
+        in_memory = dataclasses.replace(path40_p1, delta=reloaded.delta)
         got, want = verify_bounds(in_memory), verify_bounds(reloaded)
         assert len(got) == len(want) == 1
         assert got[0].side == want[0].side == "lower"
@@ -271,24 +271,31 @@ class TestReloadedAgrees:
         assert got[0].measured == pytest.approx(want[0].measured, rel=1e-13)
 
 
-def scaled_path():
-    """path(10) with its distances scaled by 2^664 (about 1.5e200), exactly."""
+def scaled_path(scale):
+    """path(10) with its distances scaled by 2^scale, exactly."""
     path = generate("path", 10)
-    return FiniteMetricSpace(labels=path.labels, dist=np.ldexp(path.dist, 664))
+    return FiniteMetricSpace(labels=path.labels, dist=np.ldexp(path.dist, scale))
 
 
 class TestOverflowingEnvelope:
     """Where 2^p d^p overflows, the upper envelope is +inf and rho2 is 2d, with no RuntimeWarning (an error here)."""
 
+    # 2^664 is about 1.5e200; from 2^1016 on, t d overflows in the kernel, and
+    # at 2^1019 (largest distance 5.1e307) d * 1000 in a bucket index and the
+    # trace of the negative-type test overflow too
+    @pytest.mark.parametrize("scale", [664, 1016, 1019])
     @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_scaled_path_certifies(self, p):
-        E = build_embedding(scaled_path(), p=p)
+    def test_scaled_path_certifies(self, p, scale):
+        E = build_embedding(scaled_path(scale), p=p)
+        unscaled = empirical_profile(build_embedding(generate("path", 10), p=p), 1000)
         for emb in (E, reloaded_form(E)):
             assert verify_bounds(emb) == []
             profile = empirical_profile(emb, 9)
             assert profile.violations == ()
             # every edge but 0 overflows 2^p d^p; the +1 is below resolution there
             assert profile.rho2_theory == (1.0,) + tuple(2.0 * e for e in profile.edges[1:])
+            fine = empirical_profile(emb, 1000)
+            assert [b.pair_count for b in fine.buckets] == [b.pair_count for b in unscaled.buckets]
 
 
 class TestExport:

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from conftest import verify_family
+from conftest import verify_levels
 from lpembed import kernel_sphere_maps
-from lpembed.coarse_embedder import build_embedding, default_level_count
+from lpembed.coarse_embedder import CoarseEmbedding, build_embedding, default_level_count
 from lpembed.kernel_sphere_maps import (
     CalibrationError,
     NotNegativeType,
-    SphereMapFamily,
     SphereMapLevel,
     build_level_family,
     build_sphere_map,
@@ -158,7 +157,7 @@ class TestCalibrateLevel:
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0])
     def test_delta_not_finite_positive_is_a_value_error(self, delta, monkeypatch):
-        # the family's rule, before the ceiling check: inf is not unreachable, it is invalid
+        # the embedding's rule, before the ceiling check: inf is not unreachable, it is invalid
         calls = spy_factor(monkeypatch)
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             build_embedding(generate("hypercube", 3), p=1.0, delta=delta)
@@ -184,26 +183,24 @@ class TestFamily:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_family_passes_verification(self, p):
         X = generate("hypercube", 4)
-        fam = build_level_family(X, 6, p, 1.0, 1.0)
-        assert verify_family(fam) == []
+        levels = build_level_family(X, 6, p, 1.0, 1.0)
+        assert verify_levels(levels, X, 1.0) == []
 
     def test_thresholds_strictly_increasing_with_small_delta(self):
         # small delta keeps several levels non-saturated, exercising the
         # strict-increase enforcement
         X = generate("path", 30)
-        fam = build_level_family(X, 5, 2.0, 0.4, 1.0)
-        finite = [lvl.s_n for lvl in fam.levels if not lvl.saturated]
+        levels = build_level_family(X, 5, 2.0, 0.4, 1.0)
+        finite = [lvl.s_n for lvl in levels if not lvl.saturated]
         assert len(finite) >= 2
         assert all(b > a for a, b in zip(finite, finite[1:]))
 
     def test_epsilon_schedule_dyadic(self):
-        fam = build_level_family(generate("cycle", 8), 5, 1.0, 1.0, 1.0)
-        for lvl in fam.levels:
+        for lvl in build_level_family(generate("cycle", 8), 5, 1.0, 1.0, 1.0):
             assert lvl.epsilon_n <= 2.0 ** (-lvl.level_n)
 
     def test_level_without_images_rejected(self):
-        fam = build_level_family(generate("cycle", 8), 4, 1.0, 1.0, 1.0)
-        level = fam.levels[1]
+        level = build_level_family(generate("cycle", 8), 4, 1.0, 1.0, 1.0)[1]
         for bad in (None, level.images[0], level.images[None]):
             with pytest.raises(ValueError, match=r"level 2: images must be a \(points, width\) array"):
                 replace(level, images=bad)
@@ -214,14 +211,14 @@ class TestFamily:
             )
 
     def test_images_one_row_per_point(self):
-        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, 1.0)
-        short = replace(fam.levels[2], images=fam.levels[2].images[:-1])
+        E = record(generate("cycle", 8), 3)
+        short = replace(E.schedule[2], images=E.schedule[2].images[:-1])
         with pytest.raises(ValueError, match="one row per point, 8 rows"):
-            replace(fam, levels=fam.levels[:2] + (short,))
+            replace(E, schedule=E.schedule[:2] + (short,))
 
     def test_pair_distances_required(self):
         # every level, built or read back from JSON, carries its pair distances
-        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0).levels[1]
+        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0)[1]
         with pytest.raises(TypeError, match="pair_distances"):
             SphereMapLevel(
                 level_n=2, exponent=level.exponent, epsilon_n=level.epsilon_n, s_n=level.s_n,
@@ -233,12 +230,12 @@ class TestFamily:
 
     @pytest.mark.parametrize("trim", [1, -1])
     def test_one_pair_distance_per_pair(self, trim):
-        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, 1.0)
-        level = fam.levels[1]
+        E = record(generate("cycle", 8), 3)
+        level = E.schedule[1]
         d = level.pair_distances
         wrong = d[:-1] if trim > 0 else np.concatenate([d, d[:1]])
         with pytest.raises(ValueError, match="one distance per point pair, 28 distances"):
-            replace(fam, levels=(fam.levels[0], replace(level, pair_distances=wrong), fam.levels[2]))
+            replace(E, schedule=(E.schedule[0], replace(level, pair_distances=wrong), E.schedule[2]))
 
     @pytest.mark.parametrize("field,value,message", [
         ("epsilon_n", math.nan, "level 1: eps must be finite and nonnegative"),
@@ -250,7 +247,7 @@ class TestFamily:
         ("bandwidth_t", -2.0, "level 1: t must be finite and positive"),
     ])
     def test_schedule_values_checked(self, field, value, message):
-        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0).levels[0]
+        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0)[0]
         with pytest.raises(ValueError, match=message):
             replace(level, **{field: value})
 
@@ -258,7 +255,7 @@ class TestFamily:
     def test_level_beta_checked(self, beta):
         # a level read from outside names its kernel by beta, 2 or 1; a file's
         # kernel name is mapped to beta before the level is made
-        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0).levels[0]
+        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0)[0]
         with pytest.raises(ValueError, match=r"beta must be one of \(2.0, 1.0\)"):
             replace(level, beta=beta)
 
@@ -267,29 +264,29 @@ class TestFamily:
         ("beta", r"every level must use one kernel exponent beta, got \[1\.0, 2\.0\]"),
     ], ids=["exponent", "beta"])
     def test_levels_share_exponent_and_beta(self, change, message):
-        # calibration trusts its previous level; the family refuses a level
+        # calibration trusts its previous level; the embedding refuses a level
         # made at another p or with another kernel
         X = generate("cycle", 8)
-        fam = build_level_family(X, 2, 1.0, 1.0, 1.0)
+        E = record(X, 2)
         if change == "exponent":
-            other = build_level_family(X, 2, 2.0, 1.0, 1.0).levels[1]
+            other = build_level_family(X, 2, 2.0, 1.0, 1.0)[1]
         else:
-            other = replace(fam.levels[1], beta=2.0)
+            other = replace(E.schedule[1], beta=2.0)
         with pytest.raises(ValueError, match=message):
-            replace(fam, levels=(fam.levels[0], other))
+            replace(E, schedule=(E.schedule[0], other))
 
     @pytest.mark.parametrize("numbers", [(0, 2, 3), (2, 2, 3), (1, 3, 2), (2, 3, 4)])
     def test_level_numbers_run_from_one_in_order(self, numbers):
-        fam = build_level_family(generate("cycle", 8), 3, 1.0, 1.0, 1.0)
-        levels = tuple(replace(level, level_n=k) for level, k in zip(fam.levels, numbers))
+        E = record(generate("cycle", 8), 3)
+        levels = tuple(replace(level, level_n=k) for level, k in zip(E.schedule, numbers))
         with pytest.raises(ValueError, match=r"level numbers n must run 1\.\.3 in order"):
-            replace(fam, levels=levels)
-        assert replace(fam, levels=fam.levels[:2]).levels[-1].level_n == 2
+            replace(E, schedule=levels)
+        assert replace(E, schedule=E.schedule[:2]).schedule[-1].level_n == 2
 
     def test_nan_images_rejected(self):
-        # every comparison verify_family makes is False on a NaN row, so it would report nothing
+        # every comparison verify_levels makes is False on a NaN row, so it would report nothing
         E = build_embedding(generate("cycle", 8), p=1.0)
-        level = E.family.levels[0]
+        level = E.schedule[0]
         images = level.images.copy()
         images[3] = math.nan
         with pytest.raises(ValueError, match="level 1: images must be finite"):
@@ -298,29 +295,28 @@ class TestFamily:
     def test_nan_pair_distances_rejected(self):
         # verify_bounds sums these into every pair's image distance; NaN passes both envelopes
         E = build_embedding(generate("cycle", 8), p=1.0)
-        level = E.family.levels[0]
+        level = E.schedule[0]
         with pytest.raises(ValueError, match="level 1: pair_distances must be finite"):
             replace(level, pair_distances=np.full_like(level.pair_distances, math.nan))
 
     def test_gaussian_space_with_gaussian_kernel(self):
         X = generate("gaussian", 40, seed=3)
-        fam = build_level_family(X, 4, 1.5, 1.0, 2.0)
-        assert verify_family(fam) == []
+        levels = build_level_family(X, 4, 1.5, 1.0, 2.0)
+        assert verify_levels(levels, X, 1.0) == []
 
     def test_tampered_family_problems_from_one_scan_per_level(self, monkeypatch):
         X = generate("hypercube", 4)
-        fam = build_level_family(X, 6, 1.0, 1.0, 1.0)
-        lv = list(fam.levels)
+        lv = list(build_level_family(X, 6, 1.0, 1.0, 1.0))
         lv[0] = replace(lv[0], epsilon_n=lv[0].epsilon_n / 2.0)
         lv[1] = replace(lv[1], s_n=1.0)
         lv[2] = replace(lv[2], images=lv[2].images * 3.0)
         lv[3] = replace(lv[3], epsilon_n=1.0, s_n=0.5)
-        fam = replace(fam, levels=tuple(lv))
+        delta = 1.0
 
         # the oracle: measure_conditions plus a separate scan for the largest distance
         expected = []
         prev_s = 0.0
-        for level in fam.levels:
+        for level in lv:
             n = level.level_n
             worst = float(np.abs(row_pnorms(level.images, 1.0) - 1.0).max())
             if worst > conftest.UNIT_TOL:
@@ -328,8 +324,8 @@ class TestFamily:
             sup, inf_far = measure_conditions(level.images, X, n, level.s_n, 1.0)
             if sup > level.epsilon_n:
                 expected.append(f"level {n}: measured sup {sup!r} exceeds certificate {level.epsilon_n!r}")
-            if inf_far < fam.delta / 2.0:
-                expected.append(f"level {n}: measured inf {inf_far!r} below certificate {fam.delta / 2.0!r}")
+            if inf_far < delta / 2.0:
+                expected.append(f"level {n}: measured inf {inf_far!r} below certificate {delta / 2.0!r}")
             if level.epsilon_n > 2.0 ** (-n):
                 expected.append(f"level {n}: epsilon {level.epsilon_n!r} above 2^-{n}")
             if not level.saturated:
@@ -344,8 +340,8 @@ class TestFamily:
         scans = []
         real = conftest.pairwise_pnorm_all
         monkeypatch.setattr(conftest, "pairwise_pnorm_all", lambda rows, p: scans.append(1) or real(rows, p))
-        assert verify_family(fam) == expected
-        assert len(scans) == len(fam.levels)
+        assert verify_levels(lv, X, delta) == expected
+        assert len(scans) == len(lv)
 
 
 def full_scan_sup(images, p, ci, cj):
@@ -453,14 +449,18 @@ class TestScanRule:
         del gathers[:], scans[:]
         other = calibrate_level(X, 1, p, 1.0, beta)
         assert bool(gathers) == scans_tries
-        assert_same_levels(
-            SphereMapFamily((level,), level.exponent, 1.0, X), SphereMapFamily((other,), other.exponent, 1.0, X)
-        )
+        assert_same_levels((level,), (other,))
 
 
-def assert_same_levels(family, reference):
-    assert len(family.levels) == len(reference.levels)
-    for a, b in zip(family.levels, reference.levels):
+def record(X, level_count):
+    """The embedding record of X's first level_count levels at p = 1 and beta = 1, based at point 0."""
+    levels = build_level_family(X, level_count, 1.0, 1.0, 1.0)
+    return CoarseEmbedding(space=X, exponent=levels[0].exponent, delta=1.0, schedule=levels, base_index=0)
+
+
+def assert_same_levels(levels, reference):
+    assert len(levels) == len(reference)
+    for a, b in zip(levels, reference):
         assert a.bandwidth_t == b.bandwidth_t
         assert a.epsilon_n == b.epsilon_n
         assert a.s_n == b.s_n
@@ -538,8 +538,8 @@ class TestKernelReuse:
         calls = spy_factor(monkeypatch)
         for ((kind, param), p), ceiling in FLOOR_CASES.items():
             del calls[:]
-            family = build_level_family(*default_family_args(kind, param, p))
-            assert verify_family(family) == []
+            args = default_family_args(kind, param, p)
+            assert verify_levels(build_level_family(*args), args[0], args[3]) == []
             assert len(calls) <= ceiling
 
     def test_accepted_previous_bandwidth_shares_the_measurement(self, monkeypatch):
@@ -547,12 +547,12 @@ class TestKernelReuse:
         # bandwidth, and levels 2..4 take level 1's images and pair distances
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
-        fam = build_level_family(two_point(5.0), 4, 1.5, 1.0, 1.0)
+        levels = build_level_family(two_point(5.0), 4, 1.5, 1.0, 1.0)
         assert calls == [kernel_sphere_maps.T_CAP]
         assert scans == [2]
-        first = fam.levels[0]
+        first = levels[0]
         assert not first.pair_distances.flags.writeable
-        for level in fam.levels[1:]:
+        for level in levels[1:]:
             assert level.bandwidth_t == first.bandwidth_t
             assert level.images is first.images
             assert level.pair_distances is first.pair_distances
@@ -568,18 +568,18 @@ class TestKernelReuse:
         monkeypatch.setattr(
             kernel_sphere_maps, "pairwise_pnorm_all", lambda rows, q: scanned.append(rows) or real(rows, q)
         )
-        fam = build_level_family(*default_family_args("path", 12, p))
-        assert len(fam.levels) == 13
+        levels = build_level_family(*default_family_args("path", 12, p))
+        assert len(levels) == 13
         # scanned holds every array, so no id is reused
         assert len({id(rows) for rows in scanned}) == len(scanned)
-        assert len(scanned) <= len(calls) + len(fam.levels)
-        for level in fam.levels:
+        assert len(scanned) <= len(calls) + len(levels)
+        for level in levels:
             assert np.array_equal(level.pair_distances.view(np.uint64), real(level.images, p).view(np.uint64))
         if p == 1.0:
             # every scanned try of this family is accepted; from level 11 on
             # every pair is close and 2^-n < delta/2, so those levels take the
             # constant map at the separation end and scan nothing
-            assert [level.level_n for level in fam.levels if level.images.shape[1] == 1] == [11, 12, 13]
+            assert [level.level_n for level in levels if level.images.shape[1] == 1] == [11, 12, 13]
             assert [rows.shape[0] for rows in scanned] == [12] * 10
 
 
@@ -712,8 +712,7 @@ class TestRankAwareImages:
 
     @pytest.mark.parametrize("case", REUSE_CASES, ids=case_id)
     def test_no_all_zero_image_column(self, case):
-        fam = build_level_family(*default_family_args(case[0][0], case[0][1], case[1]))
-        for level in fam.levels:
+        for level in build_level_family(*default_family_args(case[0][0], case[0][1], case[1])):
             assert (np.abs(level.images).max(axis=0) > 0.0).all()
 
     def test_all_ones_kernel_is_the_constant_map(self):
@@ -797,7 +796,7 @@ class TestResolution:
         monkeypatch.setattr(kernel_sphere_maps, "_gram_error", lambda n_points: 0.0)
         calls = spy_factor(monkeypatch)
         without = build_level_family(*args)
-        assert [level.s_n for level in with_floor.levels] == [level.s_n for level in without.levels]
+        assert [level.s_n for level in with_floor] == [level.s_n for level in without]
         if case[0][0] != "gaussian":
             assert any(below_floor(args[0], 1, t) for t in calls)
 
@@ -812,8 +811,8 @@ class TestResolution:
         d = X.dist[ii, jj]
         assert d.min() > 1.0
         levels, tried = trace_levels(monkeypatch)
-        family = build_level_family(X, default_level_count(X), p, 1.0, 2.0)
-        assert verify_family(family) == []
+        levels = build_level_family(X, default_level_count(X), p, 1.0, 2.0)
+        assert verify_levels(levels, X, 1.0) == []
         assert levels[0].bandwidth_t == kernel_sphere_maps.T_CAP
         for level, ts in zip(levels[1:], tried[1:]):
             g = d[d <= level.level_n].max() ** 2
@@ -861,7 +860,7 @@ class TestSeparationThreshold:
     )
     def test_mask_matches_loop(self, kind, param, p, delta, levels):
         X = generate(kind, param, seed=5) if kind == "gaussian" else generate(kind, param)
-        fam = build_level_family(X, levels or default_level_count(X), p, delta, pinned_kernel(kind, X))
+        built = build_level_family(X, levels or default_level_count(X), p, delta, pinned_kernel(kind, X))
         ii, jj = X.pair_indices()
         d = X.dist[ii, jj]
         order = np.argsort(d, kind="stable")
@@ -870,9 +869,9 @@ class TestSeparationThreshold:
         floors = [0.0, float(distinct[0]), float(distinct[len(distinct) // 2]), float(distinct[-1])]
         s_floor = 0.0
         saturated = 0
-        for level in fam.levels:
+        for level in built:
             pair_sorted = level.pair_distances[order]
-            # the built S_n is the loop's at the family's floor
+            # the built S_n is the loop's at the build's floor
             assert level.s_n == loop_threshold(d_sorted, pair_sorted, delta / 2.0, s_floor)
             for floor in floors + [s_floor, level.s_n]:
                 for half in (delta / 2.0, delta / 8.0):

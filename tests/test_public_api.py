@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "NotNegativeType",
     "CalibrationError",
     "SphereMapLevel",
-    "SphereMapFamily",
     "measure_conditions",
     "CoarseEmbedding",
     "build_embedding",
@@ -74,7 +73,6 @@ MODULE_NAMES = {
         "NotNegativeType",
         "CalibrationError",
         "SphereMapLevel",
-        "SphereMapFamily",
         "measure_conditions",
     ],
     "coarse_embedder": [
@@ -102,10 +100,11 @@ MODULE_NAMES = {
 }
 
 # the scalar l_p path, which the array kernels in lp_core and mazur_map_rows
-# replace; the second verifier, now the test oracle conftest.verify_family;
+# replace; the second verifier, now the test oracle conftest.verify_levels;
 # the inverses of export and of the space JSON, which only tests called; the
-# kernel chosen from a space's meta label, now chosen from its distances; and
-# the kernel names, now its exponent beta outside the embedding file
+# kernel chosen from a space's meta label, now chosen from its distances; the
+# kernel names, now its exponent beta outside the embedding file; and the
+# level family, now the embedding record's schedule
 REMOVED_NAMES = [
     "LpVector",
     "BlockVector",
@@ -121,6 +120,7 @@ REMOVED_NAMES = [
     "default_kernel_kind",
     "KERNEL_KINDS",
     "_check_kernel_kind",
+    "SphereMapFamily",
 ]
 
 
