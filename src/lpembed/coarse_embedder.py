@@ -1,11 +1,12 @@
 """Assembly of the coarse embedding Phi(x) = (+)_n (phi_n(x) - phi_n(x0)).
 
-An embedding is one record, CoarseEmbedding: the space, p, delta, the
-calibrated levels and the base point x0. Each level contributes one block,
-offset so the base point maps to zero. On a finite space the level sum is
-truncated at level_count N; levels at or beyond the diameter satisfy their
-closeness condition globally, so the p-th-power mass a longer schedule could
-add to any pair is at most tail_bound = 2^(-Np) / (2^p - 1).
+An embedding is one record, CoarseEmbedding: the space, p, the kernel
+exponent beta, delta, the calibrated levels and the base point x0. Each
+level contributes one block, offset so the base point maps to zero. On a
+finite space the level sum is truncated at level_count N; levels at or
+beyond the diameter satisfy their closeness condition globally, so the
+p-th-power mass a longer schedule could add to any pair is at most
+tail_bound = 2^(-Np) / (2^p - 1).
 
 The certified envelopes: for every pair,
 
@@ -38,8 +39,9 @@ from .lp_core import (
     as_exponent,
     pairwise_pnorm_all,
     pairwise_power_sums_all,  # unused here: bench/tracing.py's TARGETS wraps this name in this module
+    pth_root,
 )
-from .kernel_sphere_maps import NotNegativeType, SphereMapLevel, _kernel_for, build_level_family
+from .kernel_sphere_maps import _BETAS, NotNegativeType, SphereMapLevel, _kernel_for, build_level_family
 from .metric_spaces import FiniteMetricSpace, _numbers, _read_json, _require_axioms, validate
 
 __all__ = [
@@ -62,12 +64,14 @@ _KERNEL_NAMES = {2.0: "gaussian", 1.0: "laplacian"}  # a file's name for each be
 
 @dataclass(frozen=True, eq=False)
 class CoarseEmbedding:
-    """A finished embedding: its space, p, delta, level schedule and base point.
+    """A finished embedding: its space, p, kernel exponent beta, delta, level schedule and base point.
 
     This is the one record of an embedding, for a build in memory and a
-    reload from JSON alike. Each level of the schedule (a tuple of
-    SphereMapLevel) carries its images phi_n and its pair distances, and
-    block n of point x is level.images[x] - level.images[base_index].
+    reload from JSON alike. p and beta (2 or 1, the kernel exp(-t d^beta))
+    are parameters of the whole sum. Level n is the n-th entry of the
+    schedule (a tuple of SphereMapLevel) and carries what its search
+    measured, its images phi_n and its pair distances; block n of point x
+    is level.images[x] - level.images[base_index].
     image_matrix (the per-point concatenation of the blocks) and block_dims
     are formed on first use, once, and read-only; verification and
     profiling never form them.
@@ -75,6 +79,7 @@ class CoarseEmbedding:
 
     space: FiniteMetricSpace
     exponent: PExponent
+    beta: float
     delta: float
     schedule: tuple
     base_index: int
@@ -83,21 +88,13 @@ class CoarseEmbedding:
         if not (math.isfinite(self.delta) and self.delta > 0):
             # a vacuous lower envelope would certify any images
             raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
-        numbers = [level.level_n for level in self.schedule]
-        if numbers != list(range(1, len(numbers) + 1)):
-            raise ValueError(f"level numbers n must run 1..{len(numbers)} in order, got {numbers}")
+        if self.beta not in _BETAS:
+            raise ValueError(f"kernel exponent beta must be one of {_BETAS}, got {self.beta!r}")
         if any(level.images.shape[0] != self.space.n for level in self.schedule):
             raise ValueError(f"every level's images must hold one row per point, {self.space.n} rows")
         pairs = self.space.n * (self.space.n - 1) // 2
         if any(level.pair_distances.shape != (pairs,) for level in self.schedule):
             raise ValueError(f"every level must carry one distance per point pair, {pairs} distances")
-        if any(level.exponent.value != self.exponent.value for level in self.schedule):
-            # the embedding's exponent is the one its pair distances are summed at
-            raise ValueError(f"every level must be calibrated at the family's p = {self.exponent.value:g}")
-        betas = {level.beta for level in self.schedule}
-        if len(betas) > 1:
-            # a build calibrates every level with one kernel, each from the last
-            raise ValueError(f"every level must use one kernel exponent beta, got {sorted(betas)}")
         _check_base_index(self.base_index, self.space.n)
         object.__setattr__(self, "base_index", int(self.base_index))  # json.dumps refuses np.int64
 
@@ -176,12 +173,13 @@ def build_embedding(
     _check_base_index(base_index, space.n)
 
     try:
-        levels = build_level_family(space, int(level_count), pe, float(delta), _kernel_for(space))
+        beta = _kernel_for(space)
+        levels = build_level_family(space, int(level_count), pe, float(delta), beta)
     except NotNegativeType:
         # a non-metric is refused as one; its triangle scan runs only here
         validate(space).require_ok()
         raise
-    return CoarseEmbedding(space=space, exponent=pe, delta=float(delta), schedule=levels, base_index=int(base_index))
+    return CoarseEmbedding(space, pe, beta, float(delta), levels, int(base_index))
 
 
 def _point_index(embedding: CoarseEmbedding, point: Union[int, str]) -> int:
@@ -265,7 +263,7 @@ def pairwise_image_power_sums(embedding: CoarseEmbedding) -> tuple:
 def pairwise_image_distances(embedding: CoarseEmbedding) -> tuple:
     """(i_idx, j_idx, source_distance, image_distance) over all point pairs."""
     ii, jj, d, psums = pairwise_image_power_sums(embedding)
-    return ii, jj, d, psums ** (1.0 / embedding.exponent.value)
+    return ii, jj, d, pth_root(psums, embedding.exponent.value)
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +271,20 @@ def pairwise_image_distances(embedding: CoarseEmbedding) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _header_json(embedding: CoarseEmbedding) -> dict:
-    """The embedding's JSON form up to its images: p, base, delta and the schedule."""
+    """The embedding's JSON form up to its images: p, base, delta and the schedule, n its position."""
     return {
         "p": embedding.exponent.value,
         "base": embedding.base_index,
         "delta": embedding.delta,
         "schedule": [
             {
-                "n": level.level_n,
+                "n": n,
                 "eps": level.epsilon_n,
                 "S": None if level.saturated else level.s_n,
                 "t": level.bandwidth_t,
-                "kernel": _KERNEL_NAMES[level.beta],
+                "kernel": _KERNEL_NAMES[embedding.beta],
             }
-            for level in embedding.schedule
+            for n, level in enumerate(embedding.schedule, 1)
         ],
     }
 
@@ -345,12 +343,13 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
     each point; a level's lists are read for all points as one array. Each
     level's pair distances are measured once, by pairwise_pnorm_all on its
     base-offset rows phi_n(x) - phi_n(x0); offsets that overflow are a
-    malformed payload. A
-    level whose images equal the previous level's shares that level's images
-    and pair-distance array, as a build's do, so a constant tail costs one
-    scan and one array.
-    Older files hold those offsets, whose zero base rows give the same rows,
-    so they read back to the same pair distances and image_matrix.
+    malformed payload. A level whose images equal the previous level's
+    shares that level's images and pair-distance array, as a build's do, so
+    a constant tail costs one scan and one array. Older files hold those
+    offsets, whose zero base rows give the same rows, so they read back to
+    the same pair distances and image_matrix. A level's n is its position
+    and its kernel the embedding's, so levels whose n do not run 1..N, or
+    that name two kernels, are refused here.
     """
     try:
         pe = as_exponent(_number(payload["p"], "p"))
@@ -358,8 +357,7 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
         delta = _number(payload["delta"], "delta")
         schedule = [
             dict(
-                level_n=_number(s["n"], "schedule n", integer=True),
-                exponent=pe,
+                n=_number(s["n"], "schedule n", integer=True),
                 epsilon_n=_number(s["eps"], "schedule eps"),
                 s_n=_threshold(s["S"]),
                 bandwidth_t=_number(s["t"], "schedule t"),
@@ -370,6 +368,13 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
         if not schedule:
             # an embedding is the direct sum of its level blocks
             raise ValueError("schedule must list at least one level")
+        numbers = [params.pop("n") for params in schedule]
+        if numbers != list(range(1, len(numbers) + 1)):
+            raise ValueError(f"level numbers n must run 1..{len(numbers)} in order, got {numbers}")
+        betas = sorted({params.pop("beta") for params in schedule})
+        if len(betas) > 1:
+            # a build calibrates every level with one kernel, each from the last
+            raise ValueError(f"every level must use one kernel exponent beta, got {betas}")
         images = payload["images"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
@@ -388,16 +393,19 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
             )
     try:
         levels = []
-        for k, params in enumerate(schedule):
-            level_images = _level_images([blocks[k] for blocks in per_point], k + 1)
+        for n, params in enumerate(schedule, 1):
+            level_images = _level_images([blocks[n - 1] for blocks in per_point], n)
             if levels and np.array_equal(level_images, levels[-1].images):
                 # the previous level's images, as a build shares them: its pair distances, unscanned
                 level_images, pair_distances = levels[-1].images, levels[-1].pair_distances
             else:
                 pair_distances = pairwise_pnorm_all(_offset_rows(level_images, level_images[base]), pe)
                 pair_distances.setflags(write=False)
-            levels.append(SphereMapLevel(**params, images=level_images, pair_distances=pair_distances))
-        return CoarseEmbedding(space=space, exponent=pe, delta=delta, schedule=tuple(levels), base_index=base)
+            try:
+                levels.append(SphereMapLevel(**params, images=level_images, pair_distances=pair_distances))
+            except ValueError as exc:
+                raise ValueError(f"level {n}: {exc}") from None
+        return CoarseEmbedding(space, pe, betas[0], delta, tuple(levels), base)
     except ValueError as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
 

@@ -30,6 +30,7 @@ from .coarse_embedder import (
     pairwise_image_power_sums,
     theoretical_bounds,
 )
+from .lp_core import pth_root
 from .metric_spaces import MAX_VIOLATIONS
 
 __all__ = [
@@ -125,7 +126,7 @@ def empirical_profile(embedding: CoarseEmbedding, bucket_count: int) -> Distorti
     bucket_count = int(bucket_count)
     scan = pairwise_image_power_sums(embedding)
     _, _, d, psums = scan
-    image_d = psums ** (1.0 / embedding.exponent.value)
+    image_d = pth_root(psums, embedding.exponent.value)
     diameter = embedding.space.diameter()
     edges = np.linspace(0.0, diameter, bucket_count + 1)
 

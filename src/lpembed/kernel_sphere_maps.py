@@ -72,9 +72,10 @@ float64's resolution are not factored:
   column of ones, sup 0, every pair distance 0, saturated, at
   min(cap, 2^-55 / g_max), g_max over all pairs, where the kernel is
   all-ones in float64, so its images are the factor of its kernel and later
-  levels accept that bandwidth free at their cap. Since the shrinks halve t
-  from the third on, every level ends at a feasible try, at this floor or at
-  the separation end.
+  levels accept that bandwidth free at their cap (past g_max ~ 2^1019 no
+  positive t makes the kernel all-ones, and t is 2^-1074, the least
+  positive float64). Since the shrinks halve t from the third on, every
+  level ends at a feasible try, at this floor or at the separation end.
 - Identity end: a try with t g > 53 ln 2 puts K at that pair below 2^-53,
   so its l_2 images are sqrt(2) apart and, through the Mazur lower
   envelope, at least the ceiling > 1/2 >= 2^-n apart in l_p. It counts as a
@@ -117,6 +118,7 @@ from .lp_core import (
     as_exponent,
     pair_subset_power_sums,
     pairwise_pnorm_all,
+    pth_root,
     row_pnorms,
 )
 from .mazur import mazur_bounds, mazur_map_rows
@@ -281,44 +283,40 @@ def measure_conditions(
 
 @dataclass(frozen=True, eq=False)
 class SphereMapLevel:
-    """One calibrated map into S(l_p): its images, one row per point, and certified parameters.
+    """What one level's search measured: its images in S(l_p), one row per point, and certified parameters.
 
-    epsilon_n (finite, >= 0) certifies sup{||phi(x)-phi(y)||_p : d(x,y) <= level_n}
-    and s_n the threshold from which pairs stay the embedding's delta/2 apart
-    (vacuous when saturated, s_n = inf), both measured on the images after
-    Mazur transport; bandwidth_t is finite and > 0, and beta (2 or 1) is
-    the kernel exp(-t d^beta) the images factor. pair_distances is that
-    measurement, kept read-only, over all pairs i < j in condensed
+    Its number n (its position in the schedule), p and kernel exp(-t d^beta)
+    are the embedding's. epsilon_n (finite, >= 0) certifies
+    sup{||phi(x)-phi(y)||_p : d(x,y) <= n} and s_n the threshold from which
+    pairs stay the embedding's delta/2 apart (vacuous when saturated,
+    s_n = inf), both measured on the images after Mazur transport;
+    bandwidth_t, finite and > 0, is the t they factor. pair_distances is
+    that measurement, kept read-only, over all pairs i < j in condensed
     (np.triu_indices) order; the embedding's verification and profile sum
     it instead of rescanning. Both arrays are required, built or read back
     from JSON: images (points, width) and pair_distances 1-D. Neither enters
     the repr, and both must be finite.
     """
 
-    level_n: int
-    exponent: PExponent
     epsilon_n: float
     s_n: float
     bandwidth_t: float
-    beta: float
     images: np.ndarray = field(repr=False)
     pair_distances: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.beta not in _BETAS:
-            raise ValueError(f"kernel exponent beta must be one of {_BETAS}, got {self.beta!r}")
         if not (math.isfinite(self.epsilon_n) and self.epsilon_n >= 0):
-            raise ValueError(f"level {self.level_n}: eps must be finite and nonnegative, got {self.epsilon_n!r}")
+            raise ValueError(f"eps must be finite and nonnegative, got {self.epsilon_n!r}")
         if not (math.isfinite(self.bandwidth_t) and self.bandwidth_t > 0):
-            raise ValueError(f"level {self.level_n}: t must be finite and positive, got {self.bandwidth_t!r}")
+            raise ValueError(f"t must be finite and positive, got {self.bandwidth_t!r}")
         if np.ndim(self.images) != 2:  # None has ndim 0
-            raise ValueError(f"level {self.level_n}: images must be a (points, width) array")
+            raise ValueError("images must be a (points, width) array")
         if np.ndim(self.pair_distances) != 1:
-            raise ValueError(f"level {self.level_n}: pair_distances must be a 1-D array")
+            raise ValueError("pair_distances must be a 1-D array")
         for name in ("images", "pair_distances"):
             if not np.isfinite(getattr(self, name)).all():
                 # a NaN distance would pass every certificate comparison
-                raise ValueError(f"level {self.level_n}: {name} must be finite (no NaN/inf)")
+                raise ValueError(f"{name} must be finite (no NaN/inf)")
 
     @property
     def saturated(self) -> bool:
@@ -371,9 +369,7 @@ def _close_pair_sup(images: np.ndarray, p: PExponent, ci: np.ndarray, cj: np.nda
     converted as pairwise_pnorm_all converts, so each distance has that
     scan's bits, and so does the max.
     """
-    pv = p.value
-    sums = pair_subset_power_sums(images, ci, cj, pv)
-    return float((sums if pv == 1.0 else sums ** (1.0 / pv)).max())
+    return float(pth_root(pair_subset_power_sums(images, ci, cj, p.value), p.value).max())
 
 
 def _l2_target(eps: float, p: PExponent) -> float:
@@ -431,9 +427,11 @@ def _constant_map(n_points: int, pair_count: int, g_max: float, t_cap: float) ->
     One column of ones, sup 0 and every pair distance 0, at min(cap,
     2^-55 / g_max), g_max over all pairs, where the kernel is all-ones in
     float64: its images are the factor of its kernel, and every later level
-    accepts that bandwidth free at its cap.
+    accepts that bandwidth free at its cap. Past g_max ~ 2^1019 that t is
+    below the least positive float64, 2^-1074, and no positive t makes the
+    kernel all-ones; t is then 2^-1074, since a level's t must be positive.
     """
-    t = min(t_cap, ALL_ONES_EXPONENT / g_max) if g_max > 0.0 else t_cap
+    t = max(math.ulp(0.0), min(t_cap, ALL_ONES_EXPONENT / g_max)) if g_max > 0.0 else t_cap
     return t, 0.0, np.ones((n_points, 1)), np.zeros(pair_count)
 
 
@@ -515,18 +513,18 @@ def calibrate_level(
     """Calibrate level n: largest bandwidth meeting sup_{d<=n} <= 2^-n, then S_n.
 
     The closeness certificate is the exactly measured post-transport sup, not
-    the envelope bound. previous (level n-1 of this space, exponent and
-    beta) caps the search at its bandwidth, since later levels have tighter
-    targets over larger radii; level 1's cap is T_CAP. s_floor is an
-    exclusive lower bound on S_n, for strictly increasing schedules. The
-    search, its stopping rule and its ends are described in the module
-    docstring.
+    the envelope bound. previous (level n-1) caps the search at its
+    bandwidth, since later levels have tighter targets over larger radii;
+    level 1's cap is T_CAP. s_floor is an exclusive lower bound on S_n, for
+    strictly increasing schedules. The search, its stopping rule and its
+    ends are described in the module docstring.
 
     The inputs are build_level_family's and are not checked again: n >= 1,
     beta in _BETAS, delta finite and positive with delta/2 within reach at
-    p, and previous from the same space, exponent and beta. _pairs is
-    internal: build_level_family lays out the pairs and their source
-    distances once and passes them to every level.
+    p, and previous made by the same build, at this p and beta, which a
+    level does not record. _pairs is internal: build_level_family lays out
+    the pairs and their source distances once and passes them to every
+    level.
     """
     p = as_exponent(p_target)
     ceiling = _distance_ceiling(p)
@@ -632,16 +630,7 @@ def calibrate_level(
     s_n = _separation_threshold(d_pairs, all_img, delta / 2.0, s_floor)
 
     all_img.setflags(write=False)
-    return SphereMapLevel(
-        level_n=n,
-        exponent=p,
-        epsilon_n=sup_best,
-        s_n=s_n,
-        bandwidth_t=t_best,
-        beta=beta,
-        images=images,
-        pair_distances=all_img,
-    )
+    return SphereMapLevel(epsilon_n=sup_best, s_n=s_n, bandwidth_t=t_best, images=images, pair_distances=all_img)
 
 
 def build_level_family(

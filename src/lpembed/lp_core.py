@@ -5,7 +5,8 @@ All go through one power kernel (_abs_power_inplace), whose fractional
 exponents run log and exp over the whole buffer with 0 mapped to +0.0 exactly,
 and numpy's pairwise summation of each contiguous row: row_pnorms for rows,
 pairwise_power_sums_all and pairwise_pnorm_all for all row pairs in blocks of
-consecutive rows, pair_subset_power_sums for listed pairs.
+consecutive rows, pair_subset_power_sums for listed pairs. Every norm is
+taken from its power sum by one root, pth_root.
 No max-rescaling is applied: the rows lpembed passes hold entries of order
 one (unit-sphere images, their differences and stacks, Gaussian samples),
 far from float64 underflow and overflow.
@@ -103,13 +104,15 @@ def abs_power(values: np.ndarray, p: float) -> np.ndarray:
 # row and pair scans (numpy pairwise summation)
 # ---------------------------------------------------------------------------
 
+def pth_root(sums: np.ndarray, p: float) -> np.ndarray:
+    """sums ** (1/p), the p-norms of p-th-power sums; sums itself at p = 1, where ** 1.0 is exact."""
+    return sums if p == 1.0 else sums ** (1.0 / p)
+
+
 def row_pnorms(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
     """p-norm of every row of a 2-D array."""
     pv = as_exponent(p).value
-    sums = abs_power(rows, pv).sum(axis=1)
-    if pv == 1.0:
-        return sums
-    return sums ** (1.0 / pv)
+    return pth_root(abs_power(rows, pv).sum(axis=1), pv)
 
 
 # floats per pair block of pairwise_power_sums_all and pair_subset_power_sums,
@@ -176,7 +179,4 @@ def pair_subset_power_sums(
 def pairwise_pnorm_all(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
     """p-distance over all row pairs i < j, condensed order."""
     pv = as_exponent(p).value
-    sums = pairwise_power_sums_all(rows, pv)
-    if pv == 1.0:
-        return sums
-    return sums ** (1.0 / pv)
+    return pth_root(pairwise_power_sums_all(rows, pv), pv)

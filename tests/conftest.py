@@ -25,11 +25,11 @@ def mp_pnorm(row, p) -> float:
         return float(total ** (1 / mpmath.mpf(p)))
 
 
-def verify_levels(levels, space, delta) -> list:
-    """Re-measure every level's certificates and epsilon_n <= 2^-n; human-readable problems.
+def verify_levels(levels, space, p, delta) -> list:
+    """Re-measure every level's certificates and epsilon_n <= 2^-n at p; human-readable problems.
 
     The oracle the unit tests hold calibration to: it trusts no recorded
-    pair distance. Each level's images are scanned once, and the sup over
+    pair distance. Level n is the n-th of levels. Each level's images are scanned once, and the sup over
     d <= n, the inf over d >= S_n (at separation delta/2) and the largest
     image distance (at most 2 on the unit sphere) all come from that scan.
     Levels read back from JSON carry their images too, and are measured
@@ -40,12 +40,11 @@ def verify_levels(levels, space, delta) -> list:
     prev_s = 0.0
     ii, jj = space.pair_indices()
     d = space.dist[ii, jj]
-    for level in levels:
-        n = level.level_n
-        worst = float(np.abs(row_pnorms(level.images, level.exponent) - 1.0).max())
+    for n, level in enumerate(levels, 1):
+        worst = float(np.abs(row_pnorms(level.images, p) - 1.0).max())
         if worst > UNIT_TOL:
             problems.append(f"level {n}: image off unit sphere by {worst:.3e}")
-        pair_d = pairwise_pnorm_all(level.images, level.exponent)
+        pair_d = pairwise_pnorm_all(level.images, p)
         sup_close = float(pair_d.max(where=d <= n, initial=0.0))
         inf_far = float(pair_d.min(where=d >= level.s_n, initial=math.inf))
         if sup_close > level.epsilon_n:

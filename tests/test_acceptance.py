@@ -129,14 +129,12 @@ def test_criterion_4_sphere_map_conditions(hypercube8, hc8_embeddings):
     embeddings, build_seconds = hc8_embeddings
     failures = []
     for p, embedding in embeddings.items():
-        for level in embedding.schedule:
-            sup_close, inf_far = measure_conditions(
-                level.images, hypercube8, level.level_n, level.s_n, p
-            )
-            if sup_close > 2.0 ** (-level.level_n):
-                failures.append(f"p={p} n={level.level_n} sup {sup_close:.3e}")
+        for n, level in enumerate(embedding.schedule, 1):
+            sup_close, inf_far = measure_conditions(level.images, hypercube8, n, level.s_n, p)
+            if sup_close > 2.0 ** (-n):
+                failures.append(f"p={p} n={n} sup {sup_close:.3e}")
             if not level.saturated and inf_far < 0.5:
-                failures.append(f"p={p} n={level.level_n} inf {inf_far:.3e}")
+                failures.append(f"p={p} n={n} inf {inf_far:.3e}")
     ok = not failures and build_seconds < 30.0
     report(
         4,

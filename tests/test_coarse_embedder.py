@@ -27,7 +27,7 @@ from lpembed.coarse_embedder import (
     theoretical_bounds,
 )
 from lpembed.distortion_report import empirical_profile, export, verify_bounds
-from lpembed.kernel_sphere_maps import NotNegativeType, build_level_family
+from lpembed.kernel_sphere_maps import NotNegativeType, SphereMapLevel, build_level_family
 from lpembed.lp_core import as_exponent, pairwise_pnorm_all, pairwise_power_sums_all
 from lpembed.metric_spaces import FiniteMetricSpace, generate, validate
 
@@ -339,20 +339,18 @@ class TestSingleCopy:
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             dataclasses.replace(hc4_p1, delta=delta)
 
-    def test_levels_at_another_exponent_rejected(self):
-        # p = 2 levels under a p = 1 embedding would be summed to the first power
-        E = build_embedding(generate("cycle", 16), p=2.0)
-        with pytest.raises(ValueError, match="family's p = 1"):
-            dataclasses.replace(E, exponent=as_exponent(1.0))
-
 
 class TestOneLevelRecord:
-    """The embedding is the one record of space, p, delta, levels and base point."""
+    """The embedding is the one record of space, p, beta, delta, levels and base point."""
 
     def test_fields_are_family_and_base(self, hc4_p1):
+        # a level holds what its search measured; its n, p and beta are the embedding's
         fields = [f.name for f in dataclasses.fields(CoarseEmbedding)]
-        assert fields == ["space", "exponent", "delta", "schedule", "base_index"]
+        assert fields == ["space", "exponent", "beta", "delta", "schedule", "base_index"]
+        level_fields = [f.name for f in dataclasses.fields(SphereMapLevel)]
+        assert level_fields == ["epsilon_n", "s_n", "bandwidth_t", "images", "pair_distances"]
         assert hc4_p1.level_count == len(hc4_p1.schedule) and isinstance(hc4_p1.delta, float)
+        assert hc4_p1.beta == 1.0
         # every copy of the record is checked as a build's is
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             dataclasses.replace(hc4_p1, delta=math.nan)
@@ -457,9 +455,21 @@ class TestJson:
         save_embedding(build_embedding(X, p=1.5), path)
         assert {level["kernel"] for level in json.loads(path.read_text())["schedule"]} == {name}
         E = load_embedding(path, X)
-        assert {level.beta for level in E.schedule} == {beta}
+        assert E.beta == beta
         save_embedding(E, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("t", 0.0, "level 2: t must be finite and positive, got 0.0"),
+        ("eps", -1.0, "level 2: eps must be finite and nonnegative, got -1.0"),
+    ])
+    def test_level_refusal_names_its_level(self, key, value, message, hc4_p1):
+        # a level record does not know its number; the loader names it
+        payload = embedding_to_json(hc4_p1)
+        payload["schedule"][1][key] = value
+        with pytest.raises(ValueError) as err:
+            embedding_from_json(payload, hc4_p1.space)
+        assert str(err.value) == f"malformed embedding payload: {message}"
 
     def test_numpy_integer_base_writes_an_ints_bytes(self, tmp_path):
         # np.int64 passed the base check, and then json.dumps refused it
@@ -526,7 +536,7 @@ class TestRankAwareBlocks:
     def test_former_floor_refusal_certifies(self, kind, param, p):
         E = build_embedding(generate(kind, param), p=p)
         assert verify_bounds(E) == []
-        assert verify_levels(E.schedule, E.space, E.delta) == []
+        assert verify_levels(E.schedule, E.space, E.exponent, E.delta) == []
         # the last levels sit below the floor: the constant map, one column
         assert E.block_dims[-1] == 1
         assert E.schedule[-1].epsilon_n == 0.0 and E.schedule[-1].saturated
@@ -593,7 +603,7 @@ def ultrametrics(draw):
 def certify(space, p):
     embedding = build_embedding(space, p=p)
     assert verify_bounds(embedding) == []
-    assert verify_levels(embedding.schedule, space, embedding.delta) == []
+    assert verify_levels(embedding.schedule, space, embedding.exponent, embedding.delta) == []
     return embedding
 
 
@@ -604,7 +614,7 @@ BETAS = (2.0, 1.0)
 def certify_family(space, p, beta):
     """The default schedule under a kernel exp(-t d^beta) given, below build_embedding's choice."""
     levels = build_level_family(space, default_level_count(space), p, 1.0, beta)
-    assert verify_levels(levels, space, 1.0) == []
+    assert verify_levels(levels, space, p, 1.0) == []
 
 
 class TestCertifyOrRefuse:
@@ -625,12 +635,12 @@ class TestCertifyOrRefuse:
             with pytest.raises(NotNegativeType, match="beta = 1"):
                 build_embedding(space, p=p)
         else:
-            assert certify(space, p).schedule[0].beta == beta
+            assert certify(space, p).beta == beta
 
     @settings(max_examples=40, deadline=None)
     @given(space=euclidean_clouds(), p=st.sampled_from(PROPERTY_EXPONENTS))
     def test_euclidean_clouds(self, space, p):
-        assert certify(space, p).schedule[0].beta == 2.0
+        assert certify(space, p).beta == 2.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -696,7 +706,7 @@ class TestTriangleNotRead:
         space = make()
         kinds = {v.kind for v in validate(space).violations}
         assert kinds == {"triangle"}
-        assert certify(space, p).schedule[0].beta == 1.0
+        assert certify(space, p).beta == 1.0
 
     def test_builds_with_no_triangle_scan(self, monkeypatch):
         calls = []
@@ -820,13 +830,13 @@ class TestKernelChoice:
     def test_paths_certify_under_beta_two(self, param, p, thresholds, constant_from):
         # under beta = 1 these gave S = [2, 10] and [2, 23]
         E = certify(generate("path", param), p)
-        assert {level.beta for level in E.schedule} == {2.0}
+        assert E.beta == 2.0
         assert E.separation_thresholds().tolist() == thresholds
         # from constant_from on, every level takes the constant map: path(30)
         # at p = 2 at the separation end, after S_3 = 13, and path(48) at p = 3
         # at the float64 floor (its separation end could fire only where every
         # pair is close, from level 47)
-        constant = [level.level_n for level in E.schedule if level.images.shape[1] == 1]
+        constant = [n for n, level in enumerate(E.schedule, 1) if level.images.shape[1] == 1]
         assert constant == list(range(constant_from, E.level_count + 1))
         assert all(level.epsilon_n == 0.0 and level.saturated for level in E.schedule[constant_from - 1:])
 
@@ -843,7 +853,7 @@ class TestKernelChoice:
         with np.errstate(over="ignore"):
             assert np.isinf(X.dist ** 2).any()
         E = build_embedding(X, p=1.5)
-        assert {level.beta for level in E.schedule} == {1.0}
+        assert E.beta == 1.0
         assert verify_bounds(E) == []
 
 
@@ -927,7 +937,7 @@ class TestSeparationEnd:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel_sphere_maps, "_separates_nothing", spy)
             levels = build_level_family(space, default_level_count(space), 2.0, delta, kernel)
-        assert verify_levels(levels, space, delta) == []
+        assert verify_levels(levels, space, 2.0, delta) == []
         for t, delta_half in decided:
             images = kernel_sphere_maps.build_sphere_map(space, t, kernel)
             assert pairwise_pnorm_all(images, 2.0).max() < delta_half
@@ -988,7 +998,7 @@ class TestSeparationEnd:
         levels = build_level_family(X, 10, p, 1.0, 1.0)
         for level in levels[6:]:
             assert level.images.shape[1] == 1 and level.epsilon_n == 0.0 and level.saturated
-        assert verify_levels(levels, X, 1.0) == []
+        assert verify_levels(levels, X, p, 1.0) == []
 
 
 def round_trip(embedding):
@@ -1002,7 +1012,7 @@ def round_trip(embedding):
 def certify_reloaded(space, p):
     embedding = build_embedding(space, p=p)
     back = round_trip(embedding)
-    assert verify_levels(back.schedule, space, back.delta) == []
+    assert verify_levels(back.schedule, space, back.exponent, back.delta) == []
     assert verify_bounds(back) == []
     assert np.array_equal(back.image_matrix.view(np.uint64), embedding.image_matrix.view(np.uint64))
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -296,6 +297,24 @@ class TestOverflowingEnvelope:
             assert profile.rho2_theory == (1.0,) + tuple(2.0 * e for e in profile.edges[1:])
             fine = empirical_profile(emb, 1000)
             assert [b.pair_count for b in fine.buckets] == [b.pair_count for b in unscaled.buckets]
+
+    # past d ~ 2^1019 no positive t makes the kernel all-ones in float64; the
+    # constant map took t = 0 there, and the level was refused ("t must be
+    # finite and positive"). It takes the least positive float64 instead
+    @pytest.mark.parametrize("scale", [1020, 1023])
+    @pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 3.0])
+    def test_far_point_on_a_line_certifies(self, p, scale):
+        xs = [0.0, 1.0, 2.0, math.ldexp(1.0, scale)]
+        X = FiniteMetricSpace(labels=("0", "1", "2", "far"), dist=np.abs(np.subtract.outer(xs, xs)))
+        E = build_embedding(X, p=p)
+        assert E.schedule[-1].bandwidth_t == math.ulp(0.0)
+        back = embedding_from_json(json.loads(json.dumps(embedding_to_json(E))), X)
+        for emb in (E, back):
+            assert verify_bounds(emb) == []
+            profile = empirical_profile(emb, 1000)
+            assert profile.violation_count == 0
+            counts = [b.pair_count for b in profile.buckets]
+            assert counts[0] == counts[-1] == 3 and sum(counts) == 6
 
 
 class TestExport:

@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 import conftest
 from conftest import verify_levels
 from lpembed import kernel_sphere_maps
-from lpembed.coarse_embedder import CoarseEmbedding, build_embedding, default_level_count
+from lpembed.coarse_embedder import (
+    CoarseEmbedding,
+    build_embedding,
+    default_level_count,
+    embedding_from_json,
+    embedding_to_json,
+)
 from lpembed.kernel_sphere_maps import (
     CalibrationError,
     NotNegativeType,
@@ -137,7 +143,7 @@ class TestCalibrateLevel:
     def test_certificates_remesured(self, p):
         X = generate("hypercube", 4)
         lvl = calibrate_level(X, 2, p, 1.0, 1.0)
-        sup, inf_far = measure_conditions(lvl.images, X, lvl.level_n, lvl.s_n, p)
+        sup, inf_far = measure_conditions(lvl.images, X, 2, lvl.s_n, p)
         assert sup == lvl.epsilon_n
         assert sup <= 0.25
         assert inf_far >= 0.5
@@ -184,7 +190,7 @@ class TestFamily:
     def test_family_passes_verification(self, p):
         X = generate("hypercube", 4)
         levels = build_level_family(X, 6, p, 1.0, 1.0)
-        assert verify_levels(levels, X, 1.0) == []
+        assert verify_levels(levels, X, p, 1.0) == []
 
     def test_thresholds_strictly_increasing_with_small_delta(self):
         # small delta keeps several levels non-saturated, exercising the
@@ -196,19 +202,16 @@ class TestFamily:
         assert all(b > a for a, b in zip(finite, finite[1:]))
 
     def test_epsilon_schedule_dyadic(self):
-        for lvl in build_level_family(generate("cycle", 8), 5, 1.0, 1.0, 1.0):
-            assert lvl.epsilon_n <= 2.0 ** (-lvl.level_n)
+        for n, lvl in enumerate(build_level_family(generate("cycle", 8), 5, 1.0, 1.0, 1.0), 1):
+            assert lvl.epsilon_n <= 2.0 ** (-n)
 
     def test_level_without_images_rejected(self):
         level = build_level_family(generate("cycle", 8), 4, 1.0, 1.0, 1.0)[1]
         for bad in (None, level.images[0], level.images[None]):
-            with pytest.raises(ValueError, match=r"level 2: images must be a \(points, width\) array"):
+            with pytest.raises(ValueError, match=r"^images must be a \(points, width\) array"):
                 replace(level, images=bad)
         with pytest.raises(TypeError, match="images"):
-            SphereMapLevel(
-                level_n=1, exponent=level.exponent, epsilon_n=0.5, s_n=math.inf, bandwidth_t=1.0,
-                beta=1.0,
-            )
+            SphereMapLevel(epsilon_n=0.5, s_n=math.inf, bandwidth_t=1.0)
 
     def test_images_one_row_per_point(self):
         E = record(generate("cycle", 8), 3)
@@ -221,11 +224,10 @@ class TestFamily:
         level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0)[1]
         with pytest.raises(TypeError, match="pair_distances"):
             SphereMapLevel(
-                level_n=2, exponent=level.exponent, epsilon_n=level.epsilon_n, s_n=level.s_n,
-                bandwidth_t=level.bandwidth_t, beta=1.0, images=level.images,
+                epsilon_n=level.epsilon_n, s_n=level.s_n, bandwidth_t=level.bandwidth_t, images=level.images
             )
         for bad in (None, level.pair_distances[None], np.float64(0.5)):
-            with pytest.raises(ValueError, match="level 2: pair_distances must be a 1-D array"):
+            with pytest.raises(ValueError, match="^pair_distances must be a 1-D array"):
                 replace(level, pair_distances=bad)
 
     @pytest.mark.parametrize("trim", [1, -1])
@@ -238,13 +240,13 @@ class TestFamily:
             replace(E, schedule=(E.schedule[0], replace(level, pair_distances=wrong), E.schedule[2]))
 
     @pytest.mark.parametrize("field,value,message", [
-        ("epsilon_n", math.nan, "level 1: eps must be finite and nonnegative"),
-        ("epsilon_n", math.inf, "level 1: eps must be finite and nonnegative"),
-        ("epsilon_n", -1.0, "level 1: eps must be finite and nonnegative"),
-        ("bandwidth_t", math.inf, "level 1: t must be finite and positive"),
-        ("bandwidth_t", math.nan, "level 1: t must be finite and positive"),
-        ("bandwidth_t", 0.0, "level 1: t must be finite and positive"),
-        ("bandwidth_t", -2.0, "level 1: t must be finite and positive"),
+        ("epsilon_n", math.nan, "^eps must be finite and nonnegative"),
+        ("epsilon_n", math.inf, "^eps must be finite and nonnegative"),
+        ("epsilon_n", -1.0, "^eps must be finite and nonnegative"),
+        ("bandwidth_t", math.inf, "^t must be finite and positive"),
+        ("bandwidth_t", math.nan, "^t must be finite and positive"),
+        ("bandwidth_t", 0.0, "^t must be finite and positive"),
+        ("bandwidth_t", -2.0, "^t must be finite and positive"),
     ])
     def test_schedule_values_checked(self, field, value, message):
         level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0)[0]
@@ -252,36 +254,23 @@ class TestFamily:
             replace(level, **{field: value})
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5, 2.5, math.nan, -1.0, "laplacian"])
-    def test_level_beta_checked(self, beta):
-        # a level read from outside names its kernel by beta, 2 or 1; a file's
-        # kernel name is mapped to beta before the level is made
-        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0)[0]
-        with pytest.raises(ValueError, match=r"beta must be one of \(2.0, 1.0\)"):
-            replace(level, beta=beta)
-
-    @pytest.mark.parametrize("change,message", [
-        ("exponent", r"every level must be calibrated at the family's p = 1"),
-        ("beta", r"every level must use one kernel exponent beta, got \[1\.0, 2\.0\]"),
-    ], ids=["exponent", "beta"])
-    def test_levels_share_exponent_and_beta(self, change, message):
-        # calibration trusts its previous level; the embedding refuses a level
-        # made at another p or with another kernel
-        X = generate("cycle", 8)
-        E = record(X, 2)
-        if change == "exponent":
-            other = build_level_family(X, 2, 2.0, 1.0, 1.0)[1]
-        else:
-            other = replace(E.schedule[1], beta=2.0)
-        with pytest.raises(ValueError, match=message):
-            replace(E, schedule=(E.schedule[0], other))
+    def test_embedding_beta_checked(self, beta):
+        # beta, 2 or 1, is the embedding's, one for all its levels; a file's
+        # kernel name is mapped to beta before the record is made
+        E = record(generate("cycle", 8), 2)
+        with pytest.raises(ValueError, match=r"kernel exponent beta must be one of \(2.0, 1.0\)"):
+            replace(E, beta=beta)
 
     @pytest.mark.parametrize("numbers", [(0, 2, 3), (2, 2, 3), (1, 3, 2), (2, 3, 4)])
     def test_level_numbers_run_from_one_in_order(self, numbers):
+        # a level's n is its position in the schedule, and a file's n must be that
         E = record(generate("cycle", 8), 3)
-        levels = tuple(replace(level, level_n=k) for level, k in zip(E.schedule, numbers))
-        with pytest.raises(ValueError, match=r"level numbers n must run 1\.\.3 in order"):
-            replace(E, schedule=levels)
-        assert replace(E, schedule=E.schedule[:2]).schedule[-1].level_n == 2
+        payload = embedding_to_json(E)
+        assert [entry["n"] for entry in payload["schedule"]] == [1, 2, 3]
+        for entry, n in zip(payload["schedule"], numbers):
+            entry["n"] = n
+        with pytest.raises(ValueError, match=r"^malformed embedding payload: level numbers n must run 1\.\.3 in order"):
+            embedding_from_json(payload, E.space)
 
     def test_nan_images_rejected(self):
         # every comparison verify_levels makes is False on a NaN row, so it would report nothing
@@ -289,20 +278,20 @@ class TestFamily:
         level = E.schedule[0]
         images = level.images.copy()
         images[3] = math.nan
-        with pytest.raises(ValueError, match="level 1: images must be finite"):
+        with pytest.raises(ValueError, match="^images must be finite"):
             replace(level, images=images)
 
     def test_nan_pair_distances_rejected(self):
         # verify_bounds sums these into every pair's image distance; NaN passes both envelopes
         E = build_embedding(generate("cycle", 8), p=1.0)
         level = E.schedule[0]
-        with pytest.raises(ValueError, match="level 1: pair_distances must be finite"):
+        with pytest.raises(ValueError, match="^pair_distances must be finite"):
             replace(level, pair_distances=np.full_like(level.pair_distances, math.nan))
 
     def test_gaussian_space_with_gaussian_kernel(self):
         X = generate("gaussian", 40, seed=3)
         levels = build_level_family(X, 4, 1.5, 1.0, 2.0)
-        assert verify_levels(levels, X, 1.0) == []
+        assert verify_levels(levels, X, 1.5, 1.0) == []
 
     def test_tampered_family_problems_from_one_scan_per_level(self, monkeypatch):
         X = generate("hypercube", 4)
@@ -316,8 +305,7 @@ class TestFamily:
         # the oracle: measure_conditions plus a separate scan for the largest distance
         expected = []
         prev_s = 0.0
-        for level in lv:
-            n = level.level_n
+        for n, level in enumerate(lv, 1):
             worst = float(np.abs(row_pnorms(level.images, 1.0) - 1.0).max())
             if worst > conftest.UNIT_TOL:
                 expected.append(f"level {n}: image off unit sphere by {worst:.3e}")
@@ -340,7 +328,7 @@ class TestFamily:
         scans = []
         real = conftest.pairwise_pnorm_all
         monkeypatch.setattr(conftest, "pairwise_pnorm_all", lambda rows, p: scans.append(1) or real(rows, p))
-        assert verify_levels(lv, X, delta) == expected
+        assert verify_levels(lv, X, 1.0, delta) == expected
         assert len(scans) == len(lv)
 
 
@@ -455,7 +443,7 @@ class TestScanRule:
 def record(X, level_count):
     """The embedding record of X's first level_count levels at p = 1 and beta = 1, based at point 0."""
     levels = build_level_family(X, level_count, 1.0, 1.0, 1.0)
-    return CoarseEmbedding(space=X, exponent=levels[0].exponent, delta=1.0, schedule=levels, base_index=0)
+    return CoarseEmbedding(space=X, exponent=as_exponent(1.0), beta=1.0, delta=1.0, schedule=levels, base_index=0)
 
 
 def assert_same_levels(levels, reference):
@@ -539,7 +527,7 @@ class TestKernelReuse:
         for ((kind, param), p), ceiling in FLOOR_CASES.items():
             del calls[:]
             args = default_family_args(kind, param, p)
-            assert verify_levels(build_level_family(*args), args[0], args[3]) == []
+            assert verify_levels(build_level_family(*args), args[0], args[2], args[3]) == []
             assert len(calls) <= ceiling
 
     def test_accepted_previous_bandwidth_shares_the_measurement(self, monkeypatch):
@@ -579,7 +567,7 @@ class TestKernelReuse:
             # every scanned try of this family is accepted; from level 11 on
             # every pair is close and 2^-n < delta/2, so those levels take the
             # constant map at the separation end and scan nothing
-            assert [level.level_n for level in levels if level.images.shape[1] == 1] == [11, 12, 13]
+            assert [n for n, level in enumerate(levels, 1) if level.images.shape[1] == 1] == [11, 12, 13]
             assert [rows.shape[0] for rows in scanned] == [12] * 10
 
 
@@ -651,8 +639,8 @@ class TestWarmStart:
         X, _, p, _, beta = build_case(case)
         assert len(levels) >= 8
         cap = kernel_sphere_maps.T_CAP
-        for level, ts in zip(levels, tried):
-            eps = 2.0 ** -level.level_n
+        for n, (level, ts) in enumerate(zip(levels, tried), 1):
+            eps = 2.0 ** -n
             # the floor's constant map may stop anywhere, but only at a
             # bandwidth where the kernel is all-ones
             constant = bool((kernel_matrix(X, level.bandwidth_t, beta) == 1.0).all())
@@ -661,7 +649,7 @@ class TestWarmStart:
                 assert level.epsilon_n == 0.0 and level.saturated
             elif not ts:
                 # a level that factors nothing accepts the previous bandwidth
-                assert level.level_n > 1
+                assert n > 1
                 assert level.bandwidth_t == cap
             assert max(ts, default=cap) <= cap
             assert level.bandwidth_t <= cap
@@ -673,7 +661,7 @@ class TestWarmStart:
                 top = min(t for t in ts + [cap] if t > level.bandwidth_t)
                 assert top <= 1.01 * level.bandwidth_t
                 images = kernel_sphere_maps._transported_images(X, top, beta, as_exponent(p))
-                assert measure_conditions(images, X, level.level_n, math.inf, p)[0] > eps
+                assert measure_conditions(images, X, n, math.inf, p)[0] > eps
             cap = level.bandwidth_t
 
     @pytest.mark.parametrize("case", WARM_CASES, ids=case_id)
@@ -776,16 +764,16 @@ class TestResolution:
     def test_no_try_below_the_floor(self, case, monkeypatch):
         levels, tried = trace_levels(monkeypatch)
         X = build_case(case)[0]
-        for level, ts in zip(levels, tried):
-            assert not any(below_floor(X, level.level_n, t) for t in ts)
+        for n, ts in enumerate(tried, 1):
+            assert not any(below_floor(X, n, t) for t in ts)
         # the last levels take the constant map, the first of them within a
         # factor 4 of the largest bandwidth where the kernel is all-ones
         # (exp(-x) rounds to the float below 1.0 from x = 2^-53 on)
-        first = next(level for level in levels if level.images.shape[1] == 1)
+        first_n, first = next((n, level) for n, level in enumerate(levels, 1) if level.images.shape[1] == 1)
         assert (kernel_matrix(X, first.bandwidth_t, 1.0) == 1.0).all()
         assert not (kernel_matrix(X, 4.0 * first.bandwidth_t, 1.0) == 1.0).all()
-        assert below_floor(X, first.level_n, first.bandwidth_t)
-        assert all(level.bandwidth_t == first.bandwidth_t for level in levels[first.level_n:])
+        assert below_floor(X, first_n, first.bandwidth_t)
+        assert all(level.bandwidth_t == first.bandwidth_t for level in levels[first_n:])
 
     @pytest.mark.parametrize("case", FLOOR_FREE_CASES + [(("gaussian", 80), 1.3)], ids=case_id)
     def test_same_thresholds_without_the_floor(self, case, monkeypatch):
@@ -812,10 +800,10 @@ class TestResolution:
         assert d.min() > 1.0
         levels, tried = trace_levels(monkeypatch)
         levels = build_level_family(X, default_level_count(X), p, 1.0, 2.0)
-        assert verify_levels(levels, X, 1.0) == []
+        assert verify_levels(levels, X, p, 1.0) == []
         assert levels[0].bandwidth_t == kernel_sphere_maps.T_CAP
-        for level, ts in zip(levels[1:], tried[1:]):
-            g = d[d <= level.level_n].max() ** 2
+        for n, ts in enumerate(tried[1:], 2):
+            g = d[d <= n].max() ** 2
             # K at the largest close pair stays at or above 2^-53
             assert all(t * g <= 53.0 * math.log(2.0) for t in ts)
         assert sum(map(len, tried)) <= 13
@@ -829,11 +817,11 @@ class TestResolution:
         # up to level 8, where S_n reaches the diameter)
         levels, tried = trace_levels(monkeypatch)
         build_level_family(*default_family_args(kind, param, 2.0, FINE_DELTA))
-        factoring = [(level, ts) for level, ts in zip(levels, tried) if ts and level.level_n >= 3]
+        factoring = [(n, level, ts) for n, (level, ts) in enumerate(zip(levels, tried), 1) if ts and n >= 3]
         assert len(factoring) >= {"hypercube": 6, "path": 17, "cycle": 16}[kind]
-        for level, ts in factoring:
+        for n, level, ts in factoring:
             assert ts == [level.bandwidth_t]
-            assert level.epsilon_n >= 0.9 * 2.0 ** -level.level_n
+            assert level.epsilon_n >= 0.9 * 2.0 ** -n
 
 
 def loop_threshold(d_sorted, pair_d_sorted, delta_half, s_floor):
