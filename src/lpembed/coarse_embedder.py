@@ -18,15 +18,15 @@ measured per-level certificates, so a correctly built embedding verifies
 cleanly at 1e-9 (distortion_report.verify_bounds, the one verifier). An
 embedding file is json.dumps of embedding_to_json's dict, written one point's
 level images at a time; on read, each level's pair distances are measured
-once on its base-offset rows (a repeated block shares its predecessor's), so a
-reloaded level is the record a build makes.
+once on its base-offset rows (a repeated block adds its predecessor's again)
+and summed as a build sums them, so a reload is the record a build makes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
@@ -35,6 +35,9 @@ import numpy as np
 from .lp_core import (
     ExponentLike,
     PExponent,
+    _abs_power_inplace,
+    _is_index,
+    _number,
     abs_power,
     as_exponent,
     pairwise_pnorm_all,
@@ -64,17 +67,21 @@ _KERNEL_NAMES = {2.0: "gaussian", 1.0: "laplacian"}  # a file's name for each be
 
 @dataclass(frozen=True, eq=False)
 class CoarseEmbedding:
-    """A finished embedding: its space, p, kernel exponent beta, delta, level schedule and base point.
+    """A finished embedding: its space, p, kernel exponent beta, delta, level schedule, base point and pair power sums.
 
     This is the one record of an embedding, for a build in memory and a
-    reload from JSON alike. p and beta (2 or 1, the kernel exp(-t d^beta))
-    are parameters of the whole sum. Level n is the n-th entry of the
-    schedule (a tuple of SphereMapLevel) and carries what its search
-    measured, its images phi_n and its pair distances; block n of point x
-    is level.images[x] - level.images[base_index].
-    image_matrix (the per-point concatenation of the blocks) and block_dims
-    are formed on first use, once, and read-only; verification and
-    profiling never form them.
+    reload from JSON alike. p (a PExponent) and beta (2 or 1, the kernel
+    exp(-t d^beta)) are parameters of the whole sum. Level n is the n-th
+    entry of the schedule (a tuple of SphereMapLevel) and carries what its
+    search measured, its images phi_n among it; block n of point x is
+    level.images[x] - level.images[base_index]. pair_power_sums holds
+    ||Phi(x) - Phi(y)||_p^p = sum_n ||phi_n(x) - phi_n(y)||_p^p for every
+    pair i < j in condensed (np.triu_indices) order, the p-th powers of
+    each level's pair distances added in level order; verification and
+    profiling read it. A build and a reload make it read-only; it is
+    outside the repr, and each entry must be >= 0. image_matrix (the per-point concatenation of
+    the blocks) and block_dims are formed on first use, once, and
+    read-only; verification and profiling never form them.
     """
 
     space: FiniteMetricSpace
@@ -83,8 +90,11 @@ class CoarseEmbedding:
     delta: float
     schedule: tuple
     base_index: int
+    pair_power_sums: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.exponent, PExponent):
+            raise ValueError(f"exponent must be a PExponent, got {self.exponent!r}")
         if not (math.isfinite(self.delta) and self.delta > 0):
             # a vacuous lower envelope would certify any images
             raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
@@ -93,8 +103,9 @@ class CoarseEmbedding:
         if any(level.images.shape[0] != self.space.n for level in self.schedule):
             raise ValueError(f"every level's images must hold one row per point, {self.space.n} rows")
         pairs = self.space.n * (self.space.n - 1) // 2
-        if any(level.pair_distances.shape != (pairs,) for level in self.schedule):
-            raise ValueError(f"every level must carry one distance per point pair, {pairs} distances")
+        if np.shape(self.pair_power_sums) != (pairs,) or not (self.pair_power_sums >= 0).all():
+            # a NaN sum would pass every envelope comparison; +inf, an overflow, is a violation
+            raise ValueError(f"pair_power_sums must hold one sum >= 0 (no NaN) per point pair, {pairs} sums")
         _check_base_index(self.base_index, self.space.n)
         object.__setattr__(self, "base_index", int(self.base_index))  # json.dumps refuses np.int64
 
@@ -125,11 +136,6 @@ class CoarseEmbedding:
 def default_level_count(space: FiniteMetricSpace) -> int:
     """ceil(diameter) + 2, clamped to [1, MAX_LEVELS]."""
     return max(1, min(MAX_LEVELS, int(math.ceil(space.diameter())) + 2))
-
-
-def _is_index(value) -> bool:
-    """An int or numpy integer, and not a bool: a point index or a level count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_base_index(value, n_points: int) -> None:
@@ -166,6 +172,7 @@ def build_embedding(
     """
     _require_axioms(space)
     pe = as_exponent(p)
+    delta = _number(delta, "delta")
     if level_count is None:
         level_count = default_level_count(space)
     if not (_is_index(level_count) and 1 <= level_count <= MAX_LEVELS):
@@ -174,12 +181,12 @@ def build_embedding(
 
     try:
         beta = _kernel_for(space)
-        levels = build_level_family(space, int(level_count), pe, float(delta), beta)
+        levels, sums = build_level_family(space, int(level_count), pe, delta, beta)
     except NotNegativeType:
         # a non-metric is refused as one; its triangle scan runs only here
         validate(space).require_ok()
         raise
-    return CoarseEmbedding(space, pe, beta, float(delta), levels, int(base_index))
+    return CoarseEmbedding(space, pe, beta, delta, levels, int(base_index), sums)
 
 
 def _point_index(embedding: CoarseEmbedding, point: Union[int, str]) -> int:
@@ -248,16 +255,12 @@ def pairwise_image_power_sums(embedding: CoarseEmbedding) -> tuple:
     """(i_idx, j_idx, source_distance, image_distance^p) over all point pairs.
 
     The base-point offset cancels in every pair, so
-    ||Phi(x)-Phi(y)||_p^p = sum_n ||phi_n(x)-phi_n(y)||_p^p: the p-th powers
-    of each level's pair distances, summed in level order, O(L n^2), for a
-    build and a reload alike.
+    ||Phi(x)-Phi(y)||_p^p = sum_n ||phi_n(x)-phi_n(y)||_p^p, which the
+    embedding holds, read-only, as pair_power_sums, for a build and a
+    reload alike.
     """
     ii, jj = embedding.space.pair_indices()
-    p = embedding.exponent.value
-    psums = np.zeros(ii.size)
-    for level in embedding.schedule:
-        psums += abs_power(level.pair_distances, p)
-    return ii, jj, embedding.space.dist[ii, jj], psums
+    return ii, jj, embedding.space.dist[ii, jj], embedding.pair_power_sums
 
 
 def pairwise_image_distances(embedding: CoarseEmbedding) -> tuple:
@@ -313,13 +316,6 @@ def _level_images(rows: list, position: int) -> np.ndarray:
     return arr
 
 
-def _number(value, name: str, integer: bool = False):
-    """A JSON number as float (int if integer); float() and int() also read bools and strings."""
-    if not (_is_index(value) or (not integer and isinstance(value, (float, np.floating)))):
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
 def _kernel_beta(name) -> float:
     """The beta a schedule entry's kernel name stands for."""
     for beta, kernel in _KERNEL_NAMES.items():
@@ -337,17 +333,20 @@ def _threshold(value) -> float:
 
 
 def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedding:
-    """Reattach a serialized embedding to its space: each level with its images and pair distances.
+    """Reattach a serialized embedding to its space: each level with its images, and the pair power sums.
 
     The file holds each level's images phi_n(x), one list per level for
     each point; a level's lists are read for all points as one array. Each
     level's pair distances are measured once, by pairwise_pnorm_all on its
-    base-offset rows phi_n(x) - phi_n(x0); offsets that overflow are a
-    malformed payload. A level whose images equal the previous level's
-    shares that level's images and pair-distance array, as a build's do, so
-    a constant tail costs one scan and one array. Older files hold those
+    base-offset rows phi_n(x) - phi_n(x0), and their p-th powers added in
+    level order to the pair power sums, as a build adds them; only one
+    level's terms are held at a time. Offsets that overflow, or pair
+    distances that do (no warning is raised for either), are a malformed
+    payload. A level whose images equal the previous level's shares that
+    level's images and adds its terms again, unscanned, as a build's
+    shares them, so a constant tail costs one scan. Older files hold those
     offsets, whose zero base rows give the same rows, so they read back to
-    the same pair distances and image_matrix. A level's n is its position
+    the same pair power sums and image_matrix. A level's n is its position
     and its kernel the embedding's, so levels whose n do not run 1..N, or
     that name two kernels, are refused here.
     """
@@ -392,20 +391,27 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
                 f"{len(schedule)} blocks, one per schedule level"
             )
     try:
-        levels = []
-        for n, params in enumerate(schedule, 1):
-            level_images = _level_images([blocks[n - 1] for blocks in per_point], n)
-            if levels and np.array_equal(level_images, levels[-1].images):
-                # the previous level's images, as a build shares them: its pair distances, unscanned
-                level_images, pair_distances = levels[-1].images, levels[-1].pair_distances
-            else:
-                pair_distances = pairwise_pnorm_all(_offset_rows(level_images, level_images[base]), pe)
-                pair_distances.setflags(write=False)
-            try:
-                levels.append(SphereMapLevel(**params, images=level_images, pair_distances=pair_distances))
-            except ValueError as exc:
-                raise ValueError(f"level {n}: {exc}") from None
-        return CoarseEmbedding(space, pe, betas[0], delta, tuple(levels), base)
+        levels, sums = [], np.zeros(space.n * (space.n - 1) // 2)
+        # distances that overflow are refused below, and a sum that does is +inf, a violation
+        with np.errstate(over="ignore"):
+            for n, params in enumerate(schedule, 1):
+                level_images = _level_images([blocks[n - 1] for blocks in per_point], n)
+                if levels and np.array_equal(level_images, levels[-1].images):
+                    # the previous level's images, as a build shares them: its terms again, unscanned
+                    level_images = levels[-1].images
+                else:
+                    pair_d = pairwise_pnorm_all(_offset_rows(level_images, level_images[base]), pe)
+                    if not np.isfinite(pair_d).all():
+                        # a NaN distance would pass every certificate comparison
+                        raise ValueError(f"level {n}: pair_distances must be finite (no NaN/inf)")
+                    terms = _abs_power_inplace(pair_d, pe.value)  # abs_power's bits, in the scan's buffer
+                try:
+                    levels.append(SphereMapLevel(**params, images=level_images))
+                except ValueError as exc:
+                    raise ValueError(f"level {n}: {exc}") from None
+                sums += terms
+        sums.setflags(write=False)
+        return CoarseEmbedding(space, pe, betas[0], delta, tuple(levels), base, sums)
     except ValueError as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
 

@@ -26,11 +26,10 @@ import numpy as np
 from .coarse_embedder import (
     CoarseEmbedding,
     _envelope_terms,
-    _is_index,
     pairwise_image_power_sums,
     theoretical_bounds,
 )
-from .lp_core import pth_root
+from .lp_core import _is_index, pth_root
 from .metric_spaces import MAX_VIOLATIONS
 
 __all__ = [

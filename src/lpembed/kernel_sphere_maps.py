@@ -98,10 +98,11 @@ source distances:
 The gathered pairs go through the same kernel as the all-pairs scan, so both
 ways give that scan's sup, bit for bit, and the search path is the one an
 all-pairs scan per try gives. No images are scanned twice, and a level that
-accepts the previous level's images scans nothing. A kept scan is held while
-later tries run: besides the previous level's pair distances, good's and the
-current try's, two arrays of n(n-1)/2 floats (about 67 MB each at n = 4096),
-where a gathered try holds none.
+accepts the previous level's images scans nothing. A build holds no level's
+pair distances but the latest one's, which the next level's search reads,
+and the embedding's pair power sums; a kept scan adds good's and the current
+try's while later tries run, two arrays of n(n-1)/2 floats (about 67 MB each
+at n = 4096), where a gathered try holds none.
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ import numpy as np
 from .lp_core import (
     ExponentLike,
     PExponent,
+    abs_power,
     as_exponent,
     pair_subset_power_sums,
     pairwise_pnorm_all,
@@ -290,19 +292,16 @@ class SphereMapLevel:
     sup{||phi(x)-phi(y)||_p : d(x,y) <= n} and s_n the threshold from which
     pairs stay the embedding's delta/2 apart (vacuous when saturated,
     s_n = inf), both measured on the images after Mazur transport;
-    bandwidth_t, finite and > 0, is the t they factor. pair_distances is
-    that measurement, kept read-only, over all pairs i < j in condensed
-    (np.triu_indices) order; the embedding's verification and profile sum
-    it instead of rescanning. Both arrays are required, built or read back
-    from JSON: images (points, width) and pair_distances 1-D. Neither enters
-    the repr, and both must be finite.
+    bandwidth_t, finite and > 0, is the t they factor. images, a finite
+    (points, width) array, is required, built or read back from JSON, and
+    does not enter the repr. The level keeps no pair distances: the
+    embedding holds the sum of their p-th powers over its levels.
     """
 
     epsilon_n: float
     s_n: float
     bandwidth_t: float
     images: np.ndarray = field(repr=False)
-    pair_distances: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon_n) and self.epsilon_n >= 0):
@@ -311,12 +310,9 @@ class SphereMapLevel:
             raise ValueError(f"t must be finite and positive, got {self.bandwidth_t!r}")
         if np.ndim(self.images) != 2:  # None has ndim 0
             raise ValueError("images must be a (points, width) array")
-        if np.ndim(self.pair_distances) != 1:
-            raise ValueError("pair_distances must be a 1-D array")
-        for name in ("images", "pair_distances"):
-            if not np.isfinite(getattr(self, name)).all():
-                # a NaN distance would pass every certificate comparison
-                raise ValueError(f"{name} must be finite (no NaN/inf)")
+        if not np.isfinite(self.images).all():
+            # a NaN image makes NaN distances, which pass every certificate comparison
+            raise ValueError("images must be finite (no NaN/inf)")
 
     @property
     def saturated(self) -> bool:
@@ -506,18 +502,21 @@ def calibrate_level(
     delta: float,
     beta: float,
     *,
-    previous: Optional[SphereMapLevel] = None,
+    previous: Optional[tuple] = None,
     s_floor: float = 0.0,
     _pairs: Optional[tuple] = None,
-) -> SphereMapLevel:
+) -> tuple:
     """Calibrate level n: largest bandwidth meeting sup_{d<=n} <= 2^-n, then S_n.
 
-    The closeness certificate is the exactly measured post-transport sup, not
-    the envelope bound. previous (level n-1) caps the search at its
-    bandwidth, since later levels have tighter targets over larger radii;
-    level 1's cap is T_CAP. s_floor is an exclusive lower bound on S_n, for
-    strictly increasing schedules. The search, its stopping rule and its
-    ends are described in the module docstring.
+    Returns (level, pair distances): the SphereMapLevel and its images'
+    l_p distance over every pair i < j in condensed (np.triu_indices)
+    order, read-only. The closeness certificate is the exactly measured
+    post-transport sup, not the envelope bound. previous, level n-1's
+    (level, pair distances), caps the search at its bandwidth, since later
+    levels have tighter targets over larger radii, and its distances give
+    the sup at that cap; level 1's cap is T_CAP. s_floor is an exclusive
+    lower bound on S_n, for strictly increasing schedules. The search, its
+    stopping rule and its ends are described in the module docstring.
 
     The inputs are build_level_family's and are not checked again: n >= 1,
     beta in _BETAS, delta finite and positive with delta/2 within reach at
@@ -536,7 +535,7 @@ def calibrate_level(
     if not scan_tries:
         ci, cj = ii[close], jj[close]
 
-    t_cap = T_CAP if previous is None else previous.bandwidth_t
+    t_cap = T_CAP if previous is None else previous[0].bandwidth_t
     # with no close pair there is no closeness constraint at this radius, and
     # the cap maxes out the separation
     start = t_cap
@@ -555,9 +554,9 @@ def calibrate_level(
     if previous is not None:
         # the previous level's sup over these close pairs is the measurement
         # at the cap, free
-        prev_sup = float(previous.pair_distances[close].max()) if close_count else 0.0
+        prev_sup = float(previous[1][close].max()) if close_count else 0.0
         if prev_sup <= eps:
-            good = (t_cap, prev_sup, previous.images, previous.pair_distances)
+            good = (t_cap, prev_sup, previous[0].images, previous[1])
         else:
             bad = (t_cap, prev_sup)
     d_max = float(d_pairs.max(initial=0.0))
@@ -630,7 +629,7 @@ def calibrate_level(
     s_n = _separation_threshold(d_pairs, all_img, delta / 2.0, s_floor)
 
     all_img.setflags(write=False)
-    return SphereMapLevel(epsilon_n=sup_best, s_n=s_n, bandwidth_t=t_best, images=images, pair_distances=all_img)
+    return SphereMapLevel(epsilon_n=sup_best, s_n=s_n, bandwidth_t=t_best, images=images), all_img
 
 
 def build_level_family(
@@ -640,7 +639,7 @@ def build_level_family(
     delta: float,
     beta: float,
 ) -> tuple:
-    """Calibrate levels 1..level_count with strictly increasing S_n; the levels, in order.
+    """Calibrate levels 1..level_count with strictly increasing S_n; (the levels in order, pair power sums).
 
     Later levels have tighter closeness targets over larger radii, so each
     level's bandwidth brackets the next one's search; saturated levels add no
@@ -649,7 +648,10 @@ def build_level_family(
     level 1: a delta that is not finite and positive is a ValueError, and a
     delta/2 beyond the separation l_p images can be guaranteed at p a
     CalibrationError. The pairs and their source distances are laid out
-    once, for every level of this build.
+    once, for every level of this build. Only the latest level's pair
+    distances are held: they go to the next level's search, and their p-th
+    powers are added, in level order, to the pair power sums, one per pair
+    i < j in condensed order and read-only.
     """
     p = as_exponent(p_target)
     if not (math.isfinite(delta) and delta > 0):
@@ -662,14 +664,14 @@ def build_level_family(
             f"ceiling {ceiling:g} at p = {p.value:g}"
         )
     pairs = _pair_layout(space)
-    levels = []
-    s_floor = 0.0
+    levels, sums = [], np.zeros(pairs[0].size)
+    previous, s_floor = None, 0.0
     for n in range(1, level_count + 1):
-        level = calibrate_level(
-            space, n, p, delta, beta,
-            previous=levels[-1] if levels else None, s_floor=s_floor, _pairs=pairs,
-        )
+        level, pair_d = calibrate_level(space, n, p, delta, beta, previous=previous, s_floor=s_floor, _pairs=pairs)
+        sums += abs_power(pair_d, p.value)
         levels.append(level)
+        previous = (level, pair_d)
         if not level.saturated:
             s_floor = level.s_n
-    return tuple(levels)
+    sums.setflags(write=False)
+    return tuple(levels), sums

@@ -30,9 +30,21 @@ __all__ = [
 ExponentLike = Union["PExponent", float, int]
 
 
+def _is_index(value) -> bool:
+    """An int or numpy integer, and not a bool: a point index, a count or a seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _number(value, name: str, integer: bool = False):
+    """A real int or float as float (an int as int if integer); float() and int() would also read bools and strings."""
+    if not (_is_index(value) or (not integer and isinstance(value, (float, np.floating)))):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 @dataclass(frozen=True)
 class PExponent:
-    """Norm exponent p with 1 <= p < 1024 enforced at construction.
+    """Norm exponent p, a real int or float with 1 <= p < 1024, enforced at construction.
 
     The envelopes and the tail bound take 2^p, which overflows float64 from
     p = 1024 on (its largest binary exponent, np.finfo(np.float64).maxexp).
@@ -41,7 +53,7 @@ class PExponent:
     value: float
 
     def __post_init__(self) -> None:
-        v = float(self.value)
+        v = _number(self.value, "norm exponent")
         if not 1.0 <= v < np.finfo(np.float64).maxexp:
             raise ValueError(f"norm exponent must satisfy 1 <= p < 1024, got {self.value!r}")
         object.__setattr__(self, "value", v)
@@ -51,10 +63,10 @@ class PExponent:
 
 
 def as_exponent(p: ExponentLike) -> PExponent:
-    """Coerce a float/int into a validated PExponent (identity on PExponent)."""
+    """A validated PExponent from a real int or float (identity on PExponent)."""
     if isinstance(p, PExponent):
         return p
-    return PExponent(float(p))
+    return PExponent(p)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .lp_core import ExponentLike, abs_power, as_exponent, row_pnorms
+from .lp_core import ExponentLike, _number, abs_power, as_exponent, row_pnorms
 
 __all__ = [
     "MAX_SAMPLE_DIM",
@@ -140,8 +140,11 @@ def sample_ratio_extremes(
     pairs: int,
     seed: int,
 ) -> RatioSample:
-    """Maximize the Mazur envelope ratios over seeded random sphere pairs."""
+    """Maximize the Mazur envelope ratios over seeded random sphere pairs; dim, pairs and seed are integers."""
     pe, qe = as_exponent(p), as_exponent(q)
+    dim = _number(dim, "dim", integer=True)
+    pairs = _number(pairs, "pairs", integer=True)
+    seed = _number(seed, "seed", integer=True)
     if dim < 1 or pairs < 1:
         raise ValueError("dim and pairs must be positive")
     if dim > MAX_SAMPLE_DIM:

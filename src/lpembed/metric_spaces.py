@@ -23,6 +23,8 @@ from typing import Optional
 
 import numpy as np
 
+from .lp_core import _number
+
 __all__ = [
     "MAX_POINTS",
     "MAX_GAUSSIAN_DIM",
@@ -306,9 +308,10 @@ def generate(
     cycle(n) / path(n): shortest-path metric on the n-cycle / n-path.
     gaussian(n): n points sampled coordinate-wise from a standard normal in
     `dim` dimensions (default 8) with Euclidean distance; requires a seed and
-    is deterministic per seed.
+    is deterministic per seed. param, seed and dim must be integers: a
+    float or a bool is refused, not truncated.
     """
-    param = int(param)
+    param = _number(param, "space parameter", integer=True)
     if kind == "hypercube":
         return _hypercube(param)
     if kind == "cycle":
@@ -318,7 +321,7 @@ def generate(
     if kind == "gaussian":
         if seed is None:
             raise ValueError("gaussian spaces require a seed")
-        return _gaussian(param, int(seed), int(dim))
+        return _gaussian(param, _number(seed, "seed", integer=True), _number(dim, "dim", integer=True))
     raise ValueError(f"unknown space kind {kind!r}; expected one of {GENERATOR_KINDS}")
 
 

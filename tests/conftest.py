@@ -11,7 +11,7 @@ from hypothesis import assume
 
 from lpembed.coarse_embedder import build_embedding
 from lpembed.kernel_sphere_maps import EIG_REL_TOL
-from lpembed.lp_core import pairwise_pnorm_all, row_pnorms
+from lpembed.lp_core import abs_power, pairwise_pnorm_all, row_pnorms
 from lpembed.metric_spaces import generate
 
 # how far verify_levels lets an image row's norm stray from 1
@@ -28,8 +28,8 @@ def mp_pnorm(row, p) -> float:
 def verify_levels(levels, space, p, delta) -> list:
     """Re-measure every level's certificates and epsilon_n <= 2^-n at p; human-readable problems.
 
-    The oracle the unit tests hold calibration to: it trusts no recorded
-    pair distance. Level n is the n-th of levels. Each level's images are scanned once, and the sup over
+    The oracle the unit tests hold calibration to: it reads only each
+    level's images and certificates. Level n is the n-th of levels. Each level's images are scanned once, and the sup over
     d <= n, the inf over d >= S_n (at separation delta/2) and the largest
     image distance (at most 2 on the unit sphere) all come from that scan.
     Levels read back from JSON carry their images too, and are measured
@@ -61,6 +61,21 @@ def verify_levels(levels, space, p, delta) -> list:
         if top > 2.0 + 1e-9:
             problems.append(f"level {n}: image distance {top!r} above 2")
     return problems
+
+
+def level_power_sums(levels, p, base=None):
+    """sum_n abs_power(pairwise_pnorm_all(rows_n, p), p), added in level order, as an embedding sums its pairs.
+
+    rows_n is level n's images for a build, or their offsets from point
+    base for a reload, which measures the offset rows.
+    """
+    pv = float(p)
+    n_points = levels[0].images.shape[0]
+    sums = np.zeros(n_points * (n_points - 1) // 2)
+    for level in levels:
+        rows = level.images if base is None else level.images - level.images[base]
+        sums += abs_power(pairwise_pnorm_all(rows, pv), pv)
+    return sums
 
 
 def negative_type_margin(dist, beta) -> float:

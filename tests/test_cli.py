@@ -379,6 +379,21 @@ class TestMalformedEmbeddingFile:
         assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
         assert "malformed embedding payload: image blocks must be finite" in capsys.readouterr().err
 
+    def test_report_overflowing_pair_distances_exit_2(self, tmp_path, capsys):
+        # one image coordinate of 1e300 leaves every offset finite, but the
+        # pair distances overflow |diff|^1.5; with RuntimeWarning an error, as
+        # under pytest, report exited 1 (violations found) with a traceback
+        space, emb = tmp_path / "s.json", tmp_path / "e.json"
+        assert run("gen", "--kind", "hypercube", "--param", "4", "--out", str(space)) == 0
+        assert run("embed", "--space", str(space), "--p", "1.5", "--out", str(emb)) == 0
+        payload = json.loads(emb.read_text())
+        payload["images"]["0000"][0][0] = 1e300
+        emb.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
+        err = capsys.readouterr().err
+        assert "malformed embedding payload: level 1: pair_distances must be finite (no NaN/inf)" in err
+
     # a kernel name the file map does not hold, or levels of two kernels, once
     # passed report with exit 0
     @pytest.mark.parametrize("first,rest,message", [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mp_pnorm, reference_kernel, saving_peak, verify_levels
+from conftest import level_power_sums, mp_pnorm, reference_kernel, saving_peak, verify_levels
 from lpembed import coarse_embedder, kernel_sphere_maps, metric_spaces
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
@@ -61,7 +61,7 @@ class TestBuild:
         (img_a,), (img_b,) = evaluate(E, "a"), evaluate(E, "b")
         got = mp_pnorm(img_a - img_b, 2.0)
         lvl = E.schedule[0]
-        assert got == pytest.approx(lvl.pair_distances[0], abs=1e-12)
+        assert got == pytest.approx(pairwise_image_distances(E)[3][0], abs=1e-12)
         assert got == pytest.approx(mp_pnorm(lvl.images[0] - lvl.images[1], 2.0), abs=1e-12)
 
     def test_blocks_reproduce_family_offsets(self, hc4_p1):
@@ -85,6 +85,29 @@ class TestBuild:
         for bad in (2.7, True):
             with pytest.raises(ValueError, match="level count must be an integer"):
                 build_embedding(generate("cycle", 8), p=1.0, level_count=bad)
+
+    # float() read these: p=True built at p = 1, and the strings as their numbers
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"p": True}, "norm exponent must be a number"),
+        ({"p": "1.5"}, "norm exponent must be a number"),
+        ({"p": 1.5, "delta": "1"}, "delta must be a number"),
+        ({"p": 1.5, "delta": True}, "delta must be a number"),
+    ])
+    def test_numbers_must_be_real_numbers(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}, got"):
+            build_embedding(generate("cycle", 8), **kwargs)
+
+    def test_real_numbers_accepted(self):
+        E = build_embedding(generate("cycle", 8), p=np.float64(1.5), delta=np.float32(0.5))
+        assert (E.exponent.value, E.delta) == (1.5, 0.5)
+        assert verify_bounds(E) == []
+        assert build_embedding(generate("cycle", 8), p=2, delta=1).exponent.value == 2.0
+
+    @pytest.mark.parametrize("bad", [1.5, 2, None, "1.5"])
+    def test_record_exponent_is_a_p_exponent(self, bad, hc4_p1):
+        # a plain number was accepted, and verify_bounds then failed with AttributeError
+        with pytest.raises(ValueError, match="^exponent must be a PExponent, got"):
+            dataclasses.replace(hc4_p1, exponent=bad)
 
     def test_base_index_range(self):
         with pytest.raises(ValueError):
@@ -122,6 +145,18 @@ class TestBuild:
         payload["images"]["000"][0][0] = -1e308
         payload["images"]["011"][0][0] = 1e308
         with pytest.raises(ValueError, match="malformed embedding payload: image blocks must be finite"):
+            embedding_from_json(payload, E.space)
+
+    @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 3.0])
+    def test_overflowing_pair_distances_refused_without_a_warning(self, p):
+        # a coordinate of 1e300 leaves every offset finite, but its pair
+        # distances overflow |diff|^p; the RuntimeWarning (an error under
+        # pytest) came before the refusal
+        E = build_embedding(generate("hypercube", 3), p=p)
+        payload = embedding_to_json(E)
+        payload["images"]["000"][0][0] = 1e300
+        message = r"^malformed embedding payload: level 1: pair_distances must be finite \(no NaN/inf\)"
+        with pytest.raises(ValueError, match=message):
             embedding_from_json(payload, E.space)
 
     def test_unknown_point(self, hc4_p1):
@@ -243,16 +278,15 @@ class TestLevelReuse:
         assert calls == []
         assert "image_matrix" not in vars(back)
 
-    def test_reloaded_pair_distances_from_offset_rows(self, built_embedding):
-        # measured once on load, on the base-offset rows: bit for bit the scan
-        # of each block, and the built level's to rounding
+    def test_reloaded_sums_from_offset_rows(self, built_embedding):
+        # measured once on load, on the base-offset rows: bit for bit the sum
+        # of each block's scanned terms, and the build's sums to rounding
         E = dataclasses.replace(built_embedding, base_index=built_embedding.space.n // 2)
         back = embedding_from_json(embedding_to_json(E), E.space)
-        for level, built in zip(back.schedule, E.schedule):
-            scan = pairwise_pnorm_all(level.images - level.images[E.base_index], E.exponent)
-            assert np.array_equal(level.pair_distances.view(np.uint64), scan.view(np.uint64))
-            np.testing.assert_allclose(level.pair_distances, built.pair_distances, rtol=1e-13, atol=0.0)
-            assert not level.pair_distances.flags.writeable
+        expected = level_power_sums(back.schedule, E.exponent, base=E.base_index)
+        assert np.array_equal(back.pair_power_sums.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_allclose(back.pair_power_sums, E.pair_power_sums, rtol=1e-13, atol=0.0)
+        assert not back.pair_power_sums.flags.writeable
 
     def test_reload_shares_repeated_blocks(self, monkeypatch):
         # hypercube(8) at p = 2 factors level 1 only; levels 2-10 hold the
@@ -264,18 +298,19 @@ class TestLevelReuse:
         back = embedding_from_json(embedding_to_json(E), E.space)
         assert len(calls) == 2
         for levels in (E.schedule, back.schedule):
-            assert len({id(level.pair_distances) for level in levels}) == 2
             assert all(level.images is levels[1].images for level in levels[2:])
         # the bits of a scan of every block, so the reports are those of scanning each level
-        for level in back.schedule:
-            block = level.images - level.images[E.base_index]
-            assert np.array_equal(level.pair_distances.view(np.uint64), scan(block, E.exponent).view(np.uint64))
+        expected = level_power_sums(back.schedule, E.exponent, base=E.base_index)
+        assert np.array_equal(back.pair_power_sums.view(np.uint64), expected.view(np.uint64))
 
-    def test_level_pair_distances_read_only(self, built_embedding):
+    def test_pair_power_sums_read_only(self, built_embedding):
         n = built_embedding.space.n
-        for level in built_embedding.schedule:
-            assert level.pair_distances.shape == (n * (n - 1) // 2,)
-            assert not level.pair_distances.flags.writeable
+        back = embedding_from_json(embedding_to_json(built_embedding), built_embedding.space)
+        for sums in (built_embedding.pair_power_sums, back.pair_power_sums):
+            assert sums.shape == (n * (n - 1) // 2,)
+            assert not sums.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                sums[0] = 0.0
 
     def test_level_count_mismatch_rejected(self, built_embedding):
         payload = embedding_to_json(built_embedding)
@@ -288,12 +323,12 @@ class TestSingleCopy:
     """Built and reloaded embeddings alike derive their blocks from their levels' images."""
 
     def test_levels_mix_freely(self, hc4_p1):
-        # built and reloaded levels make one record: it sums its levels
+        # built and reloaded levels make one record: its blocks come from its
+        # levels' images, and its pair power sums are the record's own
         back = embedding_from_json(embedding_to_json(hc4_p1), hc4_p1.space)
         E = dataclasses.replace(back, schedule=hc4_p1.schedule[:1] + back.schedule[1:])
         assert np.array_equal(E.image_matrix.view(np.uint64), hc4_p1.image_matrix.view(np.uint64))
-        expected = sum(level.pair_distances for level in E.schedule)  # p = 1
-        np.testing.assert_array_equal(pairwise_image_power_sums(E)[3], expected)
+        assert pairwise_image_power_sums(E)[3] is E.pair_power_sums
         np.testing.assert_allclose(
             pairwise_image_power_sums(E)[3], pairwise_power_sums_all(E.image_matrix, E.exponent), rtol=1e-13
         )
@@ -344,11 +379,12 @@ class TestOneLevelRecord:
     """The embedding is the one record of space, p, beta, delta, levels and base point."""
 
     def test_fields_are_family_and_base(self, hc4_p1):
-        # a level holds what its search measured; its n, p and beta are the embedding's
+        # a level holds what its search measured and its file entry holds; its
+        # n, p and beta are the embedding's, and so are the pair power sums
         fields = [f.name for f in dataclasses.fields(CoarseEmbedding)]
-        assert fields == ["space", "exponent", "beta", "delta", "schedule", "base_index"]
+        assert fields == ["space", "exponent", "beta", "delta", "schedule", "base_index", "pair_power_sums"]
         level_fields = [f.name for f in dataclasses.fields(SphereMapLevel)]
-        assert level_fields == ["epsilon_n", "s_n", "bandwidth_t", "images", "pair_distances"]
+        assert level_fields == ["epsilon_n", "s_n", "bandwidth_t", "images"]
         assert hc4_p1.level_count == len(hc4_p1.schedule) and isinstance(hc4_p1.delta, float)
         assert hc4_p1.beta == 1.0
         # every copy of the record is checked as a build's is
@@ -360,12 +396,13 @@ class TestOneLevelRecord:
         assert back.space is built_embedding.space
         for level, built in zip(back.schedule, built_embedding.schedule):
             assert np.array_equal(level.images.view(np.uint64), built.images.view(np.uint64))
-            assert level.pair_distances.shape == built.pair_distances.shape
             assert repr(level) == repr(built)
+        assert back.pair_power_sums.shape == built_embedding.pair_power_sums.shape
 
     def test_schedule_repr_holds_no_arrays(self, hc4_p1):
         text = repr(hc4_p1.schedule)
-        assert "array" not in text and "images" not in text and "pair_distances" not in text
+        assert "array" not in text and "images" not in text
+        assert "pair_power_sums" not in repr(hc4_p1)
         assert len(text) < 400 * hc4_p1.level_count
 
 
@@ -613,7 +650,7 @@ BETAS = (2.0, 1.0)
 
 def certify_family(space, p, beta):
     """The default schedule under a kernel exp(-t d^beta) given, below build_embedding's choice."""
-    levels = build_level_family(space, default_level_count(space), p, 1.0, beta)
+    levels, _ = build_level_family(space, default_level_count(space), p, 1.0, beta)
     assert verify_levels(levels, space, p, 1.0) == []
 
 
@@ -936,7 +973,7 @@ class TestSeparationEnd:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel_sphere_maps, "_separates_nothing", spy)
-            levels = build_level_family(space, default_level_count(space), 2.0, delta, kernel)
+            levels, _ = build_level_family(space, default_level_count(space), 2.0, delta, kernel)
         assert verify_levels(levels, space, 2.0, delta) == []
         for t, delta_half in decided:
             images = kernel_sphere_maps.build_sphere_map(space, t, kernel)
@@ -995,10 +1032,40 @@ class TestSeparationEnd:
         assert not rule(2.0 ** -3, 6.0, False)
         # path(8): from level 7 on every pair is close and 2^-n < 1/2
         X = generate("path", 8)
-        levels = build_level_family(X, 10, p, 1.0, 1.0)
+        levels, _ = build_level_family(X, 10, p, 1.0, 1.0)
         for level in levels[6:]:
             assert level.images.shape[1] == 1 and level.epsilon_n == 0.0 and level.saturated
         assert verify_levels(levels, X, p, 1.0) == []
+
+
+class TestPairPowerSums:
+    """The record's pair power sums: each level's pair distances, raised to p and added in level order."""
+
+    @pytest.mark.parametrize("specs", [LADDER_SPECS, CLOUD_SPECS[:4]], ids=["graph-ladder", "cloud-frac"])
+    def test_sums_of_builds_and_reloads(self, specs):
+        # a build measures its levels' images, a reload their base-offset rows
+        for kind, param, p in specs:
+            space = spec_space(kind, param)
+            E = build_embedding(space, p=p)
+            back = embedding_from_json(embedding_to_json(E), space)
+            expected = level_power_sums(E.schedule, p)
+            assert E.pair_power_sums.tobytes() == expected.tobytes()
+            expected = level_power_sums(back.schedule, p, base=back.base_index)
+            assert back.pair_power_sums.tobytes() == expected.tobytes()
+
+    def test_inf_sum_accepted_and_reported(self):
+        # +inf is an overflow, not a NaN: the record takes it, and it breaks the upper envelope
+        E = build_embedding(generate("cycle", 8), p=1.5)
+        assert verify_bounds(E) == []
+        sums = E.pair_power_sums.copy()
+        sums[3] = math.inf
+        tampered = dataclasses.replace(E, pair_power_sums=sums)
+        ii, jj = E.space.pair_indices()
+        violations = verify_bounds(tampered)
+        assert [(v.pair, v.side, v.measured) for v in violations] == [
+            ((E.space.labels[ii[3]], E.space.labels[jj[3]]), "upper", math.inf)
+        ]
+        assert empirical_profile(tampered, 4).violation_count == 1
 
 
 def round_trip(embedding):

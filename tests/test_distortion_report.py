@@ -217,11 +217,10 @@ class TestViolationCap:
 
     @pytest.fixture(scope="class")
     def far_apart(self):
-        # gaussian(60): every one of its 1770 pairs 1e6 apart at level 1, above rho2
+        # gaussian(60): every one of its 1770 pairs given the p-th power of a
+        # distance of 1e6 more, above rho2
         E = build_embedding(generate("gaussian", 60, seed=1), p=1.3)
-        first = E.schedule[0]
-        far = dataclasses.replace(first, pair_distances=np.full_like(first.pair_distances, 1e6))
-        return dataclasses.replace(E, schedule=(far,) + E.schedule[1:])
+        return dataclasses.replace(E, pair_power_sums=E.pair_power_sums + 1e6 ** 1.3)
 
     def test_capped_in_pair_order(self, far_apart):
         violations = verify_bounds(far_apart)

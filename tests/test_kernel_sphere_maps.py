@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from conftest import verify_levels
+from conftest import level_power_sums, verify_levels
 from lpembed import kernel_sphere_maps
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
@@ -134,7 +134,7 @@ class TestCalibrateLevel:
         # bisection/interpolation must land just below the closed-form optimum;
         # delta/2 = 2^-(n+1) stays under the target, so the only pair can still
         # be delta/2 apart and the separation end leaves the level to the search
-        lvl = calibrate_level(two_point(), n, 2.0, 2.0 ** -n, 1.0)
+        lvl, _ = calibrate_level(two_point(), n, 2.0, 2.0 ** -n, 1.0)
         assert lvl.bandwidth_t <= T_STAR[n] * (1 + 1e-9)
         assert lvl.bandwidth_t >= T_STAR[n] * 0.80
         assert lvl.epsilon_n <= 2.0 ** (-n)
@@ -142,7 +142,7 @@ class TestCalibrateLevel:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_certificates_remesured(self, p):
         X = generate("hypercube", 4)
-        lvl = calibrate_level(X, 2, p, 1.0, 1.0)
+        lvl, _ = calibrate_level(X, 2, p, 1.0, 1.0)
         sup, inf_far = measure_conditions(lvl.images, X, 2, lvl.s_n, p)
         assert sup == lvl.epsilon_n
         assert sup <= 0.25
@@ -150,7 +150,7 @@ class TestCalibrateLevel:
 
     def test_level_beyond_diameter_bounds_all_pairs(self):
         X = generate("hypercube", 3)
-        lvl = calibrate_level(X, 5, 1.0, 1.0, 1.0)
+        lvl, _ = calibrate_level(X, 5, 1.0, 1.0, 1.0)
         assert pairwise_pnorm_all(lvl.images, 1.0).max() <= 2.0 ** -5
 
     def test_unreachable_delta_raises(self, monkeypatch):
@@ -173,7 +173,7 @@ class TestCalibrateLevel:
         # at p = 2 the image distance is increasing in source distance, so the
         # close sup sits exactly on the largest close distance class
         X = generate("path", 12)
-        lvl = calibrate_level(X, 3, 2.0, 1.0, 1.0)
+        lvl, _ = calibrate_level(X, 3, 2.0, 1.0, 1.0)
         ii, jj = X.pair_indices()
         d = X.dist[ii, jj]
         pair_d = pairwise_pnorm_all(lvl.images, 2.0)
@@ -181,32 +181,35 @@ class TestCalibrateLevel:
         assert lvl.epsilon_n == pytest.approx(pair_d[close][d[close] == 3].max(), abs=1e-15)
 
     def test_images_unit_norm_at_target_exponent(self):
-        lvl = calibrate_level(generate("cycle", 9), 2, 1.5, 1.0, 1.0)
+        lvl, _ = calibrate_level(generate("cycle", 9), 2, 1.5, 1.0, 1.0)
         assert np.abs(row_pnorms(lvl.images, 1.5) - 1.0).max() <= 1e-9
+
+
+SUMS_REFUSED = r"^pair_power_sums must hold one sum >= 0 \(no NaN\) per point pair"
 
 
 class TestFamily:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_family_passes_verification(self, p):
         X = generate("hypercube", 4)
-        levels = build_level_family(X, 6, p, 1.0, 1.0)
+        levels, _ = build_level_family(X, 6, p, 1.0, 1.0)
         assert verify_levels(levels, X, p, 1.0) == []
 
     def test_thresholds_strictly_increasing_with_small_delta(self):
         # small delta keeps several levels non-saturated, exercising the
         # strict-increase enforcement
         X = generate("path", 30)
-        levels = build_level_family(X, 5, 2.0, 0.4, 1.0)
+        levels, _ = build_level_family(X, 5, 2.0, 0.4, 1.0)
         finite = [lvl.s_n for lvl in levels if not lvl.saturated]
         assert len(finite) >= 2
         assert all(b > a for a, b in zip(finite, finite[1:]))
 
     def test_epsilon_schedule_dyadic(self):
-        for n, lvl in enumerate(build_level_family(generate("cycle", 8), 5, 1.0, 1.0, 1.0), 1):
+        for n, lvl in enumerate(build_level_family(generate("cycle", 8), 5, 1.0, 1.0, 1.0)[0], 1):
             assert lvl.epsilon_n <= 2.0 ** (-n)
 
     def test_level_without_images_rejected(self):
-        level = build_level_family(generate("cycle", 8), 4, 1.0, 1.0, 1.0)[1]
+        level = build_level_family(generate("cycle", 8), 4, 1.0, 1.0, 1.0)[0][1]
         for bad in (None, level.images[0], level.images[None]):
             with pytest.raises(ValueError, match=r"^images must be a \(points, width\) array"):
                 replace(level, images=bad)
@@ -219,25 +222,29 @@ class TestFamily:
         with pytest.raises(ValueError, match="one row per point, 8 rows"):
             replace(E, schedule=E.schedule[:2] + (short,))
 
-    def test_pair_distances_required(self):
-        # every level, built or read back from JSON, carries its pair distances
-        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0)[1]
+    def test_pair_power_sums_required(self):
+        # a level keeps no pair distances; every embedding, built or read back
+        # from JSON, carries the sums of their p-th powers
+        E = record(generate("cycle", 8), 2)
+        level = E.schedule[1]
         with pytest.raises(TypeError, match="pair_distances"):
             SphereMapLevel(
-                epsilon_n=level.epsilon_n, s_n=level.s_n, bandwidth_t=level.bandwidth_t, images=level.images
+                epsilon_n=level.epsilon_n, s_n=level.s_n, bandwidth_t=level.bandwidth_t, images=level.images,
+                pair_distances=np.zeros(28),
             )
-        for bad in (None, level.pair_distances[None], np.float64(0.5)):
-            with pytest.raises(ValueError, match="^pair_distances must be a 1-D array"):
-                replace(level, pair_distances=bad)
+        with pytest.raises(TypeError, match="pair_power_sums"):
+            CoarseEmbedding(E.space, E.exponent, E.beta, E.delta, E.schedule, E.base_index)
+        for bad in (None, E.pair_power_sums[None], np.float64(0.5)):
+            with pytest.raises(ValueError, match=SUMS_REFUSED):
+                replace(E, pair_power_sums=bad)
 
     @pytest.mark.parametrize("trim", [1, -1])
-    def test_one_pair_distance_per_pair(self, trim):
+    def test_one_pair_power_sum_per_pair(self, trim):
         E = record(generate("cycle", 8), 3)
-        level = E.schedule[1]
-        d = level.pair_distances
-        wrong = d[:-1] if trim > 0 else np.concatenate([d, d[:1]])
-        with pytest.raises(ValueError, match="one distance per point pair, 28 distances"):
-            replace(E, schedule=(E.schedule[0], replace(level, pair_distances=wrong), E.schedule[2]))
+        sums = E.pair_power_sums
+        wrong = sums[:-1] if trim > 0 else np.concatenate([sums, sums[:1]])
+        with pytest.raises(ValueError, match=SUMS_REFUSED + ", 28 sums"):
+            replace(E, pair_power_sums=wrong)
 
     @pytest.mark.parametrize("field,value,message", [
         ("epsilon_n", math.nan, "^eps must be finite and nonnegative"),
@@ -249,7 +256,7 @@ class TestFamily:
         ("bandwidth_t", -2.0, "^t must be finite and positive"),
     ])
     def test_schedule_values_checked(self, field, value, message):
-        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0)[0]
+        level = build_level_family(generate("cycle", 8), 2, 1.0, 1.0, 1.0)[0][0]
         with pytest.raises(ValueError, match=message):
             replace(level, **{field: value})
 
@@ -281,21 +288,23 @@ class TestFamily:
         with pytest.raises(ValueError, match="^images must be finite"):
             replace(level, images=images)
 
-    def test_nan_pair_distances_rejected(self):
-        # verify_bounds sums these into every pair's image distance; NaN passes both envelopes
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -0.5e-300])
+    def test_nan_or_negative_pair_power_sums_rejected(self, bad):
+        # verify_bounds reads these as every pair's image distance^p; NaN passes both envelopes
         E = build_embedding(generate("cycle", 8), p=1.0)
-        level = E.schedule[0]
-        with pytest.raises(ValueError, match="^pair_distances must be finite"):
-            replace(level, pair_distances=np.full_like(level.pair_distances, math.nan))
+        sums = E.pair_power_sums.copy()
+        sums[5] = bad
+        with pytest.raises(ValueError, match=SUMS_REFUSED + ", 28 sums"):
+            replace(E, pair_power_sums=sums)
 
     def test_gaussian_space_with_gaussian_kernel(self):
         X = generate("gaussian", 40, seed=3)
-        levels = build_level_family(X, 4, 1.5, 1.0, 2.0)
+        levels, _ = build_level_family(X, 4, 1.5, 1.0, 2.0)
         assert verify_levels(levels, X, 1.5, 1.0) == []
 
     def test_tampered_family_problems_from_one_scan_per_level(self, monkeypatch):
         X = generate("hypercube", 4)
-        lv = list(build_level_family(X, 6, 1.0, 1.0, 1.0))
+        lv = list(build_level_family(X, 6, 1.0, 1.0, 1.0)[0])
         lv[0] = replace(lv[0], epsilon_n=lv[0].epsilon_n / 2.0)
         lv[1] = replace(lv[1], s_n=1.0)
         lv[2] = replace(lv[2], images=lv[2].images * 3.0)
@@ -387,15 +396,16 @@ class TestGatherEquivalence:
         monkeypatch.setattr(kernel_sphere_maps, "_close_pair_sup", spy_gather)
         monkeypatch.setattr(kernel_sphere_maps, "_scans_every_try", spy_rule)
         monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", spy_factor)
-        gathered = build_level_family(*args)
+        gathered, gathered_sums = build_level_family(*args)
         monkeypatch.undo()
         monkeypatch.setattr(kernel_sphere_maps, "_close_pair_sup", full_scan_sup)
         monkeypatch.setattr(kernel_sphere_maps, "_scans_every_try", lambda close_count, pair_count: False)
-        reference = build_level_family(*args)
+        reference, reference_sums = build_level_family(*args)
 
         assert ran["gather"] > 0
         assert ran["scan_tries"] > 0
         assert_same_levels(gathered, reference)
+        assert same_bits(gathered_sums, reference_sums)
 
 
 def half_close_space(close_pairs):
@@ -423,7 +433,7 @@ class TestScanRule:
         )
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
-        level = calibrate_level(X, 1, p, 1.0, beta)
+        level, pair_d = calibrate_level(X, 1, p, 1.0, beta)
         tries = len(calls)
         if scans_tries:
             assert gathers == [] and len(scans) == tries
@@ -435,15 +445,22 @@ class TestScanRule:
             kernel_sphere_maps, "_scans_every_try", lambda close_count, pair_count: not real_rule(close_count, pair_count)
         )
         del gathers[:], scans[:]
-        other = calibrate_level(X, 1, p, 1.0, beta)
+        other, other_d = calibrate_level(X, 1, p, 1.0, beta)
         assert bool(gathers) == scans_tries
         assert_same_levels((level,), (other,))
+        assert same_bits(pair_d, other_d)
 
 
 def record(X, level_count):
     """The embedding record of X's first level_count levels at p = 1 and beta = 1, based at point 0."""
-    levels = build_level_family(X, level_count, 1.0, 1.0, 1.0)
-    return CoarseEmbedding(space=X, exponent=as_exponent(1.0), beta=1.0, delta=1.0, schedule=levels, base_index=0)
+    levels, sums = build_level_family(X, level_count, 1.0, 1.0, 1.0)
+    return CoarseEmbedding(
+        space=X, exponent=as_exponent(1.0), beta=1.0, delta=1.0, schedule=levels, base_index=0, pair_power_sums=sums
+    )
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def assert_same_levels(levels, reference):
@@ -452,8 +469,20 @@ def assert_same_levels(levels, reference):
         assert a.bandwidth_t == b.bandwidth_t
         assert a.epsilon_n == b.epsilon_n
         assert a.s_n == b.s_n
-        assert np.array_equal(a.images.view(np.uint64), b.images.view(np.uint64))
-        assert np.array_equal(a.pair_distances.view(np.uint64), b.pair_distances.view(np.uint64))
+        assert same_bits(a.images, b.images)
+
+
+def spy_levels(monkeypatch):
+    """(level, pair distances) as calibrate_level returns them, in call order."""
+    made = []
+    real = kernel_sphere_maps.calibrate_level
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(kernel_sphere_maps, "calibrate_level", spy)
+    return made
 
 
 def pinned_kernel(kind, X):
@@ -527,7 +556,7 @@ class TestKernelReuse:
         for ((kind, param), p), ceiling in FLOOR_CASES.items():
             del calls[:]
             args = default_family_args(kind, param, p)
-            assert verify_levels(build_level_family(*args), args[0], args[2], args[3]) == []
+            assert verify_levels(build_level_family(*args)[0], args[0], args[2], args[3]) == []
             assert len(calls) <= ceiling
 
     def test_accepted_previous_bandwidth_shares_the_measurement(self, monkeypatch):
@@ -535,15 +564,20 @@ class TestKernelReuse:
         # bandwidth, and levels 2..4 take level 1's images and pair distances
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
-        levels = build_level_family(two_point(5.0), 4, 1.5, 1.0, 1.0)
+        made = spy_levels(monkeypatch)
+        levels, sums = build_level_family(two_point(5.0), 4, 1.5, 1.0, 1.0)
         assert calls == [kernel_sphere_maps.T_CAP]
         assert scans == [2]
-        first = levels[0]
-        assert not first.pair_distances.flags.writeable
-        for level in levels[1:]:
+        assert [level for level, _ in made] == list(levels)
+        first, first_d = made[0]
+        assert not first_d.flags.writeable
+        for level, pair_d in made[1:]:
             assert level.bandwidth_t == first.bandwidth_t
             assert level.images is first.images
-            assert level.pair_distances is first.pair_distances
+            assert pair_d is first_d
+        # the one measurement's p-th power, added once per level
+        assert same_bits(sums, level_power_sums(levels, 1.5))
+        assert not sums.flags.writeable
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_one_all_pairs_scan_per_level(self, p, monkeypatch):
@@ -551,18 +585,20 @@ class TestKernelReuse:
         # close-pair sup, and the accepted one is scanned once; from half on,
         # each try is one scan, kept by the level that accepts it
         calls = spy_factor(monkeypatch)
+        made = spy_levels(monkeypatch)
         scanned = []
         real = kernel_sphere_maps.pairwise_pnorm_all
         monkeypatch.setattr(
             kernel_sphere_maps, "pairwise_pnorm_all", lambda rows, q: scanned.append(rows) or real(rows, q)
         )
-        levels = build_level_family(*default_family_args("path", 12, p))
+        levels, sums = build_level_family(*default_family_args("path", 12, p))
         assert len(levels) == 13
         # scanned holds every array, so no id is reused
         assert len({id(rows) for rows in scanned}) == len(scanned)
         assert len(scanned) <= len(calls) + len(levels)
-        for level in levels:
-            assert np.array_equal(level.pair_distances.view(np.uint64), real(level.images, p).view(np.uint64))
+        for level, pair_d in made:
+            assert same_bits(pair_d, real(level.images, p))
+        assert same_bits(sums, level_power_sums(levels, p))
         if p == 1.0:
             # every scanned try of this family is accepted; from level 11 on
             # every pair is close and 2^-n < delta/2, so those levels take the
@@ -602,11 +638,11 @@ def trace_levels(monkeypatch):
         tried.append([])
         calibrating.append(True)
         try:
-            level = real_level(*args, **kwargs)
+            made = real_level(*args, **kwargs)
         finally:
             calibrating.pop()
-        levels.append(level)
-        return level
+        levels.append(made[0])
+        return made
 
     def spy_factor(space, t, beta):
         if calibrating:
@@ -682,15 +718,15 @@ class TestWarmStart:
         # level 3's bandwidth keeps pairs within 3 under 2^-3, so it already
         # meets level 2's target on the pairs within 2
         X = generate("cycle", 16)
-        third = calibrate_level(X, 3, 1.0, 1.0, 1.0)
+        third, third_d = calibrate_level(X, 3, 1.0, 1.0, 1.0)
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
-        second = calibrate_level(X, 2, 1.0, 1.0, 1.0, previous=third)
+        second, second_d = calibrate_level(X, 2, 1.0, 1.0, 1.0, previous=(third, third_d))
         assert calls == []
         assert scans == []
         assert second.bandwidth_t == third.bandwidth_t
         assert second.images is third.images
-        assert second.pair_distances is third.pair_distances
+        assert second_d is third_d
         assert second.epsilon_n == measure_conditions(third.images, X, 2, math.inf, 1.0)[0]
         assert second.epsilon_n <= 0.25
 
@@ -700,7 +736,7 @@ class TestRankAwareImages:
 
     @pytest.mark.parametrize("case", REUSE_CASES, ids=case_id)
     def test_no_all_zero_image_column(self, case):
-        for level in build_level_family(*default_family_args(case[0][0], case[0][1], case[1])):
+        for level in build_level_family(*default_family_args(case[0][0], case[0][1], case[1]))[0]:
             assert (np.abs(level.images).max(axis=0) > 0.0).all()
 
     def test_all_ones_kernel_is_the_constant_map(self):
@@ -709,12 +745,12 @@ class TestRankAwareImages:
         assert (kernel_matrix(X, kernel_sphere_maps.T_CAP, 1.0) == 1.0).all()
         assert build_sphere_map(X, kernel_sphere_maps.T_CAP, 1.0).shape == (6, 1)
         for p in (1.0, 2.0, 3.0):
-            level = calibrate_level(X, 1, p, 1.0, 1.0)
+            level, pair_d = calibrate_level(X, 1, p, 1.0, 1.0)
             assert level.bandwidth_t == kernel_sphere_maps.T_CAP
             assert level.images.shape == (6, 1)
             assert level.saturated
             assert level.epsilon_n == 0.0
-            assert not level.pair_distances.any()
+            assert not pair_d.any()
 
     @pytest.mark.parametrize("kind,param", [("cycle", 8), ("hypercube", 8), ("path", 30)])
     def test_p2_level_one_keeps_its_envelope_start(self, kind, param, monkeypatch):
@@ -724,7 +760,7 @@ class TestRankAwareImages:
         p = as_exponent(2.0)
         start = kernel_sphere_maps._feasible_start(0.5, p, 1.0, kernel_sphere_maps._gram_error(X.n))
         calls = spy_factor(monkeypatch)
-        level = calibrate_level(X, 1, p, 1.0, 1.0)
+        level, _ = calibrate_level(X, 1, p, 1.0, 1.0)
         assert calls == [start]
         assert level.bandwidth_t == start
         assert 0.9 * 0.5 <= level.epsilon_n <= 0.5
@@ -751,14 +787,14 @@ class TestResolution:
         # with no previous level, level 40's envelope start lies below the floor
         X = generate("path", 48)
         calls = spy_factor(monkeypatch)
-        level = calibrate_level(X, 40, p, 1.0, beta)
+        level, pair_d = calibrate_level(X, 40, p, 1.0, beta)
         assert calls == []
         K = kernel_matrix(X, level.bandwidth_t, beta)
         assert (K == 1.0).all()
         assert level.images.shape == (48, 1)
         assert np.array_equal(level.images @ level.images.T, K)
         assert level.epsilon_n == 0.0 and level.saturated
-        assert not level.pair_distances.any()
+        assert not pair_d.any()
 
     @pytest.mark.parametrize("case", FLOOR_FREE_CASES, ids=case_id)
     def test_no_try_below_the_floor(self, case, monkeypatch):
@@ -780,10 +816,10 @@ class TestResolution:
         # a zero Gram error turns off the floor and leaves the start's 1e-9
         # margin; the tries below the floor then factored change no S_n
         args = default_family_args(case[0][0], case[0][1], case[1])
-        with_floor = build_level_family(*args)
+        with_floor, _ = build_level_family(*args)
         monkeypatch.setattr(kernel_sphere_maps, "_gram_error", lambda n_points: 0.0)
         calls = spy_factor(monkeypatch)
-        without = build_level_family(*args)
+        without, _ = build_level_family(*args)
         assert [level.s_n for level in with_floor] == [level.s_n for level in without]
         if case[0][0] != "gaussian":
             assert any(below_floor(args[0], 1, t) for t in calls)
@@ -799,7 +835,7 @@ class TestResolution:
         d = X.dist[ii, jj]
         assert d.min() > 1.0
         levels, tried = trace_levels(monkeypatch)
-        levels = build_level_family(X, default_level_count(X), p, 1.0, 2.0)
+        levels, _ = build_level_family(X, default_level_count(X), p, 1.0, 2.0)
         assert verify_levels(levels, X, p, 1.0) == []
         assert levels[0].bandwidth_t == kernel_sphere_maps.T_CAP
         for n, ts in enumerate(tried[1:], 2):
@@ -846,9 +882,10 @@ class TestSeparationThreshold:
             ("cycle", 12, 1.5, 0.6, None),
         ],
     )
-    def test_mask_matches_loop(self, kind, param, p, delta, levels):
+    def test_mask_matches_loop(self, kind, param, p, delta, levels, monkeypatch):
         X = generate(kind, param, seed=5) if kind == "gaussian" else generate(kind, param)
-        built = build_level_family(X, levels or default_level_count(X), p, delta, pinned_kernel(kind, X))
+        made = spy_levels(monkeypatch)
+        build_level_family(X, levels or default_level_count(X), p, delta, pinned_kernel(kind, X))
         ii, jj = X.pair_indices()
         d = X.dist[ii, jj]
         order = np.argsort(d, kind="stable")
@@ -857,14 +894,14 @@ class TestSeparationThreshold:
         floors = [0.0, float(distinct[0]), float(distinct[len(distinct) // 2]), float(distinct[-1])]
         s_floor = 0.0
         saturated = 0
-        for level in built:
-            pair_sorted = level.pair_distances[order]
+        for level, pair_d in made:
+            pair_sorted = pair_d[order]
             # the built S_n is the loop's at the build's floor
             assert level.s_n == loop_threshold(d_sorted, pair_sorted, delta / 2.0, s_floor)
             for floor in floors + [s_floor, level.s_n]:
                 for half in (delta / 2.0, delta / 8.0):
                     # condensed order in, the loop's sorted walk as the reference
-                    got = kernel_sphere_maps._separation_threshold(d, level.pair_distances, half, floor)
+                    got = kernel_sphere_maps._separation_threshold(d, pair_d, half, floor)
                     assert got == loop_threshold(d_sorted, pair_sorted, half, floor)
             saturated += level.saturated
             if not level.saturated:

@@ -12,6 +12,7 @@ from lpembed.coarse_embedder import build_embedding, embedding_from_json, embedd
 from lpembed.lp_core import (
     PExponent,
     abs_power,
+    as_exponent,
     pair_subset_power_sums,
     pairwise_pnorm_all,
     pairwise_power_sums_all,
@@ -33,9 +34,17 @@ class TestPExponent:
         with pytest.raises(ValueError, match="1 <= p < 1024"):
             PExponent(bad)
 
-    @pytest.mark.parametrize("ok", [1, 1.0, 1.5, 2, 3.25, 100.0, 1023, 1023.999])
+    @pytest.mark.parametrize("ok", [1, 1.0, 1.5, 2, 3.25, 100.0, 1023, 1023.999, np.int64(3), np.float32(1.5)])
     def test_accepts_valid(self, ok):
         assert PExponent(ok).value == float(ok)
+        assert as_exponent(ok) == PExponent(ok)
+
+    # float() reads a bool as 0 or 1 and a numeric string as its number
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1.5", None, [2.0]])
+    def test_rejects_what_is_not_a_real_number(self, bad):
+        for make in (PExponent, as_exponent):
+            with pytest.raises(ValueError, match="^norm exponent must be a number"):
+                make(bad)
 
 
 KERNEL_EXPONENTS = [0.5, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0]

@@ -105,6 +105,26 @@ class TestMazurBounds:
         assert sample.max_lower_excess <= 1e-12
         assert sample.max_upper_excess <= 1e-12
 
+    # pairs=True ran one pair, and dim=3.5 raised a bare TypeError
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"pairs": True}, "pairs"),
+        ({"pairs": 10.0}, "pairs"),
+        ({"dim": 3.5}, "dim"),
+        ({"dim": "3"}, "dim"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": False}, "seed"),
+    ])
+    def test_integer_arguments_must_be_integers(self, kwargs, name):
+        args = {"dim": 3, "pairs": 10, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            sample_ratio_extremes(2, 1.5, **args)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            sample_ratio_extremes(2, 1.5, args["dim"], args["pairs"], args["seed"])
+
+    def test_numpy_integers_accepted(self):
+        sample = sample_ratio_extremes(2, 1.5, np.int64(3), np.int32(10), np.int64(0))
+        assert sample == sample_ratio_extremes(2, 1.5, 3, 10, 0)
+
     @pytest.mark.parametrize("dim,per_batch", [(64, 256), (1024, 16), (3, 5461)])
     def test_batches_bounded_in_floats(self, dim, per_batch, monkeypatch):
         # every batch's 2 * pairs * dim floats stay within the bound, whatever

@@ -25,6 +25,26 @@ from lpembed.metric_spaces import (
 
 
 class TestGenerators:
+    # int() truncated a float and read a bool: cycle(8.7) was cycle(8),
+    # hypercube(True) had 2 points and seed 2.9 was seed 2
+    @pytest.mark.parametrize("args,kwargs,name", [
+        (("cycle", 8.7), {}, "space parameter"),
+        (("cycle", 8.0), {}, "space parameter"),
+        (("hypercube", True), {}, "space parameter"),
+        (("path", "6"), {}, "space parameter"),
+        (("gaussian", 5), {"seed": 2.9}, "seed"),
+        (("gaussian", 5), {"seed": True}, "seed"),
+        (("gaussian", 5), {"seed": 1, "dim": 3.5}, "dim"),
+    ])
+    def test_integer_arguments_must_be_integers(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            generate(*args, **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        assert generate("cycle", np.int64(8)).n == 8
+        X = generate("gaussian", np.int32(5), seed=np.int64(2), dim=np.int16(3))
+        assert np.array_equal(X.dist, generate("gaussian", 5, seed=2, dim=3).dist)
+
     def test_hypercube_shape_and_diameter(self):
         X = generate("hypercube", 3)
         assert X.n == 8
