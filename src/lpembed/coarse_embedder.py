@@ -95,10 +95,16 @@ class CoarseEmbedding:
     def __post_init__(self) -> None:
         if not isinstance(self.exponent, PExponent):
             raise ValueError(f"exponent must be a PExponent, got {self.exponent!r}")
-        if not (math.isfinite(self.delta) and self.delta > 0):
+        delta = _number(self.delta, "delta")
+        if not (math.isfinite(delta) and delta > 0):
             # a vacuous lower envelope would certify any images
             raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
-        if self.beta not in _BETAS:
+        try:
+            # a real number, so True (== 1.0) and "2" are refused
+            known_beta = _number(self.beta, "kernel exponent beta") in _BETAS
+        except ValueError:
+            known_beta = False
+        if not known_beta:
             raise ValueError(f"kernel exponent beta must be one of {_BETAS}, got {self.beta!r}")
         if any(level.images.shape[0] != self.space.n for level in self.schedule):
             raise ValueError(f"every level's images must hold one row per point, {self.space.n} rows")

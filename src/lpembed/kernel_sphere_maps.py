@@ -37,12 +37,15 @@ the images leave closer than delta/2. Levels with no such distance are
 marked saturated (S_n = inf) and add nothing to rho1. Where the distances
 alone show that a level cannot separate any pair beyond s_floor (the
 separation end: s_floor is past the diameter, every pair is close under a
-target below delta/2, or, at p = 2, the farthest pair stays under delta/2 at
-the largest bandwidth the closeness target admits), a level that does not
-accept its cap takes the constant map unfactored, before any try, and every
-later level accepts it free. The S_n schedule, and so rho1 and rho2, are
-those the search would give, and each level before the first constant one
-keeps its bits.
+target below delta/2, or, at any p, the Mazur envelopes keep the farthest
+pair under delta/2 at the largest bandwidth the closeness target admits),
+a level that does not accept its cap takes the constant map unfactored,
+before any try, and every later level accepts it free. The S_n schedule,
+and so rho1 and rho2, are those the search would give, and each level
+before the first constant one keeps its bits. The constant map is one
+column of ones at a t where the kernel is all-ones in float64, but for a
+largest d^beta past about 2^1019, where t is 2^-1074 and the kernel is not
+quite all-ones.
 
 Every level runs one bandwidth search over one bracket: good, the largest
 feasible bandwidth measured, and bad, the smallest infeasible one. The
@@ -83,26 +86,15 @@ float64's resolution are not factored:
 
 The bandwidth search needs only the sup over close pairs (d <= n), a set
 that grows with n until it holds every pair, so each try builds its kernel
-once and is measured in one of two ways, chosen once per level from the
-source distances:
-
-- At least half of all pairs close: one all-pairs scan, and the sup is its
-  max over the close pairs. A gather reads two image rows per close pair
-  where the scan reads one per pair, so it would move at least as many
-  floats, and a try that is accepted keeps its scan as the level's pair
-  distances.
-- Fewer close pairs: the close pairs alone are gathered and summed at full
-  width, and the accepted images are scanned once for the level's pair
-  distances.
-
-The gathered pairs go through the same kernel as the all-pairs scan, so both
-ways give that scan's sup, bit for bit, and the search path is the one an
-all-pairs scan per try gives. No images are scanned twice, and a level that
-accepts the previous level's images scans nothing. A build holds no level's
-pair distances but the latest one's, which the next level's search reads,
-and the embedding's pair power sums; a kept scan adds good's and the current
-try's while later tries run, two arrays of n(n-1)/2 floats (about 67 MB each
-at n = 4096), where a gathered try holds none.
+once and is measured one way: its close pairs are gathered and summed at
+full width (where every pair is close, through the build's own pair index
+arrays), and the accepted images are scanned once for the level's pair
+distances. The gather and the all-pairs scan are one pair kernel, so the
+sup has that scan's bits, and the search path is the one an all-pairs scan
+per try gives. No images are scanned twice, and a level that accepts the
+previous level's images scans nothing. A build holds no level's pair
+distances but the latest one's, which the next level's search reads, and
+the embedding's pair power sums; a try holds none.
 """
 
 from __future__ import annotations
@@ -340,8 +332,9 @@ def _gram_error(n_points: int) -> float:
     largest dropped |eigenvalue|), with lambda_max <= trace K = n. A kernel
     with an eigenvalue between -EIG_REL_TOL * lambda_max and
     -n * eps * lambda_max, which build_sphere_map admits, can exceed it;
-    calibration uses the bound only to aim and to cut short its search,
-    and measures every level it accepts.
+    calibration uses the bound to aim and to cut short its search, and the
+    separation end's proof takes it as its slack (see _separates_nothing);
+    every level that is searched is measured.
     """
     return 2.0 * n_points * n_points * EPS64
 
@@ -392,17 +385,19 @@ def _feasible_start(eps: float, p: PExponent, g_close: float, gram_error: float)
     max(1e-9, gram_error / (1 - K)) under the target: 1e-9 at level 1 of a
     small space, but 1.4e-4 at path(48)'s level 13 at p = 2, where
     1 - K = 7.5e-9. Where that ratio reaches 1, the start is 0, below the
-    floor.
+    floor; so it is where s * s = (eps / C)^p underflows to 0, about
+    2^-((n + 1) p) at eps = 2^-n (at p = 200, from level 5 on).
 
     The l_2 target s is at most 1/2, since eps = 2^-n <= 1/2: it is p eps / 2
     for p <= 2, and (eps / C)^(p/2) with C >= 1 for p > 2. So 1 - s^2 / 2 is
     at least 7/8, and the start is finite.
     """
     s = _l2_target(eps, p)
-    margin = max(1e-9, 2.0 * gram_error / (s * s))
-    if margin >= 1.0:
-        # the target is within the Gram error: no factor resolves it
+    if s * s <= 2.0 * gram_error:
+        # the target is within the Gram error, or s * s underflows to 0 (at
+        # large p): no factor resolves it
         return 0.0
+    margin = max(1e-9, 2.0 * gram_error / (s * s))
     s = _l2_target(eps * (1.0 - margin), p)
     return min(T_CAP, -math.log1p(-s * s / 2.0) / g_close)
 
@@ -418,7 +413,7 @@ def _model_step(t: float, sup: float, eps: float, p: PExponent) -> float:
 
 
 def _constant_map(n_points: int, pair_count: int, g_max: float, t_cap: float) -> tuple:
-    """The constant map as a level's (t, sup, images, pair distances).
+    """The constant map as a level's ((t, sup, images), pair distances).
 
     One column of ones, sup 0 and every pair distance 0, at min(cap,
     2^-55 / g_max), g_max over all pairs, where the kernel is all-ones in
@@ -428,7 +423,16 @@ def _constant_map(n_points: int, pair_count: int, g_max: float, t_cap: float) ->
     kernel all-ones; t is then 2^-1074, since a level's t must be positive.
     """
     t = max(math.ulp(0.0), min(t_cap, ALL_ONES_EXPONENT / g_max)) if g_max > 0.0 else t_cap
-    return t, 0.0, np.ones((n_points, 1)), np.zeros(pair_count)
+    return (t, 0.0, np.ones((n_points, 1))), np.zeros(pair_count)
+
+
+def _l2_bound(eps: float, p: PExponent) -> float:
+    """The largest l_2 image distance whose Mazur lower envelope at p is at most eps: eps at p = 2."""
+    if p.value > 2.0:
+        return p.value * eps / 2.0
+    if p.value < 2.0:
+        return mazur_bounds(2.0, p).constant_c * eps ** (p.value / 2.0)
+    return eps
 
 
 def _separates_nothing(
@@ -447,22 +451,36 @@ def _separates_nothing(
 
     (a) s_floor >= diam: there is no pair beyond s_floor. (b) Every pair is
     close and 2^-n < delta/2: the closeness target itself keeps every pair
-    under delta/2. (c) At p = 2, where the images are the l_2 factor: an
-    accepted sup of at most 2^-n at the largest close pair g_close bounds
-    1 - exp(-t g_close) by 4^-n / 2 + gram_error (g = d^beta), so t by
-    -log1p(-(4^-n / 2 + gram_error)) / g_close, and the cap bounds it too.
-    At that t, the farthest pair's image distance is at most
-    sqrt(2 (1 - exp(-t g_far)) + 2 gram_error); under delta/2, so is every
-    pair's.
+    under delta/2. (c) The Mazur envelopes L <= ||M(x) - M(y)||_p <= U of
+    mazur_bounds(2, p), at l_2 distance d: an accepted l_p sup of at most
+    eps = 2^-n at the largest close pair g_close (g = d^beta) puts that
+    pair's l_2 distance at most s = L^-1(eps) (eps at p = 2, C eps^(p/2)
+    below 2, p eps / 2 above), so 1 - exp(-t g_close) is at most
+    s^2 / 2 + gram_error, and t at most -log1p(-(s^2 / 2 + gram_error)) /
+    g_close; where s^2 / 2 + gram_error >= 1 that bounds nothing, and (c)
+    does not decide. The cap bounds t too, and every later level's t is at
+    most this one's. At that t, every pair's l_2 distance is at most
+    f = sqrt(2 (1 - exp(-t g_far)) + 2 gram_error), g_far the farthest
+    pair's, and its l_p distance at most U(f); under delta/2, no pair ends
+    delta/2 apart, at this level or a later one. At p = 2 both envelopes are
+    the identity and s is eps, bit for bit.
+
+    The proof's slack is the factor's: Gram entries within gram_error of
+    the kernel (see _gram_error), and rows at exact unit length before the
+    Mazur map, which the envelopes assume; build_sphere_map and
+    mazur_map_rows renormalize each row to rounding.
     """
     if s_floor >= d_max or (all_close and eps < delta_half):
         return True
-    if p.value != 2.0:
-        return False
     t = t_cap
     if g_close is not None:
-        t = min(t_cap, -math.log1p(-(eps * eps / 2.0 + gram_error)) / g_close)
-    return math.sqrt(-2.0 * math.expm1(-t * g_far) + 2.0 * gram_error) < delta_half
+        s = _l2_bound(eps, p)
+        gap = s * s / 2.0 + gram_error
+        if gap >= 1.0:
+            return False
+        t = min(t_cap, -math.log1p(-gap) / g_close)
+    far = math.sqrt(-2.0 * math.expm1(-t * g_far) + 2.0 * gram_error)
+    return mazur_bounds(2.0, p).upper(far) < delta_half
 
 
 def _separation_threshold(
@@ -482,17 +500,6 @@ def _pair_layout(space: FiniteMetricSpace) -> tuple:
     """(ii, jj, d): every pair i < j in condensed order, with its source distance."""
     ii, jj = space.pair_indices()
     return ii, jj, space.dist[ii, jj]
-
-
-def _scans_every_try(close_count: int, pair_count: int) -> bool:
-    """Whether a level measures each try by one all-pairs scan.
-
-    A gather of the close pairs reads two image rows per pair, and the scan
-    reads one row per pair; from half the pairs close on, the gather moves at
-    least as many floats, and the scan of an accepted try is the level's pair
-    distances besides.
-    """
-    return 2 * close_count >= pair_count
 
 
 def calibrate_level(
@@ -531,9 +538,8 @@ def calibrate_level(
     ii, jj, d_pairs = _pair_layout(space) if _pairs is None else _pairs
     close = d_pairs <= n
     close_count = int(np.count_nonzero(close))
-    scan_tries = _scans_every_try(close_count, d_pairs.size)
-    if not scan_tries:
-        ci, cj = ii[close], jj[close]
+    # where every pair is close, the layout's own index arrays
+    ci, cj = (ii, jj) if close_count == d_pairs.size else (ii[close], jj[close])
 
     t_cap = T_CAP if previous is None else previous[0].bandwidth_t
     # with no close pair there is no closeness constraint at this radius, and
@@ -548,15 +554,17 @@ def calibrate_level(
         g_close = _kernel_g(float(d_pairs[close].max()), beta)
         start = min(_feasible_start(eps, p, g_close, gram_error), t_cap)
         t_floor, t_identity = gram_error / g_close, IDENTITY_EXPONENT / g_close
-    # good: the largest feasible bandwidth measured, (t, sup, images, its
-    # all-pairs scan or None); bad: the smallest infeasible one, (t, sup)
-    good = bad = None
+    # good: the largest feasible bandwidth measured, (t, sup, images); bad:
+    # the smallest infeasible one, (t, sup); pair_d: the pair distances of
+    # good's images, known before the search ends only where it accepts the
+    # previous level's images or the constant map
+    good = bad = pair_d = None
     if previous is not None:
         # the previous level's sup over these close pairs is the measurement
         # at the cap, free
         prev_sup = float(previous[1][close].max()) if close_count else 0.0
         if prev_sup <= eps:
-            good = (t_cap, prev_sup, previous[0].images, previous[1])
+            good, pair_d = (t_cap, prev_sup, previous[0].images), previous[1]
         else:
             bad = (t_cap, prev_sup)
     d_max = float(d_pairs.max(initial=0.0))
@@ -589,7 +597,7 @@ def calibrate_level(
                 # no separation to gain, or no factor resolves the close pairs
                 # at t: the level takes the constant map, the factor of the
                 # all-ones kernel, before it factors anything more
-                good = _constant_map(space.n, d_pairs.size, g_max, t_cap)
+                good, pair_d = _constant_map(space.n, d_pairs.size, g_max, t_cap)
                 break
         elif bad is None:
             t = t_cap if good[1] == 0.0 else min(t_cap, _model_step(*good[:2], eps, p))
@@ -607,29 +615,23 @@ def calibrate_level(
             bad = (t_identity, ceiling)
             continue
         images = _transported_images(space, t, beta, p)
-        scan = None
-        if scan_tries:
-            scan = pairwise_pnorm_all(images, p)
-            # distances are >= 0, so initial=0 moves no max
-            sup = float(scan.max(where=close, initial=0.0))
-        else:
-            sup = _close_pair_sup(images, p, ci, cj) if close_count else 0.0
+        sup = _close_pair_sup(images, p, ci, cj) if close_count else 0.0
         tries += 1
         if sup > eps:
             bad = (t, sup)
         else:
             if good is None:
                 found_at = tries
-            good = (t, sup, images, scan)
-    t_best, sup_best, images, all_img = good
+            good = (t, sup, images)
+    t_best, sup_best, images = good
 
-    if all_img is None:
+    if pair_d is None:
         # the search measured only close-pair sups; one scan of the accepted images
-        all_img = pairwise_pnorm_all(images, p)
-    s_n = _separation_threshold(d_pairs, all_img, delta / 2.0, s_floor)
+        pair_d = pairwise_pnorm_all(images, p)
+    s_n = _separation_threshold(d_pairs, pair_d, delta / 2.0, s_floor)
 
-    all_img.setflags(write=False)
-    return SphereMapLevel(epsilon_n=sup_best, s_n=s_n, bandwidth_t=t_best, images=images), all_img
+    pair_d.setflags(write=False)
+    return SphereMapLevel(epsilon_n=sup_best, s_n=s_n, bandwidth_t=t_best, images=images), pair_d
 
 
 def build_level_family(

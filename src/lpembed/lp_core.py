@@ -4,9 +4,9 @@ Every norm lpembed computes is the p-norm of a row or of a row difference.
 All go through one power kernel (_abs_power_inplace), whose fractional
 exponents run log and exp over the whole buffer with 0 mapped to +0.0 exactly,
 and numpy's pairwise summation of each contiguous row: row_pnorms for rows,
-pairwise_power_sums_all and pairwise_pnorm_all for all row pairs in blocks of
-consecutive rows, pair_subset_power_sums for listed pairs. Every norm is
-taken from its power sum by one root, pth_root.
+and one pair kernel, pair_subset_power_sums, which gathers listed row pairs
+in blocks; pairwise_power_sums_all and pairwise_pnorm_all run it over all
+pairs. Every norm is taken from its power sum by one root, pth_root.
 No max-rescaling is applied: the rows lpembed passes hold entries of order
 one (unit-sphere images, their differences and stacks, Gaussian samples),
 far from float64 underflow and overflow.
@@ -14,7 +14,6 @@ far from float64 underflow and overflow.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Union
 
@@ -127,48 +126,20 @@ def row_pnorms(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
     return pth_root(abs_power(rows, pv).sum(axis=1), pv)
 
 
-# floats per pair block of pairwise_power_sums_all and pair_subset_power_sums,
-# whatever the row width
+# floats per pair block of pair_subset_power_sums, whatever the row width
 PAIR_BLOCK_ELEMS = 1 << 16
-
-
-def pairwise_power_sums_all(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
-    """sum_k |rows[i,k] - rows[j,k]|^p over all pairs i < j, condensed order.
-
-    The output matches np.triu_indices(n, 1): (0,1), (0,2), ..., (1,2), ...
-    Consecutive rows i broadcast their differences rows[i+1:] - rows[i] into
-    one contiguous buffer of at most PAIR_BLOCK_ELEMS floats (or one row i's,
-    if wider), which takes one power call and one row sum per block. Each pair
-    is still reduced as one contiguous row, so its sum has the bits of a
-    row-at-a-time scan and of pair_subset_power_sums.
-    """
-    pv = as_exponent(p).value
-    n, width = rows.shape
-    # starts[i]: condensed offset of row i's pairs; starts[n - 1] is the total
-    starts = [i * (2 * n - 1 - i) // 2 for i in range(n)]
-    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    cap = max(PAIR_BLOCK_ELEMS // max(width, 1), 1)
-    buf = np.empty((min(max(cap, n - 1), out.size), width), dtype=np.float64)
-    i = 0
-    while i < n - 1:
-        stop = max(bisect.bisect_right(starts, starts[i] + cap) - 1, i + 1)
-        lo = starts[i]
-        block = buf[:starts[stop] - lo]
-        for k in range(i, stop):
-            np.subtract(rows[k + 1:], rows[k], out=block[starts[k] - lo:starts[k + 1] - lo])
-        out[lo:starts[stop]] = _abs_power_inplace(block, pv).sum(axis=1)
-        i = stop
-    return out
 
 
 def pair_subset_power_sums(
     rows: np.ndarray, ii: np.ndarray, jj: np.ndarray, p: ExponentLike
 ) -> np.ndarray:
-    """sum_k |rows[jj[m],k] - rows[ii[m],k]|^p for each listed pair m.
+    """sum_k |rows[jj[m],k] - rows[ii[m],k]|^p for each listed pair m; the one pair kernel.
 
-    Pairs are gathered in blocks into a contiguous buffer as wide as the rows
-    and reduced as pairwise_power_sums_all reduces its row broadcasts, so each
-    sum equals that scan's entry for the pair (i, j), i < j, bit for bit.
+    Pairs are gathered in blocks of at most PAIR_BLOCK_ELEMS floats (or one
+    pair, if wider) into a contiguous buffer as wide as the rows, which takes
+    one power call and one row sum per block. Each pair is reduced as one
+    contiguous row, so its sum has the bits of a row-at-a-time scan whatever
+    the block size and whichever other pairs are listed.
     """
     pv = as_exponent(p).value
     ii = np.asarray(ii, dtype=np.intp)
@@ -186,6 +157,18 @@ def pair_subset_power_sums(
         np.subtract(b, a, out=b)
         out[start:stop] = _abs_power_inplace(b, pv).sum(axis=1)
     return out
+
+
+def pairwise_power_sums_all(rows: np.ndarray, p: ExponentLike) -> np.ndarray:
+    """sum_k |rows[i,k] - rows[j,k]|^p over all pairs i < j, condensed order.
+
+    The output matches np.triu_indices(n, 1): (0,1), (0,2), ..., (1,2), ...
+    It is pair_subset_power_sums over those pairs, so a subset's sums are
+    this scan's entries, bit for bit; the two index arrays, 8 bytes per pair
+    each, are held while it runs.
+    """
+    ii, jj = np.triu_indices(rows.shape[0], 1)
+    return pair_subset_power_sums(rows, ii, jj, p)
 
 
 def pairwise_pnorm_all(rows: np.ndarray, p: ExponentLike) -> np.ndarray:

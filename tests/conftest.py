@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume
 
+from lpembed import kernel_sphere_maps
 from lpembed.coarse_embedder import build_embedding
 from lpembed.kernel_sphere_maps import EIG_REL_TOL
 from lpembed.lp_core import abs_power, pairwise_pnorm_all, row_pnorms
@@ -61,6 +62,13 @@ def verify_levels(levels, space, p, delta) -> list:
         if top > 2.0 + 1e-9:
             problems.append(f"level {n}: image distance {top!r} above 2")
     return problems
+
+
+def without_separation_end(build, *args, **kwargs):
+    """build(*args, **kwargs) with calibration's separation end switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_sphere_maps, "_separates_nothing", lambda *rule_args: False)
+        return build(*args, **kwargs)
 
 
 def level_power_sums(levels, p, base=None):

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import level_power_sums, mp_pnorm, reference_kernel, saving_peak, verify_levels
+from conftest import (
+    level_power_sums,
+    mp_pnorm,
+    reference_kernel,
+    saving_peak,
+    verify_levels,
+    without_separation_end,
+)
 from lpembed import coarse_embedder, kernel_sphere_maps, metric_spaces
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
@@ -27,7 +34,7 @@ from lpembed.coarse_embedder import (
     theoretical_bounds,
 )
 from lpembed.distortion_report import empirical_profile, export, verify_bounds
-from lpembed.kernel_sphere_maps import NotNegativeType, SphereMapLevel, build_level_family
+from lpembed.kernel_sphere_maps import CalibrationError, NotNegativeType, SphereMapLevel, build_level_family
 from lpembed.lp_core import as_exponent, pairwise_pnorm_all, pairwise_power_sums_all
 from lpembed.metric_spaces import FiniteMetricSpace, generate, validate
 
@@ -108,6 +115,18 @@ class TestBuild:
         # a plain number was accepted, and verify_bounds then failed with AttributeError
         with pytest.raises(ValueError, match="^exponent must be a PExponent, got"):
             dataclasses.replace(hc4_p1, exponent=bad)
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("beta", True, r"kernel exponent beta must be one of \(2.0, 1.0\)"),
+        ("beta", np.True_, r"kernel exponent beta must be one of \(2.0, 1.0\)"),
+        ("beta", "2", r"kernel exponent beta must be one of \(2.0, 1.0\)"),
+        ("delta", True, "delta must be a number"),
+        ("delta", "1", "delta must be a number"),
+    ])
+    def test_record_beta_and_delta_are_real_numbers(self, field, bad, message, hc4_p1):
+        # True == 1.0 was accepted as beta 1 and delta 1, and "1" raised a bare TypeError
+        with pytest.raises(ValueError, match=f"^{message}, got"):
+            dataclasses.replace(hc4_p1, **{field: bad})
 
     def test_base_index_range(self):
         with pytest.raises(ValueError):
@@ -863,19 +882,21 @@ class TestKernelChoice:
             build_embedding(k23(), p=1.5)
         assert calls == []
 
-    @pytest.mark.parametrize("param,p,thresholds,constant_from", [(30, 2.0, [2, 5, 13], 4), (48, 3.0, [3, 11, 28], 13)])
+    @pytest.mark.parametrize("param,p,thresholds,constant_from", [(30, 2.0, [2, 5, 13], 4), (48, 3.0, [3, 11, 28], 5)])
     def test_paths_certify_under_beta_two(self, param, p, thresholds, constant_from):
         # under beta = 1 these gave S = [2, 10] and [2, 23]
         E = certify(generate("path", param), p)
         assert E.beta == 2.0
         assert E.separation_thresholds().tolist() == thresholds
-        # from constant_from on, every level takes the constant map: path(30)
-        # at p = 2 at the separation end, after S_3 = 13, and path(48) at p = 3
-        # at the float64 floor (its separation end could fire only where every
-        # pair is close, from level 47)
+        # from constant_from on, every level takes the constant map at the
+        # separation end: path(30) at p = 2 after S_3 = 13, and path(48) at
+        # p = 3 after S_3 = 28 and a saturated level 4 (through the Mazur
+        # envelopes; at the float64 floor, from level 13, without them)
         constant = [n for n, level in enumerate(E.schedule, 1) if level.images.shape[1] == 1]
         assert constant == list(range(constant_from, E.level_count + 1))
         assert all(level.epsilon_n == 0.0 and level.saturated for level in E.schedule[constant_from - 1:])
+        reference = without_separation_end(build_embedding, generate("path", param), p=p)
+        assert [level.s_n for level in E.schedule] == [level.s_n for level in reference.schedule]
 
     @pytest.mark.parametrize("scale", [664, 1019])
     def test_overflowing_squares_take_beta_one(self, scale):
@@ -931,30 +952,45 @@ def spec_space(kind, param):
     return generate("gaussian", 160, seed=param, dim=8) if kind == "gaussian" else generate(kind, param)
 
 
-def without_separation_end(build, *args, **kwargs):
-    """build(*args, **kwargs) with calibration's separation end switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel_sphere_maps, "_separates_nothing", lambda *rule_args: False)
-        return build(*args, **kwargs)
-
-
 def first_constant_level(embedding) -> int:
     """The index of the first level whose images are the constant map; the level count if none is."""
     return next((k for k, w in enumerate(embedding.block_dims) if w == 1), embedding.level_count)
 
 
+def envelope_l2_bound(eps, p):
+    """The largest l_2 distance whose image under the Mazur map to l_p can be eps: mazur_bounds(2, p).lower's inverse."""
+    if p == 2.0:
+        return eps
+    if p < 2.0:
+        return 2.0 ** (1.0 - p / 2.0) * eps ** (p / 2.0)
+    return p * eps / 2.0
+
+
+def p2_only_rule(p, eps, delta_half, s_floor, all_close, d_max, g_close, g_far, t_cap, gram_error):
+    """The separation end with bound (c) at p = 2 only: the rule before the Mazur envelopes carried it to every p."""
+    if s_floor >= d_max or (all_close and eps < delta_half):
+        return True
+    if p.value != 2.0:
+        return False
+    t = t_cap
+    if g_close is not None:
+        t = min(t_cap, -math.log1p(-(eps * eps / 2.0 + gram_error)) / g_close)
+    return math.sqrt(-2.0 * math.expm1(-t * g_far) + 2.0 * gram_error) < delta_half
+
+
 class TestSeparationEnd:
     """A level that cannot leave a pair beyond s_floor delta/2 apart takes the constant map, unfactored."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         space=st.one_of(graph_metrics(), ultrametrics(), euclidean_clouds()),
         delta=st.sampled_from([1.0, 0.5, 0.25, 0.05]),
+        p=st.sampled_from([1.0, 1.3, 1.5, 2.0, 3.0]),
     )
-    def test_bandwidth_bound_keeps_every_pair_close(self, space, delta):
-        # wherever the p = 2 bound (c) decides, the images at the bandwidth it
-        # bounds the level's search by, the cap or the bound's t, leave the
-        # farthest pair under delta/2, measured
+    def test_bandwidth_bound_keeps_every_pair_close(self, space, delta, p):
+        # wherever bound (c) decides, the images at the bandwidth it bounds
+        # the level's search by, the cap or the bound's t, leave the
+        # farthest pair under delta/2 in l_p, measured after the Mazur map
         try:
             kernel = kernel_sphere_maps._kernel_for(space)
         except NotNegativeType:
@@ -967,26 +1003,81 @@ class TestSeparationEnd:
             if out and not (s_floor >= d_max or (all_close and eps < delta_half)):
                 t = t_cap
                 if g_close is not None:
-                    t = min(t_cap, -math.log1p(-(eps * eps / 2.0 + gram_error)) / g_close)
+                    s = envelope_l2_bound(eps, p.value)
+                    t = min(t_cap, -math.log1p(-(s * s / 2.0 + gram_error)) / g_close)
                 decided.append((t, delta_half))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel_sphere_maps, "_separates_nothing", spy)
-            levels, _ = build_level_family(space, default_level_count(space), 2.0, delta, kernel)
-        assert verify_levels(levels, space, 2.0, delta) == []
+            levels, _ = build_level_family(space, default_level_count(space), p, delta, kernel)
+        assert verify_levels(levels, space, p, delta) == []
         for t, delta_half in decided:
-            images = kernel_sphere_maps.build_sphere_map(space, t, kernel)
-            assert pairwise_pnorm_all(images, 2.0).max() < delta_half
+            images = kernel_sphere_maps._transported_images(space, t, kernel, as_exponent(p))
+            assert pairwise_pnorm_all(images, p).max() < delta_half
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        space=st.one_of(graph_metrics(), euclidean_clouds()),
+        delta=st.sampled_from([1.0, 0.5, 0.25, 0.05]),
+        p=st.sampled_from([1.0, 1.3, 1.5, 2.0, 3.0]),
+    )
+    def test_searching_an_ended_level_measures_it_saturated(self, space, delta, p):
+        # wherever the end fires, the level searched with the end off, from
+        # the same previous level and s_floor, measures S_n = inf
+        try:
+            kernel = kernel_sphere_maps._kernel_for(space)
+        except NotNegativeType:
+            return
+        calls, fired = [], []
+        real_level, real_rule = kernel_sphere_maps.calibrate_level, kernel_sphere_maps._separates_nothing
+
+        def spy_level(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real_level(*args, **kwargs)
+
+        def spy_rule(*args):
+            out = real_rule(*args)
+            if out:
+                fired.append(len(calls) - 1)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel_sphere_maps, "calibrate_level", spy_level)
+            mp.setattr(kernel_sphere_maps, "_separates_nothing", spy_rule)
+            levels, _ = build_level_family(space, default_level_count(space), p, delta, kernel)
+        assert verify_levels(levels, space, p, delta) == []
+        for k in fired:
+            args, kwargs = calls[k]
+            searched, _ = without_separation_end(real_level, *args, **kwargs)
+            assert searched.saturated and levels[k].saturated
+
+    @pytest.mark.parametrize("specs", [LADDER_SPECS, CLOUD_SPECS], ids=["graph-ladder", "cloud-frac"])
+    def test_p2_outputs_keep_their_bytes(self, specs):
+        # at p = 2 both envelopes are the identity, and bound (c) makes the
+        # decisions, and the files, of the rule that knew it at p = 2 only;
+        # the graph-ladder specs at p = 2, and the clouds built at p = 2
+        for kind, param in sorted({(kind, param) for kind, param, p in specs if p == 2.0 or kind == "gaussian"}):
+            space = spec_space(kind, param)
+            E = build_embedding(space, p=2.0)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernel_sphere_maps, "_separates_nothing", p2_only_rule)
+                reference = build_embedding(space, p=2.0)
+            assert json.dumps(embedding_to_json(E)) == json.dumps(embedding_to_json(reference))
 
     @pytest.mark.parametrize("specs", [LADDER_SPECS, CLOUD_SPECS], ids=["graph-ladder", "cloud-frac"])
     def test_same_thresholds_and_leading_bits_as_without_it(self, specs):
-        constant_levels = 0
+        # at every p: the envelopes carry bound (c) beyond p = 2, and S_n,
+        # rho1 and rho2 stay those of the search
+        constant_levels = {2.0: 0, "other": 0}
         for kind, param, p in specs:
             space = spec_space(kind, param)
             E = build_embedding(space, p=p)
             reference = without_separation_end(build_embedding, space, p=p)
             assert [level.s_n for level in E.schedule] == [level.s_n for level in reference.schedule]
+            d = np.unique(space.dist)
+            for ours, theirs in zip(theoretical_bounds(E, d), theoretical_bounds(reference, d)):
+                assert np.array_equal(ours, theirs)
             assert verify_bounds(E) == []
             first = first_constant_level(E)
             for a, b in zip(E.schedule[:first], reference.schedule[:first]):
@@ -994,8 +1085,9 @@ class TestSeparationEnd:
                 assert np.array_equal(a.images.view(np.uint64), b.images.view(np.uint64))
             for level in E.schedule[first:]:
                 assert level.images.shape[1] == 1 and level.epsilon_n == 0.0 and level.saturated
-            constant_levels += E.level_count - first
-        assert constant_levels > 0
+            constant_levels[2.0 if p == 2.0 else "other"] += E.level_count - first
+        assert constant_levels["other"] > 0
+        assert constant_levels[2.0] > 0 or specs is CLOUD_SPECS
 
     def test_hypercube8_p2_factors_level_one_only(self, monkeypatch):
         # levels 2-10 cannot separate at p = 2 (bound (c)); they held 716 of 981 columns
@@ -1036,6 +1128,48 @@ class TestSeparationEnd:
         for level in levels[6:]:
             assert level.images.shape[1] == 1 and level.epsilon_n == 0.0 and level.saturated
         assert verify_levels(levels, X, p, 1.0) == []
+
+
+# the advertised range: 1 <= p < 1024, delta finite and positive, any finite
+# distances; 13 exponents, 5 deltas, and 4 spaces at 5 scales, plus points
+# 0, 1, 2 and 2^k on a line, past the d^beta ~ 2^1019 where no positive t
+# makes the constant map's kernel all-ones
+RANGE_EXPONENTS = [1.0, 1.3, 1.5, 2.0, 3.0, 7.5, 20.0, 100.0, 150.0, 200.0, 500.0, 1000.0, 1023.0]
+RANGE_DELTAS = [1e-9, 1e-3, 0.1, 1.0, 1.4]
+RANGE_SPACES = [
+    (kind, param, scale)
+    for kind, param in (("cycle", 8), ("path", 10), ("hypercube", 4), ("gaussian", 30))
+    for scale in (2.0 ** -1000, 1e-10, 1.0, 1e10, 2.0 ** 1000)
+] + [("far-line", k, 1.0) for k in range(1019, 1024)]
+
+
+def range_space(kind, param, scale):
+    if kind == "far-line":
+        xs = [0.0, 1.0, 2.0, math.ldexp(1.0, param)]
+        return FiniteMetricSpace(labels=tuple("abcd"), dist=np.abs(np.subtract.outer(xs, xs)))
+    X = generate(kind, param, seed=3) if kind == "gaussian" else generate(kind, param)
+    return FiniteMetricSpace(labels=X.labels, dist=X.dist * scale)
+
+
+class TestAdvertisedRange:
+    """Every input in the advertised range certifies or is refused by name."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spec", RANGE_SPACES, ids=lambda spec: f"{spec[0]}{spec[1]}x{spec[2]:g}")
+    def test_certifies_or_raises_a_named_error(self, spec):
+        # p >= 200 with a small delta raised ZeroDivisionError where the
+        # envelope start's l_2 target squared to 0
+        X = range_space(*spec)
+        certified = 0
+        for p in RANGE_EXPONENTS:
+            for delta in RANGE_DELTAS:
+                try:
+                    E = build_embedding(X, p=p, delta=delta)
+                except (CalibrationError, NotNegativeType):
+                    continue
+                assert verify_bounds(E) == [], (p, delta)
+                certified += 1
+        assert certified > 0
 
 
 class TestPairPowerSums:

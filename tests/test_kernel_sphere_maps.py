@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from conftest import level_power_sums, verify_levels
+from conftest import level_power_sums, verify_levels, without_separation_end
 from lpembed import kernel_sphere_maps
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
@@ -368,42 +368,22 @@ def case_id(case):
 class TestGatherEquivalence:
     @pytest.mark.parametrize("case", GATHER_CASES, ids=case_id)
     def test_family_bits_match_full_scan_sup(self, case, monkeypatch):
-        # every family gathers its close pairs on its first levels and takes
-        # the all-pairs scan once half its pairs are close; the reference
-        # measures every try by a full scan and scans the accepted images again
+        # every try gathers its close pairs; the reference measures every try
+        # by a full scan and scans the accepted images again
         (kind, param), p = case
         args = default_family_args(kind, param, p, FINE_DELTA if p == 2.0 else 1.0)
-        X = args[0]
 
         real_gather = kernel_sphere_maps._close_pair_sup
-        real_rule = kernel_sphere_maps._scans_every_try
-        real_factor = kernel_sphere_maps.build_sphere_map
-        ran = {"gather": 0, "scan_tries": 0, "scan_level": None}
-
-        def spy_gather(*args):
-            ran["gather"] += 1
-            return real_gather(*args)
-
-        def spy_rule(close_count, pair_count):
-            # called once per level, before its first try
-            ran["scan_level"] = real_rule(close_count, pair_count)
-            return ran["scan_level"]
-
-        def spy_factor(space, t, beta):
-            ran["scan_tries"] += ran["scan_level"]
-            return real_factor(space, t, beta)
-
-        monkeypatch.setattr(kernel_sphere_maps, "_close_pair_sup", spy_gather)
-        monkeypatch.setattr(kernel_sphere_maps, "_scans_every_try", spy_rule)
-        monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", spy_factor)
+        gathers = []
+        monkeypatch.setattr(
+            kernel_sphere_maps, "_close_pair_sup", lambda *args: gathers.append(1) or real_gather(*args)
+        )
         gathered, gathered_sums = build_level_family(*args)
         monkeypatch.undo()
         monkeypatch.setattr(kernel_sphere_maps, "_close_pair_sup", full_scan_sup)
-        monkeypatch.setattr(kernel_sphere_maps, "_scans_every_try", lambda close_count, pair_count: False)
         reference, reference_sums = build_level_family(*args)
 
-        assert ran["gather"] > 0
-        assert ran["scan_tries"] > 0
+        assert gathers
         assert_same_levels(gathered, reference)
         assert same_bits(gathered_sums, reference_sums)
 
@@ -415,18 +395,17 @@ def half_close_space(close_pairs):
     return FiniteMetricSpace(labels=("a", "b", "c", "d"), dist=d)
 
 
-class TestScanRule:
-    """A level with at least half its pairs close measures each try by one all-pairs scan."""
+class TestGatherEveryTry:
+    """Each try gathers its close pairs, also from half the pairs close on, and the accepted images are scanned once."""
 
-    @pytest.mark.parametrize("close_pairs, scans_tries", [(3, True), (2, False)])
+    @pytest.mark.parametrize("close_pairs", [3, 2])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("beta", [1.0, 2.0])
-    def test_path_at_half_the_pairs_and_other_path_bits(self, close_pairs, scans_tries, p, beta, monkeypatch):
+    def test_gathers_at_half_the_pairs_with_scan_bits(self, close_pairs, p, beta, monkeypatch):
         X = half_close_space(close_pairs)
         ii, jj = X.pair_indices()
         assert int(np.count_nonzero(X.dist[ii, jj] <= 1.0)) == close_pairs
         real_gather = kernel_sphere_maps._close_pair_sup
-        real_rule = kernel_sphere_maps._scans_every_try
         gathers = []
         monkeypatch.setattr(
             kernel_sphere_maps, "_close_pair_sup", lambda *args: gathers.append(1) or real_gather(*args)
@@ -434,19 +413,13 @@ class TestScanRule:
         calls = spy_factor(monkeypatch)
         scans = spy_scans(monkeypatch)
         level, pair_d = calibrate_level(X, 1, p, 1.0, beta)
-        tries = len(calls)
-        if scans_tries:
-            assert gathers == [] and len(scans) == tries
-        else:
-            assert len(gathers) == tries and len(scans) == 1
+        assert len(calls) >= 1
+        assert len(gathers) == len(calls) and scans == [4]
+        assert same_bits(pair_d, pairwise_pnorm_all(level.images, p))
 
-        # the other path gives the same bits
-        monkeypatch.setattr(
-            kernel_sphere_maps, "_scans_every_try", lambda close_count, pair_count: not real_rule(close_count, pair_count)
-        )
-        del gathers[:], scans[:]
+        # a full scan per try gives the same bits
+        monkeypatch.setattr(kernel_sphere_maps, "_close_pair_sup", full_scan_sup)
         other, other_d = calibrate_level(X, 1, p, 1.0, beta)
-        assert bool(gathers) == scans_tries
         assert_same_levels((level,), (other,))
         assert same_bits(pair_d, other_d)
 
@@ -581,9 +554,10 @@ class TestKernelReuse:
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_one_all_pairs_scan_per_level(self, p, monkeypatch):
-        # a try with fewer than half its pairs close measures only its
-        # close-pair sup, and the accepted one is scanned once; from half on,
-        # each try is one scan, kept by the level that accepts it
+        # a try measures only its close-pair sup, and the accepted one is
+        # scanned once
+        args = default_family_args("path", 12, p)
+        reference, _ = without_separation_end(build_level_family, *args)
         calls = spy_factor(monkeypatch)
         made = spy_levels(monkeypatch)
         scanned = []
@@ -591,7 +565,7 @@ class TestKernelReuse:
         monkeypatch.setattr(
             kernel_sphere_maps, "pairwise_pnorm_all", lambda rows, q: scanned.append(rows) or real(rows, q)
         )
-        levels, sums = build_level_family(*default_family_args("path", 12, p))
+        levels, sums = build_level_family(*args)
         assert len(levels) == 13
         # scanned holds every array, so no id is reused
         assert len({id(rows) for rows in scanned}) == len(scanned)
@@ -599,12 +573,16 @@ class TestKernelReuse:
         for level, pair_d in made:
             assert same_bits(pair_d, real(level.images, p))
         assert same_bits(sums, level_power_sums(levels, p))
+        # the separation end moves no S_n
+        assert [level.s_n for level in levels] == [level.s_n for level in reference]
         if p == 1.0:
-            # every scanned try of this family is accepted; from level 11 on
-            # every pair is close and 2^-n < delta/2, so those levels take the
-            # constant map at the separation end and scan nothing
-            assert [n for n, level in enumerate(levels, 1) if level.images.shape[1] == 1] == [11, 12, 13]
-            assert [rows.shape[0] for rows in scanned] == [12] * 10
+            # every scanned try of this family is accepted; S_1 = 4 and level
+            # 5 saturated, and from level 6 on the envelopes bound every
+            # pair's distance under delta/2, so those levels take the
+            # constant map at the separation end and scan nothing (at the
+            # p = 2 rule alone, from level 11, where every pair is close)
+            assert [n for n, level in enumerate(levels, 1) if level.images.shape[1] == 1] == list(range(6, 14))
+            assert [rows.shape[0] for rows in scanned] == [12] * 5
 
 
 WARM_CASES = REUSE_CASES + [(("path", 48), 1.0)]
@@ -814,8 +792,11 @@ class TestResolution:
     @pytest.mark.parametrize("case", FLOOR_FREE_CASES + [(("gaussian", 80), 1.3)], ids=case_id)
     def test_same_thresholds_without_the_floor(self, case, monkeypatch):
         # a zero Gram error turns off the floor and leaves the start's 1e-9
-        # margin; the tries below the floor then factored change no S_n
+        # margin; the tries below the floor then factored change no S_n. The
+        # separation end is off in both builds: it would take the constant
+        # map before those tries
         args = default_family_args(case[0][0], case[0][1], case[1])
+        monkeypatch.setattr(kernel_sphere_maps, "_separates_nothing", lambda *rule_args: False)
         with_floor, _ = build_level_family(*args)
         monkeypatch.setattr(kernel_sphere_maps, "_gram_error", lambda n_points: 0.0)
         calls = spy_factor(monkeypatch)

@@ -267,13 +267,15 @@ def _subset_rows():
 
 
 class TestPairSubset:
+    """pair_subset_power_sums against the row-at-a-time masked scan, bit for bit, in any pair order."""
+
     @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0, 2.5, 3.0])
     def test_bits_match_all_pairs_scan(self, p):
         rows = _subset_rows()
         ii, jj = np.triu_indices(rows.shape[0], 1)
         order = np.random.default_rng(5).permutation(ii.size)
         got = pair_subset_power_sums(rows, ii[order], jj[order], p)
-        want = pairwise_power_sums_all(rows, p)[order]
+        want = _row_at_a_time_scan(rows, p)[order]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("p", [1.0, 1.3, 3.0])
@@ -283,7 +285,7 @@ class TestPairSubset:
         rows = _subset_rows()
         ii, jj = np.triu_indices(rows.shape[0], 1)
         got = pair_subset_power_sums(rows, ii[:100], jj[:100], p)
-        want = pairwise_power_sums_all(rows, p)[:100]
+        want = _row_at_a_time_scan(rows, p)[:100]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_single_pair(self):
@@ -292,7 +294,7 @@ class TestPairSubset:
         k = int(np.nonzero((ii == 3) & (jj == 19))[0][0])
         got = pair_subset_power_sums(rows, [3], [19], 1.3)
         assert got.shape == (1,)
-        assert got.view(np.uint64)[0] == pairwise_power_sums_all(rows, 1.3).view(np.uint64)[k]
+        assert got.view(np.uint64)[0] == _row_at_a_time_scan(rows, 1.3).view(np.uint64)[k]
 
     def test_identical_rows_sum_to_zero(self):
         rows = _subset_rows()
@@ -308,7 +310,7 @@ class TestPairSubset:
         rows = _subset_rows()
         ii, jj = np.triu_indices(rows.shape[0], 1)
         got = pair_subset_power_sums(rows[:, 30:], ii, jj, 1.3)
-        want = pairwise_power_sums_all(np.ascontiguousarray(rows[:, 30:]), 1.3)
+        want = _row_at_a_time_scan(np.ascontiguousarray(rows[:, 30:]), 1.3)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -350,9 +352,9 @@ SCAN_EXPONENTS = [1.0, 1.3, 1.5, 2.0, 2.5, 3.0]
 class TestBlockedScan:
     """pairwise_power_sums_all against the row-at-a-time masked scan, bit for bit.
 
-    _subset_rows has 23 rows, so row i has 22 - i pairs: blocks capped at 1
-    pair hold one row each, at 50 pairs rows 0-1 then more rows, and at 63
-    pairs the first block is exactly full and the last (rows 17-21) partial.
+    _subset_rows has 23 rows, so 253 pairs, gathered in condensed order in
+    blocks of the cap's pair count: one pair each at a cap of 1, and at 50
+    and 63 pairs full blocks, then a partial last one.
     """
 
     @pytest.mark.parametrize("p", SCAN_EXPONENTS)
@@ -368,7 +370,7 @@ class TestBlockedScan:
 
     @pytest.mark.parametrize(
         "cap_pairs,blocks",
-        [(None, [253]), (1, list(range(22, 0, -1))), (50, [43, 39, 35, 45, 46, 45]), (63, [63, 54, 58, 63, 15])],
+        [(None, [253]), (1, [1] * 253), (50, [50] * 5 + [3]), (63, [63] * 4 + [1])],
     )
     def test_block_boundaries(self, cap_pairs, blocks, monkeypatch):
         if cap_pairs is not None:
