@@ -40,12 +40,13 @@ separation end: s_floor is past the diameter, every pair is close under a
 target below delta/2, or, at any p, the Mazur envelopes keep the farthest
 pair under delta/2 at the largest bandwidth the closeness target admits),
 a level that does not accept its cap takes the constant map unfactored,
-before any try, and every later level accepts it free. The S_n schedule,
-and so rho1 and rho2, are those the search would give, and each level
-before the first constant one keeps its bits. The constant map is one
-column of ones at a t where the kernel is all-ones in float64, but for a
-largest d^beta past about 2^1019, where t is 2^-1074 and the kernel is not
-quite all-ones.
+before any try, and every later level accepts it free. Once a level
+leaves every pair at distance 0, every later level is that level, with no
+search and nothing added to the sums. The S_n schedule, and so rho1 and
+rho2, are those the search would give, and each level before the first
+constant one keeps its bits. The constant map is one column of ones at a t
+where the kernel is all-ones in float64, but for a largest d^beta past
+about 2^1019, where t is 2^-1074 and the kernel is not quite all-ones.
 
 Every level runs one bandwidth search over one bracket: good, the largest
 feasible bandwidth measured, and bad, the smallest infeasible one. The
@@ -653,7 +654,9 @@ def build_level_family(
     once, for every level of this build. Only the latest level's pair
     distances are held: they go to the next level's search, and their p-th
     powers are added, in level order, to the pair power sums, one per pair
-    i < j in condensed order and read-only.
+    i < j in condensed order and read-only. Once a level leaves every pair
+    at distance 0, every later level is that level, with no search and
+    nothing added to the sums.
     """
     p = as_exponent(p_target)
     if not (math.isfinite(delta) and delta > 0):
@@ -672,6 +675,12 @@ def build_level_family(
         level, pair_d = calibrate_level(space, n, p, delta, beta, previous=previous, s_floor=s_floor, _pairs=pairs)
         sums += abs_power(pair_d, p.value)
         levels.append(level)
+        if not pair_d.any():
+            # the fixed point: the next level would accept this one free at
+            # its cap (sup 0), with eps 0 and S = inf, add +0.0 to every sum,
+            # and be the fixed point in turn
+            levels += [level] * (level_count - n)
+            break
         previous = (level, pair_d)
         if not level.saturated:
             s_floor = level.s_n

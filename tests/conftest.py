@@ -18,6 +18,14 @@ from lpembed.metric_spaces import generate
 # how far verify_levels lets an image row's norm stray from 1
 UNIT_TOL = 1e-9
 
+# the benchmark's graph-ladder grid: 125 (kind, param, p) specs
+LADDER_SPECS = [
+    (kind, param, p)
+    for kind, params in (("cycle", range(8, 81, 8)), ("path", range(6, 61, 6)), ("hypercube", range(3, 8)))
+    for param in params
+    for p in (1.0, 1.3, 1.5, 2.0, 3.0)
+]
+
 
 def mp_pnorm(row, p) -> float:
     """(sum_i |x_i|^p)^(1/p) of a float row, summed with mpmath.fsum at 50 digits."""

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    LADDER_SPECS,
     level_power_sums,
     mp_pnorm,
     reference_kernel,
@@ -937,14 +938,7 @@ class TestOneKernel:
         assert np.array_equal(bits([kernel_sphere_maps._kernel_g(x, 1) for x in d]), bits(d))
 
 
-# the benchmark's graph-ladder grid (125 specs) and the first 16 clouds of its
-# cloud-frac workload at seed 1
-LADDER_SPECS = [
-    (kind, param, p)
-    for kind, params in (("cycle", range(8, 81, 8)), ("path", range(6, 61, 6)), ("hypercube", range(3, 8)))
-    for param in params
-    for p in (1.0, 1.3, 1.5, 2.0, 3.0)
-]
+# the first 16 clouds of the benchmark's cloud-frac workload at seed 1
 CLOUD_SPECS = [("gaussian", 1000 + k, 1.3) for k in range(16)]
 
 

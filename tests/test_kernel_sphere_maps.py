@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from conftest import level_power_sums, verify_levels, without_separation_end
+from conftest import LADDER_SPECS, level_power_sums, verify_levels, without_separation_end
 from lpembed import kernel_sphere_maps
 from lpembed.coarse_embedder import (
     CoarseEmbedding,
@@ -27,7 +27,7 @@ from lpembed.kernel_sphere_maps import (
     kernel_matrix,
     measure_conditions,
 )
-from lpembed.lp_core import as_exponent, pairwise_pnorm_all, row_pnorms
+from lpembed.lp_core import abs_power, as_exponent, pairwise_pnorm_all, row_pnorms
 from lpembed.metric_spaces import FiniteMetricSpace, generate
 
 # closed-form max bandwidth for a two-point space at distance 1 under the
@@ -649,9 +649,12 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("case", WARM_CASES, ids=case_id)
     def test_every_level_keeps_the_stopping_rule(self, case, monkeypatch):
-        levels, tried = trace_levels(monkeypatch)
-        X, _, p, _, beta = build_case(case)
+        _, tried = trace_levels(monkeypatch)
+        X, level_count, p, delta, beta = default_family_args(case[0][0], case[0][1], case[1])
+        levels, _ = build_level_family(X, level_count, p, delta, beta)
         assert len(levels) >= 8
+        # the levels after the fixed point are not calibrated and try nothing
+        tried += [[]] * (len(levels) - len(tried))
         cap = kernel_sphere_maps.T_CAP
         for n, (level, ts) in enumerate(zip(levels, tried), 1):
             eps = 2.0 ** -n
@@ -707,6 +710,82 @@ class TestWarmStart:
         assert second_d is third_d
         assert second.epsilon_n == measure_conditions(third.images, X, 2, math.inf, 1.0)[0]
         assert second.epsilon_n <= 0.25
+
+
+def every_level_calibrated(space, level_count, p, delta, beta):
+    """build_level_family's loop with no fixed point: calibrate_level at every level.
+
+    Returns the levels, each level's pair distances, and the pair power sums
+    after each level.
+    """
+    pe = as_exponent(p)
+    pairs = kernel_sphere_maps._pair_layout(space)
+    levels, distances, partial_sums = [], [], []
+    sums = np.zeros(pairs[0].size)
+    previous, s_floor = None, 0.0
+    for n in range(1, level_count + 1):
+        level, pair_d = calibrate_level(space, n, pe, delta, beta, previous=previous, s_floor=s_floor, _pairs=pairs)
+        sums = sums + abs_power(pair_d, pe.value)
+        levels.append(level)
+        distances.append(pair_d)
+        partial_sums.append(sums)
+        previous = (level, pair_d)
+        if not level.saturated:
+            s_floor = level.s_n
+    return levels, distances, partial_sums
+
+
+# (kind, param, seed, p): the graph-ladder specs, gaussian(160) clouds, path(48)
+# at three exponents, and one point, which has no pair
+TAIL_CASES = (
+    [(kind, param, None, p) for kind, param, p in LADDER_SPECS]
+    + [("gaussian", 160, seed, 1.3) for seed in range(1, 5)]
+    + [("path", 48, None, p) for p in (1.0, 1.3, 3.0)]
+    + [("point", 1, None, 1.3)]
+)
+
+
+def tail_case_id(case):
+    kind, param, seed, p = case
+    return f"{kind}{param}-p{p}" if seed is None else f"{kind}{param}-seed{seed}-p{p}"
+
+
+class TestFixedPointTail:
+    """Once a level leaves every pair at distance 0, every later level is that level, uncalibrated."""
+
+    @pytest.mark.parametrize("case", TAIL_CASES, ids=tail_case_id)
+    def test_tail_repeats_the_fixed_level(self, case, monkeypatch):
+        kind, param, seed, p = case
+        X = FiniteMetricSpace(labels=("a",), dist=np.zeros((1, 1))) if kind == "point" else generate(kind, param, seed=seed)
+        args = (X, default_level_count(X), p, 1.0, kernel_sphere_maps._kernel_for(X))
+        reference, distances, partial_sums = every_level_calibrated(*args)
+        made = spy_levels(monkeypatch)
+        levels, sums = build_level_family(*args)
+
+        # every level and every sum has the bits of a build that calibrates every level
+        assert_same_levels(levels, reference)
+        assert same_bits(sums, partial_sums[-1])
+        # every case reaches a level that leaves every pair at 0, and every
+        # later level does too
+        zero = [k for k, pair_d in enumerate(distances) if not pair_d.any()]
+        fixed = zero[0]
+        assert zero == list(range(fixed, len(levels)))
+        assert levels[fixed].epsilon_n == 0.0 and levels[fixed].saturated
+        # calibrate_level runs through that level and no further
+        assert [level for level, _ in made] == list(levels[: fixed + 1])
+        # the tail is that level's record, and adds nothing to the sums
+        assert all(level is levels[fixed] for level in levels[fixed:])
+        assert all(same_bits(partial, partial_sums[fixed]) for partial in partial_sums[fixed:])
+
+    def test_graph_ladder_skips_most_levels(self, monkeypatch):
+        # 583 of the 3075 levels over the 125 specs are calibrated
+        made = spy_levels(monkeypatch)
+        total = 0
+        for kind, param, p in LADDER_SPECS:
+            X = generate(kind, param)
+            total += len(build_level_family(X, default_level_count(X), p, 1.0, kernel_sphere_maps._kernel_for(X))[0])
+        assert total == 3075
+        assert len(made) <= 583
 
 
 class TestRankAwareImages:
