@@ -17,16 +17,17 @@ where m(d) counts non-saturated levels with S_n <= d. Both follow from the
 measured per-level certificates, so a correctly built embedding verifies
 cleanly at 1e-9 (distortion_report.verify_bounds, the one verifier). An
 embedding file is json.dumps of embedding_to_json's dict, written one point's
-level images at a time; on read, each level's pair distances are measured
-once on its base-offset rows (a repeated block adds its predecessor's again)
-and summed as a build sums them, so a reload is the record a build makes.
+level images at a time; on read, each level is measured on the rows the file
+holds, phi_n(x), as a build measures it (a repeated block adds its
+predecessor's terms again), so a reload is the record a build makes, bit for
+bit and whatever the base point: x0 moves Phi's coordinates, never a report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Union
 
@@ -150,7 +151,7 @@ def _check_base_index(value, n_points: int) -> None:
 
 
 def _offset_rows(images: np.ndarray, base_row: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Image rows offset from the base point's, images - base_row, which must be finite."""
+    """Image rows offset from the base point's, images - base_row, which must be finite: Phi's coordinates."""
     with np.errstate(over="ignore"):  # finite images can overflow; refused below
         rows = np.subtract(images, base_row, out=out)
     if not np.isfinite(rows).all():
@@ -304,22 +305,12 @@ def embedding_to_json(embedding: CoarseEmbedding) -> dict:
     return {**_header_json(embedding), "images": images}
 
 
-def _level_images(rows: list, position: int) -> np.ndarray:
-    """The blocks at one schedule position, one per point, as a (points, width) array of finite numbers.
-
-    They are refused before any arithmetic: inf - inf in the base offset
-    would be NaN, which passes every envelope comparison.
-    """
-    bad = ValueError(f"level {position} images must be one number list per point, all of one length")
+def _level_images(rows: list) -> np.ndarray:
+    """The blocks at one schedule position, one per point, parsed as one float64 array; SphereMapLevel checks its shape."""
     try:
-        arr = _numbers(rows, "block")
+        return _numbers(rows, "block")
     except (TypeError, ValueError):  # not numbers, or ragged nesting
-        raise bad from None
-    if arr.ndim != 2:
-        raise bad
-    if not np.isfinite(arr).all():
-        raise ValueError(f"level {position} images are not all finite")
-    return arr
+        raise ValueError("images must be one number list per point, all of one length") from None
 
 
 def _kernel_beta(name) -> float:
@@ -342,19 +333,23 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
     """Reattach a serialized embedding to its space: each level with its images, and the pair power sums.
 
     The file holds each level's images phi_n(x), one list per level for
-    each point; a level's lists are read for all points as one array. Each
-    level's pair distances are measured once, by pairwise_pnorm_all on its
-    base-offset rows phi_n(x) - phi_n(x0), and their p-th powers added in
-    level order to the pair power sums, as a build adds them; only one
-    level's terms are held at a time. Offsets that overflow, or pair
-    distances that do (no warning is raised for either), are a malformed
-    payload. A level whose images equal the previous level's shares that
-    level's images and adds its terms again, unscanned, as a build's
-    shares them, so a constant tail costs one scan. Older files hold those
-    offsets, whose zero base rows give the same rows, so they read back to
-    the same pair power sums and image_matrix. A level's n is its position
-    and its kernel the embedding's, so levels whose n do not run 1..N, or
-    that name two kernels, are refused here.
+    each point; a level's lists are read for all points as one array, which
+    becomes the level's SphereMapLevel (2-D and finite) before anything else
+    reads it. Each level's pair distances are then measured once, by
+    pairwise_pnorm_all on those rows, as calibrate_level measures a built
+    level, and their p-th powers added in level order to the pair power
+    sums, as a build adds them; only one level's terms are held at a time.
+    Pair distances that overflow (no warning is raised) are a malformed
+    payload; so is every file whose offsets phi_n(x) - phi_n(x0) overflow,
+    since such an offset is a pair difference. A level whose images equal
+    the previous level's shares that level's images and adds its terms
+    again, unscanned, as a build's shares them, so a constant tail costs one
+    scan. The base point x0 is read only by evaluate and image_matrix.
+    Older files hold the offsets, whose base rows are zero: they read back
+    to the same evaluate rows and image_matrix and certify, with pair power
+    sums that differ from a re-saved file's by rounding only. A level's n is
+    its position and its kernel the embedding's, so levels whose n do not
+    run 1..N, or that name two kernels, are refused here.
     """
     try:
         pe = as_exponent(_number(payload["p"], "p"))
@@ -401,20 +396,20 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
         # distances that overflow are refused below, and a sum that does is +inf, a violation
         with np.errstate(over="ignore"):
             for n, params in enumerate(schedule, 1):
-                level_images = _level_images([blocks[n - 1] for blocks in per_point], n)
-                if levels and np.array_equal(level_images, levels[-1].images):
+                try:
+                    level = SphereMapLevel(**params, images=_level_images([blocks[n - 1] for blocks in per_point]))
+                except ValueError as exc:
+                    raise ValueError(f"level {n}: {exc}") from None
+                if levels and np.array_equal(level.images, levels[-1].images):
                     # the previous level's images, as a build shares them: its terms again, unscanned
-                    level_images = levels[-1].images
+                    level = replace(level, images=levels[-1].images)
                 else:
-                    pair_d = pairwise_pnorm_all(_offset_rows(level_images, level_images[base]), pe)
+                    pair_d = pairwise_pnorm_all(level.images, pe)
                     if not np.isfinite(pair_d).all():
                         # a NaN distance would pass every certificate comparison
                         raise ValueError(f"level {n}: pair_distances must be finite (no NaN/inf)")
                     terms = _abs_power_inplace(pair_d, pe.value)  # abs_power's bits, in the scan's buffer
-                try:
-                    levels.append(SphereMapLevel(**params, images=level_images))
-                except ValueError as exc:
-                    raise ValueError(f"level {n}: {exc}") from None
+                levels.append(level)
                 sums += terms
         sums.setflags(write=False)
         return CoarseEmbedding(space, pe, betas[0], delta, tuple(levels), base, sums)

@@ -7,9 +7,15 @@ and numpy's pairwise summation of each contiguous row: row_pnorms for rows,
 and one pair kernel, pair_subset_power_sums, which gathers listed row pairs
 in blocks; pairwise_power_sums_all and pairwise_pnorm_all run it over all
 pairs. Every norm is taken from its power sum by one root, pth_root.
-No max-rescaling is applied: the rows lpembed passes hold entries of order
-one (unit-sphere images, their differences and stacks, Gaussian samples),
-far from float64 underflow and overflow.
+No max-rescaling is applied. The rows lpembed passes are a build's
+unit-sphere images (or a file's, whose pair distances are refused on load
+where they overflow), their differences and stacks, and the Mazur sampler's
+rows. Two unit vectors are at most 2 apart, so ||x - y||_p^p <= 2^p stays
+finite below p = 1024, but a term |v|^p below 2^-1074, the least float64,
+vanishes: at p in the hundreds that takes entries of order 0.1. The Mazur
+sampler, whose Gaussian samples and l_1000 distances would overflow or
+underflow whole, factors each row's largest |entry| out before it calls
+these kernels.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .lp_core import ExponentLike, _number, abs_power, as_exponent, row_pnorms
+from .lp_core import ExponentLike, _abs_power_inplace, _number, abs_power, as_exponent, pth_root, row_pnorms
 
 __all__ = [
     "MAX_SAMPLE_DIM",
@@ -133,6 +133,19 @@ class RatioSample:
     constant_c: float
 
 
+def _scaled_pnorms(rows: np.ndarray, p: float) -> np.ndarray:
+    """p-norm of every row, taken as m * ||rows / m||_p with m the row's largest |entry|.
+
+    With the largest |entry| 1, no |entry|^p overflows and the power sum is
+    at least 1, so a norm underflows only where the norm itself would; a
+    term (|entry| / m)^p below 2^-1074 vanishes. A zero row's norm is 0.
+    """
+    scaled = np.abs(rows)
+    m = scaled.max(axis=1)
+    scaled /= np.where(m > 0, m, 1.0)[:, None]
+    return m * pth_root(_abs_power_inplace(scaled, p).sum(axis=1), p)
+
+
 def sample_ratio_extremes(
     p: ExponentLike,
     q: ExponentLike,
@@ -140,7 +153,14 @@ def sample_ratio_extremes(
     pairs: int,
     seed: int,
 ) -> RatioSample:
-    """Maximize the Mazur envelope ratios over seeded random sphere pairs; dim, pairs and seed are integers."""
+    """Maximize the Mazur envelope ratios over seeded random sphere pairs; dim, pairs and seed are integers.
+
+    Every sample row and every pair difference is measured with its largest
+    |entry| factored out, so neither |x|^p of a sample nor an l_q distance
+    of images under- or overflows anywhere in 1 <= p, q < 1024; the
+    constant ratio is taken over pairs whose distance it divides by is
+    positive.
+    """
     pe, qe = as_exponent(p), as_exponent(q)
     dim = _number(dim, "dim", integer=True)
     pairs = _number(pairs, "pairs", integer=True)
@@ -159,11 +179,11 @@ def sample_ratio_extremes(
     while done < pairs:
         m = min(batch, pairs - done)
         raw = rng.standard_normal((2 * m, dim))
-        raw /= row_pnorms(raw, pe)[:, None]
+        raw /= _scaled_pnorms(raw, pe.value)[:, None]
         # pair k is rows (2k, 2k+1)
-        d_src = row_pnorms(raw[0::2] - raw[1::2], pe)
+        d_src = _scaled_pnorms(raw[0::2] - raw[1::2], pe.value)
         mapped = mazur_map_rows(raw, pe, qe)
-        d_img = row_pnorms(mapped[0::2] - mapped[1::2], qe)
+        d_img = _scaled_pnorms(mapped[0::2] - mapped[1::2], qe.value)
         nz = d_src > 0
         d_src, d_img = d_src[nz], d_img[nz]
         lower_excess = max(lower_excess, float((bounds.lower(d_src) - d_img).max()))
@@ -171,7 +191,9 @@ def sample_ratio_extremes(
         if pe.value < qe.value:
             const_ratio = max(const_ratio, float((d_img / d_src ** (pe.value / qe.value)).max()))
         elif pe.value > qe.value:
-            const_ratio = max(const_ratio, float((d_src / d_img ** (qe.value / pe.value)).max()))
+            # over pairs whose image distance is positive, as nz keeps the source's
+            ratio = np.divide(d_src, d_img ** (qe.value / pe.value), out=np.zeros_like(d_src), where=d_img > 0)
+            const_ratio = max(const_ratio, float(ratio.max()))
         else:
             const_ratio = max(const_ratio, float((d_img / d_src).max()))
         done += m

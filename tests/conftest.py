@@ -79,18 +79,17 @@ def without_separation_end(build, *args, **kwargs):
         return build(*args, **kwargs)
 
 
-def level_power_sums(levels, p, base=None):
-    """sum_n abs_power(pairwise_pnorm_all(rows_n, p), p), added in level order, as an embedding sums its pairs.
+def level_power_sums(levels, p):
+    """sum_n abs_power(pairwise_pnorm_all(images_n, p), p), added in level order, as an embedding sums its pairs.
 
-    rows_n is level n's images for a build, or their offsets from point
-    base for a reload, which measures the offset rows.
+    A build and a reload alike measure each level on its own images, so
+    neither reads the base point.
     """
     pv = float(p)
     n_points = levels[0].images.shape[0]
     sums = np.zeros(n_points * (n_points - 1) // 2)
     for level in levels:
-        rows = level.images if base is None else level.images - level.images[base]
-        sums += abs_power(pairwise_pnorm_all(rows, pv), pv)
+        sums += abs_power(pairwise_pnorm_all(level.images, pv), pv)
     return sums
 
 

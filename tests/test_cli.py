@@ -328,7 +328,7 @@ class TestMalformedEmbeddingFile:
         ("delta", -1.0, "delta must be finite and positive"),
         ("base", 1.7, "base must be an integer"),
         ("base", True, "base must be an integer"),
-        # checked before the rows are offset by the base row
+        # checked before any level is read
         ("base", 4, "base index must be an integer point index in 0..3, got 4"),
         ("base", -1, "base index must be an integer point index in 0..3, got -1"),
         ("S", float("nan"), "schedule S must be null or a finite positive number"),
@@ -369,7 +369,8 @@ class TestMalformedEmbeddingFile:
 
 
     def test_report_overflowing_offsets_exit_2(self, hc2_embedding, capsys):
-        # finite images whose offsets from the base point overflow are refused on load
+        # finite images whose offsets from the base point overflow are refused
+        # on load: each offset is a pair difference, which overflows the level's scan
         space, emb = hc2_embedding
         payload = json.loads(emb.read_text())
         payload["images"]["00"][0][0] = -1e308
@@ -377,7 +378,8 @@ class TestMalformedEmbeddingFile:
         emb.write_text(json.dumps(payload))
         capsys.readouterr()
         assert run("report", "--space", str(space), "--embedding", str(emb)) == 2
-        assert "malformed embedding payload: image blocks must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed embedding payload: level 1: pair_distances must be finite (no NaN/inf)" in err
 
     def test_report_overflowing_pair_distances_exit_2(self, tmp_path, capsys):
         # one image coordinate of 1e300 leaves every offset finite, but the

@@ -160,11 +160,12 @@ class TestBuild:
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(back.schedule[-1], images=images)
         # finite images whose offsets from the base overflow: refused on load,
-        # where the level's pair distances are measured on those offsets
+        # since each offset is a pair difference, which the level's scan measures
         payload = embedding_to_json(E)
         payload["images"]["000"][0][0] = -1e308
         payload["images"]["011"][0][0] = 1e308
-        with pytest.raises(ValueError, match="malformed embedding payload: image blocks must be finite"):
+        message = r"^malformed embedding payload: level 1: pair_distances must be finite \(no NaN/inf\)"
+        with pytest.raises(ValueError, match=message):
             embedding_from_json(payload, E.space)
 
     @pytest.mark.parametrize("p", [1.3, 1.5, 2.0, 3.0])
@@ -299,13 +300,12 @@ class TestLevelReuse:
         assert "image_matrix" not in vars(back)
 
     def test_reloaded_sums_from_offset_rows(self, built_embedding):
-        # measured once on load, on the base-offset rows: bit for bit the sum
-        # of each block's scanned terms, and the build's sums to rounding
+        # a base away from point 0 offsets Phi's rows, but a reload measures
+        # each level's own images, as the build does: the build's sums, bit for bit
         E = dataclasses.replace(built_embedding, base_index=built_embedding.space.n // 2)
         back = embedding_from_json(embedding_to_json(E), E.space)
-        expected = level_power_sums(back.schedule, E.exponent, base=E.base_index)
-        assert np.array_equal(back.pair_power_sums.view(np.uint64), expected.view(np.uint64))
-        np.testing.assert_allclose(back.pair_power_sums, E.pair_power_sums, rtol=1e-13, atol=0.0)
+        assert back.pair_power_sums.tobytes() == E.pair_power_sums.tobytes()
+        assert back.pair_power_sums.tobytes() == level_power_sums(back.schedule, E.exponent).tobytes()
         assert not back.pair_power_sums.flags.writeable
 
     def test_reload_shares_repeated_blocks(self, monkeypatch):
@@ -320,8 +320,9 @@ class TestLevelReuse:
         for levels in (E.schedule, back.schedule):
             assert all(level.images is levels[1].images for level in levels[2:])
         # the bits of a scan of every block, so the reports are those of scanning each level
-        expected = level_power_sums(back.schedule, E.exponent, base=E.base_index)
-        assert np.array_equal(back.pair_power_sums.view(np.uint64), expected.view(np.uint64))
+        expected = level_power_sums(back.schedule, E.exponent)
+        assert back.pair_power_sums.tobytes() == expected.tobytes()
+        assert back.pair_power_sums.tobytes() == E.pair_power_sums.tobytes()
 
     def test_pair_power_sums_read_only(self, built_embedding):
         n = built_embedding.space.n
@@ -1171,15 +1172,30 @@ class TestPairPowerSums:
 
     @pytest.mark.parametrize("specs", [LADDER_SPECS, CLOUD_SPECS[:4]], ids=["graph-ladder", "cloud-frac"])
     def test_sums_of_builds_and_reloads(self, specs):
-        # a build measures its levels' images, a reload their base-offset rows
+        # a build and a reload both measure each level's own images
         for kind, param, p in specs:
             space = spec_space(kind, param)
             E = build_embedding(space, p=p)
             back = embedding_from_json(embedding_to_json(E), space)
             expected = level_power_sums(E.schedule, p)
             assert E.pair_power_sums.tobytes() == expected.tobytes()
-            expected = level_power_sums(back.schedule, p, base=back.base_index)
             assert back.pair_power_sums.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "specs",
+        [LADDER_SPECS, [("gaussian", seed, 1.3) for seed in range(1, 5)]],
+        ids=["graph-ladder", "gaussian160"],
+    )
+    def test_reload_is_the_build_at_every_base(self, specs):
+        # the base point cancels in every pair, so no base moves a sum or a report
+        for kind, param, p in specs:
+            space = generate("gaussian", 160, seed=param) if kind == "gaussian" else generate(kind, param)
+            E = build_embedding(space, p=p)
+            csv = export(empirical_profile(E, 16), "csv")
+            for base in (0, space.n // 2, space.n - 1):
+                back = embedding_from_json(embedding_to_json(dataclasses.replace(E, base_index=base)), space)
+                assert back.pair_power_sums.tobytes() == E.pair_power_sums.tobytes(), (kind, param, p, base)
+                assert export(empirical_profile(back, 16), "csv") == csv, (kind, param, p, base)
 
     def test_inf_sum_accepted_and_reported(self):
         # +inf is an overflow, not a NaN: the record takes it, and it breaks the upper envelope
@@ -1244,12 +1260,16 @@ class TestOffsetFiles:
         return payload
 
     def test_same_matrix_and_exports(self, built_embedding):
+        # the old file measures its offset rows, the new one the build's own:
+        # the same Phi, sums apart by rounding only, and both certify
         E = dataclasses.replace(built_embedding, base_index=built_embedding.space.n - 1)
         old = embedding_from_json(self.offset_payload(E), E.space)
         new = embedding_from_json(embedding_to_json(E), E.space)
         for back in (old, new):
             assert np.array_equal(back.image_matrix.view(np.uint64), E.image_matrix.view(np.uint64))
+            assert verify_bounds(back) == []
         for fmt in ("csv", "json"):
-            assert export(empirical_profile(old, 16), fmt) == export(empirical_profile(new, 16), fmt)
+            assert export(empirical_profile(new, 16), fmt) == export(empirical_profile(E, 16), fmt)
+        np.testing.assert_allclose(old.pair_power_sums, new.pair_power_sums, rtol=1e-13, atol=0.0)
         # the old file's rows are offsets, off the unit sphere: the base row is zero
         assert not any(level.images[E.base_index].any() for level in old.schedule)

@@ -904,6 +904,28 @@ class TestResolution:
             assert all(t * g <= 53.0 * math.log(2.0) for t in ts)
         assert sum(map(len, tried)) <= 13
 
+    def test_close_pair_sups_at_large_p_measured_without_underflow(self):
+        # at p in the hundreds |v|^p of an order-one entry can underflow, so
+        # each close pair is re-measured by the 50-digit oracle: no level's
+        # sup exceeds 2^-n, nor its certificate beyond rounding. The large-p
+        # builds take the constant map at every level; p = 10 and 20 factor
+        cases = [("cycle", 8, p) for p in (50, 100, 200)] + [("cycle", 16, 200), ("cycle", 16, 1000)]
+        cases += [("path", 10, 500), ("hypercube", 4, 200)]
+        cases += [(kind, param, p) for kind, param in (("cycle", 16), ("path", 10), ("hypercube", 4)) for p in (10, 20)]
+        factored = 0
+        for kind, param, p in cases:
+            X = generate(kind, param)
+            E = build_embedding(X, p=p, delta=1e-3)
+            ii, jj = X.pair_indices()
+            d = X.dist[ii, jj]
+            for n, level in enumerate(E.schedule, 1):
+                diffs = level.images[jj[d <= n]] - level.images[ii[d <= n]]
+                sup = max((conftest.mp_pnorm(row, p) for row in diffs), default=0.0)
+                assert sup <= 2.0 ** -n, (kind, param, p, n, sup)
+                assert sup <= level.epsilon_n * (1.0 + 1e-12), (kind, param, p, n, sup, level.epsilon_n)
+                factored += level.images.shape[1] > 1
+        assert factored >= 12
+
     @pytest.mark.parametrize("kind,param", [("hypercube", 8), ("path", 48), ("cycle", 72)])
     def test_p2_levels_accept_their_first_try(self, kind, param, monkeypatch):
         # the start aims under 2^-n by the Gram error relative to 1 - K, so

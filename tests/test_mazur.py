@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lpembed import mazur
+from lpembed.cli import RATIO_TOL
 from lpembed.lp_core import pairwise_pnorm_all, row_pnorms
 from lpembed.mazur import (
     mazur_bounds,
@@ -14,6 +15,8 @@ from lpembed.mazur import (
 )
 
 P_GRID = [1.0, 1.5, 2.0, 3.0]
+# the advertised range 1 <= p < 1024, out to its end
+WIDE_GRID = [1.0, 1.3, 2.0, 3.0, 10.0, 100.0, 500.0, 1000.0, 1023.0]
 
 
 class TestMazurMap:
@@ -104,6 +107,17 @@ class TestMazurBounds:
         sample = sample_ratio_extremes(p, q, dim=16, pairs=2000, seed=10)
         assert sample.max_lower_excess <= 1e-12
         assert sample.max_upper_excess <= 1e-12
+
+    # |x|^p of a Gaussian sample overflowed from p ~ 440 on, and an l_1000
+    # distance of images underflowed to 0; RuntimeWarning is an error here
+    @pytest.mark.parametrize("dim", [4, 64])
+    @pytest.mark.parametrize("q", WIDE_GRID)
+    @pytest.mark.parametrize("p", WIDE_GRID)
+    def test_estimates_hold_across_the_exponent_range(self, p, q, dim):
+        sample = sample_ratio_extremes(p, q, dim=dim, pairs=50, seed=3)
+        assert sample.max_lower_excess <= RATIO_TOL
+        assert sample.max_upper_excess <= RATIO_TOL
+        assert sample.max_constant_ratio <= sample.constant_c + RATIO_TOL
 
     # pairs=True ran one pair, and dim=3.5 raised a bare TypeError
     @pytest.mark.parametrize("kwargs,name", [
