@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -80,9 +79,10 @@ class CoarseEmbedding:
     pair i < j in condensed (np.triu_indices) order, the p-th powers of
     each level's pair distances added in level order; verification and
     profiling read it. A build and a reload make it read-only; it is
-    outside the repr, and each entry must be >= 0. image_matrix (the per-point concatenation of
-    the blocks) and block_dims are formed on first use, once, and
-    read-only; verification and profiling never form them.
+    outside the repr, and each entry must be >= 0. image_matrix, the
+    per-point concatenation of the blocks, is formed from the levels on
+    each use, as evaluate forms a point's rows, and is read-only;
+    verification and profiling never form it.
     """
 
     space: FiniteMetricSpace
@@ -120,15 +120,12 @@ class CoarseEmbedding:
     def level_count(self) -> int:
         return len(self.schedule)
 
-    @cached_property
-    def block_dims(self) -> tuple:
-        return tuple(level.images.shape[1] for level in self.schedule)
-
-    @cached_property
+    @property
     def image_matrix(self) -> np.ndarray:
-        mat = np.empty((self.space.n, sum(self.block_dims)))
+        mat = np.empty((self.space.n, sum(level.images.shape[1] for level in self.schedule)))
         offset = 0
-        for level, width in zip(self.schedule, self.block_dims):
+        for level in self.schedule:
+            width = level.images.shape[1]
             _offset_rows(level.images, level.images[self.base_index], out=mat[:, offset:offset + width])
             offset += width
         mat.setflags(write=False)
@@ -155,7 +152,7 @@ def _offset_rows(images: np.ndarray, base_row: np.ndarray, out: Optional[np.ndar
     with np.errstate(over="ignore"):  # finite images can overflow; refused below
         rows = np.subtract(images, base_row, out=out)
     if not np.isfinite(rows).all():
-        # inf - inf in a pair scan is NaN, which passes every envelope comparison
+        # no pair scan reads these rows; evaluate and image_matrix return them as Phi's coordinates
         raise ValueError("image blocks must be finite (no NaN/inf)")
     return rows
 
@@ -349,7 +346,9 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
     to the same evaluate rows and image_matrix and certify, with pair power
     sums that differ from a re-saved file's by rounding only. A level's n is
     its position and its kernel the embedding's, so levels whose n do not
-    run 1..N, or that name two kernels, are refused here.
+    run 1..N, or that name two kernels, are refused here. Every refusal is
+    one ValueError whose text starts "malformed embedding payload:"; the
+    base index is checked before any level is read.
     """
     try:
         pe = as_exponent(_number(payload["p"], "p"))
@@ -376,22 +375,16 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
             # a build calibrates every level with one kernel, each from the last
             raise ValueError(f"every level must use one kernel exponent beta, got {betas}")
         images = payload["images"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed embedding payload: {exc}") from exc
-    _check_base_index(base, space.n)
-    if not isinstance(images, dict):
-        raise ValueError(f"malformed embedding payload: images must be an object, got {type(images).__name__}")
-    missing = [l for l in space.labels if l not in images]
-    if missing:
-        raise ValueError(f"embedding payload missing images for {len(missing)} points, e.g. {missing[0]!r}")
-    per_point = [images[label] for label in space.labels]
-    for label, blocks in zip(space.labels, per_point):
-        if not isinstance(blocks, list) or len(blocks) != len(schedule):
-            raise ValueError(
-                f"malformed embedding payload: images of {label!r} must be a list of "
-                f"{len(schedule)} blocks, one per schedule level"
-            )
-    try:
+        _check_base_index(base, space.n)
+        if not isinstance(images, dict):
+            raise ValueError(f"images must be an object, got {type(images).__name__}")
+        missing = [l for l in space.labels if l not in images]
+        if missing:
+            raise ValueError(f"missing images for {len(missing)} points, e.g. {missing[0]!r}")
+        per_point = [images[label] for label in space.labels]
+        for label, blocks in zip(space.labels, per_point):
+            if not isinstance(blocks, list) or len(blocks) != len(schedule):
+                raise ValueError(f"images of {label!r} must be a list of {len(schedule)} blocks, one per schedule level")
         levels, sums = [], np.zeros(space.n * (space.n - 1) // 2)
         # distances that overflow are refused below, and a sum that does is +inf, a violation
         with np.errstate(over="ignore"):
@@ -413,7 +406,7 @@ def embedding_from_json(payload: dict, space: FiniteMetricSpace) -> CoarseEmbedd
                 sums += terms
         sums.setflags(write=False)
         return CoarseEmbedding(space, pe, betas[0], delta, tuple(levels), base, sums)
-    except ValueError as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed embedding payload: {exc}") from exc
 
 

@@ -7,9 +7,8 @@ inequalities in the p-th-power domain; violations are data, with a 1e-9
 classification tolerance mirroring the build-time tolerances (excesses inside
 the tolerance are suppressed and counted as marginal). Like validate's
 report, the violation records stop at MAX_VIOLATIONS; a profile counts them
-all. export renders a
-profile as CSV, or as JSON whose floats are their repr, so json.loads gives
-every field back exactly.
+all. export renders a profile as CSV, or as JSON whose floats are their
+repr, so json.loads gives every field back exactly.
 """
 
 from __future__ import annotations
@@ -178,7 +177,9 @@ def export(profile: DistortionProfile, format: str) -> bytes:
 
     CSV columns are exactly t_lo,t_hi,pair_count,emp_min,emp_max,rho1,rho2 with
     rho1 sampled at the bucket's lower edge and rho2 at its upper edge (the
-    sandwich orientation); empty buckets leave emp_min/emp_max blank.
+    sandwich orientation); empty buckets leave emp_min/emp_max blank. JSON
+    is the profile's dataclasses as objects, each field under its name in
+    definition order, tuples as lists.
     """
     if format == "csv":
         buf = io.StringIO()
@@ -198,31 +199,5 @@ def export(profile: DistortionProfile, format: str) -> bytes:
             )
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        payload = {
-            "buckets": [
-                {
-                    "t_lo": b.t_lo,
-                    "t_hi": b.t_hi,
-                    "emp_min": b.emp_min,
-                    "emp_max": b.emp_max,
-                    "pair_count": b.pair_count,
-                }
-                for b in profile.buckets
-            ],
-            "edges": list(profile.edges),
-            "rho1_theory": list(profile.rho1_theory),
-            "rho2_theory": list(profile.rho2_theory),
-            "violations": [
-                {
-                    "pair": list(v.pair),
-                    "measured": v.measured,
-                    "bound": v.bound,
-                    "side": v.side,
-                }
-                for v in profile.violations
-            ],
-            "violation_count": profile.violation_count,
-            "marginal_count": profile.marginal_count,
-        }
-        return json.dumps(payload).encode("utf-8")
+        return json.dumps(profile, default=vars).encode("utf-8")
     raise ValueError(f"unknown export format {format!r}; expected 'csv' or 'json'")

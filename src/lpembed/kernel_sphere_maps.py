@@ -40,9 +40,9 @@ separation end: s_floor is past the diameter, every pair is close under a
 target below delta/2, or, at any p, the Mazur envelopes keep the farthest
 pair under delta/2 at the largest bandwidth the closeness target admits),
 a level that does not accept its cap takes the constant map unfactored,
-before any try, and every later level accepts it free. Once a level
-leaves every pair at distance 0, every later level is that level, with no
-search and nothing added to the sums. The S_n schedule, and so rho1 and
+before any try. Once a level leaves every pair at distance 0, as the
+constant map does, every later level is that level, with no search and
+nothing added to the sums. The S_n schedule, and so rho1 and
 rho2, are those the search would give, and each level before the first
 constant one keeps its bits. The constant map is one column of ones at a t
 where the kernel is all-ones in float64, but for a largest d^beta past
@@ -75,11 +75,11 @@ float64's resolution are not factored:
   resolves no close pair. The level takes the constant map instead: one
   column of ones, sup 0, every pair distance 0, saturated, at
   min(cap, 2^-55 / g_max), g_max over all pairs, where the kernel is
-  all-ones in float64, so its images are the factor of its kernel and later
-  levels accept that bandwidth free at their cap (past g_max ~ 2^1019 no
-  positive t makes the kernel all-ones, and t is 2^-1074, the least
-  positive float64). Since the shrinks halve t from the third on, every
-  level ends at a feasible try, at this floor or at the separation end.
+  all-ones in float64, so its images are the factor of its kernel (past
+  g_max ~ 2^1019 no positive t makes the kernel all-ones, and t is
+  2^-1074, the least positive float64); every later level repeats it.
+  Since the shrinks halve t from the third on, every level ends at a
+  feasible try, at this floor or at the separation end.
 - Identity end: a try with t g > 53 ln 2 puts K at that pair below 2^-53,
   so its l_2 images are sqrt(2) apart and, through the Mazur lower
   envelope, at least the ceiling > 1/2 >= 2^-n apart in l_p. It counts as a
@@ -389,6 +389,11 @@ def _feasible_start(eps: float, p: PExponent, g_close: float, gram_error: float)
     floor; so it is where s * s = (eps / C)^p underflows to 0, about
     2^-((n + 1) p) at eps = 2^-n (at p = 200, from level 5 on).
 
+    The ratio reaches 1 far sooner, a large-p limit documented, not mended:
+    at delta = 1e-3, cycle(16), path(10) and hypercube(4) keep one finite
+    S_n at p = 15 and 20, and from p = 30 on (level 1's s * s 3.5e-18 against
+    cycle(16)'s Gram error 1.1e-13) none, so rho1 is 0 at every distance.
+
     The l_2 target s is at most 1/2, since eps = 2^-n <= 1/2: it is p eps / 2
     for p <= 2, and (eps / C)^(p/2) with C >= 1 for p > 2. So 1 - s^2 / 2 is
     at least 7/8, and the start is finite.
@@ -419,9 +424,9 @@ def _constant_map(n_points: int, pair_count: int, g_max: float, t_cap: float) ->
     One column of ones, sup 0 and every pair distance 0, at min(cap,
     2^-55 / g_max), g_max over all pairs, where the kernel is all-ones in
     float64: its images are the factor of its kernel, and every later level
-    accepts that bandwidth free at its cap. Past g_max ~ 2^1019 that t is
-    below the least positive float64, 2^-1074, and no positive t makes the
-    kernel all-ones; t is then 2^-1074, since a level's t must be positive.
+    repeats it. Past g_max ~ 2^1019 that t is below the least positive
+    float64, 2^-1074, and no positive t makes the kernel all-ones; t is then
+    2^-1074, since a level's t must be positive.
     """
     t = max(math.ulp(0.0), min(t_cap, ALL_ONES_EXPONENT / g_max)) if g_max > 0.0 else t_cap
     return (t, 0.0, np.ones((n_points, 1))), np.zeros(pair_count)

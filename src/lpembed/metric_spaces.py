@@ -98,9 +98,6 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    def __len__(self) -> int:
-        return self.n
-
     def diameter(self) -> float:
         return float(self.dist.max())
 

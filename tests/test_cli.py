@@ -45,6 +45,12 @@ class TestGen:
     def test_bad_param(self, tmp_path):
         assert run("gen", "--kind", "hypercube", "--param", "99", "--out", str(tmp_path / "x.json")) == 2
 
+    def test_too_few_points(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run("gen", "--kind", "cycle", "--param", "2", "--out", str(out)) == 2
+        assert "cycle needs at least 3 points, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_valid_space(self, hc3_file):
@@ -488,6 +494,10 @@ class TestSizeBounds:
     def test_check_mazur_dim(self, dim, capsys):
         assert run("check-mazur", "--p", "1", "--q", "2", "--dim", str(dim), "--samples", "10") == 2
         assert f"dim must be at most {mazur.MAX_SAMPLE_DIM}" in capsys.readouterr().err
+
+    def test_check_mazur_no_samples(self, capsys):
+        assert run("check-mazur", "--p", "2", "--q", "1.5", "--samples", "0") == 2
+        assert "dim and pairs must be positive" in capsys.readouterr().err
 
     def test_check_mazur_dim_at_bound(self, capsys):
         dim = str(mazur.MAX_SAMPLE_DIM)

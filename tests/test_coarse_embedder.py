@@ -50,6 +50,11 @@ def hc6_p1():
     return build_embedding(generate("hypercube", 6), p=1.0, level_count=8)
 
 
+def widths(embedding) -> tuple:
+    """Each level's image width, level.images.shape[1], in level order."""
+    return tuple(level.images.shape[1] for level in embedding.schedule)
+
+
 def two_point(d=1.0):
     return FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, d], [d, 0.0]]))
 
@@ -62,7 +67,7 @@ class TestBuild:
     def test_block_count_equals_level_count(self, hc4_p1):
         img = evaluate(hc4_p1, 5)
         assert len(img) == hc4_p1.level_count
-        assert tuple(row.shape for row in img) == tuple((w,) for w in hc4_p1.block_dims)
+        assert tuple(row.shape for row in img) == tuple((w,) for w in widths(hc4_p1))
 
     def test_single_level_two_point_distance_is_level_distance(self):
         E = build_embedding(two_point(), p=2.0, level_count=1)
@@ -140,6 +145,16 @@ class TestBuild:
         for bad in (True, 1.0, 2):
             with pytest.raises(ValueError, match="integer point index"):
                 dataclasses.replace(E, base_index=bad)
+
+    def test_offsets_that_overflow_rejected(self):
+        # finite images whose offset from the base row overflows: Phi has no finite coordinates there
+        level = SphereMapLevel(epsilon_n=0.0, s_n=math.inf, bandwidth_t=1.0, images=np.array([[1e308], [-1e308]]))
+        E = CoarseEmbedding(two_point(), as_exponent(2.0), 2.0, 1.0, (level,), 0, np.full(1, math.inf))
+        assert evaluate(E, "a")[0].tolist() == [0.0]
+        with pytest.raises(ValueError, match=r"^image blocks must be finite \(no NaN/inf\)$"):
+            evaluate(E, "b")
+        with pytest.raises(ValueError, match=r"^image blocks must be finite \(no NaN/inf\)$"):
+            E.image_matrix
 
     def test_invalid_space_rejected(self):
         broken = FiniteMetricSpace(
@@ -359,12 +374,23 @@ class TestSingleCopy:
         assert verify_bounds(E) == []
         assert "image_matrix" not in vars(E)
 
+    def test_record_holds_its_fields_only(self):
+        # image_matrix is formed on each use and kept nowhere
+        E = build_embedding(generate("cycle", 12), p=1.5)
+        first = E.image_matrix
+        assert E.image_matrix is not first
+        assert np.array_equal(E.image_matrix.view(np.uint64), first.view(np.uint64))
+        assert list(vars(E)) == [f.name for f in dataclasses.fields(CoarseEmbedding)]
+        assert len(vars(E)) == 7
+        assert not hasattr(CoarseEmbedding, "block_dims")
+        assert not hasattr(FiniteMetricSpace, "__len__")
+
     def test_every_base_point_rederives_blocks(self):
         E = build_embedding(generate("cycle", 10), p=1.5, level_count=5)
         for k in range(E.space.n):
             moved = dataclasses.replace(E, base_index=k)
             assert moved.schedule is E.schedule
-            blocks = np.hsplit(moved.image_matrix, np.cumsum(moved.block_dims)[:-1])
+            blocks = np.hsplit(moved.image_matrix, np.cumsum(widths(moved))[:-1])
             for level, block in zip(E.schedule, blocks):
                 expected = level.images - level.images[k]
                 assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
@@ -447,7 +473,7 @@ class TestJson:
         payload = embedding_to_json(hc4_p1)
         back = embedding_from_json(payload, hc4_p1.space)
         np.testing.assert_array_equal(back.image_matrix, hc4_p1.image_matrix)
-        assert back.block_dims == hc4_p1.block_dims
+        assert widths(back) == widths(hc4_p1)
         assert back.base_index == hc4_p1.base_index
         assert back.exponent.value == hc4_p1.exponent.value
         assert [s.s_n for s in back.schedule] == [s.s_n for s in hc4_p1.schedule]
@@ -474,6 +500,17 @@ class TestJson:
         with pytest.raises(ValueError, match="missing images"):
             embedding_from_json(payload, hc4_p1.space)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda payload: payload["images"].pop("0000"), "missing images for 1 points, e.g. '0000'"),
+        (lambda payload: payload.update(base=16), "base index must be an integer point index in 0..15, got 16"),
+    ], ids=["missing", "base"])
+    def test_refusal_carries_the_prefix(self, edit, message, hc4_p1):
+        payload = embedding_to_json(hc4_p1)
+        edit(payload)
+        with pytest.raises(ValueError) as err:
+            embedding_from_json(payload, hc4_p1.space)
+        assert str(err.value) == f"malformed embedding payload: {message}"
+
     @pytest.mark.parametrize("text", ["{not json", "[" * 100000 + "]" * 100000], ids=["garbled", "nested"])
     def test_invalid_json_file_refused(self, text, hc4_p1, tmp_path):
         path = tmp_path / "e.json"
@@ -498,8 +535,8 @@ class TestJson:
             padded["images"][label] = [[0.0] * (n - len(b)) + b for b in blocks]
         old = embedding_from_json(padded, E.space)
         new = embedding_from_json(payload, E.space)
-        assert old.block_dims == (n,) * E.level_count
-        assert new.block_dims == E.block_dims and min(E.block_dims) < n
+        assert widths(old) == (n,) * E.level_count
+        assert widths(new) == widths(E) and min(widths(E)) < n
         assert verify_bounds(old) == verify_bounds(new) == []
         # zero columns add nothing; only the summation order differs
         np.testing.assert_allclose(pairwise_image_power_sums(old)[3], pairwise_image_power_sums(new)[3], rtol=1e-13)
@@ -596,7 +633,7 @@ class TestRankAwareBlocks:
         assert verify_bounds(E) == []
         assert verify_levels(E.schedule, E.space, E.exponent, E.delta) == []
         # the last levels sit below the floor: the constant map, one column
-        assert E.block_dims[-1] == 1
+        assert E.schedule[-1].images.shape[1] == 1
         assert E.schedule[-1].epsilon_n == 0.0 and E.schedule[-1].saturated
 
     def test_hypercube8_p2_width(self):
@@ -604,7 +641,7 @@ class TestRankAwareBlocks:
         # 265 columns: levels 2-10 take the constant map at the separation
         # end; 981 while they were factored, and 10 levels of 256 columns
         # each (2560) while every block was as wide as the space
-        assert sum(E.block_dims) == 265
+        assert sum(widths(E)) == 265
         assert verify_bounds(E) == []
 
 
@@ -949,7 +986,7 @@ def spec_space(kind, param):
 
 def first_constant_level(embedding) -> int:
     """The index of the first level whose images are the constant map; the level count if none is."""
-    return next((k for k, w in enumerate(embedding.block_dims) if w == 1), embedding.level_count)
+    return next((k for k, w in enumerate(widths(embedding)) if w == 1), embedding.level_count)
 
 
 def envelope_l2_bound(eps, p):
@@ -1093,8 +1130,8 @@ class TestSeparationEnd:
         monkeypatch.setattr(kernel_sphere_maps, "build_sphere_map", lambda *args: calls.append(args) or real(*args))
         E = build_embedding(X, p=2.0)
         assert len(calls) == 1
-        assert E.block_dims == (256,) + (1,) * 9
-        assert sum(reference.block_dims) == 981
+        assert widths(E) == (256,) + (1,) * 9
+        assert sum(widths(reference)) == 981
         first, same = E.schedule[0], reference.schedule[0]
         assert (first.bandwidth_t, first.epsilon_n) == (same.bandwidth_t, same.epsilon_n)
         assert np.array_equal(first.images.view(np.uint64), same.images.view(np.uint64))

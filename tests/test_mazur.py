@@ -135,6 +135,11 @@ class TestMazurBounds:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
             sample_ratio_extremes(2, 1.5, args["dim"], args["pairs"], args["seed"])
 
+    @pytest.mark.parametrize("kwargs", [{"dim": 0}, {"pairs": 0}], ids=["dim", "pairs"])
+    def test_sizes_must_be_positive(self, kwargs):
+        with pytest.raises(ValueError, match="^dim and pairs must be positive$"):
+            sample_ratio_extremes(2, 1.5, **{"dim": 3, "pairs": 10, "seed": 0, **kwargs})
+
     def test_numpy_integers_accepted(self):
         sample = sample_ratio_extremes(2, 1.5, np.int64(3), np.int32(10), np.int64(0))
         assert sample == sample_ratio_extremes(2, 1.5, 3, 10, 0)

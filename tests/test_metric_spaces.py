@@ -50,6 +50,19 @@ class TestGenerators:
         assert X.n == 8
         assert X.diameter() == 3.0
 
+    @pytest.mark.parametrize("kind,param,text", [
+        ("cycle", 2, "cycle needs at least 3 points, got 2"),
+        ("cycle", 4097, "cycle parameter exceeds 4096"),
+        ("path", 1, "path needs at least 2 points, got 1"),
+        ("path", 4097, "path parameter exceeds 4096"),
+        ("gaussian", 1, "gaussian cloud needs at least 2 points, got 1"),
+        ("gaussian", 4097, "gaussian parameter exceeds 4096"),
+    ])
+    def test_size_out_of_range(self, kind, param, text):
+        with pytest.raises(ValueError) as err:
+            generate(kind, param, seed=0 if kind == "gaussian" else None)
+        assert str(err.value) == text
+
     def test_hypercube_param_range(self):
         with pytest.raises(ValueError):
             generate("hypercube", 13)
@@ -308,6 +321,10 @@ class TestConstruction:
     def test_nonsquare(self):
         with pytest.raises(ValueError):
             FiniteMetricSpace(labels=("a", "b"), dist=np.zeros((2, 3)))
+
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="^a metric space needs at least one point$"):
+            FiniteMetricSpace(labels=(), dist=np.zeros((0, 0)))
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
